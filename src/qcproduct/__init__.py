@@ -51,6 +51,7 @@ from .field import (
 )
 from .polyring import (
     Poly,
+    fold_mod_xm1,
     modular_substitute,
     poly_egcd,
     poly_gcd,
@@ -122,8 +123,9 @@ __all__ = [
     "GeneratingMatrix", "RgbPotBasis", "QuasiCyclicCode", "OneLevelCode",
     "ProductParams", "CodewordMatrix", "LinearCodeView",
     "field_new", "nth_root_of_unity", "poly_text_to_coeffs",
-    "coeffs_to_poly_text", "modular_substitute", "poly_gcd", "poly_egcd",
-    "split_residue", "x_pow_minus_one", "cyclic_code_new", "cyclotomic_coset",
+    "coeffs_to_poly_text", "modular_substitute", "fold_mod_xm1", "poly_gcd",
+    "poly_egcd", "split_residue", "x_pow_minus_one", "cyclic_code_new",
+    "cyclotomic_coset",
     "factor_xm_minus_1", "field_of_order", "minimal_polynomial",
     "rgb_pot_reduce", "is_rgb_pot", "dimension", "level", "encode",
     "reduce_vector", "vector_to_univariate", "univariate_to_vector",

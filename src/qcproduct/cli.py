@@ -32,7 +32,7 @@ from .cyclic import cyclic_code_new, cyclotomic_coset, factor_xm_minus_1, minima
 from .errors import NonPrefixPattern, PolyParseError, QcError
 from .field import field_new
 from .oracle import expand_to_linear, is_quasi_cyclic, min_distance
-from .polyring import Poly, modular_substitute
+from .polyring import Poly, fold_mod_xm1
 from .product import (
     OneLevelCode,
     bezout_pair,
@@ -347,7 +347,7 @@ def _cmd_example(args) -> int:
     params = bezout_pair(2, 17, 3)
     product = one_level_product_rgb(code_a, code_b, params)
     g00, g01 = product.row()
-    presentation = _shift_entry(g01, 17, 51)
+    presentation = fold_mod_xm1(g01 * Poly.monomial(f2, 17), 51)
 
     direct = unreduced_product_basis(code_a.basis(), code_b, params)
     reduced = rgb_pot_reduce(direct)
@@ -391,14 +391,6 @@ def _cmd_example(args) -> int:
     if code != EXIT_OK:
         return code
     return EXIT_OK if match else EXIT_MISMATCH
-
-
-def _shift_entry(p: Poly, exp: int, m: int) -> Poly:
-    """Multiply by X^exp and fold modulo X^m - 1."""
-    shifted = p * Poly.monomial(p.field, exp % m)
-    if shifted.degree < m:
-        return shifted
-    return modular_substitute(shifted, 1, m)
 
 
 _COMMANDS = {

@@ -96,17 +96,6 @@ def _pp_trim(c: list[int]) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _pp_mul(u, v, p):
-    if not u or not v:
-        return ()
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _pp_trim(out)
-
-
 def _pp_mod(u, v, p):
     """Remainder of u modulo v (v monic up to a unit), over GF(p)."""
     r = list(u)
@@ -323,7 +312,7 @@ class Field:
     whose base-p digits are the polynomial-basis coefficients.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_modmask", "_red", "_powers")
+    __slots__ = ("p", "m", "q", "modulus", "_modmask", "_red")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
         if not isinstance(p, int) or not _is_prime(p):
@@ -360,10 +349,8 @@ class Field:
                     mask |= 1 << i
             object.__setattr__(self, "_modmask", mask)
             object.__setattr__(self, "_red", None)
-            object.__setattr__(self, "_powers", None)
         else:
             object.__setattr__(self, "_modmask", None)
-            object.__setattr__(self, "_powers", tuple(p ** i for i in range(m)))
             if m > 1:
                 f = np.array(coeffs, dtype=np.int64)
                 red = np.zeros((max(m - 1, 1), m), dtype=np.int64)
@@ -428,10 +415,6 @@ class Field:
     @property
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
-
-    def element_codes(self):
-        """All element codes, ascending (only sensible for small fields)."""
-        return range(self.q)
 
     def coeffs_of(self, code: int) -> tuple[int, ...]:
         """Base-p digit vector (length m, ascending) of an element code."""

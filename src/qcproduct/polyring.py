@@ -24,6 +24,7 @@ __all__ = [
     "poly_gcd",
     "poly_egcd",
     "modular_substitute",
+    "fold_mod_xm1",
     "x_pow_minus_one",
     "split_residue",
 ]
@@ -121,16 +122,18 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = f.add(out[i], c)
-        return Poly(f, out)
+        return _trusted(f, out)
 
     def __sub__(self, other):
         o = self._check(other)
         if o is NotImplemented:
             return o
         f = self.field
-        n = max(len(self.coeffs), len(o.coeffs))
-        out = [f.sub(self.coeff(i), o.coeff(i)) for i in range(n)]
-        return Poly(f, out)
+        a, b = self.coeffs, o.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = f.sub(out[i], c)
+        return _trusted(f, out)
 
     def __neg__(self):
         f = self.field
@@ -154,7 +157,7 @@ class Poly:
             for j, b in enumerate(o.coeffs):
                 if b:
                     out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return Poly(f, out)
+        return _trusted(f, out)
 
     __rmul__ = __mul__
 
@@ -162,7 +165,7 @@ class Poly:
         f = self.field
         if code == 0:
             return Poly.zero(f)
-        return Poly(f, [f.mul(code, c) for c in self.coeffs])
+        return _trusted(f, [f.mul(code, c) for c in self.coeffs])
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -197,7 +200,7 @@ class Poly:
             quot[top - dv] = qc
             for j, b in enumerate(o.coeffs):
                 rem[top - dv + j] = f.sub(rem[top - dv + j], f.mul(qc, b))
-        return Poly(f, quot), Poly(f, rem)
+        return _trusted(f, quot), _trusted(f, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -231,6 +234,20 @@ class Poly:
 
     def __repr__(self):
         return f"Poly[{coeffs_to_poly_text(self.coeffs)} over {self.field!r}]"
+
+
+_set_field, _set_coeffs = Poly.field.__set__, Poly.coeffs.__set__
+
+
+def _trusted(field: Field, codes: list) -> Poly:
+    """A Poly from codes that ``Field`` operations made out of validated
+    codes: trailing zeros are stripped in place, the other checks skipped."""
+    while codes and codes[-1] == 0:
+        codes.pop()
+    p = object.__new__(Poly)
+    _set_field(p, field)
+    _set_coeffs(p, tuple(codes))
+    return p
 
 
 def x_pow_minus_one(field: Field, m: int) -> Poly:
@@ -294,6 +311,11 @@ def modular_substitute(p: Poly, e: int, N: int) -> Poly:
             pos = (k * e_res) % N
             out[pos] = f.add(out[pos], c)
     return Poly(f, out)
+
+
+def fold_mod_xm1(p: Poly, m: int) -> Poly:
+    """p reduced modulo X^m - 1 by folding exponents (X^k -> X^(k mod m))."""
+    return p if p.degree < m else modular_substitute(p, 1, m)
 
 
 def split_residue(y: int, ell: int, m: int) -> int:

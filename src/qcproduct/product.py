@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .field import Field
-from .polyring import Poly, modular_substitute, poly_gcd, x_pow_minus_one
+from .polyring import Poly, fold_mod_xm1, modular_substitute, poly_gcd, x_pow_minus_one
 from .qcmodule import GeneratingMatrix, PolyVector, RgbPotBasis, level
 
 __all__ = [
@@ -216,14 +216,8 @@ def matrix_to_components(M: CodewordMatrix, p: ProductParams) -> PolyVector:
                     acc[pos] = f.add(acc[pos], c)
         inner = Poly(f, acc)
         twist = Poly.monomial(f, (h * (-p.a * p.m_a)) % N)
-        comps.append(_fold(inner * twist, N))
+        comps.append(fold_mod_xm1(inner * twist, N))
     return PolyVector(comps, N)
-
-
-def _fold(poly: Poly, m: int) -> Poly:
-    if poly.degree < m:
-        return poly
-    return modular_substitute(poly, 1, m)
 
 
 class OneLevelCode:
@@ -249,7 +243,7 @@ class OneLevelCode:
         for fj in fs:
             if fj.field != field:
                 raise FieldMismatch("multiplier over a different field")
-            canon.append(_fold(fj, m) % cofactor if not cofactor.is_zero else fj)
+            canon.append(fold_mod_xm1(fj, m) % cofactor if not cofactor.is_zero else fj)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ell", int(ell))
         object.__setattr__(self, "m", int(m))
@@ -340,7 +334,7 @@ def unreduced_product_basis(G_A: RgbPotBasis, B: CyclicCode,
                 row.append(Poly.zero(f))
                 continue
             sub = modular_substitute(entry, p.b * p.m_b, N)
-            row.append(_fold(_fold(gB_sub * sub, N) * twists[j], N))
+            row.append(fold_mod_xm1(fold_mod_xm1(gB_sub * sub, N) * twists[j], N))
         rows.append(row)
     return GeneratingMatrix(f, p.ell_a, N, rows)
 
@@ -356,10 +350,10 @@ def one_level_product_rgb(A: OneLevelCode, B: CyclicCode,
     N = p.big_m
     gA_sub = modular_substitute(A.g, p.b * p.m_b, N)
     gB_sub = modular_substitute(B.g, p.a * p.ell_a * p.m_a, N)
-    g = poly_gcd(x_pow_minus_one(f, N), _fold(gA_sub * gB_sub, N))
+    g = poly_gcd(x_pow_minus_one(f, N), fold_mod_xm1(gA_sub * gB_sub, N))
     multipliers = []
     for j in range(1, p.ell_a):
         sub = modular_substitute(A.fs[j - 1], p.b * p.m_b, N)
         twist = Poly.monomial(f, (-j * p.a * p.m_a) % N)
-        multipliers.append(_fold(sub * twist, N))
+        multipliers.append(fold_mod_xm1(sub * twist, N))
     return OneLevelCode(g, multipliers, p.ell_a, N)

@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .field import Field
-from .polyring import Poly, modular_substitute, poly_egcd, x_pow_minus_one
+from .polyring import Poly, fold_mod_xm1, poly_egcd, x_pow_minus_one
 
 __all__ = [
     "PolyVector",
@@ -43,13 +43,6 @@ __all__ = [
     "univariate_to_vector",
     "qc_shift",
 ]
-
-
-def _fold(p: Poly, m: int) -> Poly:
-    """Reduce modulo X^m - 1 by folding exponents (X^k -> X^(k mod m))."""
-    if p.degree < m:
-        return p
-    return modular_substitute(p, 1, m)
 
 
 class PolyVector:
@@ -231,20 +224,24 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
     """Canonical upper-triangular basis of the submodule generated by the
     explicit rows together with the (X^m-1)e_j rows.
 
-    Triangularization runs column by column over the honest polynomial ring:
-    all rows active at a column are folded into a single pivot via extended
-    gcds (each fold is a determinant -1 row transform, so the row span never
-    changes), which makes every diagonal a monic divisor of X^m - 1 because
-    the (X^m-1)e_j row always reaches its own column untouched.  Entries
-    above each diagonal are then reduced modulo it, and any row whose
-    diagonal is the whole of X^m - 1 is replaced by (X^m-1)e_i.  The result
-    is unique per submodule.
+    Triangularization runs column by column: all rows active at a column
+    are folded into a single pivot via extended gcds (each fold is a
+    determinant -1 row transform, so the row span never changes), which
+    makes every diagonal a monic divisor of X^m - 1 because the (X^m-1)e_j
+    row always reaches its own column untouched.  Those rows also keep the
+    work in F_q[X]/(X^m-1): the submodule contains K = <(X^m-1)e_k>, and
+    while column col is processed every (X^m-1)e_k row with k > col is
+    still pending, so reducing entries right of col modulo X^m - 1 changes
+    neither the submodule nor the result, and keeps operands below degree
+    2m.  Entries above each diagonal are then reduced modulo it, and any
+    row whose diagonal is the whole of X^m - 1 is replaced by (X^m-1)e_i.
+    The result is unique per submodule.
     """
     f, ell, m = gen.field, gen.ell, gen.m
     xm1 = x_pow_minus_one(f, m)
     zero = Poly.zero(f)
 
-    pending = [list(row) for row in gen.rows]
+    pending = [[fold_mod_xm1(p, m) for p in row] for row in gen.rows]
     for j in range(ell):
         imp = [zero] * ell
         imp[j] = xm1
@@ -261,6 +258,8 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
             co_row = row[col] // g
             folded = [s * a + t * b for a, b in zip(acc, row)]
             annihilated = [co_row * a - co_acc * b for a, b in zip(acc, row)]
+            folded[col + 1:] = [fold_mod_xm1(p, m) for p in folded[col + 1:]]
+            annihilated[col + 1:] = [fold_mod_xm1(p, m) for p in annihilated[col + 1:]]
             acc = folded
             pending.append(annihilated)
         if not acc[col].is_monic:
@@ -356,7 +355,7 @@ def encode(b: RgbPotBasis, message) -> PolyVector:
         for row in range(b.ell):
             if not comps[row].is_zero and not b.matrix[row][col].is_zero:
                 acc = acc + comps[row] * b.matrix[row][col]
-        out.append(_fold(acc, b.m))
+        out.append(fold_mod_xm1(acc, b.m))
     return PolyVector(out, b.m)
 
 
@@ -365,13 +364,13 @@ def reduce_vector(b: RgbPotBasis, v: PolyVector) -> PolyVector:
     position); the zero vector comes back exactly when v is a codeword."""
     if v.ell != b.ell or v.m != b.m:
         raise ShapeMismatch("vector shape does not match the basis")
-    w = [_fold(c, b.m) for c in v.components]
+    w = [fold_mod_xm1(c, b.m) for c in v.components]
     for i in range(b.ell):
         q, r = divmod(w[i], b.matrix[i][i])
         w[i] = r
         if not q.is_zero:
             for k in range(i + 1, b.ell):
-                w[k] = _fold(w[k] - q * b.matrix[i][k], b.m)
+                w[k] = fold_mod_xm1(w[k] - q * b.matrix[i][k], b.m)
     return PolyVector(w, b.m)
 
 

@@ -1,0 +1,34 @@
+"""Byte-identity of ``--format json`` output against committed goldens.
+
+The files under ``tests/golden`` are input documents and the exact stdout
+that ``qcproduct --format json <command> ...`` printed for them before
+reduction learned to work modulo X^m - 1.  Any change to arithmetic or
+reduction must leave every byte of that output unchanged.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qcproduct.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "reduce_matrix_gf2": ["reduce", "matrix_gf2.json"],
+    "reduce_matrix_gf3": ["reduce", "matrix_gf3.json"],
+    "reduce_matrix_gf4": ["reduce", "matrix_gf4.json"],
+    "product_gf2": ["product", "row_code_gf2.json", "column_code_gf2.json"],
+    "product_gf3": ["product", "row_code_gf3.json", "column_code_gf3.json"],
+    "verify_row_code_gf2": ["verify", "row_code_gf2.json"],
+    "verify_noncanonical_gf2": ["verify", "noncanonical_gf2.json"],
+    "example_sec4": ["example-sec4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_stdout_matches_golden(name, capsys):
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in CASES[name]]
+    assert main(["--format", "json", *argv]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (GOLDEN / f"{name}.out.json").read_bytes()

@@ -12,6 +12,7 @@ from qcproduct import (
     NotADivisor,
     Poly,
     field_new,
+    fold_mod_xm1,
     modular_substitute,
     poly_egcd,
     poly_gcd,
@@ -276,6 +277,33 @@ def test_modular_substitute_reduces_high_degrees():
     assert r.coeffs == (1, 1)
     with pytest.raises(DegreeMismatch):
         modular_substitute(p, 1, 0)
+
+
+def test_fold_mod_xm1():
+    p = Poly(F3, (1, 2, 0, 1, 1))    # X^4 + X^3 + 2X + 1
+    assert fold_mod_xm1(p, 5) is p   # already below degree m
+    # X^3 -> 1 and X^4 -> X modulo X^3 - 1: (1 + 1) + (2 + 1)X = 2
+    assert fold_mod_xm1(p, 3).coeffs == (2,)
+    assert fold_mod_xm1(x_pow_minus_one(F3, 6), 6).is_zero
+    assert fold_mod_xm1(Poly.zero(F3), 1).is_zero
+
+
+def test_arithmetic_results_are_normalized():
+    # results come out of a constructor that skips validation, so check
+    # that they still match a fully validated rebuild: codes in range and
+    # no trailing zeros
+    rng = random.Random(4099)
+    for field in (F2, F3, F4):
+        for _ in range(40):
+            u = random_poly(rng, field, rng.randrange(-1, 8))
+            v = random_poly(rng, field, rng.randrange(-1, 8))
+            results = [u + v, u - v, v - u, u * v, u.scale(rng.randrange(field.q))]
+            if not v.is_zero:
+                results.extend(divmod(u, v))
+            for r in results:
+                assert r == Poly(field, r.coeffs)
+                assert not r.coeffs or r.coeffs[-1] != 0
+            assert (u - u).is_zero and (u - v) + v == u
 
 
 def test_split_residue():

@@ -358,6 +358,21 @@ def test_both_routes_agree_on_random_instances():
         cases += 1
 
 
+def test_both_routes_agree_with_seven_columns():
+    # a [105, 11] row code times the [11, 10] parity-check code: the direct
+    # route reduces a 7-column matrix modulo X^165 - 1
+    rng = random.Random(7)
+    g = poly_from_text(F2, "X^4+X+1")               # divides X^15 - 1
+    fs = [Poly(F2, [rng.randrange(2) for _ in range(15)]) for _ in range(6)]
+    A = OneLevelCode(g, fs, 7, 15)
+    B = cyclic_code_new(11, poly_from_text(F2, "X+1"))
+    p = bezout_pair(7, 15, 11)
+    direct = rgb_pot_reduce(unreduced_product_basis(A.basis(), B, p))
+    closed = one_level_product_rgb(A, B, p)
+    assert direct == closed.basis()
+    assert closed.k == A.k * B.k
+
+
 def test_product_shape_mismatches_rejected():
     A, B, p = section_iv_instance()
     wrong = bezout_pair(2, 17, 5)

@@ -1,6 +1,7 @@
 """Tests for submodule bases, canonical reduction, and the interleaving maps."""
 
 import random
+import time
 
 import pytest
 
@@ -147,6 +148,20 @@ def test_reduce_row_order_does_not_matter():
         rng.shuffle(shuffled)
         gen2 = GeneratingMatrix(F3, 2, 5, shuffled)
         assert rgb_pot_reduce(gen) == rgb_pot_reduce(gen2)
+
+
+def test_reduce_stays_below_twice_m_on_large_full_rank_input():
+    # folding over the whole of F_q[X] took about two minutes here: operand
+    # degrees grew into the thousands; modulo X^m - 1 they stay below 2m
+    rng = random.Random(31)
+    gen = random_generating_matrix(rng, F2, 8, 31, 8)
+    start = time.perf_counter()
+    b = rgb_pot_reduce(gen)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"took {elapsed:.2f} s"
+    assert is_rgb_pot(b)[0]
+    for row in gen.rows:
+        assert reduce_vector(b, PolyVector(row, 31)).is_zero
 
 
 def test_section_iv_row_code_dimension():

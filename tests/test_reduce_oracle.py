@@ -1,0 +1,92 @@
+"""Canonical reduction checked against plain linear algebra.
+
+The code generated by a matrix G is spanned over GF(q) by the serialized
+shifts X^t * row mod X^m - 1 of its explicit rows (the (X^m-1)e_j rows
+serialize to zero).  The RREF of those shifts is unique per code, so it must
+equal the RREF of the expanded canonical basis, whatever the input rows look
+like: unreduced entries, dependent rows, or a unimodular scramble of them.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcproduct import (
+    GeneratingMatrix,
+    Poly,
+    PolyVector,
+    expand_to_linear,
+    field_new,
+    fold_mod_xm1,
+    rgb_pot_reduce,
+    vector_to_univariate,
+)
+from qcproduct.oracle import _rref
+
+FIELDS = {2: field_new(2), 3: field_new(3), 4: field_new(2, 2), 5: field_new(5)}
+
+
+def polys(field, max_degree):
+    return st.lists(st.integers(0, field.q - 1), max_size=max_degree + 1).map(
+        lambda codes: Poly(field, codes))
+
+
+@st.composite
+def generating_matrices(draw):
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    ell = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 12))
+    row = st.lists(polys(field, 2 * m), min_size=ell, max_size=ell)
+    return GeneratingMatrix(field, ell, m, draw(st.lists(row, max_size=ell + 1)))
+
+
+def shift_span_rref(gen):
+    f, m = gen.field, gen.m
+    rows = []
+    for row in gen.rows:
+        for t in range(m):
+            shift = Poly.monomial(f, t)
+            vec = PolyVector([fold_mod_xm1(p * shift, m) for p in row], m)
+            codes = list(vector_to_univariate(vec).coeffs)
+            rows.append(codes + [0] * (gen.ell * m - len(codes)))
+    return _rref(f, rows)
+
+
+def canonical_rref(gen):
+    return _rref(gen.field, expand_to_linear(rgb_pot_reduce(gen)).matrix.tolist())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(generating_matrices())
+def test_canonical_basis_spans_the_generated_code(gen):
+    assert canonical_rref(gen) == shift_span_rref(gen)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(generating_matrices(), st.data())
+def test_unimodular_scramble_reduces_to_the_same_basis(gen, data):
+    f, ell, m = gen.field, gen.ell, gen.m
+    rows = [list(r) for r in gen.rows]
+    n = len(rows)
+    # elementary row operations (swap, unit scaling, adding a polynomial
+    # multiple of another row) and adding multiples of (X^m-1)e_k keep
+    # the generated submodule
+    for _ in range(data.draw(st.integers(0, 2 * n + 2)) if n else 0):
+        kind = data.draw(st.sampled_from(("swap", "scale", "add", "kernel")))
+        i = data.draw(st.integers(0, n - 1))
+        if kind == "swap":
+            j = data.draw(st.integers(0, n - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "scale":
+            c = data.draw(st.integers(1, f.q - 1))
+            rows[i] = [p.scale(c) for p in rows[i]]
+        elif kind == "add" and n > 1:
+            j = data.draw(st.integers(0, n - 2))
+            j += j >= i
+            mult = data.draw(polys(f, m))
+            rows[i] = [a + mult * b for a, b in zip(rows[i], rows[j])]
+        elif kind == "kernel":
+            k = data.draw(st.integers(0, ell - 1))
+            mult = data.draw(polys(f, m))
+            rows[i][k] = rows[i][k] + mult * Poly.monomial(f, m) - mult
+    scrambled = GeneratingMatrix(f, ell, m, rows)
+    assert rgb_pot_reduce(scrambled) == rgb_pot_reduce(gen)
