@@ -8,12 +8,15 @@ operations (:meth:`Field.add`, :meth:`Field.mul`, ...) are the fast path used
 by the polynomial layer; :class:`FieldElement` wraps a code with operator
 overloading for direct use.
 
-Three internal arithmetic strategies keep everything exact and fast enough:
-
-* prime fields (m = 1): plain modular integer arithmetic;
-* characteristic 2: carry-less integer multiplication on bitmasks;
-* odd characteristic extensions: numpy convolution plus a precomputed
-  reduction matrix for the modulus.
+Extension fields with q <= 2^12 run on exp/log tables and, for odd
+characteristic, a Zech-logarithm table (Lidl and Niederreiter, *Finite
+Fields*, ch. 9; the ``galois`` package does lookup-table arithmetic for small
+fields the same way): multiplication, inversion and powers are lookups, and
+so is odd-characteristic addition.  Prime fields keep modular integers, with
+the builtin ``pow`` for inverses and powers, and characteristic 2 keeps XOR
+for add.  Larger extensions, such as those behind minimal polynomials, use
+:class:`_QuotientRing`, which also fills the tables and runs the Frobenius
+irreducibility test.
 
 The module also carries the two text formats for polynomials over GF(p)
 (sparse algebraic like ``X^8+X^4+X^3+X^2+1`` and dense ascending coefficient
@@ -26,8 +29,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-
-import numpy as np
 
 from .errors import (
     DegreeMismatch,
@@ -126,86 +127,123 @@ def _monic_candidates(p: int, deg: int):
         yield tuple(reversed(low)) + (1,)
 
 
-def _trial_division_irreducible(coeffs, p) -> bool:
-    deg = len(coeffs) - 1
-    for d in range(1, deg // 2 + 1):
-        for cand in _monic_candidates(p, d):
-            if not _pp_mod(coeffs, cand, p):
-                return False
-    return True
+def _digits(code: int, p: int, m: int) -> list[int]:
+    """Base-p digits (length m, ascending) of an element code."""
+    out = []
+    for _ in range(m):
+        code, r = divmod(code, p)
+        out.append(r)
+    return out
+
+
+def _power(mul, a: int, e: int) -> int:
+    """a^e (e >= 0) by square-and-multiply with the given multiplication."""
+    result = 1
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
+
+
+class _QuotientRing:
+    """Arithmetic on element codes of GF(p)[X]/(f), f monic of degree m,
+    without tables.
+
+    For p = 2 a code is a bitmask: mul is a carry-less product reduced by
+    the modulus bitmask.  For odd p, mul is a Kronecker substitution: the
+    base-p digits are spread into slots of ``bits`` bits, one integer product
+    convolves them, the slots of degree >= m are folded back with the packed
+    rows X^(m+t) mod f, and each slot is reduced mod p on the way back to a
+    code.  No slot exceeds 2m(p-1)^2, which ``bits`` holds, so none carries.
+    """
+
+    __slots__ = ("p", "m", "modmask", "bits", "mask", "rows")
+
+    def __init__(self, p: int, f):
+        m = len(f) - 1
+        self.p, self.m = p, m
+        if p == 2:
+            self.modmask = sum(c << i for i, c in enumerate(f))
+            return
+        bits = (2 * m * (p - 1) ** 2 + 1).bit_length()
+        low = [(-c) % p for c in f[:m]]  # X^m mod f
+        rows, r = [], low
+        for _ in range(m - 1):
+            rows.append(sum(d << (bits * i) for i, d in enumerate(r)))
+            r = [(prev + r[-1] * c) % p for prev, c in zip([0] + r[:-1], low)]
+        self.bits, self.mask, self.rows = bits, (1 << bits) - 1, rows
+
+    def spread(self, code: int) -> int:
+        p, bits = self.p, self.bits
+        x = shift = 0
+        while code:
+            code, d = divmod(code, p)
+            x |= d << shift
+            shift += bits
+        return x
+
+    def collect(self, x: int) -> int:
+        """The code of a packed form of degree < m, slots reduced mod p."""
+        p, bits, mask = self.p, self.bits, self.mask
+        code = 0
+        for shift in range(bits * (self.m - 1), -1, -bits):
+            code = code * p + ((x >> shift) & mask) % p
+        return code
+
+    def lin(self, a: int, b: int, c: int) -> int:
+        """a + c*b digit by digit (odd p, 0 <= c < p)."""
+        return self.collect(self.spread(a) + c * self.spread(b))
+
+    def mul(self, a: int, b: int) -> int:
+        if self.p == 2:
+            r = 0
+            while b:
+                if b & 1:
+                    r ^= a
+                a <<= 1
+                b >>= 1
+            mask = self.modmask
+            top = mask.bit_length() - 1
+            while r.bit_length() - 1 >= top:
+                r ^= mask << (r.bit_length() - 1 - top)
+            return r
+        p, bits, mask = self.p, self.bits, self.mask
+        c = self.spread(a) * self.spread(b)
+        high = c >> (bits * self.m)
+        c &= (1 << (bits * self.m)) - 1
+        for row in self.rows:
+            if not high:
+                break
+            c += (high & mask) % p * row
+            high >>= bits
+        return self.collect(c)
 
 
 def _frobenius_irreducible(coeffs, p) -> bool:
     """Distinct-degree irreducibility criterion: f of degree r is irreducible
     over GF(p) iff X^(p^r) == X (mod f) and gcd(X^(p^(r/s)) - X, f) = 1 for
-    every prime s dividing r.  Polynomial-time, used where trial division is
-    out of reach."""
+    every prime s dividing r.  The test suite checks it against trial
+    division."""
     r = len(coeffs) - 1
-    f = np.array(coeffs, dtype=np.int64)
-    # reduction matrix: row t holds the coefficients of X^(r+t) mod f
-    red = np.zeros((max(r - 1, 1), r), dtype=np.int64)
-    red[0] = (-f[:r]) % p
-    for t in range(1, r - 1):
-        carry = red[t - 1][r - 1]
-        red[t][1:] = red[t - 1][:-1]
-        red[t][0] = 0
-        red[t] = (red[t] + carry * red[0]) % p
-
-    def reduce_(vec):
-        while len(vec) > r:
-            high = vec[r:]
-            vec = (vec[:r] + high @ red[: len(high)]) % p
-        out = np.zeros(r, dtype=np.int64)
-        out[: len(vec)] = vec
-        return out
-
-    def mulmod(u, v):
-        return reduce_(np.convolve(u, v))
-
-    def pth_power(u):
-        acc = None
-        base = u
-        e = p
-        while e:
-            if e & 1:
-                acc = base if acc is None else mulmod(acc, base)
-            base = mulmod(base, base)
-            e >>= 1
-        return acc
-
-    x = np.zeros(r, dtype=np.int64)
     if r == 1:
         return True
-    x[1] = 1
+    mul = _QuotientRing(p, coeffs).mul
+    h = x = p  # the code of X
     checkpoints = {r // s for s in _prime_factors(r)}
-    h = x.copy()
     for j in range(1, r + 1):
-        h = pth_power(h)
+        h = _power(mul, h, p)
         if j in checkpoints:
-            diff = _pp_trim([int(c) for c in (h - x) % p])
-            g = _pp_gcd(tuple(int(c) for c in f), diff, p)
-            if len(g) - 1 >= 1:
+            diff = _digits(h, p, r)
+            diff[1] = (diff[1] - 1) % p
+            if len(_pp_gcd(coeffs, _pp_trim(diff), p)) > 1:
                 return False
-    return bool(np.array_equal(h, x))
-
-
-# Trial division is kept for small instances (it is the easiest code to trust)
-# and cross-checked against the Frobenius criterion in the test suite; large
-# internal extension fields switch to the polynomial-time test.
-_TRIAL_DIVISION_LIMIT = 256
+    return h == x
 
 
 def _is_irreducible(coeffs, p) -> bool:
-    deg = len(coeffs) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    if coeffs[0] == 0:  # X divides f
-        return False
-    if p ** (deg // 2) <= _TRIAL_DIVISION_LIMIT:
-        return _trial_division_irreducible(coeffs, p)
-    return _frobenius_irreducible(coeffs, p)
+    return len(coeffs) > 1 and _frobenius_irreducible(coeffs, p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -225,6 +263,11 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # polynomial text formats over GF(p)
 # ---------------------------------------------------------------------------
+
+# Bounds on untrusted input, checked before allocating: the largest exponent
+# in polynomial text, and a characteristic that keeps trial division short.
+_MAX_EXPONENT = 1 << 20
+_MAX_CHARACTERISTIC = 1 << 31
 
 _TERM_RE = re.compile(r"^(\d+)?(\*?X(\^(\d+))?)?$")
 _DENSE_RE = re.compile(r"^[\s\d,+-]*,[\s\d,+-]*$")
@@ -270,7 +313,11 @@ def poly_text_to_coeffs(text: str) -> tuple[int, ...]:
         if mt.group(2) is None:
             exp = 0
         elif mt.group(4) is not None:
-            exp = int(mt.group(4))
+            digits = mt.group(4).lstrip("0")
+            if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+                raise PolyParseError(
+                    f"exponent in {term!r} exceeds the limit {_MAX_EXPONENT}")
+            exp = int(digits or 0)
         else:
             exp = 1
         if sign == "-":
@@ -302,8 +349,38 @@ def coeffs_to_poly_text(coeffs) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the field itself
+# the field itself: tables up to _TABLE_LIMIT, _QuotientRing beyond
 # ---------------------------------------------------------------------------
+
+# Tables cover every field that product and minimal-distance work touches,
+# internal extensions included (the largest is GF(2^12), for m = 13 over
+# GF(2) and GF(4)); bigger fields are used too few times to pay for one.
+_TABLE_LIMIT = 1 << 12
+
+
+@functools.lru_cache(maxsize=64)
+def _tables(p: int, m: int, modulus: tuple[int, ...]):
+    """(exp, log, zech) for GF(p^m), m > 1, n = q - 1, g the first primitive
+    element in code order: exp[i] = g^(i mod n) for i < 2n, then 2n + 1
+    zeros, and log[0] = 2n, so an index built from the logarithm of zero
+    reads a zero.  For odd p zech[k] = log(1 + g^k), doubled so a
+    difference of logarithms indexes it directly; None for p = 2."""
+    q = p ** m
+    n = q - 1
+    mul = _QuotientRing(p, modulus).mul
+    primes = _prime_factors(n)
+    g = next(g for g in range(1, q) if all(_power(mul, g, n // s) != 1 for s in primes))
+    cycle = [1]
+    for _ in range(n - 1):
+        cycle.append(mul(cycle[-1], g))
+    log = [2 * n] * q
+    for i, a in enumerate(cycle):
+        log[a] = i
+    zech = None
+    if p > 2:  # adding 1 changes the lowest digit only
+        zech = tuple(log[a + 1 - p if a % p == p - 1 else a + 1] for a in cycle) * 2
+    return tuple(cycle) * 2 + (0,) * (2 * n + 1), tuple(log), zech
+
 
 class Field:
     """Finite field GF(p^m) over a monic irreducible modulus.
@@ -312,11 +389,12 @@ class Field:
     whose base-p digits are the polynomial-basis coefficients.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_modmask", "_red")
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_zech", "_half", "_ring")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
-        if not isinstance(p, int) or not _is_prime(p):
-            raise NotPrime(f"characteristic must be prime, got {p!r}")
+        if not isinstance(p, int) or not 0 <= p < _MAX_CHARACTERISTIC or not _is_prime(p):
+            raise NotPrime(
+                f"characteristic must be a prime below {_MAX_CHARACTERISTIC}, got {p!r}")
         if not isinstance(m, int) or m < 1:
             raise DegreeMismatch(f"extension degree must be a positive integer, got {m!r}")
         if modulus is None:
@@ -337,32 +415,22 @@ class Field:
             if m > 1 and not _is_irreducible(coeffs, p):
                 raise NotIrreducible(
                     f"{coeffs_to_poly_text(coeffs)} is reducible over GF({p})")
+        q = p ** m
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "q", p ** m)
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "modulus", coeffs)
-        # precomputed helpers for the three arithmetic strategies
-        if p == 2:
-            mask = 0
-            for i, c in enumerate(coeffs):
-                if c:
-                    mask |= 1 << i
-            object.__setattr__(self, "_modmask", mask)
-            object.__setattr__(self, "_red", None)
-        else:
-            object.__setattr__(self, "_modmask", None)
-            if m > 1:
-                f = np.array(coeffs, dtype=np.int64)
-                red = np.zeros((max(m - 1, 1), m), dtype=np.int64)
-                red[0] = (-f[:m]) % p
-                for t in range(1, m - 1):
-                    carry = red[t - 1][m - 1]
-                    red[t][1:] = red[t - 1][:-1]
-                    red[t][0] = 0
-                    red[t] = (red[t] + carry * red[0]) % p
-                object.__setattr__(self, "_red", red)
-            else:
-                object.__setattr__(self, "_red", None)
+        # prime fields need neither tables nor a quotient ring
+        exp = log = zech = ring = None
+        if 1 < m and q <= _TABLE_LIMIT:
+            exp, log, zech = _tables(p, m, coeffs)
+        elif m > 1:
+            ring = _QuotientRing(p, coeffs)
+        object.__setattr__(self, "_exp", exp)
+        object.__setattr__(self, "_log", log)
+        object.__setattr__(self, "_zech", zech)
+        object.__setattr__(self, "_half", (q - 1) // 2)  # log(-1) for odd q
+        object.__setattr__(self, "_ring", ring)
 
     # -- identity ----------------------------------------------------------
 
@@ -418,49 +486,52 @@ class Field:
 
     def coeffs_of(self, code: int) -> tuple[int, ...]:
         """Base-p digit vector (length m, ascending) of an element code."""
-        out = []
-        for _ in range(self.m):
-            code, r = divmod(code, self.p)
-            out.append(r)
-        return tuple(out)
-
-    def _unpack(self, code: int) -> np.ndarray:
-        out = np.zeros(self.m, dtype=np.int64)
-        i = 0
-        while code:
-            code, r = divmod(code, self.p)
-            out[i] = r
-            i += 1
-        return out
-
-    def _pack(self, vec) -> int:
-        code = 0
-        for i in range(len(vec) - 1, -1, -1):
-            code = code * self.p + int(vec[i])
-        return code
+        return tuple(_digits(code, self.p, self.m))
 
     # -- code-level arithmetic (the fast path) -----------------------------
+    # Prime fields and characteristic 2 take the first branches.  In an
+    # extension, a None _log or _zech marks a field beyond _TABLE_LIMIT (the
+    # generic path).
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        return self._pack((self._unpack(a) + self._unpack(b)) % self.p)
+        zech = self._zech
+        if zech is None:
+            return self._ring.lin(a, b, 1)
+        if not a or not b:
+            return a or b
+        log = self._log
+        la = log[a]
+        return self._exp[la + zech[log[b] - la]]
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
         if self.m == 1:
             return (a - b) % self.p
-        return self._pack((self._unpack(a) - self._unpack(b)) % self.p)
+        zech = self._zech
+        if zech is None:
+            return self._ring.lin(a, b, self.p - 1)
+        if not b:
+            return a
+        log = self._log
+        lb = log[b] + self._half  # log(-b)
+        if not a:
+            return self._exp[lb]
+        la = log[a]
+        return self._exp[la + zech[lb - la]]
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
         if self.m == 1:
             return (-a) % self.p
-        return self._pack((-self._unpack(a)) % self.p)
+        if self._zech is None:
+            return self._ring.lin(0, a, self.p - 1)
+        return self._exp[self._log[a] + self._half]
 
     def smul(self, c: int, a: int) -> int:
         """Scalar multiple by a base-field (prime-field) constant c."""
@@ -468,51 +539,37 @@ class Field:
             return a if c & 1 else 0
         if self.m == 1:
             return (c * a) % self.p
-        return self._pack((c * self._unpack(a)) % self.p)
+        if self._zech is None:
+            return self._ring.lin(0, a, c % self.p)
+        return self.mul(c % self.p, a)
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
-        if self.p == 2:
-            # carry-less multiply, then reduce by the modulus bitmask
-            r = 0
-            x = a
-            while b:
-                if b & 1:
-                    r ^= x
-                x <<= 1
-                b >>= 1
-            mask = self._modmask
-            top = mask.bit_length() - 1
-            while r.bit_length() - 1 >= top:
-                r ^= mask << (r.bit_length() - 1 - top)
-            return r
-        va, vb = self._unpack(a), self._unpack(b)
-        conv = np.convolve(va, vb)
-        while len(conv) > self.m:
-            high = conv[self.m:]
-            conv = (conv[: self.m] + high @ self._red[: len(high)]) % self.p
-        vec = np.zeros(self.m, dtype=np.int64)
-        vec[: len(conv)] = conv % self.p
-        return self._pack(vec)
+        log = self._log
+        if log is None:
+            return self._ring.mul(a, b)
+        return self._exp[log[a] + log[b]]
 
     def pow_(self, a: int, e: int) -> int:
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if a == 0:
+            if e < 0:
+                raise DivisionByZero(f"zero has no inverse in {self!r}")
+            return 0 if e else 1
+        if self.m == 1:
+            return pow(a, e, self.p)
+        if self._log is not None:
+            return self._exp[self._log[a] * e % (self.q - 1)]
+        return _power(self._ring.mul, a, e % (self.q - 1))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"zero has no inverse in {self!r}")
-        return self.pow_(a, self.q - 2)
+        if self.m == 1:
+            return pow(a, -1, self.p)
+        if self._log is None:
+            return self.pow_(a, -1)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

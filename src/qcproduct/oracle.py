@@ -8,9 +8,7 @@ machinery (no division, no gcd) so they can serve as ground truth for it.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
+import os
 
 from .cyclic import CyclicCode
 from .errors import (
@@ -94,6 +92,7 @@ class LinearCodeView:
     __slots__ = ("field", "n", "k", "matrix")
 
     def __init__(self, field: Field, matrix):
+        import numpy as np
         arr = np.asarray(matrix, dtype=np.int64)
         if arr.ndim != 2:
             raise ShapeMismatch("generator matrix must be two-dimensional")
@@ -131,6 +130,7 @@ def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
     rows are the serializations of X^t * (row i) for
     0 <= t < m - deg(g_ii).  The rank check in LinearCodeView then verifies
     independently that the basis dimension is honest."""
+    import numpy as np
     f = b.field
     rows = []
     for i in range(b.ell):
@@ -188,6 +188,7 @@ def _generic_range_min(p: int, m: int, modulus, rows, start: int,
     scalar multiples of the changed row, so field multiplications never
     happen inside the walk.
     """
+    import numpy as np
     field = Field(p, m, modulus)
     q = field.q
     k = len(rows)
@@ -233,6 +234,14 @@ def _generic_range_min(p: int, m: int, modulus, rows, start: int,
     return best
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def min_distance(view: LinearCodeView, workers: int = 1,
                  limit: int = 1 << 26):
     """Exact minimum distance by exhausting all q^k - 1 nonzero messages.
@@ -240,7 +249,8 @@ def min_distance(view: LinearCodeView, workers: int = 1,
     Returns None for the zero code (k = 0).  Raises TooLarge when q^k
     exceeds `limit`; raise the limit explicitly to go bigger.  With
     workers > 1 the message range is split into contiguous chunks searched
-    in separate processes.
+    in separate processes; the worker count is clamped to the CPUs this
+    process may run on and to the number of chunks.
     """
     f = view.field
     if view.k == 0:
@@ -257,13 +267,14 @@ def min_distance(view: LinearCodeView, workers: int = 1,
     else:
         args = (f.p, f.m, f.modulus, rows)
         worker = _generic_range_min
-    workers = max(1, int(workers))
+    workers = min(max(1, int(workers)), _usable_cpus())
     if workers == 1 or total < (1 << 16):
         return worker(*args, 0, total)
     bounds = [total * i // workers for i in range(workers + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, *args, bounds[i], bounds[i + 1])
-                   for i in range(workers) if bounds[i] < bounds[i + 1]]
+    chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        futures = [pool.submit(worker, *args, lo, hi) for lo, hi in chunks]
         return min(fut.result() for fut in futures)
 
 
@@ -280,8 +291,8 @@ def is_quasi_cyclic(view: LinearCodeView, ell: int) -> bool:
         return True
     rows = view.matrix.tolist()
     rref, pivots = _rref(view.field, rows)
-    for row in view.matrix:
-        shifted = np.roll(row, ell).tolist()
+    for row in rows:
+        shifted = row[-ell:] + row[:-ell]
         if not _in_rowspace(view.field, rref, pivots, shifted):
             return False
     return True

@@ -262,10 +262,36 @@ def test_unparsable_polynomial_exits_2(tmp_path, capsys):
     assert err["error"]["type"] == "PolyParseError"
 
 
+def test_oversized_exponent_exits_2(tmp_path, capsys):
+    doc = small_matrix_doc()
+    doc["rows"][0][0] = f"X^{2 ** 20 + 1}"  # one past the parser's limit
+    path = write_json(tmp_path / "big.json", doc)
+    assert main(["reduce", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "PolyParseError"
+
+
+def test_oversized_characteristic_exits_3(tmp_path, capsys):
+    doc = small_matrix_doc()
+    doc["field"]["p"] = 2 ** 31 + 11
+    path = write_json(tmp_path / "big.json", doc)
+    assert main(["reduce", str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "NotPrime"
+
+
 def test_precondition_violation_exits_3(capsys):
     assert main(["cosets", "2", "4"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "NotCoprime"
+
+
+def test_composite_field_order_exits_3_at_once(capsys):
+    # q = 2 * (2^61 - 1): the smallest divisor 2 settles that q is not a
+    # prime power, with no trial division up to the large cofactor
+    assert main(["factor", str(2 * (2 ** 61 - 1)), "1"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "NotPrime"
 
 
 def test_mindist_limit_exits_3(tmp_path, capsys):

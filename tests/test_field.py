@@ -3,26 +3,38 @@ extensions, the polynomial text formats, and roots of unity."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcproduct import (
     DivisionByZero,
     NoSuchRoot,
     NotIrreducible,
     NotPrime,
+    PolyParseError,
     coeffs_to_poly_text,
     field_new,
+    field_of_order,
     nth_root_of_unity,
     poly_text_to_coeffs,
 )
 from qcproduct.field import (
+    _MAX_EXPONENT,
+    _TABLE_LIMIT,
     Field,
     _default_modulus,
     _frobenius_irreducible,
     _is_irreducible,
-    _trial_division_irreducible,
+    _monic_candidates,
+    _pp_mod,
+    _prime_factors,
 )
 
 
@@ -183,6 +195,12 @@ def test_irreducibility_known_cases():
     assert not _is_irreducible((0, 1, 1), 2)      # X^2+X has root 0
 
 
+def _trial_division_irreducible(coeffs, p):
+    deg = len(coeffs) - 1
+    return all(_pp_mod(coeffs, cand, p)
+               for d in range(1, deg // 2 + 1) for cand in _monic_candidates(p, d))
+
+
 def test_frobenius_agrees_with_trial_division():
     rng = random.Random(3)
     for p in (2, 3):
@@ -237,3 +255,136 @@ def test_field_pickle_round_trip():
     f = field_new(2, 8)
     g = pickle.loads(pickle.dumps(f))
     assert g == f and g.mul(7, 9) == f.mul(7, 9)
+
+
+# ---------------------------------------------------------------------------
+# the table kernel and the generic path against a schoolbook reference
+# ---------------------------------------------------------------------------
+
+class Reference:
+    """GF(p^m) arithmetic on base-p digit vectors: schoolbook products
+    reduced by _pp_mod, digit-wise sums, and left-to-right binary powers.
+    It shares no code with Field's kernels."""
+
+    def __init__(self, field):
+        self.p, self.m, self.modulus = field.p, field.m, field.modulus
+
+    def digits(self, code):
+        out = []
+        for _ in range(self.m):
+            code, d = divmod(code, self.p)
+            out.append(d)
+        return out
+
+    def code(self, digits):
+        return sum(d * self.p ** i for i, d in enumerate(digits))
+
+    def digitwise(self, fn, *codes):
+        return self.code([fn(*ds) % self.p for ds in zip(*map(self.digits, codes))])
+
+    def mul(self, a, b):
+        u, v = self.digits(a), self.digits(b)
+        prod = [0] * (2 * self.m - 1)
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                prod[i + j] = (prod[i + j] + x * y) % self.p
+        return self.code(_pp_mod(prod, self.modulus, self.p))
+
+    def pow(self, a, e):
+        out = 1
+        for bit in bin(e)[2:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
+        return out
+
+
+def check_against_reference(f, ref, a, b, c, e):
+    assert f.add(a, b) == ref.digitwise(lambda x, y: x + y, a, b)
+    assert f.sub(a, b) == ref.digitwise(lambda x, y: x - y, a, b)
+    assert f.neg(a) == ref.digitwise(lambda x: -x, a)
+    assert f.smul(c, a) == ref.digitwise(lambda x: c * x, a)
+    assert f.mul(a, b) == ref.mul(a, b)
+    if a:
+        inv = f.inv(a)
+        assert ref.mul(a, inv) == 1
+        assert f.pow_(a, e) == ref.pow(a, e % (f.q - 1))
+        assert f.pow_(a, -e) == ref.pow(inv, e % (f.q - 1))
+    else:
+        assert f.pow_(a, e) == (0 if e else 1)
+
+
+PRIME_POWERS = [q for q in range(2, 257) if len(_prime_factors(q)) == 1]
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS if q <= 81])
+def test_table_kernel_all_pairs(q):
+    f = field_of_order(q)
+    ref = Reference(f)
+    for a in range(q):
+        for b in range(q):
+            assert f.mul(a, b) == ref.mul(a, b)
+            assert f.add(a, b) == ref.digitwise(lambda x, y: x + y, a, b)
+            assert f.sub(a, b) == ref.digitwise(lambda x, y: x - y, a, b)
+    for a in range(q):
+        check_against_reference(f, ref, a, a, a % f.p, 3 * a + 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([q for q in PRIME_POWERS if q > 81]), st.data())
+def test_table_kernel_sampled_pairs(q, data):
+    f = field_of_order(q)
+    a, b = (data.draw(st.integers(0, q - 1)) for _ in range(2))
+    c = data.draw(st.integers(0, f.p - 1))
+    e = data.draw(st.integers(0, 3 * q))
+    check_against_reference(f, Reference(f), a, b, c, e)
+
+
+GENERIC_FIELDS = {(p, m): field_new(p, m) for p, m in ((2, 13), (3, 9), (5, 6))}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(GENERIC_FIELDS)), st.data())
+def test_generic_path_sampled_pairs(pm, data):
+    f = GENERIC_FIELDS[pm]
+    assert f.q > _TABLE_LIMIT and f._log is None
+    a, b = (data.draw(st.integers(0, f.q - 1)) for _ in range(2))
+    c = data.draw(st.integers(0, f.p - 1))
+    e = data.draw(st.integers(0, 40))
+    check_against_reference(f, Reference(f), a, b, c, e)
+
+
+def test_table_limit_boundary():
+    assert field_new(2, 12)._log is not None
+    assert field_new(2, 13)._log is None
+    assert field_new(3, 7)._zech is not None
+    assert field_new(3, 8)._zech is None
+
+
+# ---------------------------------------------------------------------------
+# bounds on untrusted input
+# ---------------------------------------------------------------------------
+
+def test_exponent_above_limit_rejected_before_allocation():
+    # just over the limit, so a missing guard fails the test without
+    # allocating much
+    with pytest.raises(PolyParseError):
+        poly_text_to_coeffs(f"X^{_MAX_EXPONENT + 1}+1")
+    with pytest.raises(PolyParseError):
+        poly_text_to_coeffs("X^" + "9" * 5000)
+    assert poly_text_to_coeffs("X^0003") == (0, 0, 0, 1)
+
+
+def test_characteristic_above_limit_rejected():
+    with pytest.raises(NotPrime):
+        field_new(2 ** 31 + 11)  # prime, but beyond the trial-division bound
+    assert field_new(2 ** 31 - 1).inv(2) == 2 ** 30
+
+
+def test_import_does_not_load_numpy():
+    import qcproduct
+    src = str(Path(qcproduct.__file__).resolve().parent.parent)
+    code = "import sys, qcproduct; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"

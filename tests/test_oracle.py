@@ -1,6 +1,7 @@
 """Tests for the linear-algebra ground-truth checks: basis expansion,
 exhaustive minimum distance, shift closure, and membership."""
 
+import os
 import random
 
 import numpy as np
@@ -37,6 +38,7 @@ from qcproduct import (
     unreduced_product_basis,
     vector_to_univariate,
 )
+from qcproduct import oracle
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -125,14 +127,55 @@ def test_min_distance_row_code_golden():
     assert min_distance(v) == 11
 
 
-def test_min_distance_workers_agree():
+def test_min_distance_workers_agree(monkeypatch):
     # k = 16 puts the search just over the threshold where extra workers
-    # actually fork; the answer must not depend on the split
+    # actually fork; the answer must not depend on the split.  Three CPUs
+    # are assumed so the real process pool runs on any machine.
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
     m0 = minimal_polynomial(2, 17, 0)
     v = expand_to_linear(OneLevelCode(m0, [Poly(F2, (0, 1, 1))], 2, 17).basis())
     assert v.k == 16
     assert min_distance(v) == 4
     assert min_distance(v, workers=3) == 4
+
+
+def test_min_distance_clamps_workers_to_cpu_count(monkeypatch):
+    # the stub pool records its size and runs every chunk inline, so no
+    # process starts whatever worker count is asked for
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
+    m0 = minimal_polynomial(2, 17, 0)
+    v = expand_to_linear(OneLevelCode(m0, [Poly(F2, (0, 1, 1))], 2, 17).basis())
+    assert min_distance(v, workers=10 ** 6) == 4
+    assert sizes == [3]
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+    assert min_distance(v, workers=8) == 4
+    assert sizes == [3]  # one CPU: searched in this process
+
+
+def test_usable_cpus_follows_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert oracle._usable_cpus() == 2
 
 
 def test_min_distance_respects_limit():
