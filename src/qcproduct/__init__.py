@@ -62,6 +62,7 @@ from .cyclic import (
     CyclicCode,
     cyclic_code_new,
     cyclotomic_coset,
+    cyclotomic_cosets,
     factor_xm_minus_1,
     field_of_order,
     minimal_polynomial,
@@ -125,7 +126,7 @@ __all__ = [
     "field_new", "nth_root_of_unity", "poly_text_to_coeffs",
     "coeffs_to_poly_text", "modular_substitute", "fold_mod_xm1", "poly_gcd",
     "poly_egcd", "split_residue", "x_pow_minus_one", "cyclic_code_new",
-    "cyclotomic_coset",
+    "cyclotomic_coset", "cyclotomic_cosets",
     "factor_xm_minus_1", "field_of_order", "minimal_polynomial",
     "rgb_pot_reduce", "is_rgb_pot", "dimension", "level", "encode",
     "reduce_vector", "vector_to_univariate", "univariate_to_vector",

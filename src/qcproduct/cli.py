@@ -28,9 +28,15 @@ import json
 import sys
 import time
 
-from .cyclic import cyclic_code_new, cyclotomic_coset, factor_xm_minus_1, minimal_polynomial
+from .cyclic import (
+    cyclic_code_new,
+    cyclotomic_coset,
+    cyclotomic_cosets,
+    factor_xm_minus_1,
+    minimal_polynomial,
+)
 from .errors import NonPrefixPattern, PolyParseError, QcError
-from .field import field_new
+from .field import _parse_int, field_new
 from .oracle import expand_to_linear, is_quasi_cyclic, min_distance
 from .polyring import Poly, fold_mod_xm1
 from .product import (
@@ -156,27 +162,15 @@ def _report(args, doc: dict, pretty_lines, csv_text=None) -> int:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_int=_parse_int)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _all_cosets(q: int, m: int):
-    seen = set()
-    out = []
-    for i in range(m):
-        if i in seen:
-            continue
-        coset = cyclotomic_coset(q, m, i)
-        seen.update(coset)
-        out.append(coset)
-    return out
-
-
 def _cmd_cosets(args) -> int:
-    cosets = _all_cosets(args.q, args.m)
+    cosets = cyclotomic_cosets(args.q, args.m)
     doc = {"q": args.q, "m": args.m,
            "cosets": [list(c) for c in cosets]}
     lines = [f"{args.q}-cyclotomic cosets modulo {args.m}:"]

@@ -21,11 +21,12 @@ from .errors import (
     NotCoprime,
     NotPrime,
 )
-from .field import Field, FieldElement, nth_root_of_unity
+from .field import _MAX_CHARACTERISTIC, Field, FieldElement, nth_root_of_unity
 from .polyring import Poly, x_pow_minus_one
 
 __all__ = [
     "cyclotomic_coset",
+    "cyclotomic_cosets",
     "minimal_polynomial",
     "factor_xm_minus_1",
     "CyclicCode",
@@ -35,31 +36,24 @@ __all__ = [
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    """Split a field order into (p, s) with q = p^s, p prime."""
+    """Split a field order into (p, s) with q = p^s and s largest.  Field
+    checks that p is a prime below its bound 2^top, which forces
+    s > log2(q)/top: only those s are tried, largest first, with one
+    rounded s-th root each and no trial division up to sqrt(q)."""
     if not isinstance(q, int) or q < 2:
         raise NotPrime(f"field order must be a prime power >= 2, got {q!r}")
-    p = q
-    for d in range(2, q + 1):
-        if d * d > q:
-            break
-        if q % d == 0:
-            p = d
-            break
-    s = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        s += 1
-    if rest != 1:
-        raise NotPrime(f"{q} is not a prime power")
-    return p, s
+    bits, top = q.bit_length(), _MAX_CHARACTERISTIC.bit_length() - 1
+    for s in range(bits, (bits - 1) // top, -1):
+        p = round(2 ** (math.log2(q) / s))
+        if p ** s == q:
+            return p, s
+    raise NotPrime(f"{q} is not a power of a prime below {_MAX_CHARACTERISTIC}")
 
 
 @functools.lru_cache(maxsize=None)
 def field_of_order(q: int) -> Field:
     """GF(q) with the default (deterministic) modulus."""
-    p, s = _prime_power(q)
-    return Field(p, s)
+    return Field(*_prime_power(q))
 
 
 def _mult_order(q: int, m: int) -> int:
@@ -158,20 +152,25 @@ def minimal_polynomial(q: int, m: int, i: int) -> Poly:
     return Poly(base, out)
 
 
+def cyclotomic_cosets(q: int, m: int) -> list[tuple[int, ...]]:
+    """Every q-cyclotomic coset modulo m, ordered by smallest member."""
+    out = []
+    seen = set()
+    for i in range(m):
+        if i not in seen:
+            coset = cyclotomic_coset(q, m, i)
+            seen.update(coset)
+            out.append(coset)
+    return out
+
+
 def factor_xm_minus_1(q: int, m: int) -> list[tuple[int, Poly]]:
     """Complete factorization of X^m - 1 over GF(q): one monic irreducible
     per cyclotomic coset, keyed by the smallest coset member, ascending."""
     if math.gcd(q, m) != 1:
         raise NotCoprime(f"gcd({q}, {m}) != 1")
-    out = []
-    seen = set()
-    for i in range(m):
-        if i in seen:
-            continue
-        coset = cyclotomic_coset(q, m, i)
-        seen.update(coset)
-        out.append((i, minimal_polynomial(q, m, i)))
-    return out
+    return [(c[0], minimal_polynomial(q, m, c[0]))
+            for c in cyclotomic_cosets(q, m)]
 
 
 class CyclicCode:

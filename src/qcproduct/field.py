@@ -27,7 +27,6 @@ polynomials over arbitrary fields.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 
 from .errors import (
@@ -121,10 +120,10 @@ def _pp_gcd(u, v, p):
 
 
 def _monic_candidates(p: int, deg: int):
-    """All monic polynomials of the given degree over GF(p), in the order
-    induced by reading coefficients high-to-low as a base-p integer."""
-    for low in itertools.product(range(p), repeat=deg):
-        yield tuple(reversed(low)) + (1,)
+    """All monic polynomials of the given degree over GF(p), one at a time,
+    in the order of their coefficients read high-to-low in base p."""
+    for code in range(p ** deg):
+        yield tuple(_digits(code, p, deg)) + (1,)
 
 
 def _digits(code: int, p: int, m: int) -> list[int]:
@@ -273,6 +272,15 @@ _TERM_RE = re.compile(r"^(\d+)?(\*?X(\^(\d+))?)?$")
 _DENSE_RE = re.compile(r"^[\s\d,+-]*,[\s\d,+-]*$")
 
 
+def _parse_int(digits: str) -> int:
+    """int() of untrusted decimal text; Python's digit limit is a parse error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolyParseError(
+            f"integer of {len(digits)} characters is too long to read") from None
+
+
 def poly_text_to_coeffs(text: str) -> tuple[int, ...]:
     """Parse either polynomial text format into an ascending coefficient
     tuple of raw (possibly negative) integers.
@@ -292,8 +300,6 @@ def poly_text_to_coeffs(text: str) -> tuple[int, ...]:
             raise PolyParseError(f"bad dense coefficient list: {text!r}") from exc
         return tuple(coeffs)
     compact = s.replace(" ", "").replace("x", "X")
-    if re.fullmatch(r"-?\d+", compact):
-        return (int(compact),)
     # split into signed terms
     pieces = re.split(r"([+-])", compact)
     if pieces[0] == "":
@@ -309,7 +315,7 @@ def poly_text_to_coeffs(text: str) -> tuple[int, ...]:
         mt = _TERM_RE.match(term)
         if not mt or (mt.group(1) is None and mt.group(2) is None):
             raise PolyParseError(f"bad term {term!r} in {text!r}")
-        coeff = int(mt.group(1)) if mt.group(1) is not None else 1
+        coeff = _parse_int(mt.group(1)) if mt.group(1) is not None else 1
         if mt.group(2) is None:
             exp = 0
         elif mt.group(4) is not None:

@@ -8,6 +8,8 @@ machinery (no division, no gcd) so they can serve as ground truth for it.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import os
 
 from .cyclic import CyclicCode
@@ -87,27 +89,31 @@ def _in_rowspace(field: Field, rref, pivots, vec) -> bool:
 
 class LinearCodeView:
     """An [n, k] linear code given by a full-rank k x n generator matrix of
-    field element codes, held as a read-only numpy array."""
+    field element codes, held as a tuple of k row tuples of ints.  The
+    length n is read from the rows; a matrix without rows must state it."""
 
     __slots__ = ("field", "n", "k", "matrix")
 
-    def __init__(self, field: Field, matrix):
-        import numpy as np
-        arr = np.asarray(matrix, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ShapeMismatch("generator matrix must be two-dimensional")
-        if arr.size and (arr.min() < 0 or arr.max() >= field.q):
+    def __init__(self, field: Field, matrix, n: int | None = None):
+        try:
+            rows = tuple(tuple(map(operator.index, row)) for row in matrix)
+        except TypeError:
+            raise ShapeMismatch(
+                "generator matrix must be rows of integer codes") from None
+        if n is None and rows:
+            n = len(rows[0])
+        if n is None or n < 0 or any(len(row) != n for row in rows):
+            raise ShapeMismatch("rows must share one length n (give n if no rows)")
+        if any(not 0 <= c < field.q for row in rows for c in row):
             raise FieldMismatch("matrix entries outside the field's code range")
-        k, n = arr.shape
-        rank = len(_rref(field, arr.tolist())[0])
+        k = len(rows)
+        rank = len(_rref(field, rows)[0])
         if rank != k:
             raise RankMismatch(f"generator matrix has rank {rank}, not {k}")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCodeView is immutable")
@@ -130,7 +136,6 @@ def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
     rows are the serializations of X^t * (row i) for
     0 <= t < m - deg(g_ii).  The rank check in LinearCodeView then verifies
     independently that the basis dimension is honest."""
-    import numpy as np
     f = b.field
     rows = []
     for i in range(b.ell):
@@ -142,93 +147,94 @@ def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
     k = dimension(b)
     if len(rows) != k:
         raise RankMismatch(f"expanded {len(rows)} rows for stated dimension {k}")
-    if not rows:
-        return LinearCodeView(f, np.zeros((0, b.ell * b.m), dtype=np.int64))
-    return LinearCodeView(f, rows)
+    return LinearCodeView(f, rows, b.ell * b.m)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive minimum distance
 # ---------------------------------------------------------------------------
 
-def _gf2_range_min(packed_rows, start: int, stop: int) -> int:
-    """Minimum Hamming weight over message indices in [start, stop) for a
-    GF(2) code with rows packed into integers bit-per-position.
+def _packed_rows(field: Field, rows) -> tuple[int, list[int]]:
+    """Pack the code as a GF(p)-linear code of dimension k*m, p the
+    characteristic and m the extension degree; returns (bits, rows).
 
-    Incrementing the index flips a suffix of message bits, and the combined
-    contribution of those rows is a precomputed prefix XOR, so the walk
-    costs one XOR and one popcount per codeword.
+    Generator row r becomes the m rows X^t * r (t < m), so a message index
+    read in base p names the same codeword as read in base q over the
+    original rows.  Each row is one integer: digit t of position i sits in
+    slot t*n + i of `bits` bits, one bit for p = 2, else room for the sum
+    of two digits plus a guard bit above it.
     """
-    prefix = []
-    acc = 0
-    for row in packed_rows:
-        acc ^= row
-        prefix.append(acc)
-    cur = 0
-    for j, row in enumerate(packed_rows):
-        if (start >> j) & 1:
-            cur ^= row
-    best = cur.bit_count() if start else (1 << 62)
-    first = start + 1 if start else 1
-    for idx in range(first, stop):
-        cur ^= prefix[(idx & -idx).bit_length() - 1]
-        w = cur.bit_count()
-        if w < best:
-            best = w
-    return best
+    p, m, n = field.p, field.m, len(rows[0])
+    bits = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+    packed = []
+    for row in rows:
+        for t in range(m):
+            word = 0
+            for i, c in enumerate(row):
+                c = field.mul(p ** t, c)
+                for slot in range(i, m * n, n):
+                    c, digit = divmod(c, p)
+                    word |= digit << (slot * bits)
+            packed.append(word)
+    return bits, packed
 
 
-def _generic_range_min(p: int, m: int, modulus, rows, start: int,
-                       stop: int) -> int:
+def _range_min(p: int, m: int, n: int, bits: int, rows, start: int,
+               stop: int) -> int:
     """Minimum Hamming weight over message indices in [start, stop) for a
-    code over any GF(q), message index read as base-q digits (= field
-    element codes) over the rows.
+    code packed by `_packed_rows`, the index read as base-p digits over the
+    rows.
 
-    Keeps the current codeword and patches it per step with precomputed
-    scalar multiples of the changed row, so field multiplications never
-    happen inside the walk.
+    Going from idx-1 to idx raises digit v = v_p(idx) by one and wraps the
+    digits below it from p-1 to 0; each of those adds its row once, so the
+    step adds the precomputed prefix sum of rows 0..v.  Addition is XOR for
+    p = 2 and slot-parallel mod p otherwise.  The weight sets the guard bit
+    of every nonzero slot, ORs each position's m slots together and counts
+    the guard bits.  Over GF(2) it is one XOR and one popcount per codeword.
     """
-    import numpy as np
-    field = Field(p, m, modulus)
-    q = field.q
-    k = len(rows)
-    n = len(rows[0])
-    scaled = [
-        [np.array([field.mul(c, x) for x in row], dtype=np.int64)
-         for c in range(q)]
-        for row in rows
-    ]
-    if field.m == 1:
-        swap = lambda cur, j, old, new: (cur - scaled[j][old]
-                                         + scaled[j][new]) % p
-    elif field.p == 2:
-        swap = lambda cur, j, old, new: cur ^ scaled[j][old] ^ scaled[j][new]
-    else:
-        sub, add = field.sub, field.add
-        swap = lambda cur, j, old, new: np.array(
-            [add(sub(int(v), int(a)), int(b))
-             for v, a, b in zip(cur, scaled[j][old], scaled[j][new])],
-            dtype=np.int64)
-    digits = []
-    idx = start
-    for _ in range(k):
-        digits.append(idx % q)
-        idx //= q
-    cur = np.zeros(n, dtype=np.int64)
-    for j, d in enumerate(digits):
-        if d:
-            cur = swap(cur, j, 0, d)
-    best = int(np.count_nonzero(cur)) if start else (1 << 62)
-    first = start + 1 if start else 1
+    top = bits - 1
+    width = bits * n
+    ones = ((1 << (width * m)) - 1) // ((1 << bits) - 1)  # bit 0 of each slot
+    guard = ones << top
+    fix = ones * ((1 << top) - p)  # s + fix sets the guard bit iff s >= p
+    low = ones * ((1 << top) - 1)  # x + low sets the guard bit iff x != 0
+    mask = guard & ((1 << width) - 1)  # the guard bits of digit 0
+
+    def add(x, y):
+        if p == 2:
+            return x ^ y
+        s = x + y
+        return s - (((s + fix) & guard) >> top) * p
+
+    # start from the codeword of index first - 1, d * row by doubling
+    first = max(start, 1)
+    cur, rest = 0, first - 1
+    for row in rows:
+        rest, d = divmod(rest, p)
+        while d:
+            if d & 1:
+                cur = add(cur, row)
+            row, d = add(row, row), d >> 1
+    prefix = list(itertools.accumulate(rows, add))
+    best = 1 << 62
+    if p == 2 and m == 1:
+        for idx in range(first, stop):
+            cur ^= prefix[(idx & -idx).bit_length() - 1]
+            w = cur.bit_count()
+            if w < best:
+                best = w
+        return best
+    shifts = [t * width for t in range(1, m)]
     for idx in range(first, stop):
-        j = 0
-        while digits[j] == q - 1:
-            cur = swap(cur, j, q - 1, 0)
-            digits[j] = 0
-            j += 1
-        cur = swap(cur, j, digits[j], digits[j] + 1)
-        digits[j] += 1
-        w = int(np.count_nonzero(cur))
+        v, i = 0, idx
+        while not i % p:
+            i //= p
+            v += 1
+        cur = add(cur, prefix[v])
+        g = (cur + low) & guard
+        for sh in shifts:
+            g |= g >> sh
+        w = (g & mask).bit_count()
         if w < best:
             best = w
     return best
@@ -247,10 +253,10 @@ def min_distance(view: LinearCodeView, workers: int = 1,
     """Exact minimum distance by exhausting all q^k - 1 nonzero messages.
 
     Returns None for the zero code (k = 0).  Raises TooLarge when q^k
-    exceeds `limit`; raise the limit explicitly to go bigger.  With
-    workers > 1 the message range is split into contiguous chunks searched
-    in separate processes; the worker count is clamped to the CPUs this
-    process may run on and to the number of chunks.
+    exceeds `limit`; raise the limit explicitly to go bigger.  The rows are
+    packed into ints once; with workers > 1 the message range is split into
+    contiguous chunks walked in separate processes, at most one per CPU this
+    process may run on and one per chunk.
     """
     f = view.field
     if view.k == 0:
@@ -259,22 +265,16 @@ def min_distance(view: LinearCodeView, workers: int = 1,
     if total > limit:
         raise TooLarge(
             f"{f.q}^{view.k} = {total} messages exceeds the limit {limit}")
-    rows = view.matrix.tolist()
-    if f.q == 2:
-        packed = [sum(c << pos for pos, c in enumerate(row)) for row in rows]
-        args = (packed,)
-        worker = _gf2_range_min
-    else:
-        args = (f.p, f.m, f.modulus, rows)
-        worker = _generic_range_min
+    args = (f.p, f.m, view.n, *_packed_rows(f, view.matrix))
     workers = min(max(1, int(workers)), _usable_cpus())
     if workers == 1 or total < (1 << 16):
-        return worker(*args, 0, total)
+        return _range_min(*args, 0, total)
     bounds = [total * i // workers for i in range(workers + 1)]
     chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = [pool.submit(worker, *args, lo, hi) for lo, hi in chunks]
+        futures = [pool.submit(_range_min, *args, lo, hi)
+                   for lo, hi in chunks]
         return min(fut.result() for fut in futures)
 
 
@@ -289,9 +289,8 @@ def is_quasi_cyclic(view: LinearCodeView, ell: int) -> bool:
         raise ShapeMismatch(f"length {view.n} is not a multiple of {ell}")
     if view.k == 0:
         return True
-    rows = view.matrix.tolist()
-    rref, pivots = _rref(view.field, rows)
-    for row in rows:
+    rref, pivots = _rref(view.field, view.matrix)
+    for row in view.matrix:
         shifted = row[-ell:] + row[:-ell]
         if not _in_rowspace(view.field, rref, pivots, shifted):
             return False

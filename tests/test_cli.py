@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface (run in-process)."""
 
 import json
+import time
 
 import pytest
 
@@ -271,6 +272,24 @@ def test_oversized_exponent_exits_2(tmp_path, capsys):
     assert err["error"]["type"] == "PolyParseError"
 
 
+def test_overlong_sparse_coefficient_exits_2(tmp_path, capsys):
+    doc = small_matrix_doc()
+    doc["rows"][0][0] = "1" * 5000 + "*X"  # past Python's 4300-digit limit
+    path = write_json(tmp_path / "long.json", doc)
+    assert main(["reduce", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "PolyParseError"
+
+
+def test_overlong_json_integer_exits_2(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    text = canonical_json(small_matrix_doc())
+    path.write_text(text.replace('"p":2', '"p":' + "1" * 5000), encoding="utf-8")
+    assert main(["reduce", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "PolyParseError"
+
+
 def test_oversized_characteristic_exits_3(tmp_path, capsys):
     doc = small_matrix_doc()
     doc["field"]["p"] = 2 ** 31 + 11
@@ -287,9 +306,17 @@ def test_precondition_violation_exits_3(capsys):
 
 
 def test_composite_field_order_exits_3_at_once(capsys):
-    # q = 2 * (2^61 - 1): the smallest divisor 2 settles that q is not a
-    # prime power, with no trial division up to the large cofactor
+    # q = 2 * (2^61 - 1) is no perfect power, and as its own root it is
+    # beyond the characteristic bound: no trial division up to sqrt(q)
     assert main(["factor", str(2 * (2 ** 61 - 1)), "1"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "NotPrime"
+
+
+def test_huge_prime_field_order_exits_3_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["factor", str(2 ** 61 - 1), "1"]) == 3
+    assert time.perf_counter() - start < 2.0
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "NotPrime"
 

@@ -10,9 +10,11 @@ from qcproduct import (
     IndexOutOfRange,
     NotADivisor,
     NotCoprime,
+    NotPrime,
     Poly,
     cyclic_code_new,
     cyclotomic_coset,
+    cyclotomic_cosets,
     factor_xm_minus_1,
     field_new,
     field_of_order,
@@ -20,6 +22,7 @@ from qcproduct import (
     poly_from_text,
     x_pow_minus_one,
 )
+from qcproduct.cyclic import _prime_power
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -35,6 +38,8 @@ def test_cosets_mod_17_over_gf2():
     assert cyclotomic_coset(2, 17, 3) == (3, 5, 6, 7, 10, 11, 12, 14)
     # every representative of a coset yields the same coset
     assert cyclotomic_coset(2, 17, 9) == cyclotomic_coset(2, 17, 1)
+    assert cyclotomic_cosets(2, 17) == [
+        (0,), (1, 2, 4, 8, 9, 13, 15, 16), (3, 5, 6, 7, 10, 11, 12, 14)]
 
 
 def test_cosets_small_cases():
@@ -43,6 +48,9 @@ def test_cosets_small_cases():
     assert cyclotomic_coset(3, 8, 1) == (1, 3)
     assert cyclotomic_coset(3, 8, 5) == (5, 7)
     assert cyclotomic_coset(2, 1, 0) == (0,)
+    assert cyclotomic_cosets(2, 7) == [(0,), (1, 2, 4), (3, 5, 6)]
+    assert cyclotomic_cosets(3, 8) == [(0,), (1, 3), (2, 6), (4,), (5, 7)]
+    assert cyclotomic_cosets(2, 1) == [(0,)]
 
 
 def test_coset_argument_validation():
@@ -69,6 +77,8 @@ def test_cosets_partition_the_residues():
                 assert not seen & set(coset)
                 seen.update(coset)
         assert seen == set(range(m))
+        assert cyclotomic_cosets(q, m) == sorted(
+            {cyclotomic_coset(q, m, i) for i in range(m)})
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +163,23 @@ def test_field_of_order():
     assert field_of_order(2) == field_new(2)
     assert field_of_order(4) == field_new(2, 2)
     assert field_of_order(27) == field_new(3, 3)
+    for q in range(2, 2000):  # reference: divide out the smallest divisor
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        s = 0
+        while q % p ** (s + 1) == 0:
+            s += 1
+        if p ** s == q:
+            assert _prime_power(q) == (p, s)
+            assert field_of_order(q) == field_new(p, s)
+        else:
+            with pytest.raises(NotPrime):
+                field_of_order(q)
+    assert _prime_power((2 ** 31 - 1) ** 2) == (2 ** 31 - 1, 2)
+    assert _prime_power(3 ** 400) == (3, 400)
+    # beyond the characteristic bound of Field, prime or not
+    for q in (2 ** 61 - 1, (2 ** 31 + 11) ** 2, 6 ** 100):
+        with pytest.raises(NotPrime):
+            field_of_order(q)
 
 
 # ---------------------------------------------------------------------------

@@ -381,10 +381,33 @@ def test_characteristic_above_limit_rejected():
     assert field_new(2 ** 31 - 1).inv(2) == 2 ** 30
 
 
+def test_large_prime_square_field_builds_in_bounded_memory():
+    # the default-modulus search must not hold all p^2 candidates: under a
+    # 1 GB address-space cap, materialising range(p) alone runs out
+    pytest.importorskip("resource")
+    import qcproduct
+    src = str(Path(qcproduct.__file__).resolve().parent.parent)
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from qcproduct import Field\n"
+            "print(Field(2 ** 31 - 1, 2).modulus)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "(1, 0, 1)"
+
+
 def test_import_does_not_load_numpy():
     import qcproduct
     src = str(Path(qcproduct.__file__).resolve().parent.parent)
-    code = "import sys, qcproduct; print('numpy' in sys.modules)"
+    # the exhaustive-distance oracle runs without numpy too
+    code = ("import sys, qcproduct as qc\n"
+            "for p, m in ((3, 1), (3, 2)):\n"
+            "    f = qc.field_new(p, m)\n"
+            "    code = qc.OneLevelCode(qc.Poly(f, (1, 1)), [], 1, 4)\n"
+            "    assert qc.min_distance(qc.expand_to_linear(code.basis())) == 2\n"
+            "print('numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"

@@ -4,7 +4,6 @@ exhaustive minimum distance, shift closure, and membership."""
 import os
 import random
 
-import numpy as np
 import pytest
 
 from qcproduct import (
@@ -58,19 +57,27 @@ def one_level_view(field, g_text, m, fs=(), ell=1):
 def test_linear_view_validation():
     v = LinearCodeView(F2, [[1, 0, 1], [0, 1, 1]])
     assert (v.n, v.k) == (3, 2)
-    assert not v.matrix.flags.writeable
+    assert v.matrix == ((1, 0, 1), (0, 1, 1))
+    with pytest.raises(TypeError):
+        v.matrix[0][0] = 0  # rows are tuples: the matrix is read-only
     with pytest.raises(RankMismatch):
         LinearCodeView(F2, [[1, 0, 1], [1, 0, 1]])
     with pytest.raises(FieldMismatch):
         LinearCodeView(F2, [[2, 0]])
     with pytest.raises(ShapeMismatch):
         LinearCodeView(F2, [1, 0, 1])
+    with pytest.raises(ShapeMismatch):
+        LinearCodeView(F2, [[1, 0, 1], [0, 1]])
+    with pytest.raises(ShapeMismatch):
+        LinearCodeView(F2, [[1, 0, 1]], 4)
+    with pytest.raises(ShapeMismatch):
+        LinearCodeView(F2, [])
 
 
 def test_expand_small_basis_frozen():
     gen = GeneratingMatrix(F2, 2, 3, [[Poly(F2, (1, 0, 1)), Poly(F2, (1, 1))]])
     v = expand_to_linear(rgb_pot_reduce(gen))
-    assert v.matrix.tolist() == [[1, 0, 1, 1, 0, 1], [0, 1, 1, 0, 1, 1]]
+    assert v.matrix == ((1, 0, 1, 1, 0, 1), (0, 1, 1, 0, 1, 1))
     assert (v.n, v.k) == (6, 2)
 
 
@@ -186,10 +193,17 @@ def test_min_distance_respects_limit():
 
 
 def test_min_distance_matches_brute_force():
+    # every field shape of the packed walk: q = 2, prime q, and extensions
+    # of characteristic 2 and odd characteristic
     rng = random.Random(7253)
-    for _ in range(10):
-        field = rng.choice((F2, F3))
-        k, n = rng.randrange(1, 4), rng.randrange(4, 8)
+    fields = [field_new(p, m) for p, m in
+              ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+               (5, 2), (3, 3))]
+    for field in fields * 3:
+        k = rng.randrange(1, 4)
+        while field.q ** k > 3000:
+            k -= 1
+        n = rng.randrange(max(k, 4), 8)
         rows = []
         while True:
             rows = [[rng.randrange(field.q) for _ in range(n)]
@@ -214,6 +228,12 @@ def test_min_distance_matches_brute_force():
                             for w, c in zip(word, row)]
             best = min(best, sum(1 for w in word if w))
         assert min_distance(view) == best
+        # the walk over a 3-way split of the message range finds the same
+        args = (field.p, field.m, n, *oracle._packed_rows(field, view.matrix))
+        total = field.q ** k
+        bounds = [0, total // 3, 2 * total // 3, total]
+        assert min(oracle._range_min(*args, lo, hi)
+                   for lo, hi in zip(bounds, bounds[1:]) if lo < hi) == best
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +259,8 @@ def test_quasi_cyclic_negative_case():
 
 
 def test_zero_code_is_quasi_cyclic():
-    v = LinearCodeView(F2, np.zeros((0, 6), dtype=np.int64))
+    v = LinearCodeView(F2, [], 6)
+    assert (v.n, v.k) == (6, 0)
     assert is_quasi_cyclic(v, 2)
 
 
@@ -328,6 +349,6 @@ def test_product_codewords_decode_to_row_and_column_structure():
     A, B, p = product_instance()
     prod = one_level_product_rgb(A, B, p)
     view = expand_to_linear(prod.basis())
-    for row in view.matrix.tolist():
+    for row in view.matrix:
         M = univariate_to_matrix(Poly(F2, row), p)
         assert check_product_membership(M, A.basis(), B, p)

@@ -52,7 +52,7 @@ def shift_span_rref(gen):
 
 
 def canonical_rref(gen):
-    return _rref(gen.field, expand_to_linear(rgb_pot_reduce(gen)).matrix.tolist())
+    return _rref(gen.field, expand_to_linear(rgb_pot_reduce(gen)).matrix)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
