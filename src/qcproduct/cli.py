@@ -24,6 +24,7 @@ timing field is null), ``csv`` (only for ``maps``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -49,6 +50,7 @@ from .product import (
 )
 from .qcmodule import RgbPotBasis, dimension, is_rgb_pot, level, rgb_pot_reduce
 from .serialize import (
+    _check_length,
     basis_from_doc,
     basis_to_doc,
     canonical_json,
@@ -170,6 +172,7 @@ def _load_json(path: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_cosets(args) -> int:
+    _check_length(args.m, "m")
     cosets = cyclotomic_cosets(args.q, args.m)
     doc = {"q": args.q, "m": args.m,
            "cosets": [list(c) for c in cosets]}
@@ -179,6 +182,7 @@ def _cmd_cosets(args) -> int:
 
 
 def _cmd_factor(args) -> int:
+    _check_length(args.m, "m")
     factors = factor_xm_minus_1(args.q, args.m)
     doc = {"q": args.q, "m": args.m,
            "factors": [{"rep": rep, "poly": poly_to_text(p)}
@@ -190,6 +194,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_minpoly(args) -> int:
+    _check_length(args.m, "m")
     coset = cyclotomic_coset(args.q, args.m, args.i)
     poly = minimal_polynomial(args.q, args.m, args.i)
     doc = {"q": args.q, "m": args.m, "i": args.i,
@@ -229,6 +234,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_product(args) -> int:
     basis_a = basis_from_doc(_load_json(args.row_code))
     code_b = cyclic_from_doc(_load_json(args.column_code))
+    _check_length(basis_a.ell * basis_a.m * code_b.m, "product length ell_a*m_a*m_b")
     params = bezout_pair(basis_a.ell, basis_a.m, code_b.m)
     direct = unreduced_product_basis(basis_a, code_b, params)
     reduced = rgb_pot_reduce(direct)
@@ -238,8 +244,7 @@ def _cmd_product(args) -> int:
                                     code_b, params)
         row = [poly_to_text(p) for p in one.row()]
     doc = {
-        "params": {"ell_a": params.ell_a, "m_a": params.m_a,
-                   "m_b": params.m_b, "a": params.a, "b": params.b},
+        "params": dataclasses.asdict(params),
         "unreduced": generating_matrix_to_doc(direct),
         "reduced": basis_to_doc(reduced),
         "one_level_row": row,
@@ -256,14 +261,14 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_maps(args) -> int:
+    _check_length(args.ell_a * args.m_a * args.m_b, "product length ell_a*m_a*m_b")
     params = bezout_pair(args.ell_a, args.m_a, args.m_b)
     f_table = [[map_f(i, j, params) for j in range(params.ell_a * params.m_a)]
                for i in range(params.m_b)]
     g_table = [[map_g(i, j, params) for j in range(params.m_a)]
                for i in range(params.m_b)]
     doc = {
-        "params": {"ell_a": params.ell_a, "m_a": params.m_a,
-                   "m_b": params.m_b, "a": params.a, "b": params.b},
+        "params": dataclasses.asdict(params),
         "f": f_table,
         "g": g_table,
     }

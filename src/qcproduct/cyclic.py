@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 from .errors import (
     CoefficientNotInBaseField,
@@ -39,13 +40,16 @@ def _prime_power(q: int) -> tuple[int, int]:
     """Split a field order into (p, s) with q = p^s and s largest.  Field
     checks that p is a prime below its bound 2^top, which forces
     s > log2(q)/top: only those s are tried, largest first, with one
-    rounded s-th root each and no trial division up to sqrt(q)."""
+    rounded s-th root each and no trial division up to sqrt(q); each p^s
+    is first compared with q modulo the prime 2^61 - 1."""
     if not isinstance(q, int) or q < 2:
         raise NotPrime(f"field order must be a prime power >= 2, got {q!r}")
     bits, top = q.bit_length(), _MAX_CHARACTERISTIC.bit_length() - 1
+    log_q, screen = math.log2(q), (1 << 61) - 1
+    residue = q % screen
     for s in range(bits, (bits - 1) // top, -1):
-        p = round(2 ** (math.log2(q) / s))
-        if p ** s == q:
+        p = round(2 ** (log_q / s))
+        if pow(p, s, screen) == residue and p ** s == q:
             return p, s
     raise NotPrime(f"{q} is not a power of a prime below {_MAX_CHARACTERISTIC}")
 
@@ -173,11 +177,15 @@ def factor_xm_minus_1(q: int, m: int) -> list[tuple[int, Poly]]:
             for c in cyclotomic_cosets(q, m)]
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class CyclicCode:
     """A cyclic code of length m with monic generator polynomial g | X^m - 1;
     dimension k = m - deg g."""
 
-    __slots__ = ("field", "m", "g", "k")
+    field: Field
+    m: int
+    g: Poly
+    k: int
 
     def __init__(self, m: int, g: Poly):
         field = g.field
@@ -198,17 +206,6 @@ class CyclicCode:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "k", m - g.degree)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclicCode is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, CyclicCode)
-                and other.field == self.field
-                and other.m == self.m and other.g == self.g)
-
-    def __hash__(self):
-        return hash((self.field, self.m, self.g))
 
     def __repr__(self):
         return f"CyclicCode[{self.m}, {self.k}] over {self.field!r}"

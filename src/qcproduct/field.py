@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import re
+from dataclasses import dataclass
 
 from .errors import (
     DegreeMismatch,
@@ -81,42 +82,6 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# polynomials over GF(p) as coefficient tuples (internal kernel)
-#
-# Used only for modulus validation and the default-modulus search, before a
-# Field object exists.  Coefficients ascend in degree; no trailing zeros.
-# ---------------------------------------------------------------------------
-
-def _pp_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pp_mod(u, v, p):
-    """Remainder of u modulo v (v monic up to a unit), over GF(p)."""
-    r = list(u)
-    dv = len(v) - 1
-    inv_lead = pow(v[-1], p - 2, p)
-    while len(r) - 1 >= dv and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dv:
-            break
-        c = (r[-1] * inv_lead) % p
-        shift = len(r) - 1 - dv
-        for j, b in enumerate(v):
-            r[shift + j] = (r[shift + j] - c * b) % p
-    return _pp_trim(r)
-
-
-def _pp_gcd(u, v, p):
-    while v:
-        u, v = v, _pp_mod(u, v, p)
-    return u
 
 
 def _monic_candidates(p: int, deg: int):
@@ -225,9 +190,13 @@ def _frobenius_irreducible(coeffs, p) -> bool:
     over GF(p) iff X^(p^r) == X (mod f) and gcd(X^(p^(r/s)) - X, f) = 1 for
     every prime s dividing r.  The test suite checks it against trial
     division."""
+    from .polyring import Poly, poly_gcd  # polyring imports this module
+
     r = len(coeffs) - 1
     if r == 1:
         return True
+    prime = Field(p)
+    f = Poly(prime, coeffs)
     mul = _QuotientRing(p, coeffs).mul
     h = x = p  # the code of X
     checkpoints = {r // s for s in _prime_factors(r)}
@@ -236,7 +205,7 @@ def _frobenius_irreducible(coeffs, p) -> bool:
         if j in checkpoints:
             diff = _digits(h, p, r)
             diff[1] = (diff[1] - 1) % p
-            if len(_pp_gcd(coeffs, _pp_trim(diff), p)) > 1:
+            if poly_gcd(f, Poly(prime, diff)).degree > 0:
                 return False
     return h == x
 
@@ -581,20 +550,15 @@ class Field:
         return self.mul(a, self.inv(b))
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class FieldElement:
     """A single element of a :class:`Field`, supporting the usual operators.
 
-    Immutable; equality and hashing follow (field, code).
+    A frozen value; equality and hashing follow (field, code).
     """
 
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: Field, code: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "code", code)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
+    field: Field
+    code: int
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -643,13 +607,6 @@ class FieldElement:
 
     def __bool__(self):
         return self.code != 0
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement)
-                and other.field == self.field and other.code == self.code)
-
-    def __hash__(self):
-        return hash((self.field, self.code))
 
     def __repr__(self):
         return f"{self.field!r}[{self.code}]"

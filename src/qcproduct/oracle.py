@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 import os
+from dataclasses import dataclass
 
 from .cyclic import CyclicCode
 from .errors import (
@@ -87,12 +88,16 @@ def _in_rowspace(field: Field, rref, pivots, vec) -> bool:
     return not any(v)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class LinearCodeView:
     """An [n, k] linear code given by a full-rank k x n generator matrix of
     field element codes, held as a tuple of k row tuples of ints.  The
     length n is read from the rows; a matrix without rows must state it."""
 
-    __slots__ = ("field", "n", "k", "matrix")
+    field: Field
+    n: int
+    k: int
+    matrix: tuple
 
     def __init__(self, field: Field, matrix, n: int | None = None):
         try:
@@ -114,9 +119,6 @@ class LinearCodeView:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "matrix", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearCodeView is immutable")
 
     def __repr__(self):
         return f"LinearCodeView[{self.n}, {self.k}] over {self.field!r}"

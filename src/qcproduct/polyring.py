@@ -10,6 +10,8 @@ constructions apply with negative exponents.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import (
     BothZero,
     DegreeMismatch,
@@ -32,13 +34,16 @@ __all__ = [
 _NEG_INF = float("-inf")
 
 
+# init/repr=False where a class writes its own: import then builds no unused methods
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Poly:
     """A polynomial over a :class:`~qcproduct.field.Field`.
 
     Coefficients are stored as element codes, ascending in degree.
     """
 
-    __slots__ = ("field", "coeffs")
+    field: Field
+    coeffs: tuple
 
     def __init__(self, field: Field, coeffs=()):
         codes = []
@@ -57,9 +62,6 @@ class Poly:
             codes.pop()
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(codes))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -222,15 +224,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, x.code), c)
         return FieldElement(f, acc)
-
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other):
-        return (isinstance(other, Poly)
-                and other.field == self.field and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
 
     def __repr__(self):
         return f"Poly[{coeffs_to_poly_text(self.coeffs)} over {self.field!r}]"

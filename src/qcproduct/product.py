@@ -17,6 +17,7 @@ same canonical basis.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from .cyclic import CyclicCode
 from .errors import (
@@ -49,14 +50,20 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class ProductParams:
     """Shape and Bezout data for a product construction: row-code shape
     (ell_a, m_a), column-code length m_b, and integers a, b satisfying
     a*ell_a*m_a + b*m_b = 1."""
 
-    __slots__ = ("ell_a", "m_a", "m_b", "a", "b")
+    ell_a: int
+    m_a: int
+    m_b: int
+    a: int
+    b: int
 
-    def __init__(self, ell_a: int, m_a: int, m_b: int, a: int, b: int):
+    def __post_init__(self):
+        ell_a, m_a, m_b, a, b = self.ell_a, self.m_a, self.m_b, self.a, self.b
         if ell_a < 1 or m_a < 1 or m_b < 1:
             raise ParamMismatch("ell_a, m_a, m_b must all be positive")
         if math.gcd(ell_a * m_a, m_b) != 1:
@@ -64,14 +71,6 @@ class ProductParams:
         if a * ell_a * m_a + b * m_b != 1:
             raise ParamMismatch(
                 f"{a}*{ell_a * m_a} + {b}*{m_b} != 1: not a Bezout pair")
-        object.__setattr__(self, "ell_a", ell_a)
-        object.__setattr__(self, "m_a", m_a)
-        object.__setattr__(self, "m_b", m_b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProductParams is immutable")
 
     @property
     def n(self) -> int:
@@ -82,18 +81,6 @@ class ProductParams:
     def big_m(self) -> int:
         """Co-index m_a * m_b of the product code."""
         return self.m_a * self.m_b
-
-    def __eq__(self, other):
-        return (isinstance(other, ProductParams)
-                and (other.ell_a, other.m_a, other.m_b, other.a, other.b)
-                == (self.ell_a, self.m_a, self.m_b, self.a, self.b))
-
-    def __hash__(self):
-        return hash((self.ell_a, self.m_a, self.m_b, self.a, self.b))
-
-    def __repr__(self):
-        return (f"ProductParams(ell_a={self.ell_a}, m_a={self.m_a}, "
-                f"m_b={self.m_b}, a={self.a}, b={self.b})")
 
 
 def bezout_pair(ell_a: int, m_a: int, m_b: int) -> ProductParams:
@@ -129,12 +116,14 @@ def map_g(i: int, j: int, p: ProductParams) -> int:
     return (i * p.a * p.ell_a * p.m_a + j * p.b * p.m_b) % p.big_m
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class CodewordMatrix:
     """An m_b x (ell_a*m_a) array of field element codes: the planar view of
     one product codeword (rows should live in the row code A, columns in the
     column code B)."""
 
-    __slots__ = ("field", "entries")
+    field: Field
+    entries: tuple
 
     def __init__(self, field: Field, entries):
         rows = tuple(tuple(int(c) for c in row) for row in entries)
@@ -150,19 +139,9 @@ class CodewordMatrix:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "entries", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CodewordMatrix is immutable")
-
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.entries), len(self.entries[0])
-
-    def __eq__(self, other):
-        return (isinstance(other, CodewordMatrix)
-                and other.field == self.field and other.entries == self.entries)
-
-    def __hash__(self):
-        return hash((self.field, self.entries))
 
     def __repr__(self):
         r, c = self.shape
@@ -220,12 +199,17 @@ def matrix_to_components(M: CodewordMatrix, p: ProductParams) -> PolyVector:
     return PolyVector(comps, N)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class OneLevelCode:
     """A 1-level quasi-cyclic code: canonical row
     (g, g*f_1, ..., g*f_(ell-1)) with g | X^m - 1 and every f_j reduced
     modulo (X^m - 1)/g so the row entries stay below degree m."""
 
-    __slots__ = ("field", "ell", "m", "g", "fs")
+    field: Field
+    ell: int
+    m: int
+    g: Poly
+    fs: tuple
 
     def __init__(self, g: Poly, fs, ell: int, m: int):
         field = g.field
@@ -249,9 +233,6 @@ class OneLevelCode:
         object.__setattr__(self, "m", int(m))
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "fs", tuple(canon))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OneLevelCode is immutable")
 
     @property
     def k(self) -> int:
@@ -288,14 +269,6 @@ class OneLevelCode:
                     f"entry (0, {j}) is not a multiple of the shared divisor")
             fs.append(q)
         return cls(g, fs, b.ell, b.m)
-
-    def __eq__(self, other):
-        return (isinstance(other, OneLevelCode)
-                and (other.field, other.ell, other.m, other.g, other.fs)
-                == (self.field, self.ell, self.m, self.g, self.fs))
-
-    def __hash__(self):
-        return hash((self.field, self.ell, self.m, self.g, self.fs))
 
     def __repr__(self):
         return f"OneLevelCode(ell={self.ell}, m={self.m}, k={self.k})"

@@ -17,6 +17,8 @@ module provides:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import (
     DegreeMismatch,
     DegreeOverflow,
@@ -45,10 +47,12 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PolyVector:
     """An ell-tuple of component polynomials, each of degree < m."""
 
-    __slots__ = ("components", "m")
+    components: tuple
+    m: int
 
     def __init__(self, components, m: int):
         comps = tuple(components)
@@ -65,9 +69,6 @@ class PolyVector:
                     f"component degree {c.degree} exceeds the bound m-1 = {m - 1}")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "m", int(m))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyVector is immutable")
 
     @property
     def ell(self) -> int:
@@ -86,13 +87,6 @@ class PolyVector:
 
     def __getitem__(self, i):
         return self.components[i]
-
-    def __eq__(self, other):
-        return (isinstance(other, PolyVector)
-                and other.m == self.m and other.components == self.components)
-
-    def __hash__(self):
-        return hash((self.m, self.components))
 
     def __repr__(self):
         return f"PolyVector(m={self.m}, {list(self.components)!r})"
@@ -113,12 +107,16 @@ def _check_rows(field: Field, ell: int, rows) -> tuple:
     return tuple(checked)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class GeneratingMatrix:
     """Explicit generating rows of a submodule of F_q[X]^ell containing
     K = <(X^m-1)e_j>; the K rows are always implicitly present, so the empty
     row set generates exactly the zero code's preimage."""
 
-    __slots__ = ("field", "ell", "m", "rows")
+    field: Field
+    ell: int
+    m: int
+    rows: tuple
 
     def __init__(self, field: Field, ell: int, m: int, rows=()):
         if ell < 1 or m < 1:
@@ -128,22 +126,12 @@ class GeneratingMatrix:
         object.__setattr__(self, "m", int(m))
         object.__setattr__(self, "rows", _check_rows(field, ell, rows))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GeneratingMatrix is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, GeneratingMatrix)
-                and other.field == self.field and other.ell == self.ell
-                and other.m == self.m and other.rows == self.rows)
-
-    def __hash__(self):
-        return hash((self.field, self.ell, self.m, self.rows))
-
     def __repr__(self):
         return (f"GeneratingMatrix(ell={self.ell}, m={self.m}, "
                 f"{len(self.rows)} explicit rows)")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class RgbPotBasis:
     """An ell x ell matrix of polynomials intended as a canonical basis.
 
@@ -152,7 +140,10 @@ class RgbPotBasis:
     valid ones.
     """
 
-    __slots__ = ("field", "ell", "m", "matrix")
+    field: Field
+    ell: int
+    m: int
+    matrix: tuple
 
     def __init__(self, field: Field, ell: int, m: int, matrix):
         if ell < 1 or m < 1:
@@ -165,39 +156,27 @@ class RgbPotBasis:
         object.__setattr__(self, "m", int(m))
         object.__setattr__(self, "matrix", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RgbPotBasis is immutable")
-
     def diagonal(self) -> tuple[Poly, ...]:
         return tuple(self.matrix[i][i] for i in range(self.ell))
 
     def to_generating_matrix(self) -> GeneratingMatrix:
         return GeneratingMatrix(self.field, self.ell, self.m, self.matrix)
 
-    def __eq__(self, other):
-        return (isinstance(other, RgbPotBasis)
-                and other.field == self.field and other.ell == self.ell
-                and other.m == self.m and other.matrix == self.matrix)
-
-    def __hash__(self):
-        return hash((self.field, self.ell, self.m, self.matrix))
-
     def __repr__(self):
         return f"RgbPotBasis(ell={self.ell}, m={self.m})"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class QuasiCyclicCode:
     """A quasi-cyclic code presented by its canonical basis, with the
     dimension k = ell*m - sum(deg g_ii) attached."""
 
-    __slots__ = ("basis", "k")
+    basis: RgbPotBasis
+    k: int
 
     def __init__(self, basis: RgbPotBasis):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "k", dimension(basis))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuasiCyclicCode is immutable")
 
     @property
     def ell(self) -> int:

@@ -14,11 +14,15 @@ Document layouts (JSON objects):
 
 from __future__ import annotations
 
-import json
-
 from .cyclic import CyclicCode, cyclic_code_new
-from .errors import PolyParseError
-from .field import Field, coeffs_to_poly_text, field_new, poly_text_to_coeffs
+from .errors import PolyParseError, TooLarge
+from .field import (
+    _MAX_EXPONENT,
+    Field,
+    coeffs_to_poly_text,
+    field_new,
+    poly_text_to_coeffs,
+)
 from .polyring import Poly
 from .qcmodule import GeneratingMatrix, RgbPotBasis
 
@@ -73,6 +77,13 @@ def _require(doc, key, kinds, what):
     return value
 
 
+def _check_length(n: int, what: str) -> None:
+    """Refuse a code length or a matrix entry count above 2^20, the bound of
+    exponents in polynomial text, before anything that size is built."""
+    if n > _MAX_EXPONENT:
+        raise TooLarge(f"{what} {n} exceeds the limit {_MAX_EXPONENT}")
+
+
 def field_to_doc(field: Field) -> dict:
     return {
         "p": field.p,
@@ -85,10 +96,9 @@ def field_from_doc(doc) -> Field:
     p = _require(doc, "p", int, "field")
     m = _require(doc, "m", int, "field")
     text = _require(doc, "modulus", str, "field")
-    prime = field_new(p) if m > 1 else None
     if m == 1:
         return field_new(p)
-    modulus = poly_from_text(prime, text)
+    modulus = poly_from_text(field_new(p), text)
     return field_new(p, m, modulus.coeffs)
 
 
@@ -123,6 +133,8 @@ def basis_to_doc(b: RgbPotBasis) -> dict:
 def basis_from_doc(doc) -> RgbPotBasis:
     ell = _require(doc, "ell", int, "basis")
     m = _require(doc, "m", int, "basis")
+    _check_length(ell * m, "basis length ell*m")
+    _check_length(ell * ell, "basis entry count ell*ell")
     field = field_from_doc(_require(doc, "field", dict, "basis"))
     rows = _require(doc, "rows", list, "basis")
     if len(rows) != ell:
@@ -142,6 +154,8 @@ def generating_matrix_to_doc(g: GeneratingMatrix) -> dict:
 def generating_matrix_from_doc(doc) -> GeneratingMatrix:
     ell = _require(doc, "ell", int, "generating matrix")
     m = _require(doc, "m", int, "generating matrix")
+    _check_length(ell * m, "generating matrix length ell*m")
+    _check_length(ell * ell, "generating matrix entry count ell*ell")
     field = field_from_doc(_require(doc, "field", dict, "generating matrix"))
     rows = _require(doc, "rows", list, "generating matrix")
     return GeneratingMatrix(field, ell, m, _rows_from_doc(field, rows, ell))
@@ -157,6 +171,7 @@ def cyclic_to_doc(code: CyclicCode) -> dict:
 
 def cyclic_from_doc(doc) -> CyclicCode:
     m = _require(doc, "m", int, "cyclic code")
+    _check_length(m, "cyclic code length m")
     field = field_from_doc(_require(doc, "field", dict, "cyclic code"))
     g = poly_from_text(field, _require(doc, "generator", str, "cyclic code"))
     return cyclic_code_new(m, g)
@@ -165,4 +180,6 @@ def cyclic_from_doc(doc) -> CyclicCode:
 def canonical_json(doc) -> str:
     """Deterministic JSON: sorted keys, no whitespace.  Identical documents
     always produce identical bytes."""
+    import json  # here, so that ``import qcproduct`` does not load it
+
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -321,6 +321,62 @@ def test_huge_prime_field_order_exits_3_at_once(capsys):
     assert err["error"]["type"] == "NotPrime"
 
 
+@pytest.mark.parametrize("argv", [
+    ["cosets", "2", str(2 ** 20 + 1)],
+    ["factor", "2", str(2 ** 20 + 1)],
+    ["minpoly", "2", str(2 ** 20 + 1), "1"],
+    ["maps", "1", str(2 ** 20 + 1), "1"],
+])
+def test_oversized_length_argument_exits_3(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 2.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "TooLarge"
+
+
+def _oversized_matrix(tmp_path):
+    doc = dict(small_matrix_doc(), ell=2 ** 20, m=2, rows=[])
+    return ["reduce", write_json(tmp_path / "G.json", doc)]
+
+
+def _oversized_matrix_entries(tmp_path):
+    # ell*m = 1025 is a fine length, but reduction would add ell rows of
+    # ell entries each for the (X^m-1)e_j rows
+    doc = dict(small_matrix_doc(), ell=2 ** 10 + 1, m=1, rows=[])
+    return ["reduce", write_json(tmp_path / "G.json", doc)]
+
+
+def _oversized_basis(tmp_path):
+    doc = dict(row_code_doc(), ell=2 ** 20, m=2, rows=[])
+    return ["verify", write_json(tmp_path / "A.json", doc)]
+
+
+def _oversized_column_code(tmp_path):
+    doc = dict(column_code_doc(), m=2 ** 20 + 1)
+    return ["product", write_json(tmp_path / "A.json", row_code_doc()),
+            write_json(tmp_path / "B.json", doc)]
+
+
+def _oversized_product(tmp_path):
+    # 34 * 30841 = 2^20 + 18: each code is within the bound, the product not
+    doc = dict(column_code_doc(), m=30841)
+    return ["product", write_json(tmp_path / "A.json", row_code_doc()),
+            write_json(tmp_path / "B.json", doc)]
+
+
+@pytest.mark.parametrize("make_argv", [
+    _oversized_matrix, _oversized_matrix_entries, _oversized_basis,
+    _oversized_column_code, _oversized_product])
+def test_oversized_document_length_exits_3(make_argv, tmp_path, capsys):
+    argv = make_argv(tmp_path)
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 2.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "TooLarge"
+
+
 def test_mindist_limit_exits_3(tmp_path, capsys):
     path = write_json(tmp_path / "A.json", row_code_doc())
     assert main(["mindist", path, "--limit", "8"]) == 3

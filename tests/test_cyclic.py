@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -176,10 +177,20 @@ def test_field_of_order():
                 field_of_order(q)
     assert _prime_power((2 ** 31 - 1) ** 2) == (2 ** 31 - 1, 2)
     assert _prime_power(3 ** 400) == (3, 400)
+    assert _prime_power((2 ** 31 - 1) ** 400) == (2 ** 31 - 1, 400)
     # beyond the characteristic bound of Field, prime or not
     for q in (2 ** 61 - 1, (2 ** 31 + 11) ** 2, 6 ** 100):
         with pytest.raises(NotPrime):
             field_of_order(q)
+
+
+def test_prime_power_screens_long_orders_quickly():
+    # 4300 digits and no perfect power: each candidate p^s is ruled out
+    # modulo 2^61 - 1 without building the full power
+    start = time.perf_counter()
+    with pytest.raises(NotPrime):
+        _prime_power(10 ** 4299 + 1)
+    assert time.perf_counter() - start < 0.3
 
 
 # ---------------------------------------------------------------------------

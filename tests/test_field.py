@@ -33,7 +33,6 @@ from qcproduct.field import (
     _frobenius_irreducible,
     _is_irreducible,
     _monic_candidates,
-    _pp_mod,
     _prime_factors,
 )
 
@@ -195,9 +194,23 @@ def test_irreducibility_known_cases():
     assert not _is_irreducible((0, 1, 1), 2)      # X^2+X has root 0
 
 
+def _rem(u, v, p):
+    """Remainder of u modulo a monic v over GF(p), trailing zeros dropped:
+    the references' own long division, separate from the package's."""
+    r = list(u)
+    while len(r) >= len(v):
+        c, shift = r[-1], len(r) - len(v)
+        for j, b in enumerate(v):
+            r[shift + j] = (r[shift + j] - c * b) % p
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
 def _trial_division_irreducible(coeffs, p):
     deg = len(coeffs) - 1
-    return all(_pp_mod(coeffs, cand, p)
+    return all(_rem(coeffs, cand, p)
                for d in range(1, deg // 2 + 1) for cand in _monic_candidates(p, d))
 
 
@@ -263,7 +276,7 @@ def test_field_pickle_round_trip():
 
 class Reference:
     """GF(p^m) arithmetic on base-p digit vectors: schoolbook products
-    reduced by _pp_mod, digit-wise sums, and left-to-right binary powers.
+    reduced by _rem, digit-wise sums, and left-to-right binary powers.
     It shares no code with Field's kernels."""
 
     def __init__(self, field):
@@ -288,7 +301,7 @@ class Reference:
         for i, x in enumerate(u):
             for j, y in enumerate(v):
                 prod[i + j] = (prod[i + j] + x * y) % self.p
-        return self.code(_pp_mod(prod, self.modulus, self.p))
+        return self.code(_rem(prod, self.modulus, self.p))
 
     def pow(self, a, e):
         out = 1

@@ -1,9 +1,12 @@
 """Byte-identity of ``--format json`` output against committed goldens.
 
 The files under ``tests/golden`` are input documents and the exact stdout
-that ``qcproduct --format json <command> ...`` printed for them before
-reduction learned to work modulo X^m - 1.  Any change to arithmetic or
-reduction must leave every byte of that output unchanged.
+that ``qcproduct --format json <command> ...`` printed for them: the
+reduce, product, verify and example-sec4 outputs from before reduction
+learned to work modulo X^m - 1, the maps, cosets, factor, minpoly and
+mindist outputs from before the value classes became frozen dataclasses.
+Any change to arithmetic, reduction or the value classes must leave every
+byte of that output unchanged.
 """
 
 from pathlib import Path
@@ -23,6 +26,11 @@ CASES = {
     "verify_row_code_gf2": ["verify", "row_code_gf2.json"],
     "verify_noncanonical_gf2": ["verify", "noncanonical_gf2.json"],
     "example_sec4": ["example-sec4"],
+    "maps_2_17_3": ["maps", "2", "17", "3"],
+    "cosets_2_17": ["cosets", "2", "17"],
+    "factor_3_8": ["factor", "3", "8"],
+    "minpoly_2_17_3": ["minpoly", "2", "17", "3"],
+    "mindist_row_code_gf2": ["mindist", "row_code_gf2.json"],
 }
 
 
