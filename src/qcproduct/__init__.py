@@ -55,7 +55,6 @@ from .polyring import (
     modular_substitute,
     poly_egcd,
     poly_gcd,
-    split_residue,
     x_pow_minus_one,
 )
 from .cyclic import (
@@ -125,7 +124,7 @@ __all__ = [
     "ProductParams", "CodewordMatrix", "LinearCodeView",
     "field_new", "nth_root_of_unity", "poly_text_to_coeffs",
     "coeffs_to_poly_text", "modular_substitute", "fold_mod_xm1", "poly_gcd",
-    "poly_egcd", "split_residue", "x_pow_minus_one", "cyclic_code_new",
+    "poly_egcd", "x_pow_minus_one", "cyclic_code_new",
     "cyclotomic_coset", "cyclotomic_cosets",
     "factor_xm_minus_1", "field_of_order", "minimal_polynomial",
     "rgb_pot_reduce", "is_rgb_pot", "dimension", "level", "encode",

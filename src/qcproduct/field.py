@@ -195,7 +195,7 @@ def _frobenius_irreducible(coeffs, p) -> bool:
     r = len(coeffs) - 1
     if r == 1:
         return True
-    prime = Field(p)
+    prime = _prime_field(p)
     f = Poly(prime, coeffs)
     mul = _QuotientRing(p, coeffs).mul
     h = x = p  # the code of X
@@ -210,8 +210,9 @@ def _frobenius_irreducible(coeffs, p) -> bool:
     return h == x
 
 
-def _is_irreducible(coeffs, p) -> bool:
-    return len(coeffs) > 1 and _frobenius_irreducible(coeffs, p)
+@functools.lru_cache(maxsize=64)  # bounded: p may come from untrusted input
+def _prime_field(p: int) -> "Field":
+    return Field(p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,7 +224,7 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     for cand in _monic_candidates(p, m):
         if cand[0] == 0:
             continue
-        if _is_irreducible(cand, p):
+        if _frobenius_irreducible(cand, p):
             return cand
     raise NotIrreducible(f"no irreducible of degree {m} over GF({p})")
 
@@ -333,6 +334,13 @@ def coeffs_to_poly_text(coeffs) -> str:
 _TABLE_LIMIT = 1 << 12
 
 
+@functools.lru_cache(maxsize=256)  # bounded: moduli come from untrusted documents
+def _is_irreducible(coeffs: tuple, p: int) -> bool:
+    """The Frobenius verdict on a modulus handed to Field, kept so that a
+    modulus is tested once, however many times a field is rebuilt on it."""
+    return len(coeffs) > 1 and _frobenius_irreducible(coeffs, p)
+
+
 @functools.lru_cache(maxsize=64)
 def _tables(p: int, m: int, modulus: tuple[int, ...]):
     """(exp, log, zech) for GF(p^m), m > 1, n = q - 1, g the first primitive
@@ -413,6 +421,8 @@ class Field:
         raise AttributeError("Field is immutable")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, Field)
                 and self.p == other.p and self.m == other.m
                 and self.modulus == other.modulus)

@@ -6,10 +6,31 @@ trailing zeros; the zero polynomial has an empty coefficient tuple and degree
 with remainder, monic (extended) gcds with a canonical cofactor convention,
 and the modular substitution X -> X^e (mod X^N - 1) that the product
 constructions apply with negative exponents.
+
+Prime fields (``field.m == 1``) run on one packed-integer kernel, and each
+``Poly`` method picks its kernel once per call, never per coefficient:
+
+* products by Kronecker substitution: the codes are packed into byte slots
+  of one integer, slots wide enough for the bound (p-1)^2 * min(len) on a
+  product coefficient, so one integer product convolves them without a
+  carry between slots, and each slot is reduced mod p on the way out
+  (FLINT's ``nmod_poly`` multiplies the same way; Harvey, "Faster
+  polynomial multiplication via multipoint Kronecker substitution", JSC
+  2009);
+* division over GF(2) by XOR and shift on bitmask ints, and the whole
+  extended Euclid loop of :func:`poly_egcd` too, converted back to ``Poly``
+  once at the end;
+* division over odd p as schoolbook long division on modular integers;
+* addition, subtraction, negation and scaling as plain modular integers
+  (XOR in characteristic 2, whatever the extension degree).
+
+Extension fields keep schoolbook loops over :class:`~qcproduct.field.Field`
+operations.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -17,7 +38,6 @@ from .errors import (
     DegreeMismatch,
     DivisionByZero,
     FieldMismatch,
-    NotADivisor,
 )
 from .field import Field, FieldElement, coeffs_to_poly_text
 
@@ -28,7 +48,6 @@ __all__ = [
     "modular_substitute",
     "fold_mod_xm1",
     "x_pow_minus_one",
-    "split_residue",
 ]
 
 _NEG_INF = float("-inf")
@@ -67,11 +86,11 @@ class Poly:
 
     @staticmethod
     def zero(field: Field) -> "Poly":
-        return Poly(field, ())
+        return _trusted(field, [])
 
     @staticmethod
     def one(field: Field) -> "Poly":
-        return Poly(field, (1,))
+        return _trusted(field, [1])
 
     @staticmethod
     def monomial(field: Field, exp: int, coeff: int = 1) -> "Poly":
@@ -117,14 +136,7 @@ class Poly:
         o = self._check(other)
         if o is NotImplemented:
             return o
-        f = self.field
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return _trusted(f, out)
+        return _trusted(self.field, _add(self.field, self.coeffs, o.coeffs))
 
     def __sub__(self, other):
         o = self._check(other)
@@ -132,14 +144,19 @@ class Poly:
             return o
         f = self.field
         a, b = self.coeffs, o.coeffs
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = f.sub(out[i], c)
+        if f.p == 2:
+            return _trusted(f, _add(f, a, b))
+        if f.m == 1:
+            p = f.p
+            out = [(x - y) % p for x, y in zip(a, b)]
+        else:
+            sub = f.sub
+            out = [sub(x, y) for x, y in zip(a, b)]
+        out += a[len(b):] if len(a) > len(b) else _neg(f, b[len(a):])
         return _trusted(f, out)
 
     def __neg__(self):
-        f = self.field
-        return Poly(f, [f.neg(c) for c in self.coeffs])
+        return _trusted(self.field, _neg(self.field, self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
@@ -151,7 +168,9 @@ class Poly:
             return o
         f = self.field
         if self.is_zero or o.is_zero:
-            return Poly.zero(f)
+            return _trusted(f, [])
+        if f.m == 1:
+            return _trusted(f, _kronecker_mul(f.p, self.coeffs, o.coeffs))
         out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -166,8 +185,12 @@ class Poly:
     def scale(self, code: int) -> "Poly":
         f = self.field
         if code == 0:
-            return Poly.zero(f)
-        return _trusted(f, [f.mul(code, c) for c in self.coeffs])
+            return _trusted(f, [])
+        if f.m == 1:
+            p = f.p
+            return _trusted(f, [code * c % p for c in self.coeffs])
+        mul = f.mul
+        return _trusted(f, [mul(code, c) for c in self.coeffs])
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -188,11 +211,18 @@ class Poly:
         if o.is_zero:
             raise DivisionByZero("polynomial division by zero")
         f = self.field
-        dv = len(o.coeffs) - 1
+        a, b = self.coeffs, o.coeffs
+        if len(a) < len(b):
+            return _trusted(f, []), self
+        if f.q == 2:
+            quot, rem = _divmod2(_to_mask(a), _to_mask(b))
+            return _from_mask(f, quot), _from_mask(f, rem)
+        if f.m == 1:
+            quot, rem = _divmod_p(f.p, a, b)
+            return _trusted(f, quot), _trusted(f, rem)
+        dv = len(b) - 1
         inv_lead = f.inv(o.leading)
-        rem = list(self.coeffs)
-        if len(rem) - 1 < dv:
-            return Poly.zero(f), self
+        rem = list(a)
         quot = [0] * (len(rem) - dv)
         for top in range(len(rem) - 1, dv - 1, -1):
             c = rem[top]
@@ -200,8 +230,8 @@ class Poly:
                 continue
             qc = f.mul(c, inv_lead)
             quot[top - dv] = qc
-            for j, b in enumerate(o.coeffs):
-                rem[top - dv + j] = f.sub(rem[top - dv + j], f.mul(qc, b))
+            for j, bj in enumerate(b):
+                rem[top - dv + j] = f.sub(rem[top - dv + j], f.mul(qc, bj))
         return _trusted(f, quot), _trusted(f, rem)
 
     def __floordiv__(self, other):
@@ -243,11 +273,142 @@ def _trusted(field: Field, codes: list) -> Poly:
     return p
 
 
+# ---------------------------------------------------------------------------
+# coefficient-list kernels: one choice of field arithmetic per call
+# ---------------------------------------------------------------------------
+
+def _add(f: Field, a, b) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    if f.p == 2:
+        out = [x ^ y for x, y in zip(a, b)]
+    elif f.m == 1:
+        p = f.p
+        out = [(x + y) % p for x, y in zip(a, b)]
+    else:
+        add = f.add
+        out = [add(x, y) for x, y in zip(a, b)]
+    out += a[len(b):]
+    return out
+
+
+def _neg(f: Field, a) -> list:
+    if f.p == 2:
+        return list(a)
+    if f.m == 1:
+        p = f.p
+        return [(p - c) % p for c in a]
+    neg = f.neg
+    return [neg(c) for c in a]
+
+
+# Kronecker slots are 1, 2, 4, 8 or 16 bytes: 16 hold every bound below the
+# 2^31 characteristic cap.  Ints are read and written little-endian; on a
+# little-endian machine a memoryview reads the slots of up to 8 bytes as
+# native unsigned items.
+_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+_PARITY = bytes(i & 1 for i in range(256))
+
+
+def _slot_bytes(bound: int) -> int:
+    """The slot width in bytes that holds every value up to bound."""
+    s = 1
+    while bound >> (8 * s):
+        s *= 2
+    return s
+
+
+def _pack(codes, s: int, p: int) -> int:
+    """The codes as one int, code i in bytes [s*i, s*(i+1))."""
+    if p < 256:  # one byte per code, at every s-th byte
+        buf = bytearray(s * len(codes))
+        buf[::s] = bytes(codes)
+    else:
+        buf = b"".join(c.to_bytes(s, "little") for c in codes)
+    return int.from_bytes(buf, "little")
+
+
+def _unpack(x: int, n: int, s: int, p: int) -> list:
+    """The n slots of x, each reduced mod p."""
+    buf = x.to_bytes(n * s, "little")
+    if p == 2:  # a slot's parity is its low byte's
+        return list(buf[::s].translate(_PARITY))
+    if s in _FORMAT:
+        return [c % p for c in memoryview(buf).cast(_FORMAT[s])]
+    return [int.from_bytes(buf[i:i + s], "little") % p for i in range(0, n * s, s)]
+
+
+def _kronecker_mul(p: int, a, b) -> list:
+    """The product of two nonzero code sequences over GF(p): one integer
+    product of the packed operands.  Product coefficient k is a sum of at
+    most min(len) terms below p^2 before its reduction mod p."""
+    s = _slot_bytes((p - 1) ** 2 * min(len(a), len(b)))
+    return _unpack(_pack(a, s, p) * _pack(b, s, p), len(a) + len(b) - 1, s, p)
+
+
+def _divmod_p(p: int, a, b):
+    """(quotient, remainder) code lists of a by b over GF(p), len(a) >=
+    len(b): schoolbook long division on modular integers.  Most divisors
+    in canonical reduction have low degree, and there this beats both the
+    packed slot-parallel division and Newton inversion."""
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    rem = list(a)
+    quot = [0] * (len(a) - db)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + db]
+        if c:
+            c = c * inv % p
+            quot[k] = c
+            for j in range(db):
+                rem[k + j] = (rem[k + j] - c * b[j]) % p
+    del rem[db:]
+    return quot, rem
+
+
+# GF(2): a polynomial as the bitmask int of its coefficients (bit k for X^k),
+# converted through bytes of ASCII '0'/'1' digits
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _to_mask(codes) -> int:
+    return int(b"0" + bytes(reversed(codes)).translate(_TO_DIGITS), 2)
+
+
+def _from_mask(f: Field, x: int) -> Poly:
+    return _trusted(f, list(bin(x)[:1:-1].encode().translate(_FROM_DIGITS)))
+
+
+def _divmod2(a: int, b: int):
+    """(quotient, remainder) bitmasks of a by b != 0 over GF(2)."""
+    q, d = 0, b.bit_length()
+    while (k := a.bit_length() - d) >= 0:
+        q |= 1 << k
+        a ^= b << k
+    return q, a
+
+
+def _egcd2(u: int, v: int):
+    """poly_egcd on GF(2) bitmasks.  Each XOR-shift step of the division
+    r0 / r1 applies the same quotient term to the cofactor pairs, which is
+    Euclid's s0 - q*s1 without forming q."""
+    r0, r1, s0, s1, t0, t1 = u, v, 1, 0, 0, 1
+    while r1:
+        d = r1.bit_length()
+        while (k := r0.bit_length() - d) >= 0:
+            r0 ^= r1 << k
+            s0 ^= s1 << k
+            t0 ^= t1 << k
+        r0, r1, s0, s1, t0, t1 = r1, r0, s1, s0, t1, t0
+    return r0, s0, t0
+
+
 def x_pow_minus_one(field: Field, m: int) -> Poly:
     """The polynomial X^m - 1 over the field."""
     if m < 1:
         raise DegreeMismatch("m must be positive")
-    return Poly(field, (field.neg(1),) + (0,) * (m - 1) + (1,))
+    return _trusted(field, [field.neg(1)] + [0] * (m - 1) + [1])
 
 
 def poly_gcd(u: Poly, v: Poly) -> Poly:
@@ -267,11 +428,20 @@ def poly_egcd(u: Poly, v: Poly):
     modulo v/g (so deg s < deg v - deg g whenever that bound is meaningful).
     Degenerate corners follow fixed conventions: egcd(u, 0) =
     (monic(u), 1/lc(u), 0) and egcd(u, u) = (monic(u), 0, 1/lc(u)).
+
+    Euclid's cofactors meet that bound as they come (von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, ch. 3): from the second step on,
+    the cofactor of u after remainder r_i has degree deg v - deg r_(i-1),
+    and deg r_(i-1) > deg g at the last step; when v divides u the loop
+    stops after one step with s = 0.
     """
     if u.is_zero and v.is_zero:
         raise BothZero("egcd(0, 0) is undefined")
     u._check(v)
     f = u.field
+    if f.q == 2:
+        return tuple(_from_mask(f, x)
+                     for x in _egcd2(_to_mask(u.coeffs), _to_mask(v.coeffs)))
     r0, r1 = u, v
     s0, s1 = Poly.one(f), Poly.zero(f)
     t0, t1 = Poly.zero(f), Poly.one(f)
@@ -281,13 +451,7 @@ def poly_egcd(u: Poly, v: Poly):
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
     c = f.inv(r0.leading)
-    g, s, t = r0.scale(c), s0.scale(c), t0.scale(c)
-    if not v.is_zero:
-        vg = v // g
-        q, s = divmod(s, vg)
-        if not q.is_zero:
-            t = t + q * (u // g)
-    return g, s, t
+    return r0.scale(c), s0.scale(c), t0.scale(c)
 
 
 def modular_substitute(p: Poly, e: int, N: int) -> Poly:
@@ -299,27 +463,25 @@ def modular_substitute(p: Poly, e: int, N: int) -> Poly:
     f = p.field
     e_res = e % N
     out = [0] * N
+    if f.m == 1:  # integer sums, reduced once
+        for k, c in enumerate(p.coeffs):
+            out[k * e_res % N] += c
+        q = f.p
+        return _trusted(f, [c % q for c in out])
+    add = f.add
     for k, c in enumerate(p.coeffs):
         if c:
             pos = (k * e_res) % N
-            out[pos] = f.add(out[pos], c)
-    return Poly(f, out)
+            out[pos] = add(out[pos], c)
+    return _trusted(f, out)
 
 
 def fold_mod_xm1(p: Poly, m: int) -> Poly:
     """p reduced modulo X^m - 1 by folding exponents (X^k -> X^(k mod m))."""
-    return p if p.degree < m else modular_substitute(p, 1, m)
-
-
-def split_residue(y: int, ell: int, m: int) -> int:
-    """Given y congruent to a*ell (mod ell*m), recover a (mod m).
-
-    The congruence forces ell to divide y's residue; anything else is
-    rejected rather than silently rounded.
-    """
-    if ell < 1 or m < 1:
-        raise DegreeMismatch("ell and m must be positive")
-    y_res = y % (ell * m)
-    if y_res % ell != 0:
-        raise NotADivisor(f"{ell} does not divide {y} modulo {ell * m}")
-    return (y_res // ell) % m
+    if p.degree < m:
+        return p
+    f, codes = p.field, p.coeffs
+    out = list(codes[:m])
+    for i in range(m, len(codes), m):
+        out = _add(f, out, codes[i:i + m])
+    return _trusted(f, out)

@@ -321,6 +321,15 @@ def test_huge_prime_field_order_exits_3_at_once(capsys):
     assert err["error"]["type"] == "NotPrime"
 
 
+def test_oversized_extension_degree_exits_3(capsys):
+    # the 1019-th roots of unity over GF(2) lie in GF(2^1018)
+    start = time.perf_counter()
+    assert main(["factor", "2", "1019"]) == 3
+    assert time.perf_counter() - start < 2.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "TooLarge"
+
+
 @pytest.mark.parametrize("argv", [
     ["cosets", "2", str(2 ** 20 + 1)],
     ["factor", "2", str(2 ** 20 + 1)],

@@ -123,6 +123,30 @@ def test_custom_modulus_accepted_and_validated():
         field_new(2, 4, (1, 0, 0, 0, 1))  # X^4+1 = (X+1)^4
 
 
+def test_explicit_modulus_is_tested_once(monkeypatch):
+    import qcproduct.field as field_module
+
+    tested, primality = [], []
+    frobenius, is_prime = field_module._frobenius_irreducible, field_module._is_prime
+    monkeypatch.setattr(field_module, "_frobenius_irreducible",
+                        lambda coeffs, p: tested.append(coeffs) or frobenius(coeffs, p))
+    monkeypatch.setattr(field_module, "_is_prime",
+                        lambda n: primality.append(n) or is_prime(n))
+    _is_irreducible.cache_clear()
+    modulus = (2, 2, 1)  # X^2+2X+2 over GF(3)
+    assert Field(3, 2, modulus) == Field(3, 2, modulus)
+    assert tested == [modulus]
+    # the prime field the test builds is built once per characteristic
+    del primality[:]
+    assert _frobenius_irreducible((1, 0, 2, 1), 3)  # X^3+2X^2+1 has no root
+    assert primality == []
+    with pytest.raises(NotIrreducible):
+        Field(3, 2, (2, 0, 1))  # X^2+2 = (X+1)(X+2)
+    with pytest.raises(NotIrreducible):
+        Field(3, 2, (2, 0, 1))
+    assert tested == [modulus, (2, 0, 1)]
+
+
 def test_element_operator_overloads():
     f = field_new(2, 4)
     a = f(5)

@@ -1,0 +1,242 @@
+"""The packed-integer prime-field kernel of ``polyring`` against a
+schoolbook reference.
+
+The reference below works on plain coefficient lists with one ``% p`` per
+operation, independent of the package's code.  Products, divisions, gcds
+and extended gcds are compared on derandomised hypothesis draws over
+primes from 2 up to the 2^31 characteristic cap, and products are also
+checked at both sides of every Kronecker slot-width boundary that fits in
+memory.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcproduct import (
+    Field,
+    Poly,
+    field_new,
+    fold_mod_xm1,
+    modular_substitute,
+    poly_egcd,
+    poly_gcd,
+    x_pow_minus_one,
+)
+from qcproduct import polyring
+
+PRIMES = (2, 3, 5, 7, 251, 65521, 2 ** 31 - 1)
+FIELDS = {p: field_new(p) for p in PRIMES}
+
+
+# ---------------------------------------------------------------------------
+# the reference: schoolbook arithmetic on coefficient lists over GF(p)
+# ---------------------------------------------------------------------------
+
+def _trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def ref_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _trim(out)
+
+
+def ref_sub(a, b, p):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _trim((x - y) % p for x, y in zip(a, b))
+
+
+def ref_divmod(a, b, p):
+    a, b = _trim(a), _trim(b)
+    inv = pow(b[-1], -1, p)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    rem = list(a)
+    while len(rem) >= len(b):
+        c, shift = rem[-1] * inv % p, len(rem) - len(b)
+        quot[shift] = c
+        for j, y in enumerate(b):
+            rem[shift + j] = (rem[shift + j] - c * y) % p
+        rem = _trim(rem)
+    return _trim(quot), rem
+
+
+def ref_monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def ref_gcd(a, b, p):
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, ref_divmod(a, b, p)[1]
+    return ref_monic(a, p)
+
+
+def ref_egcd(u, v, p):
+    """(g, s, t) by the documented contract: s*u + t*v = g with g the monic
+    gcd, s reduced modulo v/g, and egcd(u, 0) = (monic(u), 1/lc(u), 0).
+    s comes from a plain extended Euclid; reducing it modulo v/g makes it
+    unique, and t = (g - s*u)/v is then exact."""
+    u, v = _trim(u), _trim(v)
+    if not v:
+        return ref_monic(u, p), [pow(u[-1], -1, p)], []
+    r0, r1, s0, s1 = u, v, [1], []
+    while r1:
+        q, r = ref_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, ref_sub(s0, ref_mul(q, s1, p), p)
+    c = pow(r0[-1], -1, p)
+    g, s = ref_monic(r0, p), _trim(x * c % p for x in s0)
+    s = ref_divmod(s, ref_divmod(v, g, p)[0], p)[1]
+    t, rest = ref_divmod(ref_sub(g, ref_mul(s, u, p), p), v, p)
+    assert not rest
+    return g, s, t
+
+
+# ---------------------------------------------------------------------------
+# differential tests
+# ---------------------------------------------------------------------------
+
+@st.composite
+def operands(draw, count, max_len=48):
+    p = draw(st.sampled_from(PRIMES))
+    coeffs = st.lists(st.integers(0, p - 1), max_size=max_len)
+    return (p,) + tuple(_trim(draw(coeffs)) for _ in range(count))
+
+
+def _poly(p, codes):
+    return Poly(FIELDS[p], codes)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(operands(2))
+def test_mul_matches_reference(case):
+    p, a, b = case
+    assert (_poly(p, a) * _poly(p, b)).coeffs == tuple(ref_mul(a, b, p))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(operands(2))
+def test_divmod_matches_reference(case):
+    p, a, b = case
+    if not b:
+        return
+    q, r = divmod(_poly(p, a), _poly(p, b))
+    ref_q, ref_r = ref_divmod(a, b, p)
+    assert (q.coeffs, r.coeffs) == (tuple(ref_q), tuple(ref_r))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(operands(3, max_len=16))
+def test_gcd_and_egcd_match_reference(case):
+    # a common factor c makes nontrivial gcds common
+    p, a, b, c = case
+    a, b = ref_mul(a, c, p) or a, ref_mul(b, c, p) or b
+    if not a and not b:
+        return
+    u, v = _poly(p, a), _poly(p, b)
+    g, s, t = poly_egcd(u, v)
+    ref_g, ref_s, ref_t = ref_egcd(a, b, p)
+    assert poly_gcd(u, v).coeffs == tuple(ref_g)
+    assert (g.coeffs, s.coeffs, t.coeffs) == (tuple(ref_g), tuple(ref_s), tuple(ref_t))
+    assert s * u + t * v == g
+    if b and len(b) > len(ref_g):
+        # the reduced cofactor: deg s < deg v - deg g
+        assert s.degree < v.degree - g.degree
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_egcd_corners(p):
+    f = FIELDS[p]
+    u = Poly(f, [1, 0, p - 1])          # -X^2 + 1
+    v = Poly(f, [p - 1, p - 1])         # -X - 1, a factor of u
+    lead = f.inv(p - 1)
+    monic_u, monic_v = u.monic(), v.monic()
+    assert poly_egcd(u, Poly.zero(f)) == (monic_u, Poly(f, [lead]), Poly.zero(f))
+    assert poly_egcd(Poly.zero(f), v) == (monic_v, Poly.zero(f), Poly(f, [lead]))
+    assert poly_egcd(u, u) == (monic_u, Poly.zero(f), Poly(f, [lead]))
+    g, s, t = poly_egcd(u, v)
+    assert g == monic_v and s.is_zero and t == Poly(f, [lead])
+    for x, y in ((u, Poly.zero(f)), (Poly.zero(f), v), (u, u), (u, v), (v, u)):
+        assert poly_egcd(x, y) == tuple(
+            Poly(f, c) for c in ref_egcd(x.coeffs, y.coeffs, p))
+
+
+def _boundaries():
+    """(p, length, slot bytes) on both sides of every slot-width boundary
+    (p-1)^2 * length = 2^(8k) with length below 2^15: the largest length
+    whose worst-case product coefficient fits k bytes, and the next one.
+    Each of 2^8, 2^16, 2^32 and 2^64 is crossed by some prime."""
+    out = []
+    for p in PRIMES:
+        for k in (1, 2, 4, 8):
+            length = (2 ** (8 * k) - 1) // (p - 1) ** 2
+            if 1 <= length < 2 ** 15:
+                out += [(p, length, k), (p, length + 1, 2 * k)]
+    return out
+
+
+@pytest.mark.parametrize("p, length, slot", _boundaries())
+def test_mul_at_slot_width_boundaries(p, length, slot):
+    # all-(p-1) operands reach the bound (p-1)^2 * length exactly, and their
+    # product has the closed form (p-1)^2 * #{i + j = k} mod p
+    assert polyring._slot_bytes((p - 1) ** 2 * length) == slot
+    f = FIELDS[p]
+    a, b = Poly(f, [p - 1] * length), Poly(f, [p - 1] * (length + 3))
+    n = 2 * length + 2
+    want = [(p - 1) ** 2 * min(k + 1, length, n - k) % p for k in range(n)]
+    assert (a * b).coeffs == tuple(_trim(want))
+
+
+def test_every_slot_width_is_reached():
+    assert {slot for _, _, slot in _boundaries()} == {1, 2, 4, 8, 16}
+
+
+# ---------------------------------------------------------------------------
+# one kernel per call: no per-coefficient Field calls, no re-validation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_prime_field_kernel_makes_no_field_calls(p, monkeypatch):
+    f = FIELDS[p]
+    u = Poly(f, [(3 * k * k + 1) % p for k in range(70)] + [1])
+    v = Poly(f, [(5 * k + 2) % p for k in range(61)] + [1])
+    calls = []
+    for name in ("mul", "add", "sub", "neg"):
+        original = getattr(Field, name)
+        monkeypatch.setattr(Field, name, lambda self, *args, _o=original, _n=name:
+                            calls.append(_n) or _o(self, *args))
+    prod = u * v
+    q, r = divmod(prod + u, v)
+    g, s, t = poly_egcd(u, v)
+    assert calls == []
+    monkeypatch.undo()
+    assert q * v + r == prod + u and s * u + t * v == g
+
+
+def test_internal_results_skip_validation(monkeypatch):
+    f = FIELDS[3]
+    u, v = Poly(f, [1, 2, 0, 1]), Poly(f, [2, 1])
+    built = []
+    init = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    results = [Poly.zero(f), Poly.one(f), -u, u + v, u - v, u * v, u.scale(2),
+               *divmod(u, v), modular_substitute(u, -1, 5), fold_mod_xm1(u, 2),
+               x_pow_minus_one(f, 4), *poly_egcd(u, v)]
+    assert built == []
+    monkeypatch.undo()
+    for r in results:
+        assert r == Poly(f, r.coeffs)

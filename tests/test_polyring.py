@@ -9,14 +9,12 @@ from qcproduct import (
     DegreeMismatch,
     DivisionByZero,
     FieldMismatch,
-    NotADivisor,
     Poly,
     field_new,
     fold_mod_xm1,
     modular_substitute,
     poly_egcd,
     poly_gcd,
-    split_residue,
     x_pow_minus_one,
 )
 
@@ -305,12 +303,3 @@ def test_arithmetic_results_are_normalized():
                 assert not r.coeffs or r.coeffs[-1] != 0
             assert (u - u).is_zero and (u - v) + v == u
 
-
-def test_split_residue():
-    assert split_residue(6, 2, 5) == 3
-    assert split_residue(14, 2, 5) == 2      # 14 mod 10 = 4 = 2*2
-    assert split_residue(0, 3, 4) == 0
-    with pytest.raises(NotADivisor):
-        split_residue(5, 2, 5)
-    with pytest.raises(DegreeMismatch):
-        split_residue(4, 0, 5)
