@@ -17,130 +17,21 @@ Typical use::
     ...
 """
 
-from .errors import (
-    BothZero,
-    CoefficientNotInBaseField,
-    DegreeMismatch,
-    DegreeOverflow,
-    DimensionMismatch,
-    DivisionByZero,
-    FieldMismatch,
-    IndexOutOfRange,
-    MessageDegreeTooLarge,
-    NonPrefixPattern,
-    NoSuchRoot,
-    NotADivisor,
-    NotCoprime,
-    NotIrreducible,
-    NotOneLevel,
-    NotPrime,
-    ParamMismatch,
-    PolyParseError,
-    QcError,
-    RankMismatch,
-    ShapeMismatch,
-    TooLarge,
-)
-from .field import (
-    Field,
-    FieldElement,
-    coeffs_to_poly_text,
-    field_new,
-    nth_root_of_unity,
-    poly_text_to_coeffs,
-)
-from .polyring import (
-    Poly,
-    fold_mod_xm1,
-    modular_substitute,
-    poly_egcd,
-    poly_gcd,
-    x_pow_minus_one,
-)
-from .cyclic import (
-    CyclicCode,
-    cyclic_code_new,
-    cyclotomic_coset,
-    cyclotomic_cosets,
-    factor_xm_minus_1,
-    field_of_order,
-    minimal_polynomial,
-)
-from .qcmodule import (
-    GeneratingMatrix,
-    PolyVector,
-    QuasiCyclicCode,
-    RgbPotBasis,
-    dimension,
-    encode,
-    is_rgb_pot,
-    level,
-    qc_shift,
-    reduce_vector,
-    rgb_pot_reduce,
-    univariate_to_vector,
-    vector_to_univariate,
-)
-from .product import (
-    CodewordMatrix,
-    OneLevelCode,
-    ProductParams,
-    bezout_pair,
-    map_f,
-    map_g,
-    matrix_to_components,
-    matrix_to_univariate,
-    one_level_product_rgb,
-    univariate_to_matrix,
-    unreduced_product_basis,
-)
-from .oracle import (
-    LinearCodeView,
-    check_product_membership,
-    expand_to_linear,
-    is_quasi_cyclic,
-    min_distance,
-    modules_equal,
-)
-from .serialize import (
-    basis_from_doc,
-    basis_to_doc,
-    canonical_json,
-    cyclic_from_doc,
-    cyclic_to_doc,
-    field_from_doc,
-    field_to_doc,
-    generating_matrix_from_doc,
-    generating_matrix_to_doc,
-    poly_from_text,
-    poly_to_text,
-)
+from .errors import *  # noqa: F403
+from .field import *  # noqa: F403
+from .polyring import *  # noqa: F403
+from .cyclic import *  # noqa: F403
+from .qcmodule import *  # noqa: F403
+from .product import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .serialize import *  # noqa: F403
+from . import cyclic, errors, field, oracle, polyring, product, qcmodule, serialize
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Field", "FieldElement", "Poly", "CyclicCode", "PolyVector",
-    "GeneratingMatrix", "RgbPotBasis", "QuasiCyclicCode", "OneLevelCode",
-    "ProductParams", "CodewordMatrix", "LinearCodeView",
-    "field_new", "nth_root_of_unity", "poly_text_to_coeffs",
-    "coeffs_to_poly_text", "modular_substitute", "fold_mod_xm1", "poly_gcd",
-    "poly_egcd", "x_pow_minus_one", "cyclic_code_new",
-    "cyclotomic_coset", "cyclotomic_cosets",
-    "factor_xm_minus_1", "field_of_order", "minimal_polynomial",
-    "rgb_pot_reduce", "is_rgb_pot", "dimension", "level", "encode",
-    "reduce_vector", "vector_to_univariate", "univariate_to_vector",
-    "qc_shift", "bezout_pair", "map_f", "map_g", "matrix_to_univariate",
-    "univariate_to_matrix", "matrix_to_components", "unreduced_product_basis",
-    "one_level_product_rgb", "expand_to_linear", "min_distance",
-    "is_quasi_cyclic", "modules_equal", "check_product_membership",
-    "poly_from_text", "poly_to_text", "field_to_doc", "field_from_doc",
-    "basis_to_doc", "basis_from_doc", "generating_matrix_to_doc",
-    "generating_matrix_from_doc", "cyclic_to_doc", "cyclic_from_doc",
-    "canonical_json",
-    "QcError", "NotPrime", "NotIrreducible", "DegreeMismatch",
-    "FieldMismatch", "DivisionByZero", "NoSuchRoot", "BothZero", "NotCoprime",
-    "CoefficientNotInBaseField", "NotADivisor", "MessageDegreeTooLarge",
-    "DegreeOverflow", "NonPrefixPattern", "IndexOutOfRange",
-    "DimensionMismatch", "ParamMismatch", "NotOneLevel", "RankMismatch",
-    "TooLarge", "ShapeMismatch", "PolyParseError",
-]
+# Each module declares its own public names; errors, which has no __all__,
+# exports every class it defines, as its star import above does.
+__all__ = [name for name in vars(errors) if not name.startswith("_")]
+for _module in (field, polyring, cyclic, qcmodule, product, oracle, serialize):
+    __all__ += _module.__all__
+del _module

@@ -112,11 +112,9 @@ def _root_context(q: int, m: int):
             f"extension degrees above {_MAX_EXTENSION_DEGREE} are refused")
     big = Field(p, s * r)
     alpha = nth_root_of_unity(big, m)
-    if big == base:
-        decode = {c: c for c in range(q)}
-    elif s == 1:
-        # prime subfield: the constants of the extension
-        decode = {c: c for c in range(p)}
+    if big == base or s == 1:
+        # GF(q) is the whole field or its prime subfield, the constants
+        decode = range(q)
     else:
         # Embed GF(q) by sending its generator X to a root of the base
         # modulus inside the big field; roots are located among the
@@ -144,8 +142,8 @@ def _root_context(q: int, m: int):
         for code in range(q):
             digits = base.coeffs_of(code)
             image = 0
-            for idx, digit in enumerate(digits):
-                image = big.add(image, big.smul(digit, big.pow_(theta, idx)))
+            for idx, digit in enumerate(digits):  # digit d < p: the code of d
+                image = big.add(image, big.mul(digit, big.pow_(theta, idx)))
             decode[image] = code
     return base, big, alpha.code, decode
 

@@ -518,16 +518,6 @@ class Field:
             return self._ring.lin(0, a, self.p - 1)
         return self._exp[self._log[a] + self._half]
 
-    def smul(self, c: int, a: int) -> int:
-        """Scalar multiple by a base-field (prime-field) constant c."""
-        if self.p == 2:
-            return a if c & 1 else 0
-        if self.m == 1:
-            return (c * a) % self.p
-        if self._zech is None:
-            return self._ring.lin(0, a, c % self.p)
-        return self.mul(c % self.p, a)
-
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
@@ -555,9 +545,6 @@ class Field:
         if self._log is None:
             return self.pow_(a, -1)
         return self._exp[self.q - 1 - self._log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -604,7 +591,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FieldElement(self.field, self.field.div(self.code, o.code))
+        return self * o.inverse()
 
     def __pow__(self, e: int):
         return FieldElement(self.field, self.field.pow_(self.code, int(e)))
@@ -643,7 +630,9 @@ def nth_root_of_unity(field: Field, n: int) -> FieldElement:
         raise NoSuchRoot(f"{n} does not divide q - 1 = {field.q - 1}")
     cofactor = (field.q - 1) // n
     primes = _prime_factors(n)
-    for code in range(1, field.q):
+    # codes below p form GF(p), which has no element of order n unless n | p - 1
+    start = 1 if (field.p - 1) % n == 0 else field.p
+    for code in range(start, field.q):
         beta = field.pow_(code, cofactor)
         if beta == 0:
             continue

@@ -15,16 +15,19 @@ from dataclasses import dataclass
 
 from .cyclic import CyclicCode
 from .errors import (
-    DimensionMismatch,
     FieldMismatch,
-    ParamMismatch,
     RankMismatch,
     ShapeMismatch,
     TooLarge,
 )
 from .field import Field
 from .polyring import Poly
-from .product import CodewordMatrix, ProductParams
+from .product import (
+    CodewordMatrix,
+    ProductParams,
+    _check_matrix,
+    _check_product_inputs,
+)
 from .qcmodule import (
     GeneratingMatrix,
     RgbPotBasis,
@@ -320,18 +323,9 @@ def check_product_membership(M: CodewordMatrix, row_basis: RgbPotBasis,
                              B: CyclicCode, p: ProductParams) -> bool:
     """Whether every row of the codeword matrix lies in the row code and
     every column is a multiple of the column code's generator."""
-    if M.shape != (p.m_b, p.ell_a * p.m_a):
-        raise DimensionMismatch(
-            f"matrix shape {M.shape} does not match params "
-            f"({p.m_b}, {p.ell_a * p.m_a})")
-    if (row_basis.ell, row_basis.m) != (p.ell_a, p.m_a):
-        raise ParamMismatch(
-            f"row code shape ({row_basis.ell}, {row_basis.m}) does not "
-            f"match params ({p.ell_a}, {p.m_a})")
-    if B.m != p.m_b:
-        raise ParamMismatch(
-            f"column code length {B.m} does not match params m_b={p.m_b}")
-    if M.field != row_basis.field or M.field != B.field:
+    _check_matrix(M, p)
+    _check_product_inputs(row_basis.ell, row_basis.m, row_basis.field, B, p)
+    if M.field != row_basis.field:
         raise FieldMismatch("codeword matrix over a different field")
     f = M.field
     for row in M.entries:

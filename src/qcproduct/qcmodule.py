@@ -12,7 +12,7 @@ module provides:
 * the four structural conditions of that canonical form
   (:func:`is_rgb_pot`), dimension, level, encoding, membership reduction;
 * the interleaving bijection between component vectors and single
-  univariate polynomials of degree < ell*m, and the quasi-cyclic shift.
+  univariate polynomials of degree < ell*m.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "PolyVector",
     "GeneratingMatrix",
     "RgbPotBasis",
-    "QuasiCyclicCode",
     "rgb_pot_reduce",
     "is_rgb_pot",
     "dimension",
@@ -43,7 +42,6 @@ __all__ = [
     "reduce_vector",
     "vector_to_univariate",
     "univariate_to_vector",
-    "qc_shift",
 ]
 
 
@@ -164,35 +162,6 @@ class RgbPotBasis:
 
     def __repr__(self):
         return f"RgbPotBasis(ell={self.ell}, m={self.m})"
-
-
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class QuasiCyclicCode:
-    """A quasi-cyclic code presented by its canonical basis, with the
-    dimension k = ell*m - sum(deg g_ii) attached."""
-
-    basis: RgbPotBasis
-    k: int
-
-    def __init__(self, basis: RgbPotBasis):
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "k", dimension(basis))
-
-    @property
-    def ell(self) -> int:
-        return self.basis.ell
-
-    @property
-    def m(self) -> int:
-        return self.basis.m
-
-    @property
-    def field(self) -> Field:
-        return self.basis.field
-
-    def __repr__(self):
-        n = self.ell * self.m
-        return f"QuasiCyclicCode[{n}, {self.k}] (ell={self.ell}, m={self.m})"
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +348,3 @@ def univariate_to_vector(p: Poly, ell: int, m: int) -> PolyVector:
     for i in range(ell):
         comps.append(Poly(f, [p.coeff(ell * k + i) for k in range(m)]))
     return PolyVector(comps, m)
-
-
-def qc_shift(c: PolyVector, ell: int | None = None, m: int | None = None) -> PolyVector:
-    """Cyclic shift by ell positions of the length-ell*m codeword, done via
-    the univariate picture: multiply the interleaving by X mod X^(ell*m)-1."""
-    if ell is not None and ell != c.ell:
-        raise ShapeMismatch(f"ell={ell} does not match the vector's {c.ell}")
-    if m is not None and m != c.m:
-        raise ShapeMismatch(f"m={m} does not match the vector's {c.m}")
-    u = vector_to_univariate(c)
-    n = c.ell * c.m
-    rotated = [u.coeff((k - 1) % n) for k in range(n)]
-    return univariate_to_vector(Poly(c.field, rotated), c.ell, c.m)

@@ -102,63 +102,50 @@ def field_from_doc(doc) -> Field:
     return field_new(p, m, modulus.coeffs)
 
 
-def _rows_to_doc(rows) -> list:
-    return [[poly_to_text(entry) for entry in row] for row in rows]
+def _matrix_to_doc(field: Field, ell: int, m: int, rows) -> dict:
+    return {
+        "ell": ell,
+        "m": m,
+        "field": field_to_doc(field),
+        "rows": [[poly_to_text(entry) for entry in row] for row in rows],
+    }
 
 
-def _rows_from_doc(field: Field, rows, ell: int) -> list:
+def _matrix_from_doc(doc, cls, what: str):
+    """Read a basis or generating-matrix document into cls; a basis must
+    list exactly ell rows."""
+    ell = _require(doc, "ell", int, what)
+    m = _require(doc, "m", int, what)
+    _check_length(ell * m, f"{what} length ell*m")
+    _check_length(ell * ell, f"{what} entry count ell*ell")
+    field = field_from_doc(_require(doc, "field", dict, what))
+    rows = _require(doc, "rows", list, what)
+    if cls is RgbPotBasis and len(rows) != ell:
+        raise PolyParseError(f"{what} document must have exactly {ell} rows")
     out = []
     for row in rows:
         if not isinstance(row, list) or len(row) != ell:
             raise PolyParseError(f"each row must list exactly {ell} polynomials")
-        out.append([poly_from_text(field, _as_text(entry)) for entry in row])
-    return out
-
-
-def _as_text(entry) -> str:
-    if not isinstance(entry, str):
-        raise PolyParseError("matrix entries must be polynomial text strings")
-    return entry
+        if not all(isinstance(entry, str) for entry in row):
+            raise PolyParseError("matrix entries must be polynomial text strings")
+        out.append([poly_from_text(field, entry) for entry in row])
+    return cls(field, ell, m, out)
 
 
 def basis_to_doc(b: RgbPotBasis) -> dict:
-    return {
-        "ell": b.ell,
-        "m": b.m,
-        "field": field_to_doc(b.field),
-        "rows": _rows_to_doc(b.matrix),
-    }
+    return _matrix_to_doc(b.field, b.ell, b.m, b.matrix)
 
 
 def basis_from_doc(doc) -> RgbPotBasis:
-    ell = _require(doc, "ell", int, "basis")
-    m = _require(doc, "m", int, "basis")
-    _check_length(ell * m, "basis length ell*m")
-    _check_length(ell * ell, "basis entry count ell*ell")
-    field = field_from_doc(_require(doc, "field", dict, "basis"))
-    rows = _require(doc, "rows", list, "basis")
-    if len(rows) != ell:
-        raise PolyParseError(f"basis document must have exactly {ell} rows")
-    return RgbPotBasis(field, ell, m, _rows_from_doc(field, rows, ell))
+    return _matrix_from_doc(doc, RgbPotBasis, "basis")
 
 
 def generating_matrix_to_doc(g: GeneratingMatrix) -> dict:
-    return {
-        "ell": g.ell,
-        "m": g.m,
-        "field": field_to_doc(g.field),
-        "rows": _rows_to_doc(g.rows),
-    }
+    return _matrix_to_doc(g.field, g.ell, g.m, g.rows)
 
 
 def generating_matrix_from_doc(doc) -> GeneratingMatrix:
-    ell = _require(doc, "ell", int, "generating matrix")
-    m = _require(doc, "m", int, "generating matrix")
-    _check_length(ell * m, "generating matrix length ell*m")
-    _check_length(ell * ell, "generating matrix entry count ell*ell")
-    field = field_from_doc(_require(doc, "field", dict, "generating matrix"))
-    rows = _require(doc, "rows", list, "generating matrix")
-    return GeneratingMatrix(field, ell, m, _rows_from_doc(field, rows, ell))
+    return _matrix_from_doc(doc, GeneratingMatrix, "generating matrix")
 
 
 def cyclic_to_doc(code: CyclicCode) -> dict:

@@ -1,8 +1,12 @@
 """Tests for cyclotomic cosets, minimal polynomials, and cyclic codes."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +252,27 @@ def test_cyclic_code_via_factorization():
     for rep, p in factor_xm_minus_1(2, 17):
         c = cyclic_code_new(17, p)
         assert c.k == 17 - p.degree
+
+
+@pytest.mark.parametrize("m, factors", [
+    (3, "X+2147483646, X+634005912, X+1513477736"),  # roots in GF(p) itself
+    (4, "X+2147483646, X^2+1, X+1"),  # roots in GF(p^2), none in GF(p)
+])
+def test_large_prime_factor_runs_in_bounded_memory(m, factors):
+    # neither the decode table nor the root search may walk all p codes
+    pytest.importorskip("resource")
+    import qcproduct
+    src = str(Path(qcproduct.__file__).resolve().parent.parent)
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from qcproduct.cli import main\n"
+            f"sys.exit(main(['factor', '2147483647', '{m}']))")
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=src))
+    elapsed = time.perf_counter() - start
+    assert out.returncode == 0, out.stderr
+    found = [line.split(" = ")[1] for line in out.stdout.splitlines()[1:]]
+    assert ", ".join(found) == factors
+    assert elapsed < 10, f"factor took {elapsed:.2f} s"

@@ -95,7 +95,7 @@ def test_extension_field_axioms_random():
             assert f.sub(f.add(a, b), b) == a
             if a:
                 assert f.mul(a, f.inv(a)) == 1
-                assert f.div(b, a) == f.mul(b, f.inv(a))
+                assert (f(b) / f(a)).code == f.mul(b, f.inv(a))
 
 
 def test_fermat_in_random_fields():
@@ -112,7 +112,7 @@ def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         f.inv(0)
     with pytest.raises(DivisionByZero):
-        f.div(1, 0)
+        f.one / f.zero
 
 
 def test_custom_modulus_accepted_and_validated():
@@ -340,7 +340,7 @@ def check_against_reference(f, ref, a, b, c, e):
     assert f.add(a, b) == ref.digitwise(lambda x, y: x + y, a, b)
     assert f.sub(a, b) == ref.digitwise(lambda x, y: x - y, a, b)
     assert f.neg(a) == ref.digitwise(lambda x: -x, a)
-    assert f.smul(c, a) == ref.digitwise(lambda x: c * x, a)
+    assert f.mul(c, a) == ref.digitwise(lambda x: c * x, a)  # c < p is a constant
     assert f.mul(a, b) == ref.mul(a, b)
     if a:
         inv = f.inv(a)

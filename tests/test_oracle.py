@@ -336,11 +336,29 @@ def test_product_membership_shape_checks():
     M = outer_product_matrix(A, B, p, Poly(F2, (1, 1)), Poly(F2, (1, 0, 1)))
     with pytest.raises(DimensionMismatch):
         check_product_membership(CodewordMatrix(F2, [[1]]), A.basis(), B, p)
-    with pytest.raises(ParamMismatch):
-        check_product_membership(M, A.basis(), cyclic_code_new(3, Poly.one(F2)), p)
-    with pytest.raises(ParamMismatch):
-        check_product_membership(
-            M, OneLevelCode(Poly(F2, (1, 1)), [], 1, 3).basis(), B, p)
+    assert check_product_membership(M, A.basis(), B, p)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("row code shape", ParamMismatch, "row code shape"),
+    ("column length", ParamMismatch, "column code length"),
+    ("column field", FieldMismatch, "row and column codes"),
+    ("matrix field", FieldMismatch, "codeword matrix"),
+])
+def test_product_membership_input_errors(case, error, message):
+    A, B, p = product_instance()
+    M = outer_product_matrix(A, B, p, Poly(F2, (1, 1)), Poly(F2, (1, 0, 1)))
+    row_basis = A.basis()
+    if case == "row code shape":
+        row_basis = OneLevelCode(Poly(F2, (1, 1)), [], 1, 3).basis()
+    elif case == "column length":
+        B = cyclic_code_new(3, Poly.one(F2))
+    elif case == "column field":
+        B = cyclic_code_new(5, poly_from_text(F3, "X-1"))
+    else:
+        M = CodewordMatrix(F3, M.entries)
+    with pytest.raises(error, match=message):
+        check_product_membership(M, row_basis, B, p)
 
 
 def test_product_codewords_decode_to_row_and_column_structure():

@@ -14,7 +14,6 @@ from qcproduct import (
     NonPrefixPattern,
     Poly,
     PolyVector,
-    QuasiCyclicCode,
     RgbPotBasis,
     ShapeMismatch,
     dimension,
@@ -23,7 +22,6 @@ from qcproduct import (
     is_rgb_pot,
     level,
     minimal_polynomial,
-    qc_shift,
     reduce_vector,
     rgb_pot_reduce,
     univariate_to_vector,
@@ -229,13 +227,6 @@ def test_dimension_rejects_zero_diagonal():
         dimension(bad)
 
 
-def test_quasi_cyclic_code_wrapper():
-    code = QuasiCyclicCode(small_basis())
-    assert (code.ell, code.m, code.k) == (2, 3, 2)
-    assert code.field == F2
-    assert repr(code) == "QuasiCyclicCode[6, 2] (ell=2, m=3)"
-
-
 # ---------------------------------------------------------------------------
 # encoding and membership
 # ---------------------------------------------------------------------------
@@ -320,40 +311,3 @@ def test_interleaving_round_trip_random():
 def test_univariate_degree_bound():
     with pytest.raises(DegreeOverflow):
         univariate_to_vector(Poly.monomial(F2, 6), 2, 3)
-
-
-def test_qc_shift_frozen():
-    b = small_basis()
-    c = encode(b, (Poly(F2, (1, 1)), Poly.zero(F2)))
-    s = qc_shift(c)
-    assert [p.coeffs for p in s.components] == [(0, 1, 1), (1, 0, 1)]
-    assert reduce_vector(b, s).is_zero   # codewords shift to codewords
-    # shifting ell*m times is the identity
-    w = c
-    for _ in range(6):
-        w = qc_shift(w)
-    assert w == c
-
-
-def test_qc_shift_matches_index_roll():
-    rng = random.Random(331)
-    for _ in range(30):
-        ell = rng.randrange(1, 4)
-        m = rng.randrange(1, 6)
-        comps = [Poly(F3, [rng.randrange(3) for _ in range(m)])
-                 for _ in range(ell)]
-        v = PolyVector(comps, m)
-        n = ell * m
-        u = vector_to_univariate(v)
-        dense = [u.coeff(k) for k in range(n)]
-        rolled = [dense[(k - 1) % n] for k in range(n)]
-        assert vector_to_univariate(qc_shift(v)) == Poly(F3, rolled)
-
-
-def test_qc_shift_shape_checks():
-    v = PolyVector((Poly.one(F2), Poly.zero(F2)), 3)
-    assert qc_shift(v, 2, 3) == qc_shift(v)
-    with pytest.raises(ShapeMismatch):
-        qc_shift(v, 3, 3)
-    with pytest.raises(ShapeMismatch):
-        qc_shift(v, 2, 4)

@@ -16,7 +16,6 @@ from qcproduct import (
     OneLevelCode,
     Poly,
     PolyVector,
-    QuasiCyclicCode,
     bezout_pair,
     rgb_pot_reduce,
 )
@@ -37,7 +36,6 @@ VALUES = {
         [Poly(Field(2), (1,)), Poly(Field(2), (0,) * x + (1,))], 3),
     "GeneratingMatrix": _matrix,
     "RgbPotBasis": lambda x: rgb_pot_reduce(_matrix(x)),
-    "QuasiCyclicCode": lambda x: QuasiCyclicCode(rgb_pot_reduce(_matrix(x))),
     "ProductParams": lambda x: bezout_pair(2, 17, 2 * x + 1),
     "CodewordMatrix": lambda x: CodewordMatrix(Field(2), [[1, 0], [0, x % 2]]),
     "OneLevelCode": lambda x: OneLevelCode(
