@@ -39,7 +39,7 @@ from .cyclic import (
 from .errors import NonPrefixPattern, PolyParseError, QcError
 from .field import _parse_int, field_new
 from .oracle import expand_to_linear, is_quasi_cyclic, min_distance
-from .polyring import Poly, fold_mod_xm1
+from .polyring import Poly, modular_substitute
 from .product import (
     OneLevelCode,
     bezout_pair,
@@ -346,7 +346,7 @@ def _cmd_example(args) -> int:
     params = bezout_pair(2, 17, 3)
     product = one_level_product_rgb(code_a, code_b, params)
     g00, g01 = product.row()
-    presentation = fold_mod_xm1(g01 * Poly.monomial(f2, 17), 51)
+    presentation = modular_substitute(g01, 1, 51, 17)
 
     direct = unreduced_product_basis(code_a.basis(), code_b, params)
     reduced = rgb_pot_reduce(direct)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import (
     CoefficientNotInBaseField,
+    DegreeMismatch,
     IndexOutOfRange,
     NotADivisor,
     NotCoprime,
@@ -138,13 +139,14 @@ def _root_context(q: int, m: int):
         if theta is None:
             raise CoefficientNotInBaseField(
                 f"could not embed GF({q}) into {big!r}")
-        decode = {}
-        for code in range(q):
-            digits = base.coeffs_of(code)
-            image = 0
-            for idx, digit in enumerate(digits):  # digit d < p: the code of d
-                image = big.add(image, big.mul(digit, big.pow_(theta, idx)))
-            decode[image] = code
+        # Horner's rule on the base-p digits of each code: the image of
+        # code is theta * image(code // p) + (code % p), and a digit below
+        # p is its own code in the big field.  The list grows as it is
+        # filled, so a huge q is not allocated up front.
+        images = [0]
+        for code in range(1, q):
+            images.append(big.add(big.mul(theta, images[code // p]), code % p))
+        decode = {image: code for code, image in enumerate(images)}
     return base, big, alpha.code, decode
 
 
@@ -169,6 +171,8 @@ def minimal_polynomial(q: int, m: int, i: int) -> Poly:
 
 def cyclotomic_cosets(q: int, m: int) -> list[tuple[int, ...]]:
     """Every q-cyclotomic coset modulo m, ordered by smallest member."""
+    if m < 1:
+        raise DegreeMismatch(f"modulus m must be positive, got {m}")
     out = []
     seen = set()
     for i in range(m):

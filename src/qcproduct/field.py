@@ -395,7 +395,9 @@ class Field:
                     f"modulus degree {len(coeffs) - 1} does not match extension degree {m}")
             if coeffs[-1] != 1:
                 raise DegreeMismatch("modulus must be monic")
-            if m > 1 and not _is_irreducible(coeffs, p):
+            if m == 1:  # every monic X + c gives GF(p) itself
+                coeffs = (0, 1)
+            elif not _is_irreducible(coeffs, p):
                 raise NotIrreducible(
                     f"{coeffs_to_poly_text(coeffs)} is reducible over GF({p})")
         q = p ** m

@@ -21,7 +21,7 @@ from .errors import (
     TooLarge,
 )
 from .field import Field
-from .polyring import Poly
+from .polyring import Poly, modular_substitute
 from .product import (
     CodewordMatrix,
     ProductParams,
@@ -32,11 +32,9 @@ from .qcmodule import (
     GeneratingMatrix,
     RgbPotBasis,
     dimension,
-    encode,
     reduce_vector,
     rgb_pot_reduce,
     univariate_to_vector,
-    vector_to_univariate,
 )
 
 __all__ = [
@@ -127,32 +125,25 @@ class LinearCodeView:
         return f"LinearCodeView[{self.n}, {self.k}] over {self.field!r}"
 
 
-def _serialize(vec) -> list[int]:
-    """Flatten a polynomial vector into ell*m field codes via the
-    interleaving serialization."""
-    poly = vector_to_univariate(vec)
-    out = list(poly.coeffs)
-    out.extend([0] * (vec.ell * vec.m - len(out)))
-    return out
-
-
 def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
     """Expand a canonical basis into a generator matrix over GF(q): the
     rows are the serializations of X^t * (row i) for
-    0 <= t < m - deg(g_ii).  The rank check in LinearCodeView then verifies
+    0 <= t < m - deg(g_ii), coefficient e of entry j landing on position
+    ell*e + j.  The rank check in LinearCodeView then verifies
     independently that the basis dimension is honest."""
-    f = b.field
+    k = dimension(b)  # raises on a zero diagonal entry before any row is built
+    ell, m = b.ell, b.m
     rows = []
-    for i in range(b.ell):
-        free = b.m - b.matrix[i][i].degree
-        for t in range(free):
-            message = [Poly.monomial(f, t) if j == i else Poly.zero(f)
-                       for j in range(b.ell)]
-            rows.append(_serialize(encode(b, message)))
-    k = dimension(b)
+    for i, entries in enumerate(b.matrix):
+        for t in range(m - entries[i].degree):
+            row = [0] * (ell * m)
+            for j, entry in enumerate(entries):
+                for e, c in enumerate(modular_substitute(entry, 1, m, t).coeffs):
+                    row[ell * e + j] = c
+            rows.append(row)
     if len(rows) != k:
         raise RankMismatch(f"expanded {len(rows)} rows for stated dimension {k}")
-    return LinearCodeView(f, rows, b.ell * b.m)
+    return LinearCodeView(b.field, rows, ell * m)
 
 
 # ---------------------------------------------------------------------------

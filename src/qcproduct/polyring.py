@@ -4,8 +4,8 @@ Dense ascending coefficient representation (integer element codes, no
 trailing zeros; the zero polynomial has an empty coefficient tuple and degree
 ``-inf``).  Everything here is exact and immutable: ring arithmetic, division
 with remainder, monic (extended) gcds with a canonical cofactor convention,
-and the modular substitution X -> X^e (mod X^N - 1) that the product
-constructions apply with negative exponents.
+and the modular substitution p(X) -> p(X^e) * X^shift (mod X^N - 1) that
+the product constructions apply with negative exponents and shifts.
 
 Prime fields (``field.m == 1``) run on one packed-integer kernel, and each
 ``Poly`` method picks its kernel once per call, never per coefficient:
@@ -91,12 +91,6 @@ class Poly:
     @staticmethod
     def one(field: Field) -> "Poly":
         return _trusted(field, [1])
-
-    @staticmethod
-    def monomial(field: Field, exp: int, coeff: int = 1) -> "Poly":
-        if exp < 0:
-            raise DegreeMismatch("monomial exponent must be nonnegative")
-        return Poly(field, (0,) * exp + (coeff,))
 
     # -- basic queries -----------------------------------------------------
 
@@ -454,24 +448,25 @@ def poly_egcd(u: Poly, v: Poly):
     return r0.scale(c), s0.scale(c), t0.scale(c)
 
 
-def modular_substitute(p: Poly, e: int, N: int) -> Poly:
-    """p(X^e) reduced modulo X^N - 1, with e taken as its least nonnegative
-    residue mod N (so negative exponents mean inverse powers of X in the
-    quotient ring).  Colliding exponents are summed in the field."""
+def modular_substitute(p: Poly, e: int, N: int, shift: int = 0) -> Poly:
+    """p(X^e) * X^shift reduced modulo X^N - 1: coefficient k lands on
+    X^((k*e + shift) mod N), so negative e and shift mean inverse powers
+    of X in the quotient ring.  Colliding exponents are summed in the
+    field."""
     if N < 1:
         raise DegreeMismatch("modulus exponent N must be positive")
     f = p.field
-    e_res = e % N
+    e, shift = e % N, shift % N
     out = [0] * N
     if f.m == 1:  # integer sums, reduced once
         for k, c in enumerate(p.coeffs):
-            out[k * e_res % N] += c
+            out[(k * e + shift) % N] += c
         q = f.p
         return _trusted(f, [c % q for c in out])
     add = f.add
     for k, c in enumerate(p.coeffs):
         if c:
-            pos = (k * e_res) % N
+            pos = (k * e + shift) % N
             out[pos] = add(out[pos], c)
     return _trusted(f, out)
 

@@ -182,20 +182,16 @@ def matrix_to_components(M: CodewordMatrix, p: ProductParams) -> PolyVector:
     chosen so that interleaving the components reproduces
     :func:`matrix_to_univariate`."""
     _check_matrix(M, p)
-    f = M.field
     N = p.big_m
     comps = []
     for h in range(p.ell_a):
+        # g is a bijection, so each position receives exactly one entry
         acc = [0] * N
         for i in range(p.m_b):
             for j in range(p.m_a):
-                c = M.entries[i][j * p.ell_a + h]
-                if c:
-                    pos = map_g(i, j, p)
-                    acc[pos] = f.add(acc[pos], c)
-        inner = Poly(f, acc)
-        twist = Poly.monomial(f, (h * (-p.a * p.m_a)) % N)
-        comps.append(fold_mod_xm1(inner * twist, N))
+                acc[(map_g(i, j, p) - h * p.a * p.m_a) % N] = \
+                    M.entries[i][j * p.ell_a + h]
+        comps.append(Poly(M.field, acc))
     return PolyVector(comps, N)
 
 
@@ -227,7 +223,7 @@ class OneLevelCode:
         for fj in fs:
             if fj.field != field:
                 raise FieldMismatch("multiplier over a different field")
-            canon.append(fold_mod_xm1(fj, m) % cofactor if not cofactor.is_zero else fj)
+            canon.append(fold_mod_xm1(fj, m) % cofactor)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ell", int(ell))
         object.__setattr__(self, "m", int(m))
@@ -297,7 +293,6 @@ def unreduced_product_basis(G_A: RgbPotBasis, B: CyclicCode,
     f = G_A.field
     N = p.big_m
     gB_sub = modular_substitute(B.g, p.a * p.ell_a * p.m_a, N)
-    twists = [Poly.monomial(f, (-j * p.a * p.m_a) % N) for j in range(p.ell_a)]
     rows = []
     for i in range(p.ell_a):
         row = []
@@ -306,8 +301,8 @@ def unreduced_product_basis(G_A: RgbPotBasis, B: CyclicCode,
             if entry.is_zero:
                 row.append(Poly.zero(f))
                 continue
-            sub = modular_substitute(entry, p.b * p.m_b, N)
-            row.append(fold_mod_xm1(fold_mod_xm1(gB_sub * sub, N) * twists[j], N))
+            sub = modular_substitute(entry, p.b * p.m_b, N, -j * p.a * p.m_a)
+            row.append(fold_mod_xm1(gB_sub * sub, N))
         rows.append(row)
     return GeneratingMatrix(f, p.ell_a, N, rows)
 
@@ -324,9 +319,6 @@ def one_level_product_rgb(A: OneLevelCode, B: CyclicCode,
     gA_sub = modular_substitute(A.g, p.b * p.m_b, N)
     gB_sub = modular_substitute(B.g, p.a * p.ell_a * p.m_a, N)
     g = poly_gcd(x_pow_minus_one(f, N), fold_mod_xm1(gA_sub * gB_sub, N))
-    multipliers = []
-    for j in range(1, p.ell_a):
-        sub = modular_substitute(A.fs[j - 1], p.b * p.m_b, N)
-        twist = Poly.monomial(f, (-j * p.a * p.m_a) % N)
-        multipliers.append(fold_mod_xm1(sub * twist, N))
+    multipliers = [modular_substitute(A.fs[j - 1], p.b * p.m_b, N, -j * p.a * p.m_a)
+                   for j in range(1, p.ell_a)]
     return OneLevelCode(g, multipliers, p.ell_a, N)

@@ -96,8 +96,6 @@ def field_from_doc(doc) -> Field:
     p = _require(doc, "p", int, "field")
     m = _require(doc, "m", int, "field")
     text = _require(doc, "modulus", str, "field")
-    if m == 1:
-        return field_new(p)
     modulus = poly_from_text(field_new(p), text)
     return field_new(p, m, modulus.coeffs)
 

@@ -136,8 +136,7 @@ def test_acceptance_1_worked_example_goldens():
         problems.append(f"g01 degree {g01.degree}, expected 50")
     # undoing the column scaling X^(-a*m_a) on the second entry gives the
     # generator-row presentation; both forms are pinned
-    monomial = Poly.monomial(F2, 17)
-    presentation = modular_substitute(g01 * monomial, 1, 51)
+    presentation = modular_substitute(g01 * Poly(F2, (0,) * 17 + (1,)), 1, 51)
     if exponents(presentation) != G01_PRESENTATION_EXPS:
         problems.append("g01 with the column scaling undone does not match")
     finish(1, "worked-example goldens", problems,

@@ -386,6 +386,36 @@ def test_oversized_document_length_exits_3(make_argv, tmp_path, capsys):
     assert err["error"]["type"] == "TooLarge"
 
 
+@pytest.mark.parametrize("command", ["mindist", "verify"])
+def test_zero_diagonal_exits_3(command, tmp_path, capsys):
+    doc = row_code_doc()
+    doc["rows"][1][1] = "0"
+    assert main([command, write_json(tmp_path / "A.json", doc)]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"]["type"] == "DegreeMismatch"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["cosets", "2", "-3"], ["factor", "4", "-1"],
+                                  ["cosets", "2", "0"]])
+def test_nonpositive_length_exits_3(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"]["type"] == "DegreeMismatch"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("modulus, code, kind", [
+    ("not a polynomial", 2, "PolyParseError"),
+    ("X^2+X+1", 3, "DegreeMismatch"),
+])
+def test_bad_prime_field_modulus_exits(modulus, code, kind, tmp_path, capsys):
+    doc = small_matrix_doc()
+    doc["field"]["modulus"] = modulus
+    assert main(["reduce", write_json(tmp_path / "G.json", doc)]) == code
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == kind
+
+
 def test_mindist_limit_exits_3(tmp_path, capsys):
     path = write_json(tmp_path / "A.json", row_code_doc())
     assert main(["mindist", path, "--limit", "8"]) == 3

@@ -12,6 +12,7 @@ import pytest
 
 from qcproduct import (
     CyclicCode,
+    DegreeMismatch,
     IndexOutOfRange,
     NotADivisor,
     NotCoprime,
@@ -65,6 +66,12 @@ def test_coset_argument_validation():
         cyclotomic_coset(2, 7, 7)
     with pytest.raises(IndexOutOfRange):
         cyclotomic_coset(2, 7, -1)
+    # a length below 1 has no cosets and no factorization
+    for m in (0, -1, -3):
+        with pytest.raises(DegreeMismatch):
+            cyclotomic_cosets(2, m)
+    with pytest.raises(DegreeMismatch):
+        factor_xm_minus_1(4, -1)
 
 
 def test_cosets_partition_the_residues():

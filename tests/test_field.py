@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcproduct import (
+    DegreeMismatch,
     DivisionByZero,
     NoSuchRoot,
     NotIrreducible,
@@ -166,6 +167,18 @@ def test_field_equality_and_hash():
     assert hash(field_new(3)) == hash(field_new(3))
     custom = field_new(2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1))
     assert custom != field_new(2, 8)
+
+
+def test_prime_field_modulus_is_normalised():
+    # every monic degree-1 modulus X + c gives the same field GF(p)
+    assert Field(2, 1, (1, 1)) == Field(2)
+    assert hash(Field(2, 1, (1, 1))) == hash(Field(2))
+    assert Field(5, 1, "X+3") == Field(5)
+    assert Field(5, 1, "X+3").modulus == (0, 1)
+    with pytest.raises(DegreeMismatch):
+        Field(2, 1, (1, 1, 1))
+    with pytest.raises(DegreeMismatch):
+        Field(3, 1, (1, 2))  # not monic
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ The files under ``tests/golden`` are input documents and the exact stdout
 that ``qcproduct --format json <command> ...`` printed for them: the
 reduce, product, verify and example-sec4 outputs from before reduction
 learned to work modulo X^m - 1, the maps, cosets, factor, minpoly and
-mindist outputs from before the value classes became frozen dataclasses.
+mindist outputs from before the value classes became frozen dataclasses,
+and the GF(4), GF(9) and GF(16) factor and minpoly outputs, which embed
+GF(q) into a larger field of the same characteristic, from before that
+embedding's decode table was built by Horner's rule.
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -29,6 +32,9 @@ CASES = {
     "maps_2_17_3": ["maps", "2", "17", "3"],
     "cosets_2_17": ["cosets", "2", "17"],
     "factor_3_8": ["factor", "3", "8"],
+    "factor_4_23": ["factor", "4", "23"],
+    "factor_9_10": ["factor", "9", "10"],
+    "minpoly_16_17_1": ["minpoly", "16", "17", "1"],
     "minpoly_2_17_3": ["minpoly", "2", "17", "3"],
     "mindist_row_code_gf2": ["mindist", "row_code_gf2.json"],
 }

@@ -8,6 +8,7 @@ import pytest
 
 from qcproduct import (
     CodewordMatrix,
+    DegreeMismatch,
     DimensionMismatch,
     FieldMismatch,
     GeneratingMatrix,
@@ -16,6 +17,7 @@ from qcproduct import (
     ParamMismatch,
     Poly,
     RankMismatch,
+    RgbPotBasis,
     ShapeMismatch,
     TooLarge,
     bezout_pair,
@@ -100,6 +102,33 @@ def test_expand_matches_stated_dimension_randomly():
         # LinearCodeView re-derives the rank; agreeing shapes mean the
         # polynomial dimension formula matches honest linear algebra
         assert v.n == ell * m
+
+
+def test_expand_rows_are_encoded_shifts():
+    # row (i, t) is the serialization of the codeword with message X^t e_i,
+    # computed here through the encoder
+    rng = random.Random(8)
+    for field in (F2, F4, F9):
+        for _ in range(6):
+            ell, m = rng.randrange(1, 4), rng.randrange(2, 7)
+            rows = [[Poly(field, [rng.randrange(field.q) for _ in range(m)])
+                     for _ in range(ell)] for _ in range(2)]
+            b = rgb_pot_reduce(GeneratingMatrix(field, ell, m, rows))
+            expected = []
+            for i in range(ell):
+                for t in range(m - b.matrix[i][i].degree):
+                    msg = [Poly(field, (0,) * t + (1,)) if j == i else Poly.zero(field)
+                           for j in range(ell)]
+                    codes = vector_to_univariate(encode(b, msg)).coeffs
+                    expected.append(codes + (0,) * (ell * m - len(codes)))
+            assert expand_to_linear(b).matrix == tuple(expected)
+
+
+def test_expand_zero_diagonal_raises_degree_mismatch():
+    b = RgbPotBasis(F2, 2, 3, [[Poly(F2, (1, 1)), Poly(F2, (1,))],
+                               [Poly.zero(F2), Poly.zero(F2)]])
+    with pytest.raises(DegreeMismatch):
+        expand_to_linear(b)
 
 
 # ---------------------------------------------------------------------------

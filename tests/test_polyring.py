@@ -55,13 +55,11 @@ def test_coefficients_out_of_range_rejected():
 
 
 def test_monomial_and_coeff_lookup():
-    p = Poly.monomial(F3, 4, 2)
+    p = Poly(F3, (0,) * 4 + (2,))
     assert p.coeffs == (0, 0, 0, 0, 2)
     assert p.coeff(4) == 2
     assert p.coeff(0) == 0
     assert p.coeff(99) == 0
-    with pytest.raises(DegreeMismatch):
-        Poly.monomial(F3, -1)
 
 
 def test_poly_is_immutable_and_hashable():
@@ -275,6 +273,20 @@ def test_modular_substitute_reduces_high_degrees():
     assert r.coeffs == (1, 1)
     with pytest.raises(DegreeMismatch):
         modular_substitute(p, 1, 0)
+
+
+def test_modular_substitute_shift():
+    # p(X^e) * X^shift: coefficient k lands on (k*e + shift) mod N
+    p = Poly(F3, (1, 2))             # 2X + 1
+    assert modular_substitute(p, 1, 5, 3).coeffs == (0, 0, 0, 1, 2)
+    assert modular_substitute(p, 2, 5, 4).coeffs == (0, 2, 0, 0, 1)
+    assert modular_substitute(p, -1, 5, -1) == modular_substitute(p, 4, 5, 9)
+    # the shift is multiplication by X^shift folded mod X^N - 1
+    for shift in range(-7, 8):
+        x_shift = Poly(F3, (0,) * (shift % 5) + (1,))
+        assert modular_substitute(p, 3, 5, shift) == \
+            fold_mod_xm1(modular_substitute(p, 3, 5) * x_shift, 5)
+    assert modular_substitute(Poly.zero(F3), 2, 5, 1).is_zero
 
 
 def test_fold_mod_xm1():

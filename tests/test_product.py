@@ -196,7 +196,7 @@ def test_matrix_serialization_shape_checks():
     with pytest.raises(DimensionMismatch):
         matrix_to_univariate(CodewordMatrix(F2, [[1]]), p)
     with pytest.raises(DegreeOverflow):
-        univariate_to_matrix(Poly.monomial(F2, 30), p)
+        univariate_to_matrix(Poly(F2, (0,) * 30 + (1,)), p)
 
 
 def test_components_agree_with_serialization():
@@ -399,13 +399,13 @@ def test_product_span_small_instance():
     # serialized basis codewords of the row code
     a_words = []
     for t in range(A.k):
-        msg = (Poly.monomial(F2, t), Poly.zero(F2))
+        msg = (Poly(F2, (0,) * t + (1,)), Poly.zero(F2))
         u = vector_to_univariate(encode(A.basis(), msg))
         a_words.append([u.coeff(s) for s in range(6)])
     # basis codewords of the column code
     b_words = []
     for t in range(B.k):
-        w = Poly.monomial(F2, t) * B.g
+        w = Poly(F2, (0,) * t + (1,)) * B.g
         b_words.append([w.coeff(s) for s in range(5)])
 
     # every outer product b (x) a must land in the product code

@@ -310,4 +310,4 @@ def test_interleaving_round_trip_random():
 
 def test_univariate_degree_bound():
     with pytest.raises(DegreeOverflow):
-        univariate_to_vector(Poly.monomial(F2, 6), 2, 3)
+        univariate_to_vector(Poly(F2, (0,) * 6 + (1,)), 2, 3)

@@ -44,7 +44,7 @@ def shift_span_rref(gen):
     rows = []
     for row in gen.rows:
         for t in range(m):
-            shift = Poly.monomial(f, t)
+            shift = Poly(f, (0,) * t + (1,))
             vec = PolyVector([fold_mod_xm1(p * shift, m) for p in row], m)
             codes = list(vector_to_univariate(vec).coeffs)
             rows.append(codes + [0] * (gen.ell * m - len(codes)))
@@ -87,6 +87,6 @@ def test_unimodular_scramble_reduces_to_the_same_basis(gen, data):
         elif kind == "kernel":
             k = data.draw(st.integers(0, ell - 1))
             mult = data.draw(polys(f, m))
-            rows[i][k] = rows[i][k] + mult * Poly.monomial(f, m) - mult
+            rows[i][k] = rows[i][k] + mult * Poly(f, (0,) * m + (1,)) - mult
     scrambled = GeneratingMatrix(f, ell, m, rows)
     assert rgb_pot_reduce(scrambled) == rgb_pot_reduce(gen)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from qcproduct import (
+    DegreeMismatch,
     GeneratingMatrix,
     Poly,
     PolyParseError,
@@ -99,6 +100,18 @@ def test_field_doc_validation():
         field_from_doc({"p": "2", "m": 1, "modulus": "X"})
     with pytest.raises(PolyParseError):
         field_from_doc([])
+    # a prime field's modulus is read and checked like any other
+    with pytest.raises(PolyParseError):
+        field_from_doc({"p": 2, "m": 1, "modulus": "not a polynomial"})
+    with pytest.raises(DegreeMismatch):
+        field_from_doc({"p": 2, "m": 1, "modulus": "X^2+X+1"})
+    assert field_from_doc({"p": 3, "m": 1, "modulus": "X+1"}) == F3
+
+
+def test_prime_field_doc_round_trip_from_any_modulus():
+    field = field_new(2, 1, (1, 1))
+    assert field_to_doc(field) == field_to_doc(F2)
+    assert field_from_doc(field_to_doc(field)) == field == F2
 
 
 # ---------------------------------------------------------------------------
