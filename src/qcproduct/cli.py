@@ -8,7 +8,7 @@ Subcommands:
 * ``reduce basis.json``     canonical form of a generating matrix
 * ``product A.json B.json`` product-code bases (direct and closed-form)
 * ``maps ell_a m_a m_b``    serialization index table as CSV
-* ``mindist basis.json``    exhaustive minimum distance
+* ``mindist basis.json``    exact minimum distance
 * ``verify basis.json``     canonical-form conditions and shift closure
 * ``example-sec4``          built-in worked example with golden outputs
 
@@ -38,7 +38,12 @@ from .cyclic import (
 )
 from .errors import NonPrefixPattern, PolyParseError, QcError
 from .field import _parse_int, field_new
-from .oracle import expand_to_linear, is_quasi_cyclic, min_distance
+from .oracle import (
+    _distance_search,
+    expand_to_linear,
+    is_quasi_cyclic,
+    min_distance,
+)
 from .polyring import Poly, modular_substitute
 from .product import (
     OneLevelCode,
@@ -118,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mindist", help="exact minimum distance by enumeration")
     p.add_argument("basis", metavar="basis.json")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel enumeration processes (default: 1)")
+                   help="processes for the exhaustive walk (default: 1)")
     p.add_argument("--limit", type=int, default=1 << 26,
                    help="enumeration guard: refuse more than this many messages")
 
@@ -283,13 +288,12 @@ def _cmd_mindist(args) -> int:
     basis = basis_from_doc(_load_json(args.basis))
     view = expand_to_linear(basis)
     start = time.perf_counter()
-    d = min_distance(view, workers=args.workers, limit=args.limit)
+    d, enumerated, search = _distance_search(view, args.workers, args.limit)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    enumerated = view.field.q ** view.k - 1 if view.k else 0
     doc = {"n": view.n, "k": view.k, "d": d,
            "elapsed_ms": None, "enumerated": enumerated}
     lines = [f"[n={view.n}, k={view.k}] code: minimum distance d={d}",
-             f"enumerated {enumerated} nonzero codewords "
+             f"{search} search enumerated {enumerated} nonzero codewords "
              f"in {elapsed_ms:.1f} ms"]
     return _report(args, doc, lines)
 

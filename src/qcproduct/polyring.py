@@ -256,14 +256,19 @@ class Poly:
 _set_field, _set_coeffs = Poly.field.__set__, Poly.coeffs.__set__
 
 
+def _strip(codes: list) -> list:
+    """The list with its trailing zeros removed in place."""
+    while codes and codes[-1] == 0:
+        codes.pop()
+    return codes
+
+
 def _trusted(field: Field, codes: list) -> Poly:
     """A Poly from codes that ``Field`` operations made out of validated
     codes: trailing zeros are stripped in place, the other checks skipped."""
-    while codes and codes[-1] == 0:
-        codes.pop()
     p = object.__new__(Poly)
     _set_field(p, field)
-    _set_coeffs(p, tuple(codes))
+    _set_coeffs(p, tuple(_strip(codes)))
     return p
 
 
@@ -398,6 +403,43 @@ def _egcd2(u: int, v: int):
     return r0, s0, t0
 
 
+def _egcd_p(f: Field, u, v):
+    """poly_egcd on code lists over GF(p), p odd: Euclid's loop with
+    `_divmod_p`, a Poly built only for the results.  A cofactor update
+    a - q*b takes one pass over the longer factor per term of the shorter,
+    reduced mod p once; Euclid's quotients mostly have one or two terms.
+    When both factors have more than 16 terms it is a Kronecker product
+    and one addition instead."""
+    p = f.p
+
+    def minus_product(a, q, b):  # a - q*b
+        if not q or not b:
+            return a
+        if len(q) > len(b):
+            q, b = b, q
+        if len(q) > 16:
+            return _strip(_add(f, a, _neg(f, _kronecker_mul(p, q, b))))
+        out = a + [0] * (len(q) + len(b) - 1 - len(a))
+        nb = len(b)
+        for i, c in enumerate(q):
+            if c:
+                out[i:i + nb] = [x - c * y for x, y in zip(out[i:i + nb], b)]
+        return _strip([x % p for x in out])
+
+    r0, r1, s0, s1, t0, t1 = list(u), list(v), [1], [], [], [1]
+    while r1:
+        if len(r0) < len(r1):
+            q, r = [], r0
+        else:
+            q, r = _divmod_p(p, r0, r1)
+        r0, r1 = r1, _strip(r)
+        s0, s1 = s1, minus_product(s0, q, s1)
+        t0, t1 = t1, minus_product(t0, q, t1)
+    c = pow(r0[-1], -1, p)
+    return ([c * x % p for x in r0], [c * x % p for x in s0],
+            [c * x % p for x in t0])
+
+
 def x_pow_minus_one(field: Field, m: int) -> Poly:
     """The polynomial X^m - 1 over the field."""
     if m < 1:
@@ -436,6 +478,8 @@ def poly_egcd(u: Poly, v: Poly):
     if f.q == 2:
         return tuple(_from_mask(f, x)
                      for x in _egcd2(_to_mask(u.coeffs), _to_mask(v.coeffs)))
+    if f.m == 1:
+        return tuple(_trusted(f, x) for x in _egcd_p(f, u.coeffs, v.coeffs))
     r0, r1 = u, v
     s0, s1 = Poly.one(f), Poly.zero(f)
     t0, t1 = Poly.zero(f), Poly.one(f)

@@ -146,6 +146,23 @@ def test_mindist_pretty_has_timing(tmp_path, capsys):
     assert main(["mindist", path]) == 0
     out = capsys.readouterr().out
     assert "d=11" in out and " ms" in out
+    assert "exhaustive search enumerated 511 nonzero codewords" in out
+
+
+def test_mindist_reports_what_brouwer_zimmermann_enumerated(tmp_path, capsys):
+    # a [34, 16] code whose Brouwer-Zimmermann worst case is below 2^16 - 1:
+    # the count is the messages that search enumerated, not q^k - 1
+    m0 = minimal_polynomial(2, 17, 0)
+    basis = OneLevelCode(m0, [Poly(F2, (0, 1, 1))], 2, 17).basis()
+    path = write_json(tmp_path / "C.json", basis_to_doc(basis))
+    assert main(["--format", "json", "mindist", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["n"], doc["k"], doc["d"]) == (34, 16, 4)
+    assert 0 < doc["enumerated"] < 2 ** 16 - 1
+    assert main(["mindist", path]) == 0
+    out = capsys.readouterr().out
+    assert (f"Brouwer-Zimmermann search enumerated {doc['enumerated']} "
+            "nonzero codewords") in out
 
 
 def test_verify_command(tmp_path, capsys):

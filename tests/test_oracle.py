@@ -1,10 +1,13 @@
 """Tests for the linear-algebra ground-truth checks: basis expansion,
 exhaustive minimum distance, shift closure, and membership."""
 
+import math
 import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcproduct import (
     CodewordMatrix,
@@ -23,6 +26,7 @@ from qcproduct import (
     bezout_pair,
     check_product_membership,
     cyclic_code_new,
+    cyclotomic_coset,
     encode,
     expand_to_linear,
     field_new,
@@ -164,15 +168,17 @@ def test_min_distance_row_code_golden():
 
 
 def test_min_distance_workers_agree(monkeypatch):
-    # k = 16 puts the search just over the threshold where extra workers
-    # actually fork; the answer must not depend on the split.  Three CPUs
-    # are assumed so the real process pool runs on any machine.
+    # k = 16 puts the exhaustive walk just over the threshold where extra
+    # workers actually fork; the answer must not depend on the split.
+    # Three CPUs are assumed so the real process pool runs on any machine.
+    # min_distance itself takes Brouwer-Zimmermann on this code, so the
+    # walk is called directly.
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
     m0 = minimal_polynomial(2, 17, 0)
     v = expand_to_linear(OneLevelCode(m0, [Poly(F2, (0, 1, 1))], 2, 17).basis())
     assert v.k == 16
-    assert min_distance(v) == 4
-    assert min_distance(v, workers=3) == 4
+    assert oracle._exhaustive_min(v) == 4
+    assert oracle._exhaustive_min(v, workers=3) == 4
 
 
 def test_min_distance_clamps_workers_to_cpu_count(monkeypatch):
@@ -201,10 +207,10 @@ def test_min_distance_clamps_workers_to_cpu_count(monkeypatch):
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
     m0 = minimal_polynomial(2, 17, 0)
     v = expand_to_linear(OneLevelCode(m0, [Poly(F2, (0, 1, 1))], 2, 17).basis())
-    assert min_distance(v, workers=10 ** 6) == 4
+    assert oracle._exhaustive_min(v, workers=10 ** 6) == 4
     assert sizes == [3]
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
-    assert min_distance(v, workers=8) == 4
+    assert oracle._exhaustive_min(v, workers=8) == 4
     assert sizes == [3]  # one CPU: searched in this process
 
 
@@ -263,6 +269,110 @@ def test_min_distance_matches_brute_force():
         bounds = [0, total // 3, 2 * total // 3, total]
         assert min(oracle._range_min(*args, lo, hi)
                    for lo, hi in zip(bounds, bounds[1:]) if lo < hi) == best
+
+
+# ---------------------------------------------------------------------------
+# Brouwer-Zimmermann against the exhaustive walk
+# ---------------------------------------------------------------------------
+
+@st.composite
+def linear_codes(draw):
+    """A full-rank code over GF(2), GF(3), GF(4) or GF(9) with q^k <= 2^16:
+    [I | A] with its rows mixed and its columns permuted, so the search
+    starts from a matrix that is not systematic on any leading block."""
+    field = draw(st.sampled_from((F2, F3, F4, F9)))
+    k = draw(st.integers(1, int(math.log(1 << 16, field.q) + 1e-9)))
+    n = draw(st.integers(k, k + 24))
+    codes = st.integers(0, field.q - 1)
+    rows = [[int(i == j) for j in range(k)]
+            + draw(st.lists(codes, min_size=n - k, max_size=n - k))
+            for i in range(k)]
+    for i in range(1, k):  # add multiples of earlier rows: rank unchanged
+        for j in range(i):
+            c = draw(codes)
+            rows[i] = [field.add(a, field.mul(c, b))
+                       for a, b in zip(rows[i], rows[j])]
+    order = draw(st.permutations(range(n)))
+    return LinearCodeView(field, [[row[j] for j in order] for row in rows])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(linear_codes())
+def test_brouwer_zimmermann_matches_exhaustive(view):
+    worst, search = oracle._brouwer_zimmermann(view)
+    d, enumerated = search()
+    assert d == oracle._exhaustive_min(view)
+    assert 0 < enumerated <= worst
+
+
+def test_min_distance_takes_exhaustive_walk_when_bz_count_is_larger():
+    # the golden [34, 9] row code: four information sets (new pivots
+    # 9, 9, 9, 7) and a lightest systematic row of weight 11 put the
+    # worst case at 4 * (9 + 36 + 84) = 516 >= 2^9 - 1
+    m0 = minimal_polynomial(2, 17, 0)
+    m1 = minimal_polynomial(2, 17, 1)
+    f1 = m0 ** 3 * Poly(F2, (1, 0, 1, 1))
+    v = expand_to_linear(OneLevelCode(m1, [f1], 2, 17).basis())
+    assert oracle._brouwer_zimmermann(v)[0] == 516
+    assert oracle._distance_search(v) == (11, 511, "exhaustive")
+
+
+def test_min_distance_takes_bz_when_its_count_is_smaller():
+    m0 = minimal_polynomial(2, 17, 0)
+    v = expand_to_linear(OneLevelCode(m0, [Poly(F2, (0, 1, 1))], 2, 17).basis())
+    worst, _ = oracle._brouwer_zimmermann(v)
+    d, enumerated, search = oracle._distance_search(v)
+    assert (d, search) == (4, "Brouwer-Zimmermann")
+    assert enumerated <= worst < 2 ** 16 - 1
+
+
+def test_limit_is_checked_before_either_search(monkeypatch):
+    monkeypatch.setattr(oracle, "_packed_rows", None)  # any search fails
+    with pytest.raises(TooLarge):
+        min_distance(one_level_view(F2, "X^3+X+1", 7), limit=8)
+
+
+def _random_divisor(field, m, rng):
+    """A random proper divisor of X^m - 1 of positive degree, the product
+    of the minimal polynomials of some cyclotomic cosets."""
+    reps, seen = [], set()
+    for i in range(m):
+        if i not in seen:
+            seen.update(cyclotomic_coset(field.q, m, i))
+            reps.append(i)
+    while True:
+        picked = [i for i in reps if rng.random() < 0.5]
+        g = Poly.one(field)
+        for i in picked:
+            g = g * minimal_polynomial(field.q, m, i)
+        if 0 < g.degree < m:
+            return g
+
+
+@pytest.mark.parametrize("field, shapes", [
+    (F2, ((2, 3, 7), (2, 7, 5), (3, 5, 7), (2, 9, 5), (2, 5, 9))),
+    (F3, ((2, 4, 5), (2, 5, 7), (3, 4, 5), (2, 8, 5))),
+    (F4, ((2, 5, 7), (3, 3, 5), (2, 7, 3))),
+])
+def test_product_distance_is_product_of_distances(field, shapes):
+    # d(A (x) B) = d_A * d_B (MacWilliams and Sloane, ch. 18) on random
+    # one-level products; min_distance takes either search on the factors
+    # and the product
+    rng = random.Random(2015 + field.q)
+    for ell_a, m_a, m_b in shapes * 2:
+        while True:
+            g_a, g_b = _random_divisor(field, m_a, rng), _random_divisor(field, m_b, rng)
+            k_a, k_b = m_a - g_a.degree, m_b - g_b.degree
+            if field.q ** (k_a * k_b) <= 1 << 20:
+                break
+        fs = [Poly(field, [rng.randrange(field.q) for _ in range(m_a)])
+              for _ in range(ell_a - 1)]
+        A = OneLevelCode(g_a, fs, ell_a, m_a)
+        B = cyclic_code_new(m_b, g_b)
+        prod = one_level_product_rgb(A, B, bezout_pair(ell_a, m_a, m_b))
+        d_a = min_distance(expand_to_linear(A.basis()))
+        d_b = min_distance(expand_to_linear(RgbPotBasis(field, 1, m_b, [[g_b]])))
+        assert min_distance(expand_to_linear(prod.basis())) == d_a * d_b
 
 
 # ---------------------------------------------------------------------------

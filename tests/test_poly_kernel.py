@@ -174,6 +174,22 @@ def test_egcd_corners(p):
             Poly(f, c) for c in ref_egcd(x.coeffs, y.coeffs, p))
 
 
+@pytest.mark.parametrize("p", (3, 5, 65521))
+def test_egcd_long_quotients(p):
+    # u = a*v + r and v = b*r + 1 with 18-term a and b: the second step
+    # updates the cofactor -a by the quotient b, both longer than the
+    # 16 terms where the odd-p loop switches to a Kronecker product
+    f = FIELDS[p]
+    a = [(7 * i + 1) % p for i in range(17)] + [1]
+    b = [(5 * i + 3) % p for i in range(17)] + [1]
+    r = [2, 0, 1, 1]
+    v = ref_sub(ref_mul(b, r, p), [p - 1], p)
+    u = ref_sub(ref_mul(a, v, p), [(p - c) % p for c in r], p)
+    g, s, t = poly_egcd(Poly(f, u), Poly(f, v))
+    assert (g.coeffs, s.coeffs, t.coeffs) == tuple(map(tuple, ref_egcd(u, v, p)))
+    assert g == Poly.one(f) and t.degree == 34
+
+
 def _boundaries():
     """(p, length, slot bytes) on both sides of every slot-width boundary
     (p-1)^2 * length = 2^(8k) with length below 2^15: the largest length
@@ -208,13 +224,13 @@ def test_every_slot_width_is_reached():
 # one kernel per call: no per-coefficient Field calls, no re-validation
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("p", (2, 3, 5))
 def test_prime_field_kernel_makes_no_field_calls(p, monkeypatch):
     f = FIELDS[p]
     u = Poly(f, [(3 * k * k + 1) % p for k in range(70)] + [1])
     v = Poly(f, [(5 * k + 2) % p for k in range(61)] + [1])
     calls = []
-    for name in ("mul", "add", "sub", "neg"):
+    for name in ("mul", "add", "sub", "neg", "inv"):
         original = getattr(Field, name)
         monkeypatch.setattr(Field, name, lambda self, *args, _o=original, _n=name:
                             calls.append(_n) or _o(self, *args))
@@ -224,6 +240,23 @@ def test_prime_field_kernel_makes_no_field_calls(p, monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert q * v + r == prod + u and s * u + t * v == g
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_prime_field_egcd_builds_only_its_results(p, monkeypatch):
+    # the Euclid loop runs on bitmasks (p = 2) or code lists (odd p): the
+    # only Poly objects built are the three results
+    f = FIELDS[p]
+    u = Poly(f, [(3 * k * k + 1) % p for k in range(70)] + [1])
+    v = Poly(f, [(5 * k + 2) % p for k in range(61)] + [1])
+    built = []
+    trusted = polyring._trusted
+    monkeypatch.setattr(polyring, "_trusted",
+                        lambda *args: built.append(args) or trusted(*args))
+    g, s, t = poly_egcd(u, v)
+    monkeypatch.undo()
+    assert len(built) == 3
+    assert s * u + t * v == g
 
 
 def test_internal_results_skip_validation(monkeypatch):
