@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="processes for the exhaustive walk (default: 1)")
     p.add_argument("--limit", type=int, default=1 << 26,
-                   help="enumeration guard: refuse more than this many messages")
+                   help="refuse a code with more than this many messages q^k")
 
     p = sub.add_parser("verify",
                        help="check canonical-form conditions and shift closure")
