@@ -24,7 +24,7 @@ from .errors import (
     NotPrime,
     TooLarge,
 )
-from .field import _MAX_CHARACTERISTIC, Field, FieldElement, nth_root_of_unity
+from .field import _MAX_CHARACTERISTIC, Field, nth_root_of_unity
 from .polyring import Poly, x_pow_minus_one
 
 __all__ = [
@@ -132,8 +132,8 @@ def _root_context(q: int, m: int):
         for k in range(1, n + 1):
             if math.gcd(k, n) != 1:
                 continue
-            cand = big.pow_(zeta.code, k)
-            if modulus_poly(FieldElement(big, cand)).code == 0:
+            cand = big.pow_(zeta, k)
+            if modulus_poly(cand) == 0:
                 theta = cand
                 break
         if theta is None:
@@ -147,7 +147,7 @@ def _root_context(q: int, m: int):
         for code in range(1, q):
             images.append(big.add(big.mul(theta, images[code // p]), code % p))
         decode = {image: code for code, image in enumerate(images)}
-    return base, big, alpha.code, decode
+    return base, big, alpha, decode
 
 
 def minimal_polynomial(q: int, m: int, i: int) -> Poly:

@@ -3,10 +3,9 @@
 A :class:`Field` owns the characteristic ``p``, extension degree ``m`` and a
 monic irreducible modulus over GF(p).  Elements are represented canonically as
 integer *codes*: the base-``p`` digits of the code are the polynomial-basis
-coefficients, so for p = 2 the code is the familiar bitmask.  The code-level
-operations (:meth:`Field.add`, :meth:`Field.mul`, ...) are the fast path used
-by the polynomial layer; :class:`FieldElement` wraps a code with operator
-overloading for direct use.
+coefficients, so for p = 2 the code is the familiar bitmask.  The code is the
+only representation of an element: :meth:`Field.add`, :meth:`Field.mul` and
+the other operations take and return codes.
 
 Extension fields with q <= 2^12 run on exp/log tables and, for odd
 characteristic, a Zech-logarithm table (Lidl and Niederreiter, *Finite
@@ -27,13 +26,12 @@ polynomials over arbitrary fields.
 from __future__ import annotations
 
 import functools
+import operator
 import re
-from dataclasses import dataclass
 
 from .errors import (
     DegreeMismatch,
     DivisionByZero,
-    FieldMismatch,
     NoSuchRoot,
     NotIrreducible,
     NotPrime,
@@ -42,7 +40,6 @@ from .errors import (
 
 __all__ = [
     "Field",
-    "FieldElement",
     "field_new",
     "nth_root_of_unity",
     "poly_text_to_coeffs",
@@ -84,10 +81,11 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _monic_candidates(p: int, deg: int):
-    """All monic polynomials of the given degree over GF(p), one at a time,
-    in the order of their coefficients read high-to-low in base p."""
-    for code in range(p ** deg):
+def _monic_candidates(p: int, deg: int, start: int = 0):
+    """The monic polynomials of the given degree over GF(p), one at a time,
+    in the order of their coefficients read high-to-low in base p, from the
+    one whose lower coefficients are the base-p digits of start."""
+    for code in range(start, p ** deg):
         yield tuple(_digits(code, p, deg)) + (1,)
 
 
@@ -218,10 +216,17 @@ def _prime_field(p: int) -> "Field":
 @functools.lru_cache(maxsize=None)
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over GF(p),
-    comparing coefficients high-to-low."""
+    comparing coefficients high-to-low.
+
+    The first p candidates are the binomials X^m + c.  Some X^m - a is
+    irreducible iff every prime factor of m divides p - 1 and, when 4 | m,
+    p = 1 (mod 4) (Lidl and Niederreiter, *Finite Fields*, Thm 3.75, taking a
+    primitive); otherwise the walk skips them and starts at X^m + X."""
     if m == 1:
         return (0, 1)  # X
-    for cand in _monic_candidates(p, m):
+    binomials = (all((p - 1) % s == 0 for s in _prime_factors(m))
+                 and (m % 4 or p % 4 == 1))
+    for cand in _monic_candidates(p, m, 0 if binomials else p):
         if cand[0] == 0:
             continue
         if _frobenius_irreducible(cand, p):
@@ -383,11 +388,8 @@ class Field:
         if modulus is None:
             coeffs = _default_modulus(p, m)
         else:
-            if isinstance(modulus, str):
-                raw = poly_text_to_coeffs(modulus)
-            else:
-                raw = tuple(int(c) for c in modulus)
-            coeffs = tuple(c % p for c in raw)
+            # a sequence of integers; text is poly_from_text's to parse
+            coeffs = tuple(operator.index(c) % p for c in modulus)
             while coeffs and coeffs[-1] == 0:
                 coeffs = coeffs[:-1]
             if len(coeffs) - 1 != m:
@@ -440,40 +442,6 @@ class Field:
         if self.m == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.m}; {coeffs_to_poly_text(self.modulus)})"
-
-    # -- element plumbing --------------------------------------------------
-
-    def __call__(self, value) -> "FieldElement":
-        """Build an element from an integer code, a coefficient sequence,
-        or another element of the same field."""
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatch(f"{value!r} is not an element of {self!r}")
-            return value
-        if isinstance(value, (list, tuple)):
-            code = 0
-            if len(value) > self.m:
-                raise DegreeMismatch(
-                    f"coefficient vector longer than extension degree {self.m}")
-            for i, c in enumerate(value):
-                code += (int(c) % self.p) * self.p ** i
-            return FieldElement(self, code)
-        code = int(value)
-        if not 0 <= code < self.q:
-            raise FieldMismatch(f"code {code} outside [0, {self.q})")
-        return FieldElement(self, code)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def coeffs_of(self, code: int) -> tuple[int, ...]:
-        """Base-p digit vector (length m, ascending) of an element code."""
-        return tuple(_digits(code, self.p, self.m))
 
     # -- code-level arithmetic (the fast path) -----------------------------
     # Prime fields and characteristic 2 take the first branches.  In an
@@ -549,76 +517,14 @@ class Field:
         return self._exp[self.q - 1 - self._log[a]]
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class FieldElement:
-    """A single element of a :class:`Field`, supporting the usual operators.
-
-    A frozen value; equality and hashing follow (field, code).
-    """
-
-    field: Field
-    code: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs_of(self.code)
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch(
-                    f"operands from different fields: {self.field!r} vs {other.field!r}")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, self.field.add(self.code, o.code))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, self.field.sub(self.code, o.code))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, self.field.mul(self.code, o.code))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow_(self.code, int(e)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        return f"{self.field!r}[{self.code}]"
-
-
 def field_new(p: int, m: int = 1, modulus=None) -> Field:
     """Construct GF(p^m); with no modulus given, the lexicographically
     smallest monic irreducible of degree m is chosen (deterministic)."""
     return Field(p, m, modulus)
 
 
-def nth_root_of_unity(field: Field, n: int) -> FieldElement:
-    """A deterministic element of multiplicative order exactly n.
+def nth_root_of_unity(field: Field, n: int) -> int:
+    """The code of a deterministic element of multiplicative order exactly n.
 
     Candidate generators are tried in ascending code order; each candidate g
     yields beta = g^((q-1)/n), which is accepted as soon as its order is
@@ -639,5 +545,5 @@ def nth_root_of_unity(field: Field, n: int) -> FieldElement:
         if beta == 0:
             continue
         if all(field.pow_(beta, n // s) != 1 for s in primes):
-            return FieldElement(field, beta)
+            return beta
     raise NoSuchRoot(f"no element of order {n} found in {field!r}")

@@ -96,15 +96,6 @@ def _rref(field: Field, rows):
     return work[:r], pivots
 
 
-def _in_rowspace(field: Field, rref, pivots, vec) -> bool:
-    v = list(vec)
-    for row, col in zip(rref, pivots):
-        if v[col]:
-            s = v[col]
-            v = [field.sub(a, field.mul(s, b)) for a, b in zip(v, row)]
-    return not any(v)
-
-
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class LinearCodeView:
     """An [n, k] linear code given by a full-rank k x n generator matrix of
@@ -406,7 +397,6 @@ def _bz_min(q: int, p: int, m: int, k: int, sets, add, support):
             reached[j] = w
             if w == k or best <= _bz_bound(k, rs, reached):
                 return best, enumerated
-    return best, enumerated
 
 
 def _multiples(p: int, m: int, q: int, add, powers) -> list:
@@ -493,17 +483,11 @@ def min_distance(view: LinearCodeView, workers: int = 1,
 
 def is_quasi_cyclic(view: LinearCodeView, ell: int) -> bool:
     """True when the code is closed under the shift by ell positions, i.e.
-    the shift of every generator row stays in the row space."""
+    the generator rows and their shifts together still have rank k."""
     if view.n % ell:
         raise ShapeMismatch(f"length {view.n} is not a multiple of {ell}")
-    if view.k == 0:
-        return True
-    rref, pivots = _rref(view.field, view.matrix)
-    for row in view.matrix:
-        shifted = row[-ell:] + row[:-ell]
-        if not _in_rowspace(view.field, rref, pivots, shifted):
-            return False
-    return True
+    shifted = [row[-ell:] + row[:-ell] for row in view.matrix]
+    return len(_rref(view.field, [*view.matrix, *shifted])[0]) == view.k
 
 
 def modules_equal(a, b) -> bool:

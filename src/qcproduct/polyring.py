@@ -39,7 +39,7 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
 )
-from .field import Field, FieldElement, coeffs_to_poly_text
+from .field import Field, coeffs_to_poly_text
 
 __all__ = [
     "Poly",
@@ -65,22 +65,12 @@ class Poly:
     coeffs: tuple
 
     def __init__(self, field: Field, coeffs=()):
-        codes = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.field != field:
-                    raise FieldMismatch("coefficient from a different field")
-                codes.append(c.code)
-            else:
-                code = int(c)
-                if not 0 <= code < field.q:
-                    raise FieldMismatch(
-                        f"coefficient code {code} outside [0, {field.q})")
-                codes.append(code)
-        while codes and codes[-1] == 0:
-            codes.pop()
+        codes, q = [int(c) for c in coeffs], field.q
+        if codes and not 0 <= min(codes) <= max(codes) < q:
+            bad = next(c for c in codes if not 0 <= c < q)
+            raise FieldMismatch(f"coefficient code {bad} outside [0, {q})")
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(codes))
+        object.__setattr__(self, "coeffs", tuple(_strip(codes)))
 
     # -- constructors ------------------------------------------------------
 
@@ -153,10 +143,6 @@ class Poly:
         return _trusted(self.field, _neg(self.field, self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch("scalar from a different field")
-            return self.scale(other.code)
         o = self._check(other)
         if o is NotImplemented:
             return o
@@ -239,15 +225,13 @@ class Poly:
             return self
         return self.scale(self.field.inv(self.leading))
 
-    def __call__(self, x: FieldElement) -> FieldElement:
-        """Evaluate by Horner's rule."""
-        if x.field != self.field:
-            raise FieldMismatch("evaluation point from a different field")
+    def __call__(self, x: int) -> int:
+        """The code of the value at the element code x, by Horner's rule."""
         f = self.field
         acc = 0
         for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x.code), c)
-        return FieldElement(f, acc)
+            acc = f.add(f.mul(acc, x), c)
+        return acc
 
     def __repr__(self):
         return f"Poly[{coeffs_to_poly_text(self.coeffs)} over {self.field!r}]"

@@ -175,9 +175,10 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
     Triangularization runs column by column: all rows active at a column
     are folded into a single pivot via extended gcds (each fold is a
     determinant -1 row transform, so the row span never changes), which
-    makes every diagonal a monic divisor of X^m - 1 because the (X^m-1)e_j
-    row always reaches its own column untouched.  Those rows also keep the
-    work in F_q[X]/(X^m-1): the submodule contains K = <(X^m-1)e_k>, and
+    makes every diagonal a monic divisor of X^m - 1: the (X^m-1)e_j row
+    always reaches its own column untouched, so the pivot there is that row
+    or an egcd's monic gcd with it.  Those rows also keep the work in
+    F_q[X]/(X^m-1): the submodule contains K = <(X^m-1)e_k>, and
     while column col is processed every (X^m-1)e_k row with k > col is
     still pending, so reducing entries right of col modulo X^m - 1 changes
     neither the submodule nor the result, and keeps operands below degree
@@ -210,9 +211,6 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
             annihilated[col + 1:] = [fold_mod_xm1(p, m) for p in annihilated[col + 1:]]
             acc = folded
             pending.append(annihilated)
-        if not acc[col].is_monic:
-            inv = f.inv(acc[col].leading)
-            acc = [p.scale(inv) for p in acc]
         pivots.append(acc)
 
     # leftover rows have zeros at every position; nothing to keep

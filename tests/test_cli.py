@@ -413,6 +413,18 @@ def test_zero_diagonal_exits_3(command, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["mindist", "verify"])
+def test_diagonal_above_length_exits_3(command, tmp_path, capsys):
+    # g = X^5 with m = 3 states dimension 3 - 5 = -2 and expands to no rows
+    doc = {"ell": 1, "field": {"m": 1, "modulus": "X", "p": 2}, "m": 3,
+           "rows": [["X^5"]]}
+    assert main([command, write_json(tmp_path / "A.json", doc)]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == {
+        "message": "expanded 0 rows for stated dimension -2", "type": "RankMismatch"}
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [["cosets", "2", "-3"], ["factor", "4", "-1"],
                                   ["cosets", "2", "0"]])
 def test_nonpositive_length_exits_3(argv, capsys):

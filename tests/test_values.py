@@ -29,7 +29,6 @@ def _matrix(x):
 
 VALUES = {
     "Field": lambda x: Field(3, x),
-    "FieldElement": lambda x: Field(3, 2)(x),
     "Poly": lambda x: Poly(Field(3), (1, x)),
     "CyclicCode": lambda x: CyclicCode(4, Poly(Field(5), (x, 1))),
     "PolyVector": lambda x: PolyVector(
