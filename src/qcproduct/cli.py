@@ -122,8 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mindist", help="exact minimum distance by enumeration")
     p.add_argument("basis", metavar="basis.json")
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes for the exhaustive walk (default: 1)")
     p.add_argument("--limit", type=int, default=1 << 26,
                    help="refuse a code with more than this many messages q^k")
 
@@ -288,7 +286,7 @@ def _cmd_mindist(args) -> int:
     basis = basis_from_doc(_load_json(args.basis))
     view = expand_to_linear(basis)
     start = time.perf_counter()
-    d, enumerated, search = _distance_search(view, args.workers, args.limit)
+    d, enumerated, search = _distance_search(view, args.limit)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     doc = {"n": view.n, "k": view.k, "d": d,
            "elapsed_ms": None, "enumerated": enumerated}

@@ -1,8 +1,9 @@
 """Independent linear-algebra checks for the polynomial constructions.
 
 Everything here works on plain generator matrices over GF(q): expanding a
-polynomial basis into one, exhaustive minimum-distance search, shift-closure
-and membership tests.  These routines deliberately avoid the canonical-form
+polynomial basis into one, exact minimum distance (a walk over every message
+for tiny codes, Brouwer-Zimmermann for the rest), shift-closure and
+membership tests.  These routines deliberately avoid the canonical-form
 machinery (no division, no gcd) so they can serve as ground truth for it.
 """
 
@@ -12,7 +13,6 @@ import functools
 import itertools
 import math
 import operator
-import os
 from dataclasses import dataclass
 
 from .cyclic import CyclicCode
@@ -229,10 +229,9 @@ def _times(add, x: int, c: int) -> int:
     return out
 
 
-def _range_min(p: int, m: int, n: int, bits: int, rows, start: int,
-               stop: int) -> int:
-    """Minimum Hamming weight over message indices in [start, stop) for a
-    code packed by `_packed_rows`, the index read as base-p digits over the
+def _range_min(p: int, m: int, n: int, bits: int, rows) -> int:
+    """Minimum Hamming weight over every nonzero message of a code packed
+    by `_packed_rows`, message index idx read as base-p digits over the
     rows.
 
     Going from idx-1 to idx raises digit v = v_p(idx) by one and wraps the
@@ -241,22 +240,17 @@ def _range_min(p: int, m: int, n: int, bits: int, rows, start: int,
     one XOR and one popcount per codeword.
     """
     add, support = _slot_ops(p, m, n, bits)
-    # start from the codeword of index first - 1
-    first = max(start, 1)
-    cur, rest = 0, first - 1
-    for row in rows:
-        rest, d = divmod(rest, p)
-        cur = add(cur, _times(add, row, d))
     prefix = list(itertools.accumulate(rows, add))
-    best = 1 << 62
+    total = p ** len(rows)
+    cur, best = 0, 1 << 62
     if p == 2 and m == 1:
-        for idx in range(first, stop):
+        for idx in range(1, total):
             cur ^= prefix[(idx & -idx).bit_length() - 1]
             w = cur.bit_count()
             if w < best:
                 best = w
         return best
-    for idx in range(first, stop):
+    for idx in range(1, total):
         v, i = 0, idx
         while not i % p:
             i //= p
@@ -266,34 +260,6 @@ def _range_min(p: int, m: int, n: int, bits: int, rows, start: int,
         if w < best:
             best = w
     return best
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _exhaustive_min(view: LinearCodeView, workers: int = 1) -> int:
-    """Minimum weight over all q^k - 1 nonzero messages of a code with
-    k > 0.  With workers > 1 the message range is split into contiguous
-    chunks walked in separate processes, at most one per CPU this process
-    may run on and one per chunk."""
-    f = view.field
-    total = f.q ** view.k
-    args = (f.p, f.m, view.n, *_packed_rows(f, view.matrix))
-    workers = min(max(1, int(workers)), _usable_cpus())
-    if workers == 1 or total < (1 << 16):
-        return _range_min(*args, 0, total)
-    bounds = [total * i // workers for i in range(workers + 1)]
-    chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = [pool.submit(_range_min, *args, lo, hi)
-                   for lo, hi in chunks]
-        return min(fut.result() for fut in futures)
 
 
 def _information_sets(p: int, m: int, n: int, bits: int, rows, add,
@@ -357,19 +323,6 @@ def _bz_bound(k: int, rs, reached) -> int:
     return sum(max(0, w + 1 - (k - r)) for r, w in zip(rs, reached))
 
 
-def _bz_worst_count(q: int, k: int, rs, lightest: int) -> int:
-    """Messages Brouwer-Zimmermann enumerates at most: C(k, w) (q-1)^(w-1)
-    per matrix for every w up to the first weight at which the lower
-    bound reaches the lightest systematic row (or up to k, where the first
-    matrix alone has covered every message)."""
-    total = 0
-    for w in range(1, k + 1):
-        total += len(rs) * math.comb(k, w) * (q - 1) ** (w - 1)
-        if _bz_bound(k, rs, [w] * len(rs)) >= lightest:
-            break
-    return total
-
-
 def _bz_min(q: int, p: int, m: int, k: int, sets, add, support):
     """(d, messages enumerated) by Brouwer-Zimmermann.
 
@@ -428,37 +381,30 @@ def _weight_block(tables, w: int, add, support) -> int:
     return min(descend(tables[a][0], a + 1, w - 1) for a in range(k - w + 1))
 
 
-def _brouwer_zimmermann(view: LinearCodeView):
-    """(worst-case count, search) for a code with k > 0, where search()
-    runs Brouwer-Zimmermann and returns (d, messages enumerated).  The
-    packing and the information sets are built here, before any
-    enumeration."""
-    f, k = view.field, view.k
-    p, m = f.p, f.m
-    bits, rows = _packed_rows(f, view.matrix)
-    add, support = _slot_ops(p, m, view.n, bits)
-    sets = _information_sets(p, m, view.n, bits, rows, add, support)
-    lightest = min(support(g).bit_count() for _, words in sets
-                   for g in words[::m])
-    worst = _bz_worst_count(f.q, k, [r for r, _ in sets], lightest)
-    return worst, lambda: _bz_min(f.q, p, m, k, sets, add, support)
+# Codes with at most this many messages q^k are walked.  On codes this small
+# the walk and Brouwer-Zimmermann take about the same time (the summed search
+# time over the mindist benchmark's codes is flat from 2^9 to 2^13), and the
+# walk reports the plain count q^k - 1.
+_WALK_MAX = 1 << 10
 
 
-def _distance_search(view: LinearCodeView, workers: int = 1,
-                     limit: int = 1 << 26):
+def _distance_search(view: LinearCodeView, limit: int = 1 << 26):
     """(d, messages enumerated, search name) for `min_distance`, which
-    documents the choice between the two searches."""
-    f = view.field
-    if view.k == 0:
+    documents the rule that picks the search."""
+    f, k, n = view.field, view.k, view.n
+    if k == 0:
         return None, 0, "exhaustive"
-    total = f.q ** view.k
+    total = f.q ** k
     if total > limit:
         raise TooLarge(
-            f"{f.q}^{view.k} = {total} messages exceeds the limit {limit}")
-    worst, search = _brouwer_zimmermann(view)
-    if worst < total - 1:
-        return (*search(), "Brouwer-Zimmermann")
-    return _exhaustive_min(view, workers), total - 1, "exhaustive"
+            f"{f.q}^{k} = {total} messages exceeds the limit {limit}")
+    p, m = f.p, f.m
+    bits, rows = _packed_rows(f, view.matrix)
+    if total <= _WALK_MAX:
+        return _range_min(p, m, n, bits, rows), total - 1, "exhaustive"
+    add, support = _slot_ops(p, m, n, bits)
+    sets = _information_sets(p, m, n, bits, rows, add, support)
+    return (*_bz_min(f.q, p, m, k, sets, add, support), "Brouwer-Zimmermann")
 
 
 def min_distance(view: LinearCodeView, workers: int = 1,
@@ -466,15 +412,14 @@ def min_distance(view: LinearCodeView, workers: int = 1,
     """Exact minimum distance of the code; None for the zero code (k = 0).
 
     Raises TooLarge when q^k exceeds `limit`, before any search; raise the
-    limit explicitly to go bigger.  The rows are packed into ints once and
-    the search is chosen from them before enumerating.  Brouwer-Zimmermann
-    (Grassl, "Searching for linear codes with large minimum distance",
-    2006) runs when its worst-case count is below the q^k - 1 nonzero
-    messages; otherwise every message is walked, and with workers > 1 the
-    walk is split across processes, at most one per CPU this process may
-    run on.
+    limit explicitly to go bigger.  The rows are packed into ints once.  A
+    code with q^k <= 2^10 messages is walked message by message; any larger
+    one runs Brouwer-Zimmermann (Grassl, "Searching for linear codes with
+    large minimum distance", 2006), which stops once its lower bound meets
+    the lightest word found.  Everything runs in this process: `workers`
+    is ignored, and is removed once the benchmark stops passing it.
     """
-    return _distance_search(view, workers, limit)[0]
+    return _distance_search(view, limit)[0]
 
 
 # ---------------------------------------------------------------------------

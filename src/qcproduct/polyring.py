@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from operator import index
 
 from .errors import (
     BothZero,
@@ -65,7 +66,11 @@ class Poly:
     coeffs: tuple
 
     def __init__(self, field: Field, coeffs=()):
-        codes, q = [int(c) for c in coeffs], field.q
+        try:
+            codes = [index(c) for c in coeffs]
+        except TypeError:
+            raise FieldMismatch("coefficients must be integer codes") from None
+        q = field.q
         if codes and not 0 <= min(codes) <= max(codes) < q:
             bad = next(c for c in codes if not 0 <= c < q)
             raise FieldMismatch(f"coefficient code {bad} outside [0, {q})")
@@ -228,6 +233,8 @@ class Poly:
     def __call__(self, x: int) -> int:
         """The code of the value at the element code x, by Horner's rule."""
         f = self.field
+        if not 0 <= x < f.q:
+            raise FieldMismatch(f"evaluation point {x} outside [0, {f.q})")
         acc = 0
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, x), c)

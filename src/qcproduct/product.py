@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 
 from .cyclic import CyclicCode
 from .errors import (
@@ -126,7 +127,10 @@ class CodewordMatrix:
     entries: tuple
 
     def __init__(self, field: Field, entries):
-        rows = tuple(tuple(int(c) for c in row) for row in entries)
+        try:
+            rows = tuple(tuple([index(c) for c in row]) for row in entries)
+        except TypeError:
+            raise FieldMismatch("entries must be integer codes") from None
         if not rows or not rows[0]:
             raise DimensionMismatch("codeword matrix must be nonempty")
         width = len(rows[0])

@@ -22,7 +22,6 @@ from qcproduct import (
     bezout_pair,
     cyclic_code_new,
     dimension,
-    encode,
     expand_to_linear,
     factor_xm_minus_1,
     field_new,
@@ -38,9 +37,7 @@ from qcproduct import (
     modules_equal,
     one_level_product_rgb,
     poly_from_text,
-    reduce_vector,
     rgb_pot_reduce,
-    univariate_to_matrix,
     unreduced_product_basis,
     vector_to_univariate,
     x_pow_minus_one,
@@ -180,16 +177,8 @@ def test_acceptance_3_exact_distances():
     if d_prod != 22:
         problems.append(f"product distance {d_prod}, expected 22")
     if t_single > 60.0:
-        problems.append(f"single-threaded product run took {t_single:.1f} s")
-    t_par = time.perf_counter()
-    d_par = min_distance(view, workers=8)
-    t_par = time.perf_counter() - t_par
-    if d_par != 22:
-        problems.append(f"8-way product distance {d_par}, expected 22")
-    if t_par > 15.0:
-        problems.append(f"8-way product run took {t_par:.1f} s")
-    print(f"    product [102, 18] enumeration: {t_single:.2f} s single, "
-          f"{t_par:.2f} s with 8 workers")
+        problems.append(f"product run took {t_single:.1f} s")
+    print(f"    product [102, 18] search: {t_single:.2f} s")
     finish(3, "exact distances 11 / 2 / 22", problems,
            time.perf_counter() - start)
 

@@ -16,7 +16,6 @@ from qcproduct import (
     generating_matrix_to_doc,
     minimal_polynomial,
     poly_from_text,
-    rgb_pot_reduce,
 )
 from qcproduct.cli import main
 from qcproduct.qcmodule import GeneratingMatrix
@@ -150,8 +149,8 @@ def test_mindist_pretty_has_timing(tmp_path, capsys):
 
 
 def test_mindist_reports_what_brouwer_zimmermann_enumerated(tmp_path, capsys):
-    # a [34, 16] code whose Brouwer-Zimmermann worst case is below 2^16 - 1:
-    # the count is the messages that search enumerated, not q^k - 1
+    # a [34, 16] code has 2^16 > 2^10 messages, so it takes
+    # Brouwer-Zimmermann: the count is what that search enumerated, not q^k - 1
     m0 = minimal_polynomial(2, 17, 0)
     basis = OneLevelCode(m0, [Poly(F2, (0, 1, 1))], 2, 17).basis()
     path = write_json(tmp_path / "C.json", basis_to_doc(basis))
@@ -450,3 +449,12 @@ def test_mindist_limit_exits_3(tmp_path, capsys):
     assert main(["mindist", path, "--limit", "8"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "TooLarge"
+
+
+def test_mindist_workers_option_is_gone(tmp_path, capsys):
+    # the search runs in one process; --workers is an unknown option
+    path = write_json(tmp_path / "A.json", row_code_doc())
+    with pytest.raises(SystemExit) as exc:
+        main(["mindist", path, "--workers", "2"])
+    assert exc.value.code == 1
+    assert "--workers" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from qcproduct import (
-    CyclicCode,
     DegreeMismatch,
     IndexOutOfRange,
     NotADivisor,

@@ -2,8 +2,8 @@
 exhaustive minimum distance, shift closure, and membership."""
 
 import math
-import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -167,59 +167,6 @@ def test_min_distance_row_code_golden():
     assert min_distance(v) == 11
 
 
-def test_min_distance_workers_agree(monkeypatch):
-    # k = 16 puts the exhaustive walk just over the threshold where extra
-    # workers actually fork; the answer must not depend on the split.
-    # Three CPUs are assumed so the real process pool runs on any machine.
-    # min_distance itself takes Brouwer-Zimmermann on this code, so the
-    # walk is called directly.
-    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
-    m0 = minimal_polynomial(2, 17, 0)
-    v = expand_to_linear(OneLevelCode(m0, [Poly(F2, (0, 1, 1))], 2, 17).basis())
-    assert v.k == 16
-    assert oracle._exhaustive_min(v) == 4
-    assert oracle._exhaustive_min(v, workers=3) == 4
-
-
-def test_min_distance_clamps_workers_to_cpu_count(monkeypatch):
-    # the stub pool records its size and runs every chunk inline, so no
-    # process starts whatever worker count is asked for
-    import concurrent.futures
-
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = concurrent.futures.Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
-    m0 = minimal_polynomial(2, 17, 0)
-    v = expand_to_linear(OneLevelCode(m0, [Poly(F2, (0, 1, 1))], 2, 17).basis())
-    assert oracle._exhaustive_min(v, workers=10 ** 6) == 4
-    assert sizes == [3]
-    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
-    assert oracle._exhaustive_min(v, workers=8) == 4
-    assert sizes == [3]  # one CPU: searched in this process
-
-
-def test_usable_cpus_follows_affinity(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert oracle._usable_cpus() == 2
-
-
 def test_min_distance_respects_limit():
     v = one_level_view(F2, "X^3+X+1", 7)
     with pytest.raises(TooLarge):
@@ -263,12 +210,6 @@ def test_min_distance_matches_brute_force():
                             for w, c in zip(word, row)]
             best = min(best, sum(1 for w in word if w))
         assert min_distance(view) == best
-        # the walk over a 3-way split of the message range finds the same
-        args = (field.p, field.m, n, *oracle._packed_rows(field, view.matrix))
-        total = field.q ** k
-        bounds = [0, total // 3, 2 * total // 3, total]
-        assert min(oracle._range_min(*args, lo, hi)
-                   for lo, hi in zip(bounds, bounds[1:]) if lo < hi) == best
 
 
 # ---------------------------------------------------------------------------
@@ -296,34 +237,53 @@ def linear_codes(draw):
     return LinearCodeView(field, [[row[j] for j in order] for row in rows])
 
 
+def _walk(view):
+    """d by the exhaustive walk over every nonzero message."""
+    f = view.field
+    return oracle._range_min(f.p, f.m, view.n,
+                             *oracle._packed_rows(f, view.matrix))
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(linear_codes())
 def test_brouwer_zimmermann_matches_exhaustive(view):
-    worst, search = oracle._brouwer_zimmermann(view)
-    d, enumerated = search()
-    assert d == oracle._exhaustive_min(view)
-    assert 0 < enumerated <= worst
+    with mock.patch.object(oracle, "_WALK_MAX", 0):  # every code takes BZ
+        d, enumerated, search = oracle._distance_search(view)
+    assert search == "Brouwer-Zimmermann"
+    assert d == _walk(view)
+    assert enumerated > 0
 
 
-def test_min_distance_takes_exhaustive_walk_when_bz_count_is_larger():
-    # the golden [34, 9] row code: four information sets (new pivots
-    # 9, 9, 9, 7) and a lightest systematic row of weight 11 put the
-    # worst case at 4 * (9 + 36 + 84) = 516 >= 2^9 - 1
+def _binary_code(k, n=24, seed=0):
+    """A random full-rank [n, k] code over GF(2): [I | A]."""
+    rng = random.Random(seed)
+    return LinearCodeView(F2, [[int(i == j) for j in range(k)]
+                               + [rng.randrange(2) for _ in range(n - k)]
+                               for i in range(k)])
+
+
+def test_min_distance_walks_codes_of_at_most_2_to_the_10_messages():
+    # the golden [34, 9] row code (q^k = 512) keeps the walk and its count
     m0 = minimal_polynomial(2, 17, 0)
     m1 = minimal_polynomial(2, 17, 1)
     f1 = m0 ** 3 * Poly(F2, (1, 0, 1, 1))
     v = expand_to_linear(OneLevelCode(m1, [f1], 2, 17).basis())
-    assert oracle._brouwer_zimmermann(v)[0] == 516
+    assert (v.n, v.k) == (34, 9)
     assert oracle._distance_search(v) == (11, 511, "exhaustive")
+    walked = oracle._distance_search(_binary_code(10))
+    assert walked[1:] == (1023, "exhaustive")
+    d, _, search = oracle._distance_search(_binary_code(11))
+    assert search == "Brouwer-Zimmermann"
+    assert d == _walk(_binary_code(11))
 
 
-def test_min_distance_takes_bz_when_its_count_is_smaller():
+def test_min_distance_takes_bz_above_2_to_the_10_messages():
     m0 = minimal_polynomial(2, 17, 0)
     v = expand_to_linear(OneLevelCode(m0, [Poly(F2, (0, 1, 1))], 2, 17).basis())
-    worst, _ = oracle._brouwer_zimmermann(v)
+    assert (v.n, v.k) == (34, 16)
     d, enumerated, search = oracle._distance_search(v)
     assert (d, search) == (4, "Brouwer-Zimmermann")
-    assert enumerated <= worst < 2 ** 16 - 1
+    assert enumerated < 2 ** 16 - 1
 
 
 def test_limit_is_checked_before_either_search(monkeypatch):

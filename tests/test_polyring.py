@@ -46,6 +46,14 @@ def test_coefficients_out_of_range_rejected():
         Poly(F2, (-1,))
 
 
+def test_coefficients_must_be_integer_codes():
+    # a string's digits or a float's truncation would name some polynomial
+    for coeffs in ("101", [1.7, 0.2], [1, None]):
+        with pytest.raises(FieldMismatch):
+            Poly(F2, coeffs)
+    assert Poly(F2, [True, 0]).coeffs == (1,)  # bool is an int
+
+
 def test_monomial_and_coeff_lookup():
     p = Poly(F3, (0,) * 4 + (2,))
     assert p.coeffs == (0, 0, 0, 0, 2)
@@ -161,6 +169,13 @@ def test_evaluation_horner():
     assert p(0) == 1
     assert p(1) == 1
     assert Poly(F4, (1, 1, 1))(2) == 0  # X^2 + X + 1 is the modulus of GF(4)
+
+
+def test_evaluation_point_outside_the_field_rejected():
+    for p, x in ((Poly(F4, (1, 1, 1)), 7), (Poly(F3, (1, 1)), 5),
+                 (Poly(F3, (1, 1)), -1), (Poly.zero(F2), 2)):
+        with pytest.raises(FieldMismatch):
+            p(x)
 
 
 # ---------------------------------------------------------------------------

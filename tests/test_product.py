@@ -5,12 +5,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcproduct import (
     CodewordMatrix,
     DegreeOverflow,
     DimensionMismatch,
     FieldMismatch,
+    GeneratingMatrix,
     IndexOutOfRange,
     NotADivisor,
     NotCoprime,
@@ -25,8 +28,13 @@ from qcproduct import (
     cyclic_code_new,
     dimension,
     encode,
+    expand_to_linear,
     factor_xm_minus_1,
     field_new,
+    field_of_order,
+    fold_mod_xm1,
+    is_quasi_cyclic,
+    level,
     map_f,
     map_g,
     matrix_to_components,
@@ -37,11 +45,11 @@ from qcproduct import (
     reduce_vector,
     rgb_pot_reduce,
     univariate_to_matrix,
-    univariate_to_vector,
     unreduced_product_basis,
     vector_to_univariate,
     x_pow_minus_one,
 )
+from qcproduct import oracle
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -168,6 +176,9 @@ def test_codeword_matrix_validation():
         CodewordMatrix(F2, [[1, 0], [1]])
     with pytest.raises(FieldMismatch):
         CodewordMatrix(F2, [[2]])
+    for entries in ([[1.9, 0]], [["1", 0]]):  # no truncation, no parsing
+        with pytest.raises(FieldMismatch):
+            CodewordMatrix(F2, entries)
     with pytest.raises(AttributeError):
         M.entries = ()
 
@@ -423,3 +434,82 @@ def test_product_span_small_instance():
     flipped[0][0] ^= 1
     bad = matrix_to_components(CodewordMatrix(F2, flipped), p)
     assert not reduce_vector(basis, bad).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the general theorem: row codes of every level r, not only 1-level ones
+# ---------------------------------------------------------------------------
+
+def _proper_divisor(draw, q, m):
+    """A drawn monic divisor of X^m - 1 over GF(q) other than X^m - 1
+    itself (1 allowed): a product of some, not all, irreducible factors."""
+    factors = [f for _, f in factor_xm_minus_1(q, m)]
+    keep = draw(st.lists(st.booleans(), min_size=len(factors),
+                         max_size=len(factors)))
+    keep[draw(st.integers(0, len(factors) - 1))] = False
+    g = Poly.one(field_of_order(q))
+    for factor, picked in zip(factors, keep):
+        if picked:
+            g = g * factor
+    return g
+
+
+@st.composite
+def general_products(draw, q):
+    """(G_A, B, params, r) over GF(q): a row code of level exactly r given
+    by its canonical basis, a cyclic column code, and their Bezout
+    parameters.
+
+    The r generating rows are [U | U C] for an upper-triangular r x r block
+    U whose diagonal entries are proper divisors of X^m_a - 1 and a drawn
+    r x (ell - r) block C, all mod X^m_a - 1.  Column j < r then has a
+    diagonal dividing U_jj, so not X^m_a - 1, while a combination that
+    vanishes on the first r columns is a syzygy a of U and so also vanishes
+    on the tail a U C: the last ell - r diagonals are X^m_a - 1.
+    """
+    field, ell = field_of_order(q), draw(st.integers(2, 3))
+    r = draw(st.integers(1, ell))
+    lengths = [m for m in range(2, 8) if m % field.p]
+    m_a = draw(st.sampled_from(lengths))
+    m_b = draw(st.sampled_from([m for m in lengths
+                                if math.gcd(m, ell * m_a) == 1]))
+
+    def poly():
+        return Poly(field, draw(st.lists(st.integers(0, q - 1),
+                                         min_size=m_a, max_size=m_a)))
+
+    U = [[_proper_divisor(draw, q, m_a) if i == j else
+          poly() if i < j else Poly.zero(field) for j in range(r)]
+         for i in range(r)]
+    C = [[poly() for _ in range(ell - r)] for _ in range(r)]
+    rows = [U[i] + [fold_mod_xm1(sum((U[i][s] * C[s][t] for s in range(r)),
+                                     Poly.zero(field)), m_a)
+                    for t in range(ell - r)]
+            for i in range(r)]
+    G_A = rgb_pot_reduce(GeneratingMatrix(field, ell, m_a, rows))
+    B = cyclic_code_new(m_b, _proper_divisor(draw, q, m_b))
+    return G_A, B, bezout_pair(ell, m_a, m_b), r
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_general_product_is_the_span_of_outer_products(q, data):
+    G_A, B, p, r = data.draw(general_products(q))
+    field = G_A.field
+    assert level(G_A) == r
+    view = expand_to_linear(rgb_pot_reduce(unreduced_product_basis(G_A, B, p)))
+    a_words = expand_to_linear(G_A).matrix
+    b_words = [[(Poly(field, (0,) * t + (1,)) * B.g).coeff(s)
+                for s in range(p.m_b)] for t in range(B.k)]
+    outer = []
+    for b in b_words:
+        for a in a_words:
+            word = [0] * p.n
+            for i, bi in enumerate(b):
+                for j, aj in enumerate(a):
+                    word[map_f(i, j, p)] = field.mul(bi, aj)
+            outer.append(word)
+    assert view.k == len(a_words) * B.k
+    assert oracle._rref(field, view.matrix) == oracle._rref(field, outer)
+    assert is_quasi_cyclic(view, p.ell_a)
