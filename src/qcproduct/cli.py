@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mindist", help="exact minimum distance by enumeration")
     p.add_argument("basis", metavar="basis.json")
     p.add_argument("--limit", type=int, default=1 << 26,
-                   help="refuse a code with more than this many messages q^k")
+                   help="refuse a code whose search would enumerate more than "
+                   "this many messages")
 
     p = sub.add_parser("verify",
                        help="check canonical-form conditions and shift closure")

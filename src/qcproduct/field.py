@@ -374,7 +374,11 @@ class Field:
     """Finite field GF(p^m) over a monic irreducible modulus.
 
     Immutable after construction; elements are integer codes in [0, p^m)
-    whose base-p digits are the polynomial-basis coefficients.
+    whose base-p digits are the polynomial-basis coefficients.  `add`,
+    `sub`, `neg`, `mul`, `inv` and `pow_` trust their codes, with no check
+    per call on this hot path: a code outside [0, q) may raise IndexError
+    or give a wrong code.  `Poly`, `Poly.__call__`, `LinearCodeView` and
+    `CodewordMatrix` check the codes a caller gives them (FieldMismatch).
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_zech", "_half", "_ring")

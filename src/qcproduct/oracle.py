@@ -2,9 +2,11 @@
 
 Everything here works on plain generator matrices over GF(q): expanding a
 polynomial basis into one, exact minimum distance (a walk over every message
-for tiny codes, Brouwer-Zimmermann for the rest), shift-closure and
-membership tests.  These routines deliberately avoid the canonical-form
-machinery (no division, no gcd) so they can serve as ground truth for it.
+for tiny codes, Brouwer-Zimmermann for the rest, which gets the shifts of
+its information sets for free on a quasi-cyclic code once it has checked
+the closure), shift-closure and membership tests.  These routines
+deliberately avoid the canonical-form machinery (no division, no gcd) so
+they can serve as ground truth for it.
 """
 
 from __future__ import annotations
@@ -100,14 +102,18 @@ def _rref(field: Field, rows):
 class LinearCodeView:
     """An [n, k] linear code given by a full-rank k x n generator matrix of
     field element codes, held as a tuple of k row tuples of ints.  The
-    length n is read from the rows; a matrix without rows must state it."""
+    length n is read from the rows; a matrix without rows must state it.
+    `ell`, when given, claims that the code is closed under the shift by
+    ell positions; `min_distance` checks the claim before relying on it."""
 
     field: Field
     n: int
     k: int
     matrix: tuple
+    ell: int | None
 
-    def __init__(self, field: Field, matrix, n: int | None = None):
+    def __init__(self, field: Field, matrix, n: int | None = None,
+                 ell: int | None = None):
         index = operator.index
         try:
             rows = tuple(tuple([index(c) for c in row]) for row in matrix)
@@ -121,6 +127,8 @@ class LinearCodeView:
         if n and rows and not (
                 0 <= min(map(min, rows)) <= max(map(max, rows)) < field.q):
             raise FieldMismatch("matrix entries outside the field's code range")
+        if ell is not None and (index(ell) < 1 or n % ell):
+            raise ShapeMismatch(f"length {n} is not a multiple of ell = {ell}")
         k = len(rows)
         rank = len(_rref(field, rows)[0])
         if rank != k:
@@ -129,6 +137,7 @@ class LinearCodeView:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "ell", ell)
 
     def __repr__(self):
         return f"LinearCodeView[{self.n}, {self.k}] over {self.field!r}"
@@ -139,7 +148,8 @@ def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
     rows are the serializations of X^t * (row i) for
     0 <= t < m - deg(g_ii), coefficient e of entry j landing on position
     ell*e + j.  The rank check in LinearCodeView then verifies
-    independently that the basis dimension is honest."""
+    independently that the basis dimension is honest.  The view's `ell` is
+    the basis's: the module is closed under multiplication by X."""
     k = dimension(b)  # raises on a zero diagonal entry before any row is built
     ell, m = b.ell, b.m
     rows = []
@@ -152,7 +162,7 @@ def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
             rows.append(row)
     if len(rows) != k:
         raise RankMismatch(f"expanded {len(rows)} rows for stated dimension {k}")
-    return LinearCodeView(b.field, rows, ell * m)
+    return LinearCodeView(b.field, rows, ell * m, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -262,22 +272,39 @@ def _range_min(p: int, m: int, n: int, bits: int, rows) -> int:
     return best
 
 
-def _information_sets(p: int, m: int, n: int, bits: int, rows, add,
-                      support) -> list:
-    """Systematic generator matrices on greedily disjoint information sets
-    of a code packed by `_packed_rows`, as (r, words) pairs.
+def _brouwer_zimmermann(q: int, p: int, m: int, n: int, bits: int, rows,
+                        ell: int | None, limit: int):
+    """(d, messages enumerated) by Brouwer-Zimmermann on a code of
+    dimension k packed by `_packed_rows`, ell a claimed quasi-cyclic index
+    or None.
 
-    Each matrix comes from GF(p) row reduction of the k*m packed rows,
-    pivoting on every slot of one position at a time, lowest position
-    first: first on positions no earlier matrix pivoted on (r of them),
-    then, if fewer than k were found, on earlier ones.  Because the code
-    is GF(q)-linear, a position either takes all m pivots or none, and the
-    row pivoted on digit t of the a-th position is X^t * g_a, where g_a is
-    the codeword that is 1 at that position and 0 on the rest of the
-    information set; `words[a*m + t]` holds it.  Matrices are built while
-    some unused position still gives a pivot.
+    Each systematic matrix comes from GF(p) row reduction of the k*m packed
+    rows, pivoting on every slot of one position at a time, lowest position
+    first: first on positions no earlier set covers (r of them), then on
+    covered ones.  Because the code is GF(q)-linear, a position takes all m
+    pivots or none, and the row pivoted on digit t of the a-th position is
+    X^t * g_a, g_a the codeword that is 1 there and 0 on the rest of the
+    information set; `words[a*m + t]` holds it.  If every g_a of the first
+    matrix, rotated by ell positions, reduces to zero against that matrix,
+    the code is closed under the shift, so every shift of a set is an
+    information set whose light words are the set's own, shifted.  Each set
+    then also covers the shifts of its r new positions by multiples of ell
+    that miss everything covered so far; a shift is never enumerated.  The
+    next set is built while some position is uncovered.
+
+    For w = 1, 2, ... each set whose term max(0, w + 1 - (k - r)) of the
+    lower bound is positive enumerates its messages of every weight up to
+    w whose first nonzero coefficient is 1 (scalar multiples weigh the
+    same), depth first with one packed add per message.  A codeword lighter
+    than every word found weighs more than w on each set and shift, so at
+    least that term on its r positions, and those are disjoint: the search
+    stops once the lightest word found is at most the sum of the terms,
+    times one plus the shifts of each set, or when the first set has
+    covered every message.  TooLarge is raised before a weight block that
+    would take the count enumerated past `limit`.
     """
-    top, dmask, km = bits - 1, (1 << bits) - 1, len(rows)
+    add, support = _slot_ops(p, m, n, bits)
+    top, dmask, km, k = bits - 1, (1 << bits) - 1, len(rows), len(rows) // m
     everywhere = sum(1 << (i * bits + top) for i in range(n))
 
     def clear(row, piv, shift):
@@ -285,70 +312,72 @@ def _information_sets(p: int, m: int, n: int, bits: int, rows, add,
         d = row >> shift & dmask
         return add(row, _times(add, piv, p - d)) if d else row
 
-    unused = everywhere
-    sets = []
-    while unused:
-        free, done, new = list(rows), [], 0
-        for fresh, allowed in ((True, unused), (False, everywhere)):
+    def systematic(uncovered):
+        """(guard-bit mask of the new positions, words, pivot slots)"""
+        free, done, slots, new = list(rows), [], [], 0
+        for allowed in (uncovered, everywhere):
             while len(done) < km:
                 # a slot of the OR is nonzero iff it is in some free row
                 cand = support(functools.reduce(operator.or_, free, 0)) & allowed
                 if not cand:
                     break
                 low = (cand & -cand).bit_length() - 1
-                i = low // bits
-                if fresh:
-                    new += 1
-                    unused ^= 1 << low
+                new |= (1 << low) & uncovered
                 for t in range(m):
-                    shift = (t * n + i) * bits
+                    shift = (t * n + low // bits) * bits
                     piv = next(row for row in free if row >> shift & dmask)
                     free.remove(piv)
                     piv = _times(add, piv, pow(piv >> shift & dmask, -1, p))
                     free = [clear(row, piv, shift) for row in free]
                     done = [clear(row, piv, shift) for row in done]
                     done.append(piv)
+                    slots.append(shift)
+        return new, done, slots
+
+    def rotate(x):
+        """x with position i moved to i + ell mod n, in every digit slot"""
+        return (x & low_part) << e | (x ^ (x & low_part)) >> (width - e)
+
+    covered, sets, shifts = 0, [], 0  # sets: (r, 1 + shifts, words)
+    while covered != everywhere:
+        new, words, slots = systematic(everywhere ^ covered)
         if not new:
             break
-        sets.append((new, done))
-    return sets
+        if not sets and ell:
+            width, e = n * bits, ell * bits
+            low_part = ((1 << width - e) - 1) * (((1 << width * m) - 1)
+                                                 // ((1 << width) - 1))
+            closed = not any(functools.reduce(
+                lambda y, ps: clear(y, *ps), zip(words, slots), rotate(g))
+                for g in words[::m])
+            shifts = n // ell - 1 if closed else 0
+        covered, x, copies = covered | new, new, 1
+        for _ in range(shifts):
+            x = rotate(x)
+            if not x & covered:
+                covered, copies = covered | x, copies + 1
+        sets.append((new.bit_count(), copies, words))
 
-
-def _bz_bound(k: int, rs, reached) -> int:
-    """Brouwer-Zimmermann lower bound on the weight of any codeword not
-    yet found, when matrix j (r_j new positions) has had every message of
-    weight <= reached[j] enumerated: such a word has weight > reached[j]
-    on that information set, so at least reached[j] + 1 - (k - r_j) on
-    its r_j new positions, and those are disjoint between matrices."""
-    return sum(max(0, w + 1 - (k - r)) for r, w in zip(rs, reached))
-
-
-def _bz_min(q: int, p: int, m: int, k: int, sets, add, support):
-    """(d, messages enumerated) by Brouwer-Zimmermann.
-
-    For w = 1, 2, ... each matrix in turn enumerates its messages of weight
-    w whose first nonzero coefficient is 1 (scalar multiples weigh the
-    same), depth first with one packed add per message; the c * g_a for
-    c in GF(q)* come from a table built by adds of the X^t * g_a.  It stops
-    as soon as the lightest word found meets the lower bound of
-    `_bz_bound`, or when one matrix has covered every message.
-    """
-    rs = [r for r, _ in sets]
     reached = [0] * len(sets)
     best, enumerated = 1 << 62, 0
     tables = [None] * len(sets)
     for w in range(1, k + 1):
-        for j, (_, words) in enumerate(sets):
-            if w == 1:
-                best = min(best, *(support(g).bit_count() for g in words[::m]))
-            else:
-                if tables[j] is None:
+        for j, (r, _, words) in enumerate(sets):
+            if w < k - r:  # its term of the bound is still 0
+                continue
+            for v in range(reached[j] + 1, w + 1):
+                count = math.comb(k, v) * (q - 1) ** (v - 1)
+                if enumerated + count > limit:
+                    raise TooLarge(f"Brouwer-Zimmermann would enumerate more "
+                                   f"than the limit of {limit} messages")
+                if v == 1:
                     tables[j] = [_multiples(p, m, q, add, words[a * m:a * m + m])
                                  for a in range(k)]
-                best = min(best, _weight_block(tables[j], w, add, support))
-            enumerated += math.comb(k, w) * (q - 1) ** (w - 1)
+                best = min(best, _weight_block(tables[j], v, add, support))
+                enumerated += count
             reached[j] = w
-            if w == k or best <= _bz_bound(k, rs, reached):
+            if w == k or best <= sum(c * max(0, v + 1 - (k - r))
+                                     for (r, c, _), v in zip(sets, reached)):
                 return best, enumerated
 
 
@@ -366,7 +395,7 @@ def _multiples(p: int, m: int, q: int, add, powers) -> list:
 
 
 def _weight_block(tables, w: int, add, support) -> int:
-    """Lightest sum over all messages of weight w >= 2 whose first nonzero
+    """Lightest sum over all messages of weight w whose first nonzero
     coefficient is 1, table a listing the nonzero multiples of row a."""
     k, c = len(tables), len(tables[0])
     flat = [x for row in tables for x in row]
@@ -378,6 +407,8 @@ def _weight_block(tables, w: int, add, support) -> int:
         return min(descend(add(cur, x), a + 1, depth - 1)
                    for a in range(start, k - depth + 1) for x in tables[a])
 
+    if w == 1:  # every multiple of every row: k * (q - 1) words
+        return descend(0, 0, 1)
     return min(descend(tables[a][0], a + 1, w - 1) for a in range(k - w + 1))
 
 
@@ -395,29 +426,32 @@ def _distance_search(view: LinearCodeView, limit: int = 1 << 26):
     if k == 0:
         return None, 0, "exhaustive"
     total = f.q ** k
-    if total > limit:
-        raise TooLarge(
-            f"{f.q}^{k} = {total} messages exceeds the limit {limit}")
-    p, m = f.p, f.m
-    bits, rows = _packed_rows(f, view.matrix)
     if total <= _WALK_MAX:
-        return _range_min(p, m, n, bits, rows), total - 1, "exhaustive"
-    add, support = _slot_ops(p, m, n, bits)
-    sets = _information_sets(p, m, n, bits, rows, add, support)
-    return (*_bz_min(f.q, p, m, k, sets, add, support), "Brouwer-Zimmermann")
+        if total - 1 > limit:
+            raise TooLarge(f"{f.q}^{k} - 1 = {total - 1} messages exceeds "
+                           f"the limit {limit}")
+        return (_range_min(f.p, f.m, n, *_packed_rows(f, view.matrix)),
+                total - 1, "exhaustive")
+    return (*_brouwer_zimmermann(f.q, f.p, f.m, n, *_packed_rows(f, view.matrix),
+                                 view.ell, limit), "Brouwer-Zimmermann")
 
 
 def min_distance(view: LinearCodeView, workers: int = 1,
                  limit: int = 1 << 26):
     """Exact minimum distance of the code; None for the zero code (k = 0).
 
-    Raises TooLarge when q^k exceeds `limit`, before any search; raise the
-    limit explicitly to go bigger.  The rows are packed into ints once.  A
-    code with q^k <= 2^10 messages is walked message by message; any larger
-    one runs Brouwer-Zimmermann (Grassl, "Searching for linear codes with
-    large minimum distance", 2006), which stops once its lower bound meets
-    the lightest word found.  Everything runs in this process: `workers`
-    is ignored, and is removed once the benchmark stops passing it.
+    The rows are packed into ints once.  A code with q^k <= 2^10 messages
+    is walked message by message; any larger one runs Brouwer-Zimmermann
+    (Grassl, "Searching for linear codes with large minimum distance",
+    2006) on greedily disjoint information sets.  When the view has an
+    `ell` that passes the closure check, each set also brings its disjoint
+    shifts by multiples of ell, which raise the lower bound without being
+    enumerated; a set is enumerated only once its term of the bound is
+    positive.  The search stops once that bound meets the lightest word
+    found.  `limit` bounds the messages enumerated: TooLarge is raised
+    before the walk when q^k - 1 exceeds it, and before a weight block that
+    would take Brouwer-Zimmermann's count past it.  Everything runs in this
+    process: `workers` is ignored until the benchmark stops passing it.
     """
     return _distance_search(view, limit)[0]
 

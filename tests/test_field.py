@@ -14,11 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcproduct import (
+    CodewordMatrix,
     DegreeMismatch,
     DivisionByZero,
+    FieldMismatch,
+    LinearCodeView,
     NoSuchRoot,
     NotIrreducible,
     NotPrime,
+    Poly,
     PolyParseError,
     coeffs_to_poly_text,
     field_new,
@@ -114,6 +118,24 @@ def test_division_by_zero():
         f.inv(0)
     with pytest.raises(DivisionByZero):
         f.pow_(0, -1)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda f, c: Poly(f, (1, c)),
+    lambda f, c: Poly(f, (1, 1))(c),
+    lambda f, c: LinearCodeView(f, [[1, c]]),
+    lambda f, c: CodewordMatrix(f, [[1, c]]),
+], ids=["Poly", "Poly.__call__", "LinearCodeView", "CodewordMatrix"])
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_public_entries_check_the_codes_field_ops_trust(entry, q):
+    # Field's operations run unchecked (over GF(4), mul(7, 1) raises
+    # IndexError; over GF(3), mul(5, 1) returns 2), so every public entry
+    # that takes codes from a caller checks them
+    f = field_of_order(q)
+    entry(f, q - 1)
+    for code in (q, 2 * q + 1):
+        with pytest.raises(FieldMismatch):
+            entry(f, code)
 
 
 def test_custom_modulus_accepted_and_validated():

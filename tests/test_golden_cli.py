@@ -7,7 +7,10 @@ learned to work modulo X^m - 1, the maps, cosets, factor, minpoly and
 mindist outputs from before the value classes became frozen dataclasses,
 and the GF(4), GF(9) and GF(16) factor and minpoly outputs, which embed
 GF(q) into a larger field of the same characteristic, from before that
-embedding's decode table was built by Horner's rule.
+embedding's decode table was built by Horner's rule, and the
+Brouwer-Zimmermann ``mindist`` output for the worked example's [102, 18]
+product from after that search learned to use the shifts of its
+information sets.
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -37,6 +40,7 @@ CASES = {
     "minpoly_16_17_1": ["minpoly", "16", "17", "1"],
     "minpoly_2_17_3": ["minpoly", "2", "17", "3"],
     "mindist_row_code_gf2": ["mindist", "row_code_gf2.json"],
+    "mindist_product_gf2": ["mindist", "product_basis_gf2.json"],
 }
 
 

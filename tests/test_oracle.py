@@ -30,7 +30,9 @@ from qcproduct import (
     encode,
     expand_to_linear,
     field_new,
+    fold_mod_xm1,
     is_quasi_cyclic,
+    level,
     matrix_to_components,
     min_distance,
     minimal_polynomial,
@@ -78,13 +80,17 @@ def test_linear_view_validation():
         LinearCodeView(F2, [[1, 0, 1]], 4)
     with pytest.raises(ShapeMismatch):
         LinearCodeView(F2, [])
+    assert v.ell is None and LinearCodeView(F2, v.matrix, ell=3).ell == 3
+    for ell in (0, 2):  # ell must be positive and divide n
+        with pytest.raises(ShapeMismatch):
+            LinearCodeView(F2, [[1, 0, 1], [0, 1, 1]], ell=ell)
 
 
 def test_expand_small_basis_frozen():
     gen = GeneratingMatrix(F2, 2, 3, [[Poly(F2, (1, 0, 1)), Poly(F2, (1, 1))]])
     v = expand_to_linear(rgb_pot_reduce(gen))
     assert v.matrix == ((1, 0, 1, 1, 0, 1), (0, 1, 1, 0, 1, 1))
-    assert (v.n, v.k) == (6, 2)
+    assert (v.n, v.k, v.ell) == (6, 2, 2)
 
 
 def test_expand_zero_code():
@@ -292,6 +298,82 @@ def test_limit_is_checked_before_either_search(monkeypatch):
         min_distance(one_level_view(F2, "X^3+X+1", 7), limit=8)
 
 
+def test_limit_bounds_what_brouwer_zimmermann_enumerates():
+    # a [210, 30] binary product, so q^k = 2^30 is past the default limit
+    # of 2^26; d(A (x) B) = d_A * d_B, with d_A and d_B walked
+    g_a = minimal_polynomial(2, 15, 0) * minimal_polynomial(2, 15, 1)
+    f1 = Poly(F2, (0, 0, 1, 0, 1, 1, 1, 1, 1, 0, 1, 0, 1, 1))
+    A = OneLevelCode(g_a, [f1], 2, 15)
+    g_b = minimal_polynomial(2, 7, 0) * minimal_polynomial(2, 7, 1)
+    B = cyclic_code_new(7, g_b)
+    v = expand_to_linear(
+        one_level_product_rgb(A, B, bezout_pair(2, 15, 7)).basis())
+    assert (v.n, v.k) == (210, 30)
+    d_a = min_distance(expand_to_linear(A.basis()))
+    d_b = min_distance(expand_to_linear(RgbPotBasis(F2, 1, 7, [[g_b]])))
+    d, enumerated, search = oracle._distance_search(v)
+    assert (d, search) == (d_a * d_b, "Brouwer-Zimmermann")
+    assert min_distance(v) == d
+    # the count is checked before each weight block, so a limit just below
+    # it is refused and one at it is not
+    with pytest.raises(TooLarge):
+        min_distance(v, limit=enumerated - 1)
+    assert min_distance(v, limit=enumerated) == d
+
+
+def _bits_view(n, words, ell=None):
+    """A binary view whose rows are the n-bit numerals of `words`,
+    position 0 first."""
+    return LinearCodeView(F2, [[int(b) for b in format(w, f"0{n}b")]
+                               for w in words], ell=ell)
+
+
+def test_sets_enumerate_every_weight_below_their_first_term():
+    # a set with r new positions only adds to the bound from weight k - r,
+    # but then it must have enumerated weights 1 .. k - r - 1 too: if this
+    # [21, 11] code skips them, the search stops at d = 4 instead of 3
+    v = _bits_view(21, (355468, 272636, 283788, 98400, 267454, 16664,
+                        867344, 727246, 273096, 731583, 1413208))
+    assert oracle._distance_search(v)[::2] == (3, "Brouwer-Zimmermann")
+    assert _walk(v) == 3
+
+
+def test_wrong_ell_is_rejected_by_the_closure_check():
+    # this [22, 11] code is not closed under the shift by 1; trusting
+    # ell = 1 would stop the search at d = 4
+    v = _bits_view(22, (2098411, 1048911, 525574, 263428, 132290, 65965,
+                        34063, 18251, 8364, 5012, 2508), ell=1)
+    assert not is_quasi_cyclic(v, 1)
+    assert min_distance(v) == _walk(v) == 3
+
+
+@st.composite
+def quasi_cyclic_codes(draw):
+    """A code from `expand_to_linear` over GF(2), GF(3), GF(4) or GF(9):
+    s <= ell random rows of ell polynomials of degree < m, reduced, with
+    q^(s*m) <= 2^16 so that the walk stays cheap."""
+    field = draw(st.sampled_from((F2, F3, F4, F9)))
+    ell = draw(st.integers(1, 3))
+    cap = int(math.log(1 << 16, field.q) + 1e-9)
+    s = draw(st.integers(1, min(ell, cap // 2)))
+    m = draw(st.integers(2, cap // s))
+    codes = st.integers(0, field.q - 1)
+    rows = [[Poly(field, draw(st.lists(codes, min_size=m, max_size=m)))
+             for _ in range(ell)] for _ in range(s)]
+    return expand_to_linear(rgb_pot_reduce(GeneratingMatrix(field, ell, m, rows)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(quasi_cyclic_codes())
+def test_orbit_search_matches_exhaustive(view):
+    assert is_quasi_cyclic(view, view.ell)
+    if view.k:
+        with mock.patch.object(oracle, "_WALK_MAX", 0):  # every code takes BZ
+            d, _, search = oracle._distance_search(view)
+        assert search == "Brouwer-Zimmermann"
+        assert d == _walk(view)
+
+
 def _random_divisor(field, m, rng):
     """A random proper divisor of X^m - 1 of positive degree, the product
     of the minimal polynomials of some cyclotomic cosets."""
@@ -333,6 +415,44 @@ def test_product_distance_is_product_of_distances(field, shapes):
         d_a = min_distance(expand_to_linear(A.basis()))
         d_b = min_distance(expand_to_linear(RgbPotBasis(field, 1, m_b, [[g_b]])))
         assert min_distance(expand_to_linear(prod.basis())) == d_a * d_b
+
+
+@pytest.mark.parametrize("field, ell_a, r, m_a, m_b", [
+    (F2, 2, 2, 7, 3), (F2, 3, 2, 5, 7), (F2, 3, 3, 3, 5), (F3, 2, 2, 4, 5),
+    (F4, 2, 2, 5, 3), (F9, 2, 1, 4, 5), (F9, 2, 2, 2, 5), (F9, 3, 1, 2, 5),
+])
+def test_product_distance_is_product_of_distances_general(field, ell_a, r,
+                                                         m_a, m_b):
+    # d(A (x) B) = d_A * d_B for row codes of level r > 1 and over GF(9):
+    # the rows of A are [U | U C], U upper triangular with proper divisors
+    # of X^m_a - 1 on its diagonal, so A has level exactly r; the product
+    # is unreduced_product_basis reduced, and its search is forced to BZ
+    rng = random.Random(ell_a * 100 + r * 10 + field.q)
+    for _ in range(3):
+        while True:
+            U = [[_random_divisor(field, m_a, rng) if i == j
+                  else Poly(field, [rng.randrange(field.q) for _ in range(m_a)])
+                  if i < j else Poly.zero(field) for j in range(r)]
+                 for i in range(r)]
+            C = [[Poly(field, [rng.randrange(field.q) for _ in range(m_a)])
+                  for _ in range(ell_a - r)] for _ in range(r)]
+            rows = [U[i] + [fold_mod_xm1(sum((U[i][s] * C[s][t] for s in range(r)),
+                                             Poly.zero(field)), m_a)
+                            for t in range(ell_a - r)] for i in range(r)]
+            G_A = rgb_pot_reduce(GeneratingMatrix(field, ell_a, m_a, rows))
+            g_b = _random_divisor(field, m_b, rng)
+            view_a = expand_to_linear(G_A)
+            if field.q ** (view_a.k * (m_b - g_b.degree)) <= 1 << 14:
+                break
+        assert level(G_A) == r
+        params = bezout_pair(ell_a, m_a, m_b)
+        view = expand_to_linear(rgb_pot_reduce(
+            unreduced_product_basis(G_A, cyclic_code_new(m_b, g_b), params)))
+        assert view.ell == ell_a
+        d_b = _walk(expand_to_linear(RgbPotBasis(field, 1, m_b, [[g_b]])))
+        with mock.patch.object(oracle, "_WALK_MAX", 0):
+            d = min_distance(view)
+        assert d == _walk(view) == _walk(view_a) * d_b
 
 
 # ---------------------------------------------------------------------------
