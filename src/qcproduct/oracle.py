@@ -4,18 +4,21 @@ Everything here works on plain generator matrices over GF(q): expanding a
 polynomial basis into one, exact minimum distance (a walk over every message
 for tiny codes, Brouwer-Zimmermann for the rest, which gets the shifts of
 its information sets for free on a quasi-cyclic code once it has checked
-the closure), shift-closure and membership tests.  These routines
-deliberately avoid the canonical-form machinery (no division, no gcd) so
-they can serve as ground truth for it.
+the closure), shift-closure and membership tests.  A `LinearCodeView` packs
+its rows into ints once, and one packed GF(p) elimination, `_systematic`,
+serves its rank check, `is_quasi_cyclic` and both distance searches; the
+tests keep a list-based RREF as their independent reference.  These
+routines deliberately avoid the canonical-form machinery (no division, no
+gcd) so they can serve as ground truth for it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .cyclic import CyclicCode
 from .errors import (
@@ -51,66 +54,36 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# row reduction over an arbitrary finite field
-# ---------------------------------------------------------------------------
-
-def _rref(field: Field, rows):
-    """Reduced row echelon form over the field; returns (rows, pivot
-    columns) with zero rows dropped."""
-    work = [list(r) for r in rows]
-    if not work:
-        return [], []
-    if field.m == 1:  # row operations on integers mod p
-        p = field.p
-
-        def scale(s, row):
-            return [s * c % p for c in row]
-
-        def sub_scaled(row, s, other):
-            return [(a - s * b) % p for a, b in zip(row, other)]
-    else:
-        mul, sub = field.mul, field.sub
-
-        def scale(s, row):
-            return [mul(s, c) for c in row]
-
-        def sub_scaled(row, s, other):
-            return [sub(a, mul(s, b)) for a, b in zip(row, other)]
-    n = len(work[0])
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = field.inv(work[r][col])
-        if inv != 1:
-            work[r] = scale(inv, work[r])
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                work[i] = sub_scaled(work[i], work[i][col], work[r])
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+def _check_ell(n: int, ell) -> int:
+    """ell as an int; ShapeMismatch unless it is an integer >= 1 dividing n."""
+    try:
+        e = operator.index(ell)
+    except TypeError:
+        e = 0
+    if e < 1 or n % e:
+        raise ShapeMismatch(f"ell = {ell!r} is not a positive divisor of "
+                            f"the length {n}")
+    return e
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclasses.dataclass(frozen=True, slots=True, init=False, repr=False)
 class LinearCodeView:
     """An [n, k] linear code given by a full-rank k x n generator matrix of
     field element codes, held as a tuple of k row tuples of ints.  The
-    length n is read from the rows; a matrix without rows must state it.
-    `ell`, when given, claims that the code is closed under the shift by
-    ell positions; `min_distance` checks the claim before relying on it."""
+    integer length n is read from the rows; a matrix without rows must
+    state it.  `ell`, when given, claims that the code is closed under the
+    shift by ell positions; `min_distance` checks the claim before relying
+    on it.  The rows are packed once: `packed` holds (bits, words, pivot
+    slots) of their systematic matrix from `_systematic`, which the rank
+    check counts and `is_quasi_cyclic` and both searches reuse; it is not
+    compared."""
 
     field: Field
     n: int
     k: int
     matrix: tuple
     ell: int | None
+    packed: tuple = dataclasses.field(compare=False)
 
     def __init__(self, field: Field, matrix, n: int | None = None,
                  ell: int | None = None):
@@ -120,24 +93,28 @@ class LinearCodeView:
         except TypeError:
             raise ShapeMismatch(
                 "generator matrix must be rows of integer codes") from None
-        if n is None and rows:
-            n = len(rows[0])
-        if n is None or n < 0 or any(len(row) != n for row in rows):
+        try:
+            n = index(len(rows[0]) if n is None and rows else n)
+        except TypeError:
+            n = -1
+        if n < 0 or any(len(row) != n for row in rows):
             raise ShapeMismatch("rows must share one length n (give n if no rows)")
         if n and rows and not (
                 0 <= min(map(min, rows)) <= max(map(max, rows)) < field.q):
             raise FieldMismatch("matrix entries outside the field's code range")
-        if ell is not None and (index(ell) < 1 or n % ell):
-            raise ShapeMismatch(f"length {n} is not a multiple of ell = {ell}")
+        ell = None if ell is None else _check_ell(n, ell)
         k = len(rows)
-        rank = len(_rref(field, rows)[0])
-        if rank != k:
-            raise RankMismatch(f"generator matrix has rank {rank}, not {k}")
+        bits, words = _packed_rows(field, rows if n else ())
+        _, words, slots = _systematic(field.p, field.m, n, bits, words)
+        if len(words) != k * field.m:
+            raise RankMismatch(f"generator matrix has rank "
+                               f"{len(words) // field.m}, not {k}")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "packed", (bits, tuple(words), tuple(slots)))
 
     def __repr__(self):
         return f"LinearCodeView[{self.n}, {self.k}] over {self.field!r}"
@@ -179,7 +156,7 @@ def _packed_rows(field: Field, rows) -> tuple[int, list[int]]:
     slot t*n + i of `bits` bits, one bit for p = 2, else room for the sum
     of two digits plus a guard bit above it.
     """
-    p, m, n = field.p, field.m, len(rows[0])
+    p, m = field.p, field.m
     bits = 1 if p == 2 else (2 * p - 2).bit_length() + 1
     slots = []  # each word's digits, the highest slot first
     for row in rows:
@@ -239,6 +216,58 @@ def _times(add, x: int, c: int) -> int:
     return out
 
 
+def _clear(add, p: int, bits: int, row: int, piv: int, shift: int) -> int:
+    """row less the multiple of piv that zeroes its slot at `shift`, piv
+    being 1 there."""
+    d = row >> shift & ((1 << bits) - 1)
+    return add(row, _times(add, piv, p - d)) if d else row
+
+
+def _systematic(p: int, m: int, n: int, bits: int, rows, covered: int = 0):
+    """(guard-bit mask of the new positions, words, pivot slots): GF(p)
+    Gauss-Jordan elimination of words packed by `_packed_rows`, the only
+    row reduction in this module.
+
+    It pivots on every slot of one position at a time, lowest position
+    first: first on positions outside `covered` (a guard-bit mask like the
+    result's), then on covered ones.  The packed rows span a GF(q)-linear
+    space, even when they are dependent, so a position takes all m pivots
+    or none and the GF(q) rank is len(words) // m.  `words[a*m + t]` is
+    X^t * g_a, g_a the codeword that is 1 on the a-th pivot position and 0
+    on the others; dependent rows are dropped.
+    """
+    add, support = _slot_ops(p, m, n, bits)
+    top, dmask = bits - 1, (1 << bits) - 1
+    everywhere = sum(1 << (i * bits + top) for i in range(n))
+    free, done, slots, new = list(rows), [], [], 0
+    for allowed in (everywhere ^ covered, everywhere):
+        while free:
+            # a slot of the OR is nonzero iff it is in some free row
+            cand = support(functools.reduce(operator.or_, free, 0)) & allowed
+            if not cand:
+                break
+            low = (cand & -cand).bit_length() - 1
+            new |= (1 << low) & ~covered
+            for t in range(m):
+                shift = (t * n + low // bits) * bits
+                piv = next(row for row in free if row >> shift & dmask)
+                free.remove(piv)
+                piv = _times(add, piv, pow(piv >> shift & dmask, -1, p))
+                free = [_clear(add, p, bits, row, piv, shift) for row in free]
+                done = [_clear(add, p, bits, row, piv, shift) for row in done]
+                done.append(piv)
+                slots.append(shift)
+    return new, done, slots
+
+
+def _rotation(m: int, n: int, bits: int, ell: int):
+    """The map that moves position i of a packed word to i + ell mod n, in
+    every digit slot."""
+    width, e = n * bits, ell * bits
+    low = ((1 << width - e) - 1) * (((1 << width * m) - 1) // ((1 << width) - 1))
+    return lambda x: (x & low) << e | (x ^ (x & low)) >> (width - e)
+
+
 def _range_min(p: int, m: int, n: int, bits: int, rows) -> int:
     """Minimum Hamming weight over every nonzero message of a code packed
     by `_packed_rows`, message index idx read as base-p digits over the
@@ -272,25 +301,18 @@ def _range_min(p: int, m: int, n: int, bits: int, rows) -> int:
     return best
 
 
-def _brouwer_zimmermann(q: int, p: int, m: int, n: int, bits: int, rows,
-                        ell: int | None, limit: int):
-    """(d, messages enumerated) by Brouwer-Zimmermann on a code of
-    dimension k packed by `_packed_rows`, ell a claimed quasi-cyclic index
-    or None.
+def _brouwer_zimmermann(view: LinearCodeView, limit: int):
+    """(d, messages enumerated) by Brouwer-Zimmermann on a view of
+    dimension k.
 
-    Each systematic matrix comes from GF(p) row reduction of the k*m packed
-    rows, pivoting on every slot of one position at a time, lowest position
-    first: first on positions no earlier set covers (r of them), then on
-    covered ones.  Because the code is GF(q)-linear, a position takes all m
-    pivots or none, and the row pivoted on digit t of the a-th position is
-    X^t * g_a, g_a the codeword that is 1 there and 0 on the rest of the
-    information set; `words[a*m + t]` holds it.  If every g_a of the first
-    matrix, rotated by ell positions, reduces to zero against that matrix,
-    the code is closed under the shift, so every shift of a set is an
-    information set whose light words are the set's own, shifted.  Each set
-    then also covers the shifts of its r new positions by multiples of ell
-    that miss everything covered so far; a shift is never enumerated.  The
-    next set is built while some position is uncovered.
+    The systematic matrix of the first set is the view's packing; each
+    later one comes from `_systematic`, pivoting first on the positions no
+    earlier set covers (r of them).  If the view's ell passes
+    `is_quasi_cyclic`, every shift of a set is an information set whose
+    light words are the set's own, shifted.  Each set then also
+    covers the shifts of its r new positions by multiples of ell that miss
+    everything covered so far; a shift is never enumerated.  The next set
+    is built while some position is uncovered.
 
     For w = 1, 2, ... each set whose term max(0, w + 1 - (k - r)) of the
     lower bound is positive enumerates its messages of every weight up to
@@ -303,60 +325,26 @@ def _brouwer_zimmermann(q: int, p: int, m: int, n: int, bits: int, rows,
     covered every message.  TooLarge is raised before a weight block that
     would take the count enumerated past `limit`.
     """
+    f, n, k, ell = view.field, view.n, view.k, view.ell
+    q, p, m = f.q, f.p, f.m
+    bits, rows, slots = view.packed
     add, support = _slot_ops(p, m, n, bits)
-    top, dmask, km, k = bits - 1, (1 << bits) - 1, len(rows), len(rows) // m
-    everywhere = sum(1 << (i * bits + top) for i in range(n))
-
-    def clear(row, piv, shift):
-        """row less the multiple of piv that zeroes its slot at shift"""
-        d = row >> shift & dmask
-        return add(row, _times(add, piv, p - d)) if d else row
-
-    def systematic(uncovered):
-        """(guard-bit mask of the new positions, words, pivot slots)"""
-        free, done, slots, new = list(rows), [], [], 0
-        for allowed in (uncovered, everywhere):
-            while len(done) < km:
-                # a slot of the OR is nonzero iff it is in some free row
-                cand = support(functools.reduce(operator.or_, free, 0)) & allowed
-                if not cand:
-                    break
-                low = (cand & -cand).bit_length() - 1
-                new |= (1 << low) & uncovered
-                for t in range(m):
-                    shift = (t * n + low // bits) * bits
-                    piv = next(row for row in free if row >> shift & dmask)
-                    free.remove(piv)
-                    piv = _times(add, piv, pow(piv >> shift & dmask, -1, p))
-                    free = [clear(row, piv, shift) for row in free]
-                    done = [clear(row, piv, shift) for row in done]
-                    done.append(piv)
-                    slots.append(shift)
-        return new, done, slots
-
-    def rotate(x):
-        """x with position i moved to i + ell mod n, in every digit slot"""
-        return (x & low_part) << e | (x ^ (x & low_part)) >> (width - e)
-
-    covered, sets, shifts = 0, [], 0  # sets: (r, 1 + shifts, words)
-    while covered != everywhere:
-        new, words, slots = systematic(everywhere ^ covered)
-        if not new:
-            break
-        if not sets and ell:
-            width, e = n * bits, ell * bits
-            low_part = ((1 << width - e) - 1) * (((1 << width * m) - 1)
-                                                 // ((1 << width) - 1))
-            closed = not any(functools.reduce(
-                lambda y, ps: clear(y, *ps), zip(words, slots), rotate(g))
-                for g in words[::m])
-            shifts = n // ell - 1 if closed else 0
+    everywhere = sum(1 << (i * bits + bits - 1) for i in range(n))
+    closed = ell is not None and is_quasi_cyclic(view, ell)
+    rotate = _rotation(m, n, bits, ell) if closed else None
+    # the first set is the view's packing, its positions those of its pivots
+    new = sum(1 << (s + bits - 1) for s in slots[::m])
+    covered, sets, words = 0, [], rows  # sets: (r, 1 + shifts, words)
+    while new:
         covered, x, copies = covered | new, new, 1
-        for _ in range(shifts):
+        for _ in range(n // ell - 1 if closed else 0):
             x = rotate(x)
             if not x & covered:
                 covered, copies = covered | x, copies + 1
         sets.append((new.bit_count(), copies, words))
+        if covered == everywhere:
+            break
+        new, words, _ = _systematic(p, m, n, bits, rows, covered)
 
     reached = [0] * len(sets)
     best, enumerated = 1 << 62, 0
@@ -422,7 +410,7 @@ _WALK_MAX = 1 << 10
 def _distance_search(view: LinearCodeView, limit: int = 1 << 26):
     """(d, messages enumerated, search name) for `min_distance`, which
     documents the rule that picks the search."""
-    f, k, n = view.field, view.k, view.n
+    f, k = view.field, view.k
     if k == 0:
         return None, 0, "exhaustive"
     total = f.q ** k
@@ -430,21 +418,22 @@ def _distance_search(view: LinearCodeView, limit: int = 1 << 26):
         if total - 1 > limit:
             raise TooLarge(f"{f.q}^{k} - 1 = {total - 1} messages exceeds "
                            f"the limit {limit}")
-        return (_range_min(f.p, f.m, n, *_packed_rows(f, view.matrix)),
+        return (_range_min(f.p, f.m, view.n, *view.packed[:2]),
                 total - 1, "exhaustive")
-    return (*_brouwer_zimmermann(f.q, f.p, f.m, n, *_packed_rows(f, view.matrix),
-                                 view.ell, limit), "Brouwer-Zimmermann")
+    return (*_brouwer_zimmermann(view, limit), "Brouwer-Zimmermann")
 
 
 def min_distance(view: LinearCodeView, workers: int = 1,
                  limit: int = 1 << 26):
     """Exact minimum distance of the code; None for the zero code (k = 0).
 
-    The rows are packed into ints once.  A code with q^k <= 2^10 messages
-    is walked message by message; any larger one runs Brouwer-Zimmermann
-    (Grassl, "Searching for linear codes with large minimum distance",
-    2006) on greedily disjoint information sets.  When the view has an
-    `ell` that passes the closure check, each set also brings its disjoint
+    Both searches start from the view's packing, the systematic matrix its
+    rank check built; nothing is packed again.  A code with q^k <= 2^10
+    messages is walked message by message; any larger one runs
+    Brouwer-Zimmermann (Grassl, "Searching for linear codes with large
+    minimum distance", 2006) on greedily disjoint information sets.  When
+    the view has an `ell` that passes `is_quasi_cyclic`, the same
+    elimination's closure test, each set also brings its disjoint
     shifts by multiples of ell, which raise the lower bound without being
     enumerated; a set is enumerated only once its term of the bound is
     positive.  The search stops once that bound meets the lightest word
@@ -461,12 +450,20 @@ def min_distance(view: LinearCodeView, workers: int = 1,
 # ---------------------------------------------------------------------------
 
 def is_quasi_cyclic(view: LinearCodeView, ell: int) -> bool:
-    """True when the code is closed under the shift by ell positions, i.e.
-    the generator rows and their shifts together still have rank k."""
-    if view.n % ell:
-        raise ShapeMismatch(f"length {view.n} is not a multiple of {ell}")
-    shifted = [row[-ell:] + row[:-ell] for row in view.matrix]
-    return len(_rref(view.field, [*view.matrix, *shifted])[0]) == view.k
+    """True when the code is closed under the shift by ell positions: each
+    g_a of the view's packed systematic matrix, rotated by ell positions,
+    reduces to zero against that matrix (the rotations of X^t * g_a then
+    lie in the code too, as it is GF(q)-linear)."""
+    ell = _check_ell(view.n, ell)
+    f, n = view.field, view.n
+    bits, words, slots = view.packed
+    if not words:  # the zero code
+        return True
+    add, _ = _slot_ops(f.p, f.m, n, bits)
+    rotate = _rotation(f.m, n, bits, ell)
+    return not any(functools.reduce(
+        lambda y, ps: _clear(add, f.p, bits, y, *ps), zip(words, slots),
+        rotate(g)) for g in words[::f.m])
 
 
 def modules_equal(a, b) -> bool:

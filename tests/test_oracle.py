@@ -46,6 +46,7 @@ from qcproduct import (
     vector_to_univariate,
 )
 from qcproduct import oracle
+from rref import _rref
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -78,12 +79,74 @@ def test_linear_view_validation():
         LinearCodeView(F2, [[1, 0, 1], [0, 1]])
     with pytest.raises(ShapeMismatch):
         LinearCodeView(F2, [[1, 0, 1]], 4)
+    for n in (None, 2.5, "3", -1):  # a matrix without rows needs n >= 0
+        with pytest.raises(ShapeMismatch):
+            LinearCodeView(F2, [], n)
     with pytest.raises(ShapeMismatch):
-        LinearCodeView(F2, [])
+        LinearCodeView(F2, [[1, 0]], 2.0)
+    with pytest.raises(AttributeError):
+        v.packed[1].append(0)  # the packing is read-only too
     assert v.ell is None and LinearCodeView(F2, v.matrix, ell=3).ell == 3
-    for ell in (0, 2):  # ell must be positive and divide n
+    for ell in (0, 2, -2, 2.5, "3"):  # ell must be an integer >= 1 dividing n
         with pytest.raises(ShapeMismatch):
             LinearCodeView(F2, [[1, 0, 1], [0, 1, 1]], ell=ell)
+
+    class Three:
+        def __index__(self):
+            return 3
+
+    assert type(LinearCodeView(F2, v.matrix, ell=Three()).ell) is int
+    assert is_quasi_cyclic(v, Three())
+
+
+@st.composite
+def dependent_matrices(draw):
+    """(field, k x n rows) over GF(2), GF(3), GF(4) or GF(9): random rows,
+    or the orbit of a random word under the shift by some ell dividing n;
+    then some rows become another row plus a multiple of a third, so many
+    matrices are rank-deficient."""
+    field = draw(st.sampled_from((F2, F3, F4, F9)))
+    n = draw(st.integers(1, 12))
+    codes = st.integers(0, field.q - 1)
+    word = st.lists(codes, min_size=n, max_size=n)
+    if draw(st.booleans()):
+        rows = draw(st.lists(word, min_size=1, max_size=6))
+    else:
+        ell = draw(st.sampled_from([e for e in range(1, n + 1) if not n % e]))
+        w = draw(word)
+        rows = [w[n - t:] + w[:n - t] for t in range(0, n, ell)][:6]
+    others = st.integers(0, len(rows) - 1)
+    for i in draw(st.lists(others, max_size=2, unique=True)):
+        j, l, c = draw(others), draw(others), draw(codes)
+        if i not in (j, l):
+            rows[i] = [field.add(a, field.mul(c, b))
+                       for a, b in zip(rows[j], rows[l])]
+    return field, rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(dependent_matrices())
+def test_packed_elimination_matches_rref(case):
+    field, rows = case
+    n = len(rows[0])
+    basis = _rref(field, rows)[0]
+    if len(basis) < len(rows):
+        with pytest.raises(RankMismatch):
+            LinearCodeView(field, rows)
+    else:
+        basis = rows
+    view = LinearCodeView(field, basis, n)
+    assert view.k == len(basis)
+    # the systematic words g_a, read back as codes, are the RREF itself
+    bits, words, _ = view.packed
+    digit = (1 << bits) - 1
+    assert [[sum((g >> (t * n + i) * bits & digit) * field.p ** t
+                 for t in range(field.m)) for i in range(n)]
+            for g in words[::field.m]] == _rref(field, basis)[0]
+    for ell in (e for e in range(1, n + 1) if not n % e):
+        shifted = [row[-ell:] + row[:-ell] for row in basis]
+        closed = len(_rref(field, [*basis, *shifted])[0]) == view.k
+        assert is_quasi_cyclic(view, ell) == closed
 
 
 def test_expand_small_basis_frozen():
@@ -293,9 +356,11 @@ def test_min_distance_takes_bz_above_2_to_the_10_messages():
 
 
 def test_limit_is_checked_before_either_search(monkeypatch):
-    monkeypatch.setattr(oracle, "_packed_rows", None)  # any search fails
+    view = one_level_view(F2, "X^3+X+1", 7)
+    monkeypatch.setattr(oracle, "_range_min", None)  # any search fails
+    monkeypatch.setattr(oracle, "_brouwer_zimmermann", None)
     with pytest.raises(TooLarge):
-        min_distance(one_level_view(F2, "X^3+X+1", 7), limit=8)
+        min_distance(view, limit=8)
 
 
 def test_limit_bounds_what_brouwer_zimmermann_enumerates():
@@ -473,8 +538,9 @@ def test_quasi_cyclic_negative_case():
     v = LinearCodeView(F2, [[1, 1, 0, 0]])
     assert not is_quasi_cyclic(v, 1)
     assert is_quasi_cyclic(v, 4)
-    with pytest.raises(ShapeMismatch):
-        is_quasi_cyclic(v, 3)
+    for ell in (3, 0, -2, 2.5, "2", None):  # the view's ell check, too
+        with pytest.raises(ShapeMismatch):
+            is_quasi_cyclic(v, ell)
 
 
 def test_zero_code_is_quasi_cyclic():

@@ -20,7 +20,7 @@ from qcproduct import (
     rgb_pot_reduce,
     vector_to_univariate,
 )
-from qcproduct.oracle import _rref
+from rref import _rref
 
 FIELDS = {2: field_new(2), 3: field_new(3), 4: field_new(2, 2), 5: field_new(5)}
 
