@@ -2,11 +2,14 @@
 
 Minimal polynomials of coset classes are computed honestly: an extension
 field GF(q^r) containing an m-th root of unity alpha is built (r = the
-multiplicative order of q mod m), the product over the conjugate roots
-alpha^j is taken there, and every coefficient is verified to lie in the
-embedded copy of GF(q) before being mapped back down.  Only the semisimple
-case gcd(m, q) = 1 is supported, so X^m - 1 always splits into distinct
-irreducible factors, one per coset.
+multiplicative order of q mod m, which is the size of the coset of 1), the
+product over the conjugate roots alpha^j is taken there, and every
+coefficient is verified to lie in the embedded copy of GF(q) before being
+mapped back down.  The embedding walks GF(q) once, so it is refused above
+q = 2^16 (`_MAX_EMBEDDED_ORDER`), as are extensions of degree above 64 over
+GF(p) (`_MAX_EXTENSION_DEGREE`).  Only the semisimple case gcd(m, q) = 1 is
+supported, so X^m - 1 always splits into distinct irreducible factors, one
+per coset.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .errors import (
     NotPrime,
     TooLarge,
 )
-from .field import _MAX_CHARACTERISTIC, Field, nth_root_of_unity
+from .field import _MAX_CHARACTERISTIC, Field, _order, nth_root_of_unity
 from .polyring import Poly, x_pow_minus_one
 
 __all__ = [
@@ -62,20 +65,6 @@ def field_of_order(q: int) -> Field:
     return Field(*_prime_power(q))
 
 
-def _mult_order(q: int, m: int) -> int:
-    """Multiplicative order of q modulo m (1 when m = 1, where every
-    residue is trivially the identity)."""
-    if math.gcd(q, m) != 1:
-        raise NotCoprime(f"gcd({q}, {m}) != 1")
-    if m == 1:
-        return 1
-    r, acc = 1, q % m
-    while acc != 1:
-        acc = (acc * q) % m
-        r += 1
-    return r
-
-
 def cyclotomic_coset(q: int, m: int, i: int) -> tuple[int, ...]:
     """Orbit of i under multiplication by q modulo m, sorted ascending."""
     if math.gcd(q, m) != 1:
@@ -97,6 +86,12 @@ def cyclotomic_coset(q: int, m: int, i: int) -> tuple[int, ...]:
 # inside; the largest is GF(2^58), for m = 59 over GF(2) and GF(4).
 _MAX_EXTENSION_DEGREE = 64
 
+# The largest GF(q), q = p^s with s > 1, that is embedded into a proper
+# extension.  The embedding walks every element of GF(q) to build its decode
+# table: `factor 65536 7` takes about 1.0 s and `factor 59049 7` about
+# 2.4 s, and `factor 131072 7` 4 s (2 vCPU Xeon).
+_MAX_EMBEDDED_ORDER = 1 << 16
+
 
 @functools.lru_cache(maxsize=None)
 def _root_context(q: int, m: int):
@@ -106,11 +101,15 @@ def _root_context(q: int, m: int):
     to base-field codes."""
     base = field_of_order(q)
     p, s = base.p, base.m
-    r = _mult_order(q, m)
+    r = len(cyclotomic_coset(q, m, 1 % m))  # the order of q mod m
     if s * r > _MAX_EXTENSION_DEGREE:
         raise TooLarge(
             f"the {m}-th roots of unity over GF({q}) lie in GF({p}^{s * r}); "
             f"extension degrees above {_MAX_EXTENSION_DEGREE} are refused")
+    if s > 1 and r > 1 and q > _MAX_EMBEDDED_ORDER:
+        raise TooLarge(
+            f"the {m}-th roots of unity over GF({q}) lie in GF({p}^{s * r}); "
+            f"embedding a GF(q) with q above {_MAX_EMBEDDED_ORDER} is refused")
     big = Field(p, s * r)
     alpha = nth_root_of_unity(big, m)
     if big == base or s == 1:
@@ -119,13 +118,9 @@ def _root_context(q: int, m: int):
     else:
         # Embed GF(q) by sending its generator X to a root of the base
         # modulus inside the big field; roots are located among the
-        # elements whose order equals the order of X in GF(q).
-        x_code = p  # digits (0, 1, 0, ...): the element X of the base field
-        n = 1
-        acc = x_code
-        while acc != 1:
-            acc = base.mul(acc, x_code)
-            n += 1
+        # elements whose order equals the order of X in GF(q).  The code p
+        # has digits (0, 1, 0, ...): it is the element X of the base field.
+        n = _order(base.pow_, p, q - 1)
         zeta = nth_root_of_unity(big, n)
         modulus_poly = Poly(big, [c % p for c in base.modulus])
         theta = None

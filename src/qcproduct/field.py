@@ -17,6 +17,12 @@ for add.  Larger extensions, such as those behind minimal polynomials, use
 :class:`_QuotientRing`, which also fills the tables and runs the Frobenius
 irreducibility test.
 
+Each piece of number theory is written once: `_prime_factors` is the only
+trial division (primality is ``_prime_factors(p) == (p,)``), `_order` the
+only element-order computation (primitive elements, roots of unity, and the
+order of X when GF(q) is embedded), and `_power` the only square-and-multiply
+(field codes, and polynomials through ``Poly.__pow__``).
+
 The module also carries the two text formats for polynomials over GF(p)
 (sparse algebraic like ``X^8+X^4+X^3+X^2+1`` and dense ascending coefficient
 lists like ``1,0,1,1,1,0,0,0,1``), which the serialization layer reuses for
@@ -51,21 +57,6 @@ __all__ = [
 # small integer number theory
 # ---------------------------------------------------------------------------
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime divisors of n, ascending (trial division)."""
     out = []
@@ -79,6 +70,15 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
+
+
+def _order(pow_, a: int, n: int) -> int:
+    """The multiplicative order of a, given a^n = 1: n less every prime
+    factor whose removal keeps the power at 1."""
+    for s in _prime_factors(n):
+        while n % s == 0 and pow_(a, n // s) == 1:
+            n //= s
+    return n
 
 
 def _monic_candidates(p: int, deg: int, start: int = 0):
@@ -98,9 +98,10 @@ def _digits(code: int, p: int, m: int) -> list[int]:
     return out
 
 
-def _power(mul, a: int, e: int) -> int:
-    """a^e (e >= 0) by square-and-multiply with the given multiplication."""
-    result = 1
+def _power(mul, a, e: int, one=1):
+    """a^e (e >= 0) by square-and-multiply with the given multiplication
+    and identity: field codes by default, polynomials for Poly.__pow__."""
+    result = one
     while e:
         if e & 1:
             result = mul(result, a)
@@ -356,8 +357,8 @@ def _tables(p: int, m: int, modulus: tuple[int, ...]):
     q = p ** m
     n = q - 1
     mul = _QuotientRing(p, modulus).mul
-    primes = _prime_factors(n)
-    g = next(g for g in range(1, q) if all(_power(mul, g, n // s) != 1 for s in primes))
+    pow_ = functools.partial(_power, mul)
+    g = next(g for g in range(1, q) if _order(pow_, g, n) == n)
     cycle = [1]
     for _ in range(n - 1):
         cycle.append(mul(cycle[-1], g))
@@ -384,7 +385,8 @@ class Field:
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_zech", "_half", "_ring")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
-        if not isinstance(p, int) or not 0 <= p < _MAX_CHARACTERISTIC or not _is_prime(p):
+        if (not isinstance(p, int) or not 0 <= p < _MAX_CHARACTERISTIC
+                or _prime_factors(p) != (p,)):
             raise NotPrime(
                 f"characteristic must be a prime below {_MAX_CHARACTERISTIC}, got {p!r}")
         if not isinstance(m, int) or m < 1:
@@ -512,13 +514,7 @@ class Field:
         return _power(self._ring.mul, a, e % (self.q - 1))
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero(f"zero has no inverse in {self!r}")
-        if self.m == 1:
-            return pow(a, -1, self.p)
-        if self._log is None:
-            return self.pow_(a, -1)
-        return self._exp[self.q - 1 - self._log[a]]
+        return self.pow_(a, -1)
 
 
 def field_new(p: int, m: int = 1, modulus=None) -> Field:
@@ -541,13 +537,10 @@ def nth_root_of_unity(field: Field, n: int) -> int:
     if (field.q - 1) % n != 0:
         raise NoSuchRoot(f"{n} does not divide q - 1 = {field.q - 1}")
     cofactor = (field.q - 1) // n
-    primes = _prime_factors(n)
     # codes below p form GF(p), which has no element of order n unless n | p - 1
     start = 1 if (field.p - 1) % n == 0 else field.p
     for code in range(start, field.q):
         beta = field.pow_(code, cofactor)
-        if beta == 0:
-            continue
-        if all(field.pow_(beta, n // s) != 1 for s in primes):
+        if _order(field.pow_, beta, n) == n:
             return beta
     raise NoSuchRoot(f"no element of order {n} found in {field!r}")

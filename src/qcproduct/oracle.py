@@ -28,7 +28,7 @@ from .errors import (
     TooLarge,
 )
 from .field import Field
-from .polyring import Poly, modular_substitute
+from .polyring import Poly, fold_mod_xm1
 from .product import (
     CodewordMatrix,
     ProductParams,
@@ -123,20 +123,23 @@ class LinearCodeView:
 def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
     """Expand a canonical basis into a generator matrix over GF(q): the
     rows are the serializations of X^t * (row i) for
-    0 <= t < m - deg(g_ii), coefficient e of entry j landing on position
-    ell*e + j.  The rank check in LinearCodeView then verifies
-    independently that the basis dimension is honest.  The view's `ell` is
-    the basis's: the module is closed under multiplication by X."""
+    0 <= t < m - deg(g_ii), coefficient e of entry j (folded mod X^m - 1)
+    landing on position ell*e + j, so X^t * (row i) is the t = 0 row
+    rotated right by t*ell positions.  The rank check in LinearCodeView
+    then verifies independently that the basis dimension is honest.  The
+    view's `ell` is the basis's: the module is closed under
+    multiplication by X."""
     k = dimension(b)  # raises on a zero diagonal entry before any row is built
     ell, m = b.ell, b.m
+    n = ell * m
     rows = []
     for i, entries in enumerate(b.matrix):
-        for t in range(m - entries[i].degree):
-            row = [0] * (ell * m)
-            for j, entry in enumerate(entries):
-                for e, c in enumerate(modular_substitute(entry, 1, m, t).coeffs):
-                    row[ell * e + j] = c
-            rows.append(row)
+        row = [0] * n
+        for j, entry in enumerate(entries):
+            codes = fold_mod_xm1(entry, m).coeffs
+            row[j:ell * len(codes):ell] = codes
+        rows += (row[n - ell * t:] + row[:n - ell * t]
+                 for t in range(m - entries[i].degree))
     if len(rows) != k:
         raise RankMismatch(f"expanded {len(rows)} rows for stated dimension {k}")
     return LinearCodeView(b.field, rows, ell * m, ell)

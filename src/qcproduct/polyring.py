@@ -40,7 +40,7 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
 )
-from .field import Field, coeffs_to_poly_text
+from .field import Field, _power, coeffs_to_poly_text
 
 __all__ = [
     "Poly",
@@ -180,14 +180,7 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise DegreeMismatch("negative polynomial powers are not defined")
-        result = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(Poly.__mul__, self, e, Poly.one(self.field))
 
     def __divmod__(self, other):
         o = self._check(other)

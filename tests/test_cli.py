@@ -110,6 +110,17 @@ def test_reduce_roundtrip(tmp_path, capsys):
     assert doc["basis"]["rows"] == [["X+1", "X^2+X"], ["0", "X^3+1"]]
 
 
+def test_reduce_reports_no_level_for_a_non_prefix_diagonal(tmp_path, capsys):
+    # the canonical diagonal (X^3-1, X+1) has its full entry first, so its
+    # pattern is no prefix and the basis has no level
+    doc = dict(small_matrix_doc(), rows=[["0", "X+1"]])
+    path = write_json(tmp_path / "G.json", doc)
+    assert main(["--format", "json", "reduce", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["basis"]["rows"] == [["X^3+1", "0"], ["0", "X+1"]]
+    assert out["level"] is None
+
+
 def test_reduce_pretty_lists_rows(tmp_path, capsys):
     path = write_json(tmp_path / "gen.json", small_matrix_doc())
     assert main(["reduce", path]) == 0
@@ -341,6 +352,17 @@ def test_oversized_extension_degree_exits_3(capsys):
     # the 1019-th roots of unity over GF(2) lie in GF(2^1018)
     start = time.perf_counter()
     assert main(["factor", "2", "1019"]) == 3
+    assert time.perf_counter() - start < 2.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "TooLarge"
+
+
+@pytest.mark.parametrize("q, m", [(2 ** 17, 7), (65521 ** 2, 37)])
+def test_oversized_embedded_field_exits_3_at_once(q, m, capsys):
+    # the roots lie in GF(2^51) and GF(65521^4); embedding GF(q) into them
+    # would walk all q elements
+    start = time.perf_counter()
+    assert main(["factor", str(q), str(m)]) == 3
     assert time.perf_counter() - start < 2.0
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "TooLarge"

@@ -38,7 +38,9 @@ from qcproduct.field import (
     _frobenius_irreducible,
     _is_irreducible,
     _monic_candidates,
+    _order,
     _prime_factors,
+    _prime_field,
 )
 
 
@@ -149,20 +151,19 @@ def test_custom_modulus_accepted_and_validated():
 def test_explicit_modulus_is_tested_once(monkeypatch):
     import qcproduct.field as field_module
 
-    tested, primality = [], []
-    frobenius, is_prime = field_module._frobenius_irreducible, field_module._is_prime
+    tested = []
+    frobenius = field_module._frobenius_irreducible
     monkeypatch.setattr(field_module, "_frobenius_irreducible",
                         lambda coeffs, p: tested.append(coeffs) or frobenius(coeffs, p))
-    monkeypatch.setattr(field_module, "_is_prime",
-                        lambda n: primality.append(n) or is_prime(n))
     _is_irreducible.cache_clear()
     modulus = (2, 2, 1)  # X^2+2X+2 over GF(3)
     assert Field(3, 2, modulus) == Field(3, 2, modulus)
     assert tested == [modulus]
     # the prime field the test builds is built once per characteristic
-    del primality[:]
+    before = _prime_field.cache_info()
     assert _frobenius_irreducible((1, 0, 2, 1), 3)  # X^3+2X^2+1 has no root
-    assert primality == []
+    after = _prime_field.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     with pytest.raises(NotIrreducible):
         Field(3, 2, (2, 0, 1))  # X^2+2 = (X+1)(X+2)
     with pytest.raises(NotIrreducible):
@@ -330,6 +331,18 @@ def test_nth_root_trivial_order():
     f = field_new(5)
     assert nth_root_of_unity(f, 1) == 1
     assert nth_root_of_unity(f, 2) == 4  # the unique element of order 2
+
+
+@pytest.mark.parametrize("q", [5, 7, 4, 8, 9, 16, 25, 27])
+def test_order_matches_brute_force(q):
+    f = field_of_order(q)
+    for a in range(1, q):
+        order, x = 1, a
+        while x != 1:
+            x, order = f.mul(x, a), order + 1
+        # any exponent n with a^n = 1 will do, not only q - 1
+        assert _order(f.pow_, a, q - 1) == order
+        assert _order(f.pow_, a, 6 * (q - 1)) == order
 
 
 def test_field_pickle_round_trip():

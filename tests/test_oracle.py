@@ -564,6 +564,15 @@ def test_modules_equal_on_product_routes():
     assert modules_equal(raw, one_level_product_rgb(A, B, p).basis())
 
 
+def test_modules_equal_takes_canonical_bases():
+    rows_a = [[Poly(F2, (1, 0, 1)), Poly(F2, (1, 1))]]
+    a = rgb_pot_reduce(GeneratingMatrix(F2, 2, 3, rows_a))
+    b = rgb_pot_reduce(GeneratingMatrix(F2, 2, 3, [[Poly(F2, (1, 1)), Poly.one(F2)]]))
+    assert modules_equal(a, a)
+    assert not modules_equal(a, b)
+    assert modules_equal(a, a.to_generating_matrix())
+
+
 def test_modules_equal_distinguishes_modules():
     a = GeneratingMatrix(F2, 2, 3, [[Poly(F2, (1, 1)), Poly.zero(F2)]])
     b = GeneratingMatrix(F2, 2, 3, [[Poly(F2, (1, 1)), Poly.one(F2)]])
