@@ -19,7 +19,9 @@ Prime fields (``field.m == 1``) run on one packed-integer kernel, and each
   2009);
 * division over GF(2) by XOR and shift on bitmask ints, and the whole
   extended Euclid loop of :func:`poly_egcd` too, converted back to ``Poly``
-  once at the end;
+  once at the end.  The same bitmask routines, with a shift-XOR product
+  and a mask fold modulo X^m - 1, carry canonical reduction over GF(2)
+  (``qcmodule.rgb_pot_reduce``) from its first fold to its result;
 * division over odd p as schoolbook long division on modular integers;
 * addition, subtraction, negation and scaling as plain modular integers
   (XOR in characteristic 2, whatever the extension degree).
@@ -387,6 +389,28 @@ def _egcd2(u: int, v: int):
     return r0, s0, t0
 
 
+def _mul2(a: int, b: int) -> int:
+    """The carry-less product of two GF(2) bitmasks: b shifted to each set
+    bit of the sparser factor, XORed together."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    out = 0
+    while a:
+        k = a.bit_length() - 1
+        out ^= b << k
+        a ^= 1 << k
+    return out
+
+
+def _fold2(x: int, m: int) -> int:
+    """fold_mod_xm1 on a GF(2) bitmask: the bits from m up are XORed back
+    onto bit 0 until none are left."""
+    low = (1 << m) - 1
+    while x >> m:
+        x = (x & low) ^ (x >> m)
+    return x
+
+
 def _egcd_p(f: Field, u, v):
     """poly_egcd on code lists over GF(p), p odd: Euclid's loop with
     `_divmod_p`, a Poly built only for the results.  A cofactor update
@@ -500,9 +524,12 @@ def modular_substitute(p: Poly, e: int, N: int, shift: int = 0) -> Poly:
 
 
 def fold_mod_xm1(p: Poly, m: int) -> Poly:
-    """p reduced modulo X^m - 1 by folding exponents (X^k -> X^(k mod m))."""
+    """p reduced modulo X^m - 1 by folding exponents (X^k -> X^(k mod m)).
+    DegreeMismatch for m < 1, checked only once p reaches degree m."""
     if p.degree < m:
         return p
+    if m < 1:
+        raise DegreeMismatch("m must be positive")
     f, codes = p.field, p.coeffs
     out = list(codes[:m])
     for i in range(m, len(codes), m):

@@ -17,6 +17,7 @@ module provides:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -28,7 +29,18 @@ from .errors import (
     ShapeMismatch,
 )
 from .field import Field
-from .polyring import Poly, fold_mod_xm1, poly_egcd, x_pow_minus_one
+from .polyring import (
+    Poly,
+    _divmod2,
+    _egcd2,
+    _fold2,
+    _from_mask,
+    _mul2,
+    _to_mask,
+    fold_mod_xm1,
+    poly_egcd,
+    x_pow_minus_one,
+)
 
 __all__ = [
     "PolyVector",
@@ -45,6 +57,18 @@ __all__ = [
 ]
 
 
+def _positive(name: str, value) -> int:
+    """value as an int; ShapeMismatch unless it is an integer >= 1 (a float
+    or a string is refused, never truncated)."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        v = 0
+    if v < 1:
+        raise ShapeMismatch(f"{name} = {value!r} is not a positive integer")
+    return v
+
+
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class PolyVector:
     """An ell-tuple of component polynomials, each of degree < m."""
@@ -53,6 +77,7 @@ class PolyVector:
     m: int
 
     def __init__(self, components, m: int):
+        m = _positive("m", m)
         comps = tuple(components)
         if not comps:
             raise ShapeMismatch("a component vector needs at least one component")
@@ -66,7 +91,7 @@ class PolyVector:
                 raise DegreeOverflow(
                     f"component degree {c.degree} exceeds the bound m-1 = {m - 1}")
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "m", m)
 
     @property
     def ell(self) -> int:
@@ -117,11 +142,10 @@ class GeneratingMatrix:
     rows: tuple
 
     def __init__(self, field: Field, ell: int, m: int, rows=()):
-        if ell < 1 or m < 1:
-            raise ShapeMismatch("ell and m must be positive")
+        ell, m = _positive("ell", ell), _positive("m", m)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ell", int(ell))
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "rows", _check_rows(field, ell, rows))
 
     def __repr__(self):
@@ -144,14 +168,13 @@ class RgbPotBasis:
     matrix: tuple
 
     def __init__(self, field: Field, ell: int, m: int, matrix):
-        if ell < 1 or m < 1:
-            raise ShapeMismatch("ell and m must be positive")
+        ell, m = _positive("ell", ell), _positive("m", m)
         rows = _check_rows(field, ell, matrix)
         if len(rows) != ell:
             raise ShapeMismatch(f"basis must be {ell}x{ell}, got {len(rows)} rows")
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ell", int(ell))
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "matrix", rows)
 
     def diagonal(self) -> tuple[Poly, ...]:
@@ -167,6 +190,9 @@ class RgbPotBasis:
 # ---------------------------------------------------------------------------
 # reduction to canonical form
 # ---------------------------------------------------------------------------
+
+_coeffs = operator.attrgetter("coeffs")
+
 
 def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
     """Canonical upper-triangular basis of the submodule generated by the
@@ -185,30 +211,45 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
     2m.  Entries above each diagonal are then reduced modulo it, and any
     row whose diagonal is the whole of X^m - 1 is replaced by (X^m-1)e_i.
     The result is unique per submodule.
+
+    The loop runs on native entries through a kernel chosen once per call:
+    over GF(2) every entry is a bitmask int from the first fold to the
+    result (XOR, shift-XOR products, `_egcd2`, `_divmod2` and a mask
+    fold), so a ``Poly`` is built only for the returned basis; over other
+    fields the entries are ``Poly`` objects and the kernel is their
+    operators, :func:`poly_egcd` and :func:`fold_mod_xm1`.
     """
     f, ell, m = gen.field, gen.ell, gen.m
-    xm1 = x_pow_minus_one(f, m)
-    zero = Poly.zero(f)
+    if f.q == 2:  # bitmask ints, bit k for X^k; X^m - 1 is X^m + 1
+        add = sub = operator.xor
+        mul, egcd, div, fold, nonzero = _mul2, _egcd2, _divmod2, _fold2, bool
+        rows = [[_to_mask(p.coeffs) for p in row] for row in gen.rows]
+        zero, full = 0, 1 << m | 1
+    else:  # Poly objects; the zero polynomial's coeffs, (), is the one false value
+        add, sub, mul = operator.add, operator.sub, operator.mul
+        egcd, div, fold, nonzero = poly_egcd, divmod, fold_mod_xm1, _coeffs
+        rows, zero, full = gen.rows, Poly.zero(f), x_pow_minus_one(f, m)
 
-    pending = [[fold_mod_xm1(p, m) for p in row] for row in gen.rows]
+    pending = [[fold(p, m) for p in row] for row in rows]
     for j in range(ell):
         imp = [zero] * ell
-        imp[j] = xm1
+        imp[j] = full
         pending.append(imp)
 
-    pivots: list[list[Poly]] = []
+    pivots = []
     for col in range(ell):
-        active = [r for r in pending if not r[col].is_zero]
-        pending = [r for r in pending if r[col].is_zero]
+        active = [r for r in pending if nonzero(r[col])]
+        pending = [r for r in pending if not nonzero(r[col])]
         acc = active[0]
         for row in active[1:]:
-            g, s, t = poly_egcd(acc[col], row[col])
-            co_acc = acc[col] // g
-            co_row = row[col] // g
-            folded = [s * a + t * b for a, b in zip(acc, row)]
-            annihilated = [co_row * a - co_acc * b for a, b in zip(acc, row)]
-            folded[col + 1:] = [fold_mod_xm1(p, m) for p in folded[col + 1:]]
-            annihilated[col + 1:] = [fold_mod_xm1(p, m) for p in annihilated[col + 1:]]
+            g, s, t = egcd(acc[col], row[col])
+            co_acc = div(acc[col], g)[0]
+            co_row = div(row[col], g)[0]
+            folded = [add(mul(s, a), mul(t, b)) for a, b in zip(acc, row)]
+            annihilated = [sub(mul(co_row, a), mul(co_acc, b))
+                           for a, b in zip(acc, row)]
+            folded[col + 1:] = [fold(p, m) for p in folded[col + 1:]]
+            annihilated[col + 1:] = [fold(p, m) for p in annihilated[col + 1:]]
             acc = folded
             pending.append(annihilated)
         pivots.append(acc)
@@ -217,15 +258,17 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
     # reduce above-diagonal entries modulo the diagonal, left to right
     for col in range(1, ell):
         for j in range(col):
-            q, r = divmod(pivots[j][col], pivots[col][col])
-            if not q.is_zero:
+            q, r = div(pivots[j][col], pivots[col][col])
+            if nonzero(q):
                 for k in range(col, ell):
-                    pivots[j][k] = pivots[j][k] - q * pivots[col][k]
+                    pivots[j][k] = sub(pivots[j][k], mul(q, pivots[col][k]))
     # rows whose diagonal is all of X^m - 1 carry no information beyond it
     for i in range(ell - 1, -1, -1):
-        if pivots[i][i] == xm1:
+        if pivots[i][i] == full:
             pivots[i] = [zero] * ell
-            pivots[i][i] = xm1
+            pivots[i][i] = full
+    if f.q == 2:
+        pivots = [[_from_mask(f, x) for x in row] for row in pivots]
     return RgbPotBasis(f, ell, m, pivots)
 
 

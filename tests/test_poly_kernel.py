@@ -6,7 +6,9 @@ operation, independent of the package's code.  Products, divisions, gcds
 and extended gcds are compared on derandomised hypothesis draws over
 primes from 2 up to the 2^31 characteristic cap, and products are also
 checked at both sides of every Kronecker slot-width boundary that fits in
-memory.
+memory.  The GF(2) bitmask product and fold that canonical reduction
+runs on are compared with the same reference, and reduction over GF(2) is
+checked to build a ``Poly`` only for its result.
 """
 
 from __future__ import annotations
@@ -17,15 +19,18 @@ from hypothesis import strategies as st
 
 from qcproduct import (
     Field,
+    GeneratingMatrix,
     Poly,
     field_new,
     fold_mod_xm1,
+    is_rgb_pot,
     modular_substitute,
     poly_egcd,
     poly_gcd,
+    rgb_pot_reduce,
     x_pow_minus_one,
 )
-from qcproduct import polyring
+from qcproduct import polyring, qcmodule
 
 PRIMES = (2, 3, 5, 7, 251, 65521, 2 ** 31 - 1)
 FIELDS = {p: field_new(p) for p in PRIMES}
@@ -257,6 +262,41 @@ def test_prime_field_egcd_builds_only_its_results(p, monkeypatch):
     monkeypatch.undo()
     assert len(built) == 3
     assert s * u + t * v == g
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, (1 << 130) - 1), st.integers(0, (1 << 70) - 1),
+       st.integers(1, 64))
+def test_gf2_mask_kernel_matches_reference(x, y, m):
+    f = FIELDS[2]
+    a, b = ([k >> i & 1 for i in range(k.bit_length())] for k in (x, y))
+    product = polyring._from_mask(f, polyring._mul2(x, y))
+    assert product.coeffs == tuple(ref_mul(a, b, 2))
+    assert polyring._from_mask(f, polyring._fold2(x, m)) == fold_mod_xm1(Poly(f, a), m)
+
+
+def test_gf2_reduction_builds_polys_only_at_the_boundary(monkeypatch):
+    # over GF(2) canonical reduction runs on bitmasks: no Poly product,
+    # division or egcd, and one Poly built per entry of the result
+    f = FIELDS[2]
+    rows = [[Poly(f, [(k * k + i + j) % 3 % 2 for k in range(40)] + [1])
+             for j in range(4)] for i in range(3)]
+    gen = GeneratingMatrix(f, 4, 31, rows)
+    calls = []
+    for name in ("__mul__", "__divmod__", "__add__", "__sub__"):
+        original = getattr(Poly, name)
+        monkeypatch.setattr(Poly, name, lambda *args, _o=original, _n=name:
+                            calls.append(_n) or _o(*args))
+    monkeypatch.setattr(qcmodule, "poly_egcd", lambda *args: calls.append("egcd"))
+    built = []
+    trusted = polyring._trusted
+    monkeypatch.setattr(polyring, "_trusted",
+                        lambda *args: built.append(args) or trusted(*args))
+    basis = rgb_pot_reduce(gen)
+    monkeypatch.undo()
+    assert calls == []
+    assert len(built) == 4 * 4  # the result's entries
+    assert is_rgb_pot(basis)[0]
 
 
 def test_internal_results_skip_validation(monkeypatch):

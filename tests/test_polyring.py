@@ -303,6 +303,13 @@ def test_fold_mod_xm1():
     assert fold_mod_xm1(Poly.zero(F3), 1).is_zero
 
 
+def test_fold_mod_xm1_rejects_nonpositive_m():
+    p = Poly(F2, (1, 1, 1))          # X^2 + X + 1
+    for m in (0, -2):
+        with pytest.raises(DegreeMismatch):
+            fold_mod_xm1(p, m)
+
+
 def test_arithmetic_results_are_normalized():
     # results come out of a constructor that skips validation, so check
     # that they still match a fully validated rebuild: codes in range and

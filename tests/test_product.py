@@ -455,6 +455,32 @@ def _proper_divisor(draw, q, m):
 
 
 @st.composite
+def one_level_products(draw, q):
+    """(A, B, params) over GF(q): a 1-level row code with a drawn proper
+    divisor and multipliers, and a cyclic column code of coprime length."""
+    field, ell = field_of_order(q), draw(st.integers(2, 3))
+    lengths = [m for m in range(2, 8) if m % field.p]
+    m_a = draw(st.sampled_from(lengths))
+    m_b = draw(st.sampled_from([m for m in lengths
+                                if math.gcd(m, ell * m_a) == 1]))
+    fs = [Poly(field, draw(st.lists(st.integers(0, q - 1),
+                                    min_size=m_a, max_size=m_a)))
+          for _ in range(ell - 1)]
+    A = OneLevelCode(_proper_divisor(draw, q, m_a), fs, ell, m_a)
+    B = cyclic_code_new(m_b, _proper_divisor(draw, q, m_b))
+    return A, B, bezout_pair(ell, m_a, m_b)
+
+
+@pytest.mark.parametrize("q", (4, 9))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_both_routes_agree_over_extension_fields(q, data):
+    A, B, p = data.draw(one_level_products(q))
+    direct = rgb_pot_reduce(unreduced_product_basis(A.basis(), B, p))
+    assert direct == one_level_product_rgb(A, B, p).basis()
+
+
+@st.composite
 def general_products(draw, q):
     """(G_A, B, params, r) over GF(q): a row code of level exactly r given
     by its canonical basis, a cyclic column code, and their Bezout

@@ -66,6 +66,9 @@ def test_poly_vector_validation():
         PolyVector((Poly.one(F2), Poly.one(F3)), 3)
     with pytest.raises(DegreeOverflow):
         PolyVector((Poly(F2, (1, 0, 0, 1)),), 3)
+    for m in (2.9, "3", 0, -1, None):  # never truncated, never a bare TypeError
+        with pytest.raises(ShapeMismatch):
+            PolyVector((Poly.one(F2),), m)
     with pytest.raises(AttributeError):
         v.m = 4
 
@@ -81,12 +84,18 @@ def test_generating_matrix_validation():
         GeneratingMatrix(F2, 1, 3, [[1]])  # not a Poly
     with pytest.raises(FieldMismatch):
         GeneratingMatrix(F2, 1, 3, [[Poly.one(F3)]])
+    for ell, m in ((2.5, 3), (2, 3.7), ("2", 3), (2, "3"), (2, 0)):
+        with pytest.raises(ShapeMismatch):  # never truncated
+            GeneratingMatrix(F2, ell, m)
 
 
 def test_rgb_pot_basis_must_be_square():
     xm1 = x_pow_minus_one(F2, 3)
     with pytest.raises(ShapeMismatch):
         RgbPotBasis(F2, 2, 3, [[xm1, Poly.zero(F2)]])  # 1 row, need 2
+    for ell, m in ((1.0, 3), (1, 3.0), ("1", 3), (1, -3)):
+        with pytest.raises(ShapeMismatch):
+            RgbPotBasis(F2, ell, m, [[xm1]])
 
 
 # ---------------------------------------------------------------------------

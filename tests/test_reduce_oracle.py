@@ -17,6 +17,8 @@ from qcproduct import (
     expand_to_linear,
     field_new,
     fold_mod_xm1,
+    is_rgb_pot,
+    reduce_vector,
     rgb_pot_reduce,
     vector_to_univariate,
 )
@@ -90,3 +92,51 @@ def test_unimodular_scramble_reduces_to_the_same_basis(gen, data):
             rows[i][k] = rows[i][k] + mult * Poly(f, (0,) * m + (1,)) - mult
     scrambled = GeneratingMatrix(f, ell, m, rows)
     assert rgb_pot_reduce(scrambled) == rgb_pot_reduce(gen)
+
+
+# ---------------------------------------------------------------------------
+# GF(2) at the benchmark's sizes, too large for the RREF oracle
+# ---------------------------------------------------------------------------
+
+F2 = FIELDS[2]
+
+
+def binary_polys(below):
+    """GF(2) polynomials of degree < below, drawn as bitmasks."""
+    return st.integers(0, (1 << below) - 1).map(
+        lambda x: Poly(F2, [(x >> k) & 1 for k in range(x.bit_length())]))
+
+
+@st.composite
+def wide_binary_matrices(draw):
+    """ell 5 or 6 and m up to 63 (m = 1 included), entries of degree < 2m.
+    Columns drawn as empty, and fewer than ell rows, leave diagonals that
+    are the whole of X^m - 1."""
+    ell = draw(st.integers(5, 6))
+    m = draw(st.sampled_from((1, 63)) | st.integers(2, 62))
+    empty = draw(st.sets(st.integers(0, ell - 1), max_size=2))
+    zero = Poly.zero(F2)
+    rows = [[zero if j in empty else draw(binary_polys(2 * m)) for j in range(ell)]
+            for _ in range(draw(st.integers(1, ell + 1)))]
+    return GeneratingMatrix(F2, ell, m, rows)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(wide_binary_matrices(), st.data())
+def test_wide_binary_reduction_is_canonical(gen, data):
+    m = gen.m
+    basis = rgb_pot_reduce(gen)
+    assert is_rgb_pot(basis)[0]
+    for row in gen.rows:
+        vec = PolyVector([fold_mod_xm1(p, m) for p in row], m)
+        assert reduce_vector(basis, vec).is_zero
+    # row_i += c * row_j (i != j), then a swap: a unimodular transform
+    rows = [list(r) for r in gen.rows]
+    n = len(rows)
+    for _ in range(data.draw(st.integers(0, 2 * n)) if n > 1 else 0):
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        c = data.draw(binary_polys(3))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        rows[i], rows[j] = rows[j], rows[i]
+    scrambled = GeneratingMatrix(F2, gen.ell, m, rows)
+    assert rgb_pot_reduce(scrambled).matrix == basis.matrix
