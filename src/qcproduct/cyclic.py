@@ -28,7 +28,7 @@ from .errors import (
     TooLarge,
 )
 from .field import _MAX_CHARACTERISTIC, Field, _order, nth_root_of_unity
-from .polyring import Poly, x_pow_minus_one
+from .polyring import Poly, _positive, x_pow_minus_one
 
 __all__ = [
     "cyclotomic_coset",
@@ -166,8 +166,7 @@ def minimal_polynomial(q: int, m: int, i: int) -> Poly:
 
 def cyclotomic_cosets(q: int, m: int) -> list[tuple[int, ...]]:
     """Every q-cyclotomic coset modulo m, ordered by smallest member."""
-    if m < 1:
-        raise DegreeMismatch(f"modulus m must be positive, got {m}")
+    m = _positive("m", m, DegreeMismatch)
     out = []
     seen = set()
     for i in range(m):

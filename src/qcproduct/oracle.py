@@ -28,7 +28,7 @@ from .errors import (
     TooLarge,
 )
 from .field import Field
-from .polyring import Poly, fold_mod_xm1
+from .polyring import Poly, _positive, fold_mod_xm1
 from .product import (
     CodewordMatrix,
     ProductParams,
@@ -56,13 +56,9 @@ __all__ = [
 
 def _check_ell(n: int, ell) -> int:
     """ell as an int; ShapeMismatch unless it is an integer >= 1 dividing n."""
-    try:
-        e = operator.index(ell)
-    except TypeError:
-        e = 0
-    if e < 1 or n % e:
-        raise ShapeMismatch(f"ell = {ell!r} is not a positive divisor of "
-                            f"the length {n}")
+    e = _positive("ell", ell, ShapeMismatch)
+    if n % e:
+        raise ShapeMismatch(f"ell = {ell!r} does not divide the length {n}")
     return e
 
 

@@ -7,34 +7,31 @@ with remainder, monic (extended) gcds with a canonical cofactor convention,
 and the modular substitution p(X) -> p(X^e) * X^shift (mod X^N - 1) that
 the product constructions apply with negative exponents and shifts.
 
-Prime fields (``field.m == 1``) run on one packed-integer kernel, and each
-``Poly`` method picks its kernel once per call, never per coefficient:
+The arithmetic runs in one kernel per kind of field, a :class:`_Kernel`
+record that only :func:`_kernel` chooses.  ``Poly`` operators, the gcds,
+:func:`fold_mod_xm1` and canonical reduction (``qcmodule.rgb_pot_reduce``)
+convert their operands to the kernel's native form once and build a
+``Poly`` only for their results:
 
-* products by Kronecker substitution: the codes are packed into byte slots
-  of one integer, slots wide enough for the bound (p-1)^2 * min(len) on a
-  product coefficient, so one integer product convolves them without a
-  carry between slots, and each slot is reduced mod p on the way out
-  (FLINT's ``nmod_poly`` multiplies the same way; Harvey, "Faster
-  polynomial multiplication via multipoint Kronecker substitution", JSC
-  2009);
-* division over GF(2) by XOR and shift on bitmask ints, and the whole
-  extended Euclid loop of :func:`poly_egcd` too, converted back to ``Poly``
-  once at the end.  The same bitmask routines, with a shift-XOR product
-  and a mask fold modulo X^m - 1, carry canonical reduction over GF(2)
-  (``qcmodule.rgb_pot_reduce``) from its first fold to its result;
-* division over odd p as schoolbook long division on modular integers;
-* addition, subtraction, negation and scaling as plain modular integers
-  (XOR in characteristic 2, whatever the extension degree).
-
-Extension fields keep schoolbook loops over :class:`~qcproduct.field.Field`
-operations.
+* GF(2): bitmask ints, bit k for X^k; sums, products, division and the
+  extended Euclid loop are XOR and shift;
+* GF(p), p odd: code lists; products by Kronecker substitution, the codes
+  packed into byte slots of one integer wide enough for the bound
+  (p-1)^2 * min(len) on a product coefficient, so one integer product
+  convolves them without a carry between slots (FLINT's ``nmod_poly``
+  multiplies the same way; Harvey, "Faster polynomial multiplication via
+  multipoint Kronecker substitution", JSC 2009);
+* extension fields: code lists with schoolbook loops over
+  :class:`~qcproduct.field.Field` operations, summed by XOR in
+  characteristic 2.
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
-from operator import index
+from operator import index, xor
 
 from .errors import (
     BothZero,
@@ -123,61 +120,32 @@ class Poly:
                 f"polynomials over different fields: {self.field!r} vs {other.field!r}")
         return other
 
-    def __add__(self, other):
+    def _apply(self, other, op: str):
+        """The kernel's operation op on self and other, as a Poly."""
         o = self._check(other)
         if o is NotImplemented:
             return o
-        return _trusted(self.field, _add(self.field, self.coeffs, o.coeffs))
+        f = self.field
+        k = _kernel(f)
+        return k.poly(f, getattr(k, op)(f, k.native(f, self.coeffs), k.native(f, o.coeffs)))
+
+    def __add__(self, other):
+        return self._apply(other, "add")
 
     def __sub__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        f = self.field
-        a, b = self.coeffs, o.coeffs
-        if f.p == 2:
-            return _trusted(f, _add(f, a, b))
-        if f.m == 1:
-            p = f.p
-            out = [(x - y) % p for x, y in zip(a, b)]
-        else:
-            sub = f.sub
-            out = [sub(x, y) for x, y in zip(a, b)]
-        out += a[len(b):] if len(a) > len(b) else _neg(f, b[len(a):])
-        return _trusted(f, out)
+        return self._apply(other, "sub")
 
     def __neg__(self):
-        return _trusted(self.field, _neg(self.field, self.coeffs))
+        return self.scale(self.field.neg(1))
 
     def __mul__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        f = self.field
-        if self.is_zero or o.is_zero:
-            return _trusted(f, [])
-        if f.m == 1:
-            return _trusted(f, _kronecker_mul(f.p, self.coeffs, o.coeffs))
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return _trusted(f, out)
+        return self._apply(other, "mul")
 
     __rmul__ = __mul__
 
     def scale(self, code: int) -> "Poly":
-        f = self.field
-        if code == 0:
-            return _trusted(f, [])
-        if f.m == 1:
-            p = f.p
-            return _trusted(f, [code * c % p for c in self.coeffs])
-        mul = f.mul
-        return _trusted(f, [mul(code, c) for c in self.coeffs])
+        mul = self.field.mul
+        return _trusted(self.field, [mul(code, c) for c in self.coeffs] if code else [])
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -191,28 +159,9 @@ class Poly:
         if o.is_zero:
             raise DivisionByZero("polynomial division by zero")
         f = self.field
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            return _trusted(f, []), self
-        if f.q == 2:
-            quot, rem = _divmod2(_to_mask(a), _to_mask(b))
-            return _from_mask(f, quot), _from_mask(f, rem)
-        if f.m == 1:
-            quot, rem = _divmod_p(f.p, a, b)
-            return _trusted(f, quot), _trusted(f, rem)
-        dv = len(b) - 1
-        inv_lead = f.inv(o.leading)
-        rem = list(a)
-        quot = [0] * (len(rem) - dv)
-        for top in range(len(rem) - 1, dv - 1, -1):
-            c = rem[top]
-            if c == 0:
-                continue
-            qc = f.mul(c, inv_lead)
-            quot[top - dv] = qc
-            for j, bj in enumerate(b):
-                rem[top - dv + j] = f.sub(rem[top - dv + j], f.mul(qc, bj))
-        return _trusted(f, quot), _trusted(f, rem)
+        k = _kernel(f)
+        quot, rem = k.divmod(f, k.native(f, self.coeffs), k.native(f, o.coeffs))
+        return k.poly(f, quot), k.poly(f, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -258,33 +207,134 @@ def _trusted(field: Field, codes: list) -> Poly:
     return p
 
 
+def _positive(name: str, value, error: type) -> int:
+    """value as an int; error unless it is an integer >= 1 (a float or a
+    string is refused, never truncated)."""
+    try:
+        v = index(value)
+    except TypeError:
+        v = 0
+    if v < 1:
+        raise error(f"{name} = {value!r} is not a positive integer")
+    return v
+
+
 # ---------------------------------------------------------------------------
-# coefficient-list kernels: one choice of field arithmetic per call
+# one kernel per kind of field
 # ---------------------------------------------------------------------------
 
-def _add(f: Field, a, b) -> list:
-    if len(a) < len(b):
+@dataclass(frozen=True, slots=True)
+class _Kernel:
+    """Polynomial arithmetic over one kind of field on a native form, in
+    which zero is the one false value.  Every function takes the field
+    first and changes no operand; `egcd` returns (g, s, t) as
+    :func:`poly_egcd` does and `fold` reduces modulo X^m - 1."""
+
+    native: Callable  # (field, stripped codes) -> native form
+    poly: Callable  # (field, native form) -> Poly
+    add: Callable
+    sub: Callable
+    mul: Callable
+    divmod: Callable
+    egcd: Callable
+    fold: Callable
+
+
+# GF(2): a polynomial as the bitmask int of its coefficients (bit k for X^k),
+# converted through bytes of ASCII '0'/'1' digits
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _to_mask(f: Field, codes) -> int:
+    return int(b"0" + bytes(reversed(codes)).translate(_TO_DIGITS), 2)
+
+
+def _from_mask(f: Field, x: int) -> Poly:
+    return _trusted(f, list(bin(x)[:1:-1].encode().translate(_FROM_DIGITS)))
+
+
+def _xor(f: Field, a: int, b: int) -> int:
+    return a ^ b
+
+
+def _mul2(f: Field, a: int, b: int) -> int:
+    """The carry-less product of two GF(2) bitmasks: b shifted to each set
+    bit of the sparser factor, XORed together."""
+    if a.bit_count() > b.bit_count():
         a, b = b, a
-    if f.p == 2:
-        out = [x ^ y for x, y in zip(a, b)]
-    elif f.m == 1:
-        p = f.p
-        out = [(x + y) % p for x, y in zip(a, b)]
-    else:
-        add = f.add
-        out = [add(x, y) for x, y in zip(a, b)]
-    out += a[len(b):]
+    out = 0
+    while a:
+        k = a.bit_length() - 1
+        out ^= b << k
+        a ^= 1 << k
     return out
 
 
-def _neg(f: Field, a) -> list:
-    if f.p == 2:
-        return list(a)
-    if f.m == 1:
-        p = f.p
-        return [(p - c) % p for c in a]
-    neg = f.neg
-    return [neg(c) for c in a]
+def _divmod2(f: Field, a: int, b: int):
+    """(quotient, remainder) bitmasks of a by b != 0 over GF(2)."""
+    q, d = 0, b.bit_length()
+    while (k := a.bit_length() - d) >= 0:
+        q |= 1 << k
+        a ^= b << k
+    return q, a
+
+
+def _egcd2(f: Field, u: int, v: int):
+    """poly_egcd on GF(2) bitmasks.  Each XOR-shift step of the division
+    r0 / r1 applies the same quotient term to the cofactor pairs, which is
+    Euclid's s0 - q*s1 without forming q."""
+    r0, r1, s0, s1, t0, t1 = u, v, 1, 0, 0, 1
+    while r1:
+        d = r1.bit_length()
+        while (k := r0.bit_length() - d) >= 0:
+            r0 ^= r1 << k
+            s0 ^= s1 << k
+            t0 ^= t1 << k
+        r0, r1, s0, s1, t0, t1 = r1, r0, s1, s0, t1, t0
+    return r0, s0, t0
+
+
+def _fold2(f: Field, x: int, m: int) -> int:
+    """fold_mod_xm1 on a GF(2) bitmask: the bits from m up are XORed back
+    onto bit 0 until none are left."""
+    low = (1 << m) - 1
+    while x >> m:
+        x = (x & low) ^ (x >> m)
+    return x
+
+
+# Every other field: a polynomial as its code sequence, the coeffs tuple
+# itself on the way in and a fresh list from each operation.
+
+def _codes(f: Field, codes):
+    return codes
+
+
+def _fold_codes(f: Field, codes, m: int):
+    add, out = _kernel(f).add, codes[:m]
+    for i in range(m, len(codes), m):
+        out = add(f, out, codes[i:i + m])
+    return out
+
+
+def _with_tail(out: list, a, b) -> list:
+    """out, the sums at the positions a and b share, followed by the rest
+    of the longer of them, without trailing zeros."""
+    out += a[len(b):] if len(a) > len(b) else b[len(a):]
+    return _strip(out)
+
+
+def _add_p(f: Field, a, b) -> list:
+    p = f.p
+    return _with_tail([(x + y) % p for x, y in zip(a, b)], a, b)
+
+
+def _sub_p(f: Field, a, b) -> list:
+    p = f.p
+    out = [(x - y) % p for x, y in zip(a, b)]
+    out += a[len(b):] if len(a) > len(b) else [-y % p for y in b[len(a):]]
+    return _strip(out)
 
 
 # Kronecker slots are 1, 2, 4, 8 or 16 bytes: 16 hold every bound below the
@@ -292,7 +342,6 @@ def _neg(f: Field, a) -> list:
 # little-endian machine a memoryview reads the slots of up to 8 bytes as
 # native unsigned items.
 _FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
-_PARITY = bytes(i & 1 for i in range(256))
 
 
 def _slot_bytes(bound: int) -> int:
@@ -316,27 +365,28 @@ def _pack(codes, s: int, p: int) -> int:
 def _unpack(x: int, n: int, s: int, p: int) -> list:
     """The n slots of x, each reduced mod p."""
     buf = x.to_bytes(n * s, "little")
-    if p == 2:  # a slot's parity is its low byte's
-        return list(buf[::s].translate(_PARITY))
     if s in _FORMAT:
         return [c % p for c in memoryview(buf).cast(_FORMAT[s])]
     return [int.from_bytes(buf[i:i + s], "little") % p for i in range(0, n * s, s)]
 
 
-def _kronecker_mul(p: int, a, b) -> list:
-    """The product of two nonzero code sequences over GF(p): one integer
+def _kronecker_mul(f: Field, a, b) -> list:
+    """The product of two code sequences over GF(p), p odd: one integer
     product of the packed operands.  Product coefficient k is a sum of at
     most min(len) terms below p^2 before its reduction mod p."""
+    if not a or not b:
+        return []
+    p = f.p
     s = _slot_bytes((p - 1) ** 2 * min(len(a), len(b)))
     return _unpack(_pack(a, s, p) * _pack(b, s, p), len(a) + len(b) - 1, s, p)
 
 
-def _divmod_p(p: int, a, b):
-    """(quotient, remainder) code lists of a by b over GF(p), len(a) >=
-    len(b): schoolbook long division on modular integers.  Most divisors
-    in canonical reduction have low degree, and there this beats both the
-    packed slot-parallel division and Newton inversion."""
-    db = len(b) - 1
+def _divmod_p(f: Field, a, b):
+    """(quotient, remainder) code lists of a by b over GF(p): schoolbook
+    long division on modular integers.  Most divisors in canonical
+    reduction have low degree, and there this beats both the packed
+    slot-parallel division and Newton inversion."""
+    db, p = len(b) - 1, f.p
     inv = pow(b[-1], -1, p)
     rem = list(a)
     quot = [0] * (len(a) - db)
@@ -348,76 +398,15 @@ def _divmod_p(p: int, a, b):
             for j in range(db):
                 rem[k + j] = (rem[k + j] - c * b[j]) % p
     del rem[db:]
-    return quot, rem
-
-
-# GF(2): a polynomial as the bitmask int of its coefficients (bit k for X^k),
-# converted through bytes of ASCII '0'/'1' digits
-_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _to_mask(codes) -> int:
-    return int(b"0" + bytes(reversed(codes)).translate(_TO_DIGITS), 2)
-
-
-def _from_mask(f: Field, x: int) -> Poly:
-    return _trusted(f, list(bin(x)[:1:-1].encode().translate(_FROM_DIGITS)))
-
-
-def _divmod2(a: int, b: int):
-    """(quotient, remainder) bitmasks of a by b != 0 over GF(2)."""
-    q, d = 0, b.bit_length()
-    while (k := a.bit_length() - d) >= 0:
-        q |= 1 << k
-        a ^= b << k
-    return q, a
-
-
-def _egcd2(u: int, v: int):
-    """poly_egcd on GF(2) bitmasks.  Each XOR-shift step of the division
-    r0 / r1 applies the same quotient term to the cofactor pairs, which is
-    Euclid's s0 - q*s1 without forming q."""
-    r0, r1, s0, s1, t0, t1 = u, v, 1, 0, 0, 1
-    while r1:
-        d = r1.bit_length()
-        while (k := r0.bit_length() - d) >= 0:
-            r0 ^= r1 << k
-            s0 ^= s1 << k
-            t0 ^= t1 << k
-        r0, r1, s0, s1, t0, t1 = r1, r0, s1, s0, t1, t0
-    return r0, s0, t0
-
-
-def _mul2(a: int, b: int) -> int:
-    """The carry-less product of two GF(2) bitmasks: b shifted to each set
-    bit of the sparser factor, XORed together."""
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    out = 0
-    while a:
-        k = a.bit_length() - 1
-        out ^= b << k
-        a ^= 1 << k
-    return out
-
-
-def _fold2(x: int, m: int) -> int:
-    """fold_mod_xm1 on a GF(2) bitmask: the bits from m up are XORed back
-    onto bit 0 until none are left."""
-    low = (1 << m) - 1
-    while x >> m:
-        x = (x & low) ^ (x >> m)
-    return x
+    return quot, _strip(rem)
 
 
 def _egcd_p(f: Field, u, v):
-    """poly_egcd on code lists over GF(p), p odd: Euclid's loop with
-    `_divmod_p`, a Poly built only for the results.  A cofactor update
+    """poly_egcd on code lists over GF(p), p odd.  A cofactor update
     a - q*b takes one pass over the longer factor per term of the shorter,
     reduced mod p once; Euclid's quotients mostly have one or two terms.
     When both factors have more than 16 terms it is a Kronecker product
-    and one addition instead."""
+    and one subtraction instead."""
     p = f.p
 
     def minus_product(a, q, b):  # a - q*b
@@ -426,7 +415,7 @@ def _egcd_p(f: Field, u, v):
         if len(q) > len(b):
             q, b = b, q
         if len(q) > 16:
-            return _strip(_add(f, a, _neg(f, _kronecker_mul(p, q, b))))
+            return _sub_p(f, a, _kronecker_mul(f, q, b))
         out = a + [0] * (len(q) + len(b) - 1 - len(a))
         nb = len(b)
         for i, c in enumerate(q):
@@ -434,24 +423,98 @@ def _egcd_p(f: Field, u, v):
                 out[i:i + nb] = [x - c * y for x, y in zip(out[i:i + nb], b)]
         return _strip([x % p for x in out])
 
-    r0, r1, s0, s1, t0, t1 = list(u), list(v), [1], [], [], [1]
+    r0, r1, s0, s1, t0, t1 = u, v, [1], [], [], [1]
     while r1:
-        if len(r0) < len(r1):
-            q, r = [], r0
-        else:
-            q, r = _divmod_p(p, r0, r1)
-        r0, r1 = r1, _strip(r)
+        q, r = _divmod_p(f, r0, r1)
+        r0, r1 = r1, r
         s0, s1 = s1, minus_product(s0, q, s1)
         t0, t1 = t1, minus_product(t0, q, t1)
     c = pow(r0[-1], -1, p)
-    return ([c * x % p for x in r0], [c * x % p for x in s0],
-            [c * x % p for x in t0])
+    return tuple([c * x % p for x in a] for a in (r0, s0, t0))
+
+
+def _xor_codes(f: Field, a, b) -> list:
+    return _with_tail(list(map(xor, a, b)), a, b)
+
+
+def _add_ext(f: Field, a, b) -> list:
+    return _with_tail(list(map(f.add, a, b)), a, b)
+
+
+def _sub_ext(f: Field, a, b) -> list:
+    out = list(map(f.sub, a, b))
+    out += a[len(b):] if len(a) > len(b) else map(f.neg, b[len(a):])
+    return _strip(out)
+
+
+def _mul_ext(f: Field, a, b) -> list:
+    if not a or not b:
+        return []
+    add, mul = f.add, f.mul
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = add(out[i + j], mul(x, y))
+    return out
+
+
+def _divmod_ext(f: Field, a, b):
+    dv = len(b) - 1
+    mul, sub = f.mul, f.sub
+    inv_lead = f.inv(b[-1])
+    rem = list(a)
+    quot = [0] * (len(rem) - dv)
+    for top in range(len(rem) - 1, dv - 1, -1):
+        c = rem[top]
+        if c == 0:
+            continue
+        qc = mul(c, inv_lead)
+        quot[top - dv] = qc
+        for j, bj in enumerate(b):
+            rem[top - dv + j] = sub(rem[top - dv + j], mul(qc, bj))
+    del rem[dv:]
+    return quot, _strip(rem)
+
+
+def _egcd_ext(f: Field, u, v):
+    """poly_egcd on code lists over an extension field: Euclid's loop on
+    the field's kernel."""
+    k = _kernel(f)
+    div, mul, sub = k.divmod, k.mul, k.sub
+    r0, r1, s0, s1, t0, t1 = u, v, [1], [], [], [1]
+    while r1:
+        q, r = div(f, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub(f, s0, mul(f, q, s1))
+        t0, t1 = t1, sub(f, t0, mul(f, q, t1))
+    c, mul = f.inv(r0[-1]), f.mul
+    return tuple([mul(c, x) for x in a] for a in (r0, s0, t0))
+
+
+_GF2 = _Kernel(_to_mask, _from_mask, _xor, _xor, _mul2, _divmod2, _egcd2, _fold2)
+_GFP = _Kernel(_codes, _trusted, _add_p, _sub_p, _kronecker_mul, _divmod_p,
+               _egcd_p, _fold_codes)
+_EXT = _Kernel(_codes, _trusted, _add_ext, _sub_ext, _mul_ext, _divmod_ext,
+               _egcd_ext, _fold_codes)
+_EXT2 = _Kernel(_codes, _trusted, _xor_codes, _xor_codes, _mul_ext, _divmod_ext,
+                _egcd_ext, _fold_codes)
+
+
+def _kernel(f: Field) -> _Kernel:
+    """The kernel for the kind of the field f."""
+    if f.q == 2:
+        return _GF2
+    if f.m == 1:
+        return _GFP
+    return _EXT2 if f.p == 2 else _EXT
 
 
 def x_pow_minus_one(field: Field, m: int) -> Poly:
-    """The polynomial X^m - 1 over the field."""
-    if m < 1:
-        raise DegreeMismatch("m must be positive")
+    """The polynomial X^m - 1 over the field; DegreeMismatch unless m is an
+    integer >= 1."""
+    m = _positive("m", m, DegreeMismatch)
     return _trusted(field, [field.neg(1)] + [0] * (m - 1) + [1])
 
 
@@ -460,9 +523,12 @@ def poly_gcd(u: Poly, v: Poly) -> Poly:
     if u.is_zero and v.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
     u._check(v)
-    while not v.is_zero:
-        u, v = v, u % v
-    return u.monic()
+    f = u.field
+    k = _kernel(f)
+    a, b = k.native(f, u.coeffs), k.native(f, v.coeffs)
+    while b:
+        a, b = b, k.divmod(f, a, b)[1]
+    return k.poly(f, a).monic()
 
 
 def poly_egcd(u: Poly, v: Poly):
@@ -483,55 +549,34 @@ def poly_egcd(u: Poly, v: Poly):
         raise BothZero("egcd(0, 0) is undefined")
     u._check(v)
     f = u.field
-    if f.q == 2:
-        return tuple(_from_mask(f, x)
-                     for x in _egcd2(_to_mask(u.coeffs), _to_mask(v.coeffs)))
-    if f.m == 1:
-        return tuple(_trusted(f, x) for x in _egcd_p(f, u.coeffs, v.coeffs))
-    r0, r1 = u, v
-    s0, s1 = Poly.one(f), Poly.zero(f)
-    t0, t1 = Poly.zero(f), Poly.one(f)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    c = f.inv(r0.leading)
-    return r0.scale(c), s0.scale(c), t0.scale(c)
+    k = _kernel(f)
+    return tuple(k.poly(f, x)
+                 for x in k.egcd(f, k.native(f, u.coeffs), k.native(f, v.coeffs)))
 
 
 def modular_substitute(p: Poly, e: int, N: int, shift: int = 0) -> Poly:
     """p(X^e) * X^shift reduced modulo X^N - 1: coefficient k lands on
     X^((k*e + shift) mod N), so negative e and shift mean inverse powers
     of X in the quotient ring.  Colliding exponents are summed in the
-    field."""
-    if N < 1:
-        raise DegreeMismatch("modulus exponent N must be positive")
+    field.  DegreeMismatch unless N is an integer >= 1."""
+    N = _positive("N", N, DegreeMismatch)
     f = p.field
+    add = f.add
     e, shift = e % N, shift % N
     out = [0] * N
-    if f.m == 1:  # integer sums, reduced once
-        for k, c in enumerate(p.coeffs):
-            out[(k * e + shift) % N] += c
-        q = f.p
-        return _trusted(f, [c % q for c in out])
-    add = f.add
     for k, c in enumerate(p.coeffs):
         if c:
             pos = (k * e + shift) % N
-            out[pos] = add(out[pos], c)
+            out[pos] = add(out[pos], c) if out[pos] else c
     return _trusted(f, out)
 
 
 def fold_mod_xm1(p: Poly, m: int) -> Poly:
-    """p reduced modulo X^m - 1 by folding exponents (X^k -> X^(k mod m)).
-    DegreeMismatch for m < 1, checked only once p reaches degree m."""
+    """p reduced modulo X^m - 1 by folding exponents (X^k -> X^(k mod m));
+    DegreeMismatch unless m is an integer >= 1."""
+    m = _positive("m", m, DegreeMismatch)
     if p.degree < m:
         return p
-    if m < 1:
-        raise DegreeMismatch("m must be positive")
-    f, codes = p.field, p.coeffs
-    out = list(codes[:m])
-    for i in range(m, len(codes), m):
-        out = _add(f, out, codes[i:i + m])
-    return _trusted(f, out)
+    f = p.field
+    k = _kernel(f)
+    return k.poly(f, k.fold(f, k.native(f, p.coeffs), m))

@@ -17,7 +17,6 @@ module provides:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -31,14 +30,9 @@ from .errors import (
 from .field import Field
 from .polyring import (
     Poly,
-    _divmod2,
-    _egcd2,
-    _fold2,
-    _from_mask,
-    _mul2,
-    _to_mask,
+    _kernel,
+    _positive,
     fold_mod_xm1,
-    poly_egcd,
     x_pow_minus_one,
 )
 
@@ -57,18 +51,6 @@ __all__ = [
 ]
 
 
-def _positive(name: str, value) -> int:
-    """value as an int; ShapeMismatch unless it is an integer >= 1 (a float
-    or a string is refused, never truncated)."""
-    try:
-        v = operator.index(value)
-    except TypeError:
-        v = 0
-    if v < 1:
-        raise ShapeMismatch(f"{name} = {value!r} is not a positive integer")
-    return v
-
-
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class PolyVector:
     """An ell-tuple of component polynomials, each of degree < m."""
@@ -77,7 +59,7 @@ class PolyVector:
     m: int
 
     def __init__(self, components, m: int):
-        m = _positive("m", m)
+        m = _positive("m", m, ShapeMismatch)
         comps = tuple(components)
         if not comps:
             raise ShapeMismatch("a component vector needs at least one component")
@@ -142,7 +124,7 @@ class GeneratingMatrix:
     rows: tuple
 
     def __init__(self, field: Field, ell: int, m: int, rows=()):
-        ell, m = _positive("ell", ell), _positive("m", m)
+        ell, m = _positive("ell", ell, ShapeMismatch), _positive("m", m, ShapeMismatch)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "m", m)
@@ -168,7 +150,7 @@ class RgbPotBasis:
     matrix: tuple
 
     def __init__(self, field: Field, ell: int, m: int, matrix):
-        ell, m = _positive("ell", ell), _positive("m", m)
+        ell, m = _positive("ell", ell, ShapeMismatch), _positive("m", m, ShapeMismatch)
         rows = _check_rows(field, ell, matrix)
         if len(rows) != ell:
             raise ShapeMismatch(f"basis must be {ell}x{ell}, got {len(rows)} rows")
@@ -191,9 +173,6 @@ class RgbPotBasis:
 # reduction to canonical form
 # ---------------------------------------------------------------------------
 
-_coeffs = operator.attrgetter("coeffs")
-
-
 def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
     """Canonical upper-triangular basis of the submodule generated by the
     explicit rows together with the (X^m-1)e_j rows.
@@ -203,73 +182,52 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
     determinant -1 row transform, so the row span never changes), which
     makes every diagonal a monic divisor of X^m - 1: the (X^m-1)e_j row
     always reaches its own column untouched, so the pivot there is that row
-    or an egcd's monic gcd with it.  Those rows also keep the work in
-    F_q[X]/(X^m-1): the submodule contains K = <(X^m-1)e_k>, and
-    while column col is processed every (X^m-1)e_k row with k > col is
-    still pending, so reducing entries right of col modulo X^m - 1 changes
-    neither the submodule nor the result, and keeps operands below degree
-    2m.  Entries above each diagonal are then reduced modulo it, and any
-    row whose diagonal is the whole of X^m - 1 is replaced by (X^m-1)e_i.
-    The result is unique per submodule.
+    or an egcd's monic gcd with it.  Both rows of a fold are zero left of
+    the column, and there the fold gives the gcd and zero, so only the
+    entries right of it are combined.  While column col is processed every
+    (X^m-1)e_k row with k > col is still pending, so reducing those entries
+    modulo X^m - 1 changes neither the submodule nor the result, and keeps
+    operands below degree 2m.  Entries above each diagonal are then reduced
+    modulo it.  A diagonal is all of X^m - 1 only where the (X^m-1)e_i row
+    was alone at its column, with a zero tail.  The result is unique per
+    submodule.
 
-    The loop runs on native entries through a kernel chosen once per call:
-    over GF(2) every entry is a bitmask int from the first fold to the
-    result (XOR, shift-XOR products, `_egcd2`, `_divmod2` and a mask
-    fold), so a ``Poly`` is built only for the returned basis; over other
-    fields the entries are ``Poly`` objects and the kernel is their
-    operators, :func:`poly_egcd` and :func:`fold_mod_xm1`.
+    The loop runs in the field's kernel (``polyring._kernel``) on native
+    entries, and a ``Poly`` is built only for the returned basis.
     """
     f, ell, m = gen.field, gen.ell, gen.m
-    if f.q == 2:  # bitmask ints, bit k for X^k; X^m - 1 is X^m + 1
-        add = sub = operator.xor
-        mul, egcd, div, fold, nonzero = _mul2, _egcd2, _divmod2, _fold2, bool
-        rows = [[_to_mask(p.coeffs) for p in row] for row in gen.rows]
-        zero, full = 0, 1 << m | 1
-    else:  # Poly objects; the zero polynomial's coeffs, (), is the one false value
-        add, sub, mul = operator.add, operator.sub, operator.mul
-        egcd, div, fold, nonzero = poly_egcd, divmod, fold_mod_xm1, _coeffs
-        rows, zero, full = gen.rows, Poly.zero(f), x_pow_minus_one(f, m)
-
-    pending = [[fold(p, m) for p in row] for row in rows]
-    for j in range(ell):
-        imp = [zero] * ell
-        imp[j] = full
-        pending.append(imp)
+    k = _kernel(f)
+    native, add, sub, mul, div, fold = k.native, k.add, k.sub, k.mul, k.divmod, k.fold
+    zero = native(f, ())
+    full = sub(f, native(f, (0,) * m + (1,)), native(f, (1,)))  # X^m - 1
+    pending = [[fold(f, native(f, p.coeffs), m) for p in row] for row in gen.rows]
+    pending += ([zero] * j + [full] + [zero] * (ell - 1 - j) for j in range(ell))
 
     pivots = []
     for col in range(ell):
-        active = [r for r in pending if nonzero(r[col])]
-        pending = [r for r in pending if not nonzero(r[col])]
+        active = [r for r in pending if r[col]]
+        pending = [r for r in pending if not r[col]]
         acc = active[0]
         for row in active[1:]:
-            g, s, t = egcd(acc[col], row[col])
-            co_acc = div(acc[col], g)[0]
-            co_row = div(row[col], g)[0]
-            folded = [add(mul(s, a), mul(t, b)) for a, b in zip(acc, row)]
-            annihilated = [sub(mul(co_row, a), mul(co_acc, b))
-                           for a, b in zip(acc, row)]
-            folded[col + 1:] = [fold(p, m) for p in folded[col + 1:]]
-            annihilated[col + 1:] = [fold(p, m) for p in annihilated[col + 1:]]
-            acc = folded
-            pending.append(annihilated)
+            g, s, t = k.egcd(f, acc[col], row[col])
+            co_acc = div(f, acc[col], g)[0]
+            co_row = div(f, row[col], g)[0]
+            tails = list(zip(acc[col + 1:], row[col + 1:]))
+            acc = [zero] * col + [g] + [
+                fold(f, add(f, mul(f, s, a), mul(f, t, b)), m) for a, b in tails]
+            pending.append([zero] * (col + 1) + [
+                fold(f, sub(f, mul(f, co_row, a), mul(f, co_acc, b)), m) for a, b in tails])
         pivots.append(acc)
 
     # leftover rows have zeros at every position; nothing to keep
     # reduce above-diagonal entries modulo the diagonal, left to right
     for col in range(1, ell):
-        for j in range(col):
-            q, r = div(pivots[j][col], pivots[col][col])
-            if nonzero(q):
-                for k in range(col, ell):
-                    pivots[j][k] = sub(pivots[j][k], mul(q, pivots[col][k]))
-    # rows whose diagonal is all of X^m - 1 carry no information beyond it
-    for i in range(ell - 1, -1, -1):
-        if pivots[i][i] == full:
-            pivots[i] = [zero] * ell
-            pivots[i][i] = full
-    if f.q == 2:
-        pivots = [[_from_mask(f, x) for x in row] for row in pivots]
-    return RgbPotBasis(f, ell, m, pivots)
+        d = pivots[col]
+        for row in pivots[:col]:
+            q = div(f, row[col], d[col])[0]
+            if q:
+                row[col:] = [sub(f, x, mul(f, q, y)) for x, y in zip(row[col:], d[col:])]
+    return RgbPotBasis(f, ell, m, [[k.poly(f, x) for x in row] for row in pivots])
 
 
 def is_rgb_pot(b: RgbPotBasis):

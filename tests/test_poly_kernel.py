@@ -1,14 +1,13 @@
-"""The packed-integer prime-field kernel of ``polyring`` against a
-schoolbook reference.
+"""The polynomial kernels of ``polyring`` against a schoolbook reference.
 
 The reference below works on plain coefficient lists with one ``% p`` per
 operation, independent of the package's code.  Products, divisions, gcds
 and extended gcds are compared on derandomised hypothesis draws over
 primes from 2 up to the 2^31 characteristic cap, and products are also
 checked at both sides of every Kronecker slot-width boundary that fits in
-memory.  The GF(2) bitmask product and fold that canonical reduction
-runs on are compared with the same reference, and reduction over GF(2) is
-checked to build a ``Poly`` only for its result.
+memory.  The GF(2) bitmask product and fold are compared with the same
+reference, and canonical reduction is checked to build a ``Poly`` only for
+its result over GF(2), GF(3), GF(4) and GF(9).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from qcproduct import (
     rgb_pot_reduce,
     x_pow_minus_one,
 )
-from qcproduct import polyring, qcmodule
+from qcproduct import polyring
 
 PRIMES = (2, 3, 5, 7, 251, 65521, 2 ** 31 - 1)
 FIELDS = {p: field_new(p) for p in PRIMES}
@@ -247,6 +246,16 @@ def test_prime_field_kernel_makes_no_field_calls(p, monkeypatch):
     assert q * v + r == prod + u and s * u + t * v == g
 
 
+def _record_built(monkeypatch) -> list:
+    """A list that grows by one entry for each Poly the kernels build: they
+    all set the coefficients of a new Poly through polyring._set_coeffs."""
+    built = []
+    set_coeffs = polyring._set_coeffs
+    monkeypatch.setattr(polyring, "_set_coeffs",
+                        lambda p, codes: built.append(codes) or set_coeffs(p, codes))
+    return built
+
+
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_prime_field_egcd_builds_only_its_results(p, monkeypatch):
     # the Euclid loop runs on bitmasks (p = 2) or code lists (odd p): the
@@ -254,10 +263,7 @@ def test_prime_field_egcd_builds_only_its_results(p, monkeypatch):
     f = FIELDS[p]
     u = Poly(f, [(3 * k * k + 1) % p for k in range(70)] + [1])
     v = Poly(f, [(5 * k + 2) % p for k in range(61)] + [1])
-    built = []
-    trusted = polyring._trusted
-    monkeypatch.setattr(polyring, "_trusted",
-                        lambda *args: built.append(args) or trusted(*args))
+    built = _record_built(monkeypatch)
     g, s, t = poly_egcd(u, v)
     monkeypatch.undo()
     assert len(built) == 3
@@ -270,33 +276,35 @@ def test_prime_field_egcd_builds_only_its_results(p, monkeypatch):
 def test_gf2_mask_kernel_matches_reference(x, y, m):
     f = FIELDS[2]
     a, b = ([k >> i & 1 for i in range(k.bit_length())] for k in (x, y))
-    product = polyring._from_mask(f, polyring._mul2(x, y))
+    product = polyring._from_mask(f, polyring._mul2(f, x, y))
     assert product.coeffs == tuple(ref_mul(a, b, 2))
-    assert polyring._from_mask(f, polyring._fold2(x, m)) == fold_mod_xm1(Poly(f, a), m)
+    assert polyring._from_mask(f, polyring._fold2(f, x, m)) == fold_mod_xm1(Poly(f, a), m)
 
 
-def test_gf2_reduction_builds_polys_only_at_the_boundary(monkeypatch):
-    # over GF(2) canonical reduction runs on bitmasks: no Poly product,
-    # division or egcd, and one Poly built per entry of the result
-    f = FIELDS[2]
-    rows = [[Poly(f, [(k * k + i + j) % 3 % 2 for k in range(40)] + [1])
-             for j in range(4)] for i in range(3)]
-    gen = GeneratingMatrix(f, 4, 31, rows)
-    calls = []
-    for name in ("__mul__", "__divmod__", "__add__", "__sub__"):
-        original = getattr(Poly, name)
-        monkeypatch.setattr(Poly, name, lambda *args, _o=original, _n=name:
-                            calls.append(_n) or _o(*args))
-    monkeypatch.setattr(qcmodule, "poly_egcd", lambda *args: calls.append("egcd"))
-    built = []
-    trusted = polyring._trusted
-    monkeypatch.setattr(polyring, "_trusted",
-                        lambda *args: built.append(args) or trusted(*args))
-    basis = rgb_pot_reduce(gen)
-    monkeypatch.undo()
-    assert calls == []
-    assert len(built) == 4 * 4  # the result's entries
-    assert is_rgb_pot(basis)[0]
+def test_reduction_builds_polys_only_at_the_boundary(monkeypatch):
+    # over every field canonical reduction runs in the field's kernel: no
+    # Poly operator, division or egcd, and one Poly built per entry of the
+    # result
+    for f in (FIELDS[2], FIELDS[3], field_new(2, 2), field_new(3, 2)):
+        q = f.q
+        rows = [[Poly(f, [(k * k + i + j) % (q + 1) % q for k in range(40)] + [1])
+                 for j in range(4)] for i in range(3)]
+        gen = GeneratingMatrix(f, 4, 31, rows)
+        calls = []
+        for name in ("__mul__", "__divmod__", "__add__", "__sub__"):
+            original = getattr(Poly, name)
+            monkeypatch.setattr(Poly, name, lambda *args, _o=original, _n=name:
+                                calls.append(_n) or _o(*args))
+        for name in ("poly_egcd", "poly_gcd"):
+            original = getattr(polyring, name)
+            monkeypatch.setattr(polyring, name, lambda *args, _o=original, _n=name:
+                                calls.append(_n) or _o(*args))
+        built = _record_built(monkeypatch)
+        basis = rgb_pot_reduce(gen)
+        monkeypatch.undo()
+        assert calls == [], f
+        assert len(built) == 4 * 4, f  # the result's entries
+        assert is_rgb_pot(basis)[0]
 
 
 def test_internal_results_skip_validation(monkeypatch):

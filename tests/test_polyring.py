@@ -21,6 +21,7 @@ from qcproduct import (
 F2 = field_new(2)
 F3 = field_new(3)
 F4 = field_new(2, 2)
+F9 = field_new(3, 2)
 
 
 def random_poly(rng, field, max_deg):
@@ -245,8 +246,10 @@ def test_egcd_random_bezout_identity():
 def test_x_pow_minus_one():
     assert x_pow_minus_one(F2, 3).coeffs == (1, 0, 0, 1)
     assert x_pow_minus_one(F3, 2).coeffs == (2, 0, 1)
-    with pytest.raises(DegreeMismatch):
-        x_pow_minus_one(F2, 0)
+    # a float or a string is refused, never truncated
+    for m in (0, -1, 2.5, "3"):
+        with pytest.raises(DegreeMismatch):
+            x_pow_minus_one(F2, m)
 
 
 def test_modular_substitute_positive_exponent():
@@ -268,6 +271,11 @@ def test_modular_substitute_collisions_sum_in_field():
     assert modular_substitute(p, 2, 4).is_zero          # X^6 + X^2 = 0 over GF(2)
     q = Poly(F3, (0, 1, 0, 1))
     assert modular_substitute(q, 2, 4).coeffs == (0, 0, 2)
+    # codes of an extension add as vectors of base-p digits: over GF(4),
+    # 2 + 3 = 1 (alpha + (alpha + 1)); over GF(9), 5 + 4 = 6 ((2, 1) + (1, 1))
+    assert modular_substitute(Poly(F4, (0, 2, 0, 3)), 2, 4).coeffs == (0, 0, 1)
+    assert modular_substitute(Poly(F9, (0, 5, 0, 4)), 2, 4).coeffs == (0, 0, 6)
+    assert modular_substitute(Poly(F9, (0, 5, 0, 7)), 2, 4).is_zero
 
 
 def test_modular_substitute_reduces_high_degrees():
@@ -276,8 +284,9 @@ def test_modular_substitute_reduces_high_degrees():
     assert r.degree < 4
     # exponents 0..9 mod 4 hit 0,1 three times and 2,3 twice -> X + 1 over GF(2)
     assert r.coeffs == (1, 1)
-    with pytest.raises(DegreeMismatch):
-        modular_substitute(p, 1, 0)
+    for N in (0, -4, 2.5, "3"):
+        with pytest.raises(DegreeMismatch):
+            modular_substitute(p, 1, N)
 
 
 def test_modular_substitute_shift():
@@ -305,7 +314,7 @@ def test_fold_mod_xm1():
 
 def test_fold_mod_xm1_rejects_nonpositive_m():
     p = Poly(F2, (1, 1, 1))          # X^2 + X + 1
-    for m in (0, -2):
+    for m in (0, -2, 2.5, "3"):
         with pytest.raises(DegreeMismatch):
             fold_mod_xm1(p, m)
 
