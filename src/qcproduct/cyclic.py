@@ -198,8 +198,7 @@ class CyclicCode:
 
     def __init__(self, m: int, g: Poly):
         field = g.field
-        if m < 1:
-            raise NotADivisor(f"block length must be positive, got {m}")
+        m = _positive("block length m", m, NotADivisor)
         if m % field.p == 0:
             raise NotCoprime(
                 f"length {m} shares a factor with the field characteristic {field.p}")

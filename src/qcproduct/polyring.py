@@ -15,7 +15,12 @@ convert their operands to the kernel's native form once and build a
 
 * GF(2): bitmask ints, bit k for X^k; sums, products, division and the
   extended Euclid loop are XOR and shift;
-* GF(p), p odd: code lists; products by Kronecker substitution, the codes
+* GF(3): pairs of bitmask ints, one for the coefficients equal to 1 and
+  one for those equal to 2 (bitslicing); a sum is seven bitwise operations
+  on the pair, negation swaps it, and division and the extended Euclid
+  loop take one shifted sum per quotient term; products shift and add
+  over a sparse factor, or go through Kronecker substitution;
+* GF(p), p >= 5: code lists; products by Kronecker substitution, the codes
   packed into byte slots of one integer wide enough for the bound
   (p-1)^2 * min(len) on a product coefficient, so one integer product
   convolves them without a carry between slots (FLINT's ``nmod_poly``
@@ -304,6 +309,191 @@ def _fold2(f: Field, x: int, m: int) -> int:
     return x
 
 
+# GF(3): a polynomial as the pair (ones, twos) of bitmask ints, bit k of
+# ones (twos) set where X^k has coefficient 1 (2), and zero as the int 0.
+# Negation swaps the pair.  With a and b the supports of two pairs,
+# (ones, twos) + (ones', twos') = ((ones | ones') ^ c, (twos | twos') ^ c)
+# for c = a & b: seven bitwise operations for every coefficient at once
+# (bitslicing: Boothby and Bradshaw, "Bitslicing and the Method of Four
+# Russians Over Larger Finite Fields", 2009).  Codes go in and out as bytes,
+# one per coefficient, through bytes.translate.
+
+# translation tables, byte v -> the ASCII digit of [v = 1 (mod 3)], the
+# ASCII digit of [v = 2 (mod 3)], and v mod 3; ASCII digits 0-2 -> codes
+_ONE_DIGIT = (b"010" * 86)[:256]
+_TWO_DIGIT = (b"001" * 86)[:256]
+_MOD3 = (b"\0\1\2" * 86)[:256]
+_FROM_TERNARY = bytes.maketrans(b"012", b"\0\1\2")
+
+
+def _pair(digits: bytes):
+    """The pair of the nonempty byte string digits, one coefficient per
+    byte, highest degree first, each byte read mod 3."""
+    ones = int(digits.translate(_ONE_DIGIT), 2)
+    twos = int(digits.translate(_TWO_DIGIT), 2)
+    return (ones, twos) if ones | twos else 0
+
+
+def _to_pair(f: Field, codes):
+    return _pair(bytes(codes)[::-1]) if codes else 0
+
+
+def _codes3(ones: int, twos: int) -> bytes:
+    """The codes of the nonzero pair (ones, twos), one byte each, highest
+    degree first: read as hexadecimal, the binary digits of each plane put
+    one bit in each nibble, and the nibbles of ones + 2*twos are the codes."""
+    return f"{int(f'{ones:b}', 16) + 2 * int(f'{twos:b}', 16):x}".encode().translate(
+        _FROM_TERNARY)
+
+
+def _from_pair(f: Field, x) -> Poly:
+    return _trusted(f, list(_codes3(*x)[::-1]) if x else [])
+
+
+def _slots(ones: int, twos: int, n: int, s: int) -> int:
+    """The n codes of the nonzero pair (ones, twos) as one int, code k in
+    byte s*k."""
+    codes = _codes3(ones, twos)
+    if s > 1:
+        buf = bytearray(s * n)
+        buf[s - 1::s] = codes
+        codes = buf
+    return int.from_bytes(codes, "big")
+
+
+def _add3(f: Field, a, b):
+    if not a:
+        return b
+    if not b:
+        return a
+    (a1, a2), (b1, b2) = a, b
+    c = (a1 | a2) & (b1 | b2)
+    ones, twos = (a1 | b1) ^ c, (a2 | b2) ^ c
+    return (ones, twos) if ones | twos else 0
+
+
+def _sub3(f: Field, a, b):
+    return _add3(f, a, b and (b[1], b[0]))
+
+
+# The most terms of the sparser factor for which _mul3 shifts and adds: each
+# term costs about an eighth of a Kronecker product of 50-term operands
+# (timed on the products of canonical reduction over GF(3)).
+_SHIFT_ADD_TERMS = 8
+
+
+def _mul3(f: Field, a, b):
+    """The product of two GF(3) pairs: the denser factor shifted to each
+    term of the sparser one and added up when that has few terms, and a
+    Kronecker product otherwise, as :func:`_kronecker_mul` multiplies code
+    lists.  There a slot of s > 1 bytes is read mod 3 as the sum of its
+    bytes, since 256 = 1 (mod 3): the bytes are reduced mod 3 and summed
+    into the slot's lowest byte."""
+    if not a or not b:
+        return 0
+    (a1, a2), (b1, b2) = a, b
+    x, y = a1 | a2, b1 | b2
+    if x.bit_count() > y.bit_count():
+        a1, a2, b1, b2, x, y = b1, b2, a1, a2, y, x
+    if x.bit_count() <= _SHIFT_ADD_TERMS:
+        o1 = o2 = 0
+        while x:
+            k = x.bit_length() - 1
+            x ^= 1 << k
+            z1, z2 = (b1 << k, b2 << k) if a1 >> k & 1 else (b2 << k, b1 << k)
+            c = (o1 | o2) & (y << k)
+            o1, o2 = (o1 | z1) ^ c, (o2 | z2) ^ c
+        return (o1, o2) if o1 | o2 else 0
+    na, nb = x.bit_length(), y.bit_length()
+    n, s = na + nb - 1, _slot_bytes(4 * min(na, nb))
+    out = _slots(a1, a2, na, s) * _slots(b1, b2, nb, s)
+    if s == 1:
+        return _pair(out.to_bytes(n, "big"))
+    out = int.from_bytes(out.to_bytes(s * n, "little").translate(_MOD3), "little")
+    w = 8
+    while w < 8 * s:
+        out += out >> w
+        w *= 2
+    return _pair(out.to_bytes(s * n, "big")[s - 1::s])
+
+
+def _divmod3(f: Field, a, b):
+    """(quotient, remainder) pairs of a by b != 0 over GF(3).  A divisor
+    with leading coefficient 2 is made monic by swapping its planes, and
+    the quotient's planes are swapped back.  Each quotient term is then the
+    remainder's leading coefficient c, and r - c*X^k*b is a sum with b's
+    planes shifted by k, swapped when c = 1.  Of two disjoint planes the
+    larger int holds the leading coefficient."""
+    if not a:
+        return 0, 0
+    b1, b2 = b
+    flip = b2 > b1
+    if flip:
+        b1, b2 = b2, b1
+    support = b1 | b2
+    d = support.bit_length()
+    if d == 1:  # a constant: the quotient is a or -a
+        return (a[1], a[0]) if flip else a, 0
+    r1, r2 = a
+    q1 = q2 = 0
+    while (k := (x := r1 | r2).bit_length() - d) >= 0:
+        if r2 > r1:
+            y1, y2 = b1 << k, b2 << k
+            q2 |= 1 << k
+        else:
+            y1, y2 = b2 << k, b1 << k
+            q1 |= 1 << k
+        c = x & (support << k)
+        r1, r2 = (r1 | y1) ^ c, (r2 | y2) ^ c
+    if flip:
+        q1, q2 = q2, q1
+    return (q1, q2) if q1 | q2 else 0, (r1, r2) if r1 | r2 else 0
+
+
+def _egcd3(f: Field, u, v):
+    """poly_egcd on GF(3) pairs, as :func:`_egcd2` on GF(2) masks: each
+    quotient term of r0 / r1 is applied to r0, s0 and t0 at once, without
+    forming the quotient.  r1 is made monic by swapping its planes and
+    those of s1 and t1, a unit multiple of the row that changes no later
+    remainder or cofactor."""
+    r0a, r0b = u or (0, 0)
+    r1a, r1b = v or (0, 0)
+    s0a, s0b, s1a, s1b, t0a, t0b, t1a, t1b = 1, 0, 0, 0, 0, 0, 1, 0
+    while r1a | r1b:
+        if r1b > r1a:
+            r1a, r1b, s1a, s1b, t1a, t1b = r1b, r1a, s1b, s1a, t1b, t1a
+        rs, ss, ts = r1a | r1b, s1a | s1b, t1a | t1b
+        d = rs.bit_length()
+        while (k := (x := r0a | r0b).bit_length() - d) >= 0:
+            if r0b > r0a:  # r0 - 2*X^k*r1 = r0 + X^k*r1
+                ra, rb, sa, sb, ta, tb = (r1a << k, r1b << k, s1a << k, s1b << k,
+                                          t1a << k, t1b << k)
+            else:
+                ra, rb, sa, sb, ta, tb = (r1b << k, r1a << k, s1b << k, s1a << k,
+                                          t1b << k, t1a << k)
+            c = x & (rs << k)
+            r0a, r0b = (r0a | ra) ^ c, (r0b | rb) ^ c
+            c = (s0a | s0b) & (ss << k)
+            s0a, s0b = (s0a | sa) ^ c, (s0b | sb) ^ c
+            c = (t0a | t0b) & (ts << k)
+            t0a, t0b = (t0a | ta) ^ c, (t0b | tb) ^ c
+        r0a, r0b, s0a, s0b, t0a, t0b, r1a, r1b, s1a, s1b, t1a, t1b = (
+            r1a, r1b, s1a, s1b, t1a, t1b, r0a, r0b, s0a, s0b, t0a, t0b)
+    if r0b > r0a:
+        r0a, r0b, s0a, s0b, t0a, t0b = r0b, r0a, s0b, s0a, t0b, t0a
+    return tuple((a, b) if a | b else 0
+                 for a, b in ((r0a, r0b), (s0a, s0b), (t0a, t0b)))
+
+
+def _fold3(f: Field, x, m: int):
+    """fold_mod_xm1 on a GF(3) pair: the coefficients from m up are added
+    back onto X^0 until none are left."""
+    low = (1 << m) - 1
+    while x and (x[0] | x[1]) >> m:
+        x = _add3(f, (x[0] & low, x[1] & low), (x[0] >> m, x[1] >> m))
+    return x
+
+
 # Every other field: a polynomial as its code sequence, the coeffs tuple
 # itself on the way in and a fresh list from each operation.
 
@@ -383,9 +573,8 @@ def _kronecker_mul(f: Field, a, b) -> list:
 
 def _divmod_p(f: Field, a, b):
     """(quotient, remainder) code lists of a by b over GF(p): schoolbook
-    long division on modular integers.  Most divisors in canonical
-    reduction have low degree, and there this beats both the packed
-    slot-parallel division and Newton inversion."""
+    long division on modular integers, for p >= 5 (GF(3) has its own
+    kernel)."""
     db, p = len(b) - 1, f.p
     inv = pow(b[-1], -1, p)
     rem = list(a)
@@ -399,38 +588,6 @@ def _divmod_p(f: Field, a, b):
                 rem[k + j] = (rem[k + j] - c * b[j]) % p
     del rem[db:]
     return quot, _strip(rem)
-
-
-def _egcd_p(f: Field, u, v):
-    """poly_egcd on code lists over GF(p), p odd.  A cofactor update
-    a - q*b takes one pass over the longer factor per term of the shorter,
-    reduced mod p once; Euclid's quotients mostly have one or two terms.
-    When both factors have more than 16 terms it is a Kronecker product
-    and one subtraction instead."""
-    p = f.p
-
-    def minus_product(a, q, b):  # a - q*b
-        if not q or not b:
-            return a
-        if len(q) > len(b):
-            q, b = b, q
-        if len(q) > 16:
-            return _sub_p(f, a, _kronecker_mul(f, q, b))
-        out = a + [0] * (len(q) + len(b) - 1 - len(a))
-        nb = len(b)
-        for i, c in enumerate(q):
-            if c:
-                out[i:i + nb] = [x - c * y for x, y in zip(out[i:i + nb], b)]
-        return _strip([x % p for x in out])
-
-    r0, r1, s0, s1, t0, t1 = u, v, [1], [], [], [1]
-    while r1:
-        q, r = _divmod_p(f, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, minus_product(s0, q, s1)
-        t0, t1 = t1, minus_product(t0, q, t1)
-    c = pow(r0[-1], -1, p)
-    return tuple([c * x % p for x in a] for a in (r0, s0, t0))
 
 
 def _xor_codes(f: Field, a, b) -> list:
@@ -478,9 +635,9 @@ def _divmod_ext(f: Field, a, b):
     return quot, _strip(rem)
 
 
-def _egcd_ext(f: Field, u, v):
-    """poly_egcd on code lists over an extension field: Euclid's loop on
-    the field's kernel."""
+def _egcd_euclid(f: Field, u, v):
+    """poly_egcd on code lists: Euclid's loop on the field's kernel, and a
+    division by the gcd's leading coefficient."""
     k = _kernel(f)
     div, mul, sub = k.divmod, k.mul, k.sub
     r0, r1, s0, s1, t0, t1 = u, v, [1], [], [], [1]
@@ -489,23 +646,26 @@ def _egcd_ext(f: Field, u, v):
         r0, r1 = r1, r
         s0, s1 = s1, sub(f, s0, mul(f, q, s1))
         t0, t1 = t1, sub(f, t0, mul(f, q, t1))
-    c, mul = f.inv(r0[-1]), f.mul
-    return tuple([mul(c, x) for x in a] for a in (r0, s0, t0))
+    lead = r0[-1:]
+    return tuple(div(f, a, lead)[0] for a in (r0, s0, t0))
 
 
 _GF2 = _Kernel(_to_mask, _from_mask, _xor, _xor, _mul2, _divmod2, _egcd2, _fold2)
+_GF3 = _Kernel(_to_pair, _from_pair, _add3, _sub3, _mul3, _divmod3, _egcd3, _fold3)
 _GFP = _Kernel(_codes, _trusted, _add_p, _sub_p, _kronecker_mul, _divmod_p,
-               _egcd_p, _fold_codes)
+               _egcd_euclid, _fold_codes)
 _EXT = _Kernel(_codes, _trusted, _add_ext, _sub_ext, _mul_ext, _divmod_ext,
-               _egcd_ext, _fold_codes)
+               _egcd_euclid, _fold_codes)
 _EXT2 = _Kernel(_codes, _trusted, _xor_codes, _xor_codes, _mul_ext, _divmod_ext,
-                _egcd_ext, _fold_codes)
+                _egcd_euclid, _fold_codes)
 
 
 def _kernel(f: Field) -> _Kernel:
     """The kernel for the kind of the field f."""
     if f.q == 2:
         return _GF2
+    if f.q == 3:
+        return _GF3
     if f.m == 1:
         return _GFP
     return _EXT2 if f.p == 2 else _EXT
@@ -558,11 +718,15 @@ def modular_substitute(p: Poly, e: int, N: int, shift: int = 0) -> Poly:
     """p(X^e) * X^shift reduced modulo X^N - 1: coefficient k lands on
     X^((k*e + shift) mod N), so negative e and shift mean inverse powers
     of X in the quotient ring.  Colliding exponents are summed in the
-    field.  DegreeMismatch unless N is an integer >= 1."""
+    field.  DegreeMismatch unless N is an integer >= 1 and e and shift
+    are integers."""
     N = _positive("N", N, DegreeMismatch)
+    try:
+        e, shift = index(e) % N, index(shift) % N
+    except TypeError:
+        raise DegreeMismatch(f"e = {e!r} and shift = {shift!r} must be integers") from None
     f = p.field
     add = f.add
-    e, shift = e % N, shift % N
     out = [0] * N
     for k, c in enumerate(p.coeffs):
         if c:

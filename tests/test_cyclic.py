@@ -242,6 +242,13 @@ def test_cyclic_code_rejections():
         cyclic_code_new(0, Poly.one(F2))
 
 
+@pytest.mark.parametrize("m", (0, -1, 2.5, "3"))
+def test_cyclic_code_refuses_a_length_that_is_not_a_positive_integer(m):
+    # one QcError for every bad length, read before any arithmetic with it
+    with pytest.raises(NotADivisor, match="not a positive integer"):
+        cyclic_code_new(m, Poly.one(F3))
+
+
 def test_cyclic_code_equality_and_repr():
     a = cyclic_code_new(3, poly_from_text(F2, "X+1"))
     b = cyclic_code_new(3, poly_from_text(F2, "X+1"))

@@ -10,7 +10,8 @@ GF(q) into a larger field of the same characteristic, from before that
 embedding's decode table was built by Horner's rule, and the
 Brouwer-Zimmermann ``mindist`` output for the worked example's [102, 18]
 product from after that search learned to use the shifts of its
-information sets.
+information sets, and the reduction of a benchmark-sized GF(3) matrix
+(ell 4, m 49) from before GF(3) polynomials became pairs of bitmasks.
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -27,6 +28,7 @@ CASES = {
     "reduce_matrix_gf2": ["reduce", "matrix_gf2.json"],
     "reduce_matrix_gf3": ["reduce", "matrix_gf3.json"],
     "reduce_matrix_gf4": ["reduce", "matrix_gf4.json"],
+    "reduce_matrix_wide_gf3": ["reduce", "matrix_wide_gf3.json"],
     "product_gf2": ["product", "row_code_gf2.json", "column_code_gf2.json"],
     "product_gf3": ["product", "row_code_gf3.json", "column_code_gf3.json"],
     "verify_row_code_gf2": ["verify", "row_code_gf2.json"],

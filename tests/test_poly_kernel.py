@@ -6,8 +6,9 @@ and extended gcds are compared on derandomised hypothesis draws over
 primes from 2 up to the 2^31 characteristic cap, and products are also
 checked at both sides of every Kronecker slot-width boundary that fits in
 memory.  The GF(2) bitmask product and fold are compared with the same
-reference, and canonical reduction is checked to build a ``Poly`` only for
-its result over GF(2), GF(3), GF(4) and GF(9).
+reference, as is every operation of the GF(3) kernel on bitmask pairs, and
+canonical reduction is checked to build a ``Poly`` only for its result
+over GF(2), GF(3), GF(4) and GF(9).
 """
 
 from __future__ import annotations
@@ -181,8 +182,7 @@ def test_egcd_corners(p):
 @pytest.mark.parametrize("p", (3, 5, 65521))
 def test_egcd_long_quotients(p):
     # u = a*v + r and v = b*r + 1 with 18-term a and b: the second step
-    # updates the cofactor -a by the quotient b, both longer than the
-    # 16 terms where the odd-p loop switches to a Kronecker product
+    # updates the cofactor -a by the quotient b, both long
     f = FIELDS[p]
     a = [(7 * i + 1) % p for i in range(17)] + [1]
     b = [(5 * i + 3) % p for i in range(17)] + [1]
@@ -258,8 +258,8 @@ def _record_built(monkeypatch) -> list:
 
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_prime_field_egcd_builds_only_its_results(p, monkeypatch):
-    # the Euclid loop runs on bitmasks (p = 2) or code lists (odd p): the
-    # only Poly objects built are the three results
+    # the Euclid loop runs on bitmasks (p = 2), bitmask pairs (p = 3) or
+    # code lists (p = 5): the only Poly objects built are the three results
     f = FIELDS[p]
     u = Poly(f, [(3 * k * k + 1) % p for k in range(70)] + [1])
     v = Poly(f, [(5 * k + 2) % p for k in range(61)] + [1])
@@ -279,6 +279,56 @@ def test_gf2_mask_kernel_matches_reference(x, y, m):
     product = polyring._from_mask(f, polyring._mul2(f, x, y))
     assert product.coeffs == tuple(ref_mul(a, b, 2))
     assert polyring._from_mask(f, polyring._fold2(f, x, m)) == fold_mod_xm1(Poly(f, a), m)
+
+
+def ref_add(a, b, p):
+    return ref_sub(a, ref_sub([], b, p), p)
+
+
+def ternary(length):
+    """GF(3) code lists of up to length codes, the length drawn first, so
+    that long dense lists are common."""
+    return st.integers(0, length).flatmap(
+        lambda n: st.lists(st.integers(0, 2), min_size=n, max_size=n))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ternary(130), ternary(130), ternary(12), st.integers(1, 64))
+def test_gf3_mask_kernel_matches_reference(a, b, c, m):
+    # the GF(3) kernel on bitmask pairs against the schoolbook reference:
+    # every operation, both product paths (a sparse factor and two dense
+    # ones), degree-0 divisors, leading coefficients 1 and 2, and the
+    # egcd(u, 0) and egcd(u, u) conventions
+    f, k = FIELDS[3], polyring._GF3
+    a, b, c = _trim(a), _trim(b), _trim(c)
+    ab, bc = ref_mul(a, c, 3) or a, ref_mul(b, c, 3) or b  # a common factor c
+
+    def native(codes):
+        x = k.native(f, tuple(codes))
+        assert (x == 0) == (not codes)  # zero is the int 0, nothing else
+        return x
+
+    def codes(x):
+        return list(k.poly(f, x).coeffs)
+
+    sparse = _trim(x if i % 17 == 0 else 0 for i, x in enumerate(a))
+    for x in (a, b, c, sparse):
+        assert codes(native(x)) == x
+    x, y = native(a), native(b)
+    assert codes(k.add(f, x, y)) == ref_add(a, b, 3)
+    assert codes(k.sub(f, x, y)) == ref_sub(a, b, 3)
+    assert k.sub(f, x, x) == 0
+    for u, v in ((a, b), (sparse, b), (b, c)):
+        assert codes(k.mul(f, native(u), native(v))) == ref_mul(u, v, 3)
+    for d in (b, c, [1], [2], b[-1:]):
+        if d:
+            q, r = k.divmod(f, x, native(d))
+            assert (codes(q), codes(r)) == tuple(ref_divmod(a, d, 3))
+    assert codes(k.fold(f, x, m)) == list(fold_mod_xm1(Poly(f, a), m).coeffs)
+    for u, v in ((ab, bc), (a, []), ([], b), (a, a), (b, b)):
+        if u or v:
+            got = k.egcd(f, native(u), native(v))
+            assert [codes(g) for g in got] == list(ref_egcd(u, v, 3))
 
 
 def test_reduction_builds_polys_only_at_the_boundary(monkeypatch):

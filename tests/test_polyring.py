@@ -287,6 +287,9 @@ def test_modular_substitute_reduces_high_degrees():
     for N in (0, -4, 2.5, "3"):
         with pytest.raises(DegreeMismatch):
             modular_substitute(p, 1, N)
+    for e, shift in ((2.5, 0), (1, 0.5), ("1", 0)):
+        with pytest.raises(DegreeMismatch):
+            modular_substitute(p, e, 7, shift)
 
 
 def test_modular_substitute_shift():

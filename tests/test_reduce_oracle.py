@@ -7,6 +7,7 @@ equal the RREF of the expanded canonical basis, whatever the input rows look
 like: unreduced entries, dependent rows, or a unimodular scramble of them.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,35 +96,44 @@ def test_unimodular_scramble_reduces_to_the_same_basis(gen, data):
 
 
 # ---------------------------------------------------------------------------
-# GF(2) at the benchmark's sizes, too large for the RREF oracle
+# GF(2) and GF(3) at the benchmark's sizes, too large for the RREF oracle
 # ---------------------------------------------------------------------------
 
-F2 = FIELDS[2]
+def dense_polys(field, below):
+    """Polynomials of degree < below, drawn as one integer whose base-q
+    digits are the codes."""
+    q = field.q
 
+    def digits(x):
+        codes = []
+        while x:
+            x, c = divmod(x, q)
+            codes.append(c)
+        return Poly(field, codes)
 
-def binary_polys(below):
-    """GF(2) polynomials of degree < below, drawn as bitmasks."""
-    return st.integers(0, (1 << below) - 1).map(
-        lambda x: Poly(F2, [(x >> k) & 1 for k in range(x.bit_length())]))
+    return st.integers(0, q ** below - 1).map(digits)
 
 
 @st.composite
-def wide_binary_matrices(draw):
-    """ell 5 or 6 and m up to 63 (m = 1 included), entries of degree < 2m.
-    Columns drawn as empty, and fewer than ell rows, leave diagonals that
-    are the whole of X^m - 1."""
-    ell = draw(st.integers(5, 6))
+def wide_matrices(draw, field):
+    """ell from 3 to 6 and m up to 63 (m = 1 included), entries of degree
+    < 2m.  Columns drawn as empty, and fewer than ell rows, leave diagonals
+    that are the whole of X^m - 1."""
+    ell = draw(st.integers(3, 6))
     m = draw(st.sampled_from((1, 63)) | st.integers(2, 62))
     empty = draw(st.sets(st.integers(0, ell - 1), max_size=2))
-    zero = Poly.zero(F2)
-    rows = [[zero if j in empty else draw(binary_polys(2 * m)) for j in range(ell)]
+    zero = Poly.zero(field)
+    rows = [[zero if j in empty else draw(dense_polys(field, 2 * m)) for j in range(ell)]
             for _ in range(draw(st.integers(1, ell + 1)))]
-    return GeneratingMatrix(F2, ell, m, rows)
+    return GeneratingMatrix(field, ell, m, rows)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(wide_binary_matrices(), st.data())
-def test_wide_binary_reduction_is_canonical(gen, data):
+@pytest.mark.parametrize("q", (2, 3))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_wide_reduction_is_canonical(q, data):
+    f = FIELDS[q]
+    gen = data.draw(wide_matrices(f))
     m = gen.m
     basis = rgb_pot_reduce(gen)
     assert is_rgb_pot(basis)[0]
@@ -135,8 +145,8 @@ def test_wide_binary_reduction_is_canonical(gen, data):
     n = len(rows)
     for _ in range(data.draw(st.integers(0, 2 * n)) if n > 1 else 0):
         i, j = data.draw(st.permutations(range(n)))[:2]
-        c = data.draw(binary_polys(3))
+        c = data.draw(dense_polys(f, 3))
         rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
         rows[i], rows[j] = rows[j], rows[i]
-    scrambled = GeneratingMatrix(F2, gen.ell, m, rows)
+    scrambled = GeneratingMatrix(f, gen.ell, m, rows)
     assert rgb_pot_reduce(scrambled).matrix == basis.matrix
