@@ -28,7 +28,7 @@ from .errors import (
     TooLarge,
 )
 from .field import _MAX_CHARACTERISTIC, Field, _order, nth_root_of_unity
-from .polyring import Poly, _positive, x_pow_minus_one
+from .polyring import Poly, _integer, _positive, x_pow_minus_one
 
 __all__ = [
     "cyclotomic_coset",
@@ -66,7 +66,13 @@ def field_of_order(q: int) -> Field:
 
 
 def cyclotomic_coset(q: int, m: int, i: int) -> tuple[int, ...]:
-    """Orbit of i under multiplication by q modulo m, sorted ascending."""
+    """Orbit of i under multiplication by q modulo m, sorted ascending.
+    q, m and i are read as integers once: NotCoprime for a q that is not
+    an integer, DegreeMismatch unless m is one >= 1, and IndexOutOfRange
+    unless i is one in [0, m)."""
+    q = _integer("q", q, NotCoprime)
+    m = _positive("m", m, DegreeMismatch)
+    i = _integer("representative i", i, IndexOutOfRange)
     if math.gcd(q, m) != 1:
         raise NotCoprime(f"gcd({q}, {m}) != 1")
     if not 0 <= i < m:

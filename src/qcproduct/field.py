@@ -13,9 +13,10 @@ Fields*, ch. 9; the ``galois`` package does lookup-table arithmetic for small
 fields the same way): multiplication, inversion and powers are lookups, and
 so is odd-characteristic addition.  Prime fields keep modular integers, with
 the builtin ``pow`` for inverses and powers, and characteristic 2 keeps XOR
-for add.  Larger extensions, such as those behind minimal polynomials, use
-:class:`_QuotientRing`, which also fills the tables and runs the Frobenius
-irreducibility test.
+for add.  Larger extensions, such as those behind minimal polynomials, run
+on polyring's kernel for GF(p) (`_ring`): GF(p^m) is GF(p)[X]/(f), so a
+product is the kernel's product and remainder by the modulus, on a code's
+base-p digits.  The table builds and the Frobenius test run on it too.
 
 Each piece of number theory is written once: `_prime_factors` is the only
 trial division (primality is ``_prime_factors(p) == (p,)``), `_order` the
@@ -72,11 +73,11 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _order(pow_, a: int, n: int) -> int:
-    """The multiplicative order of a, given a^n = 1: n less every prime
-    factor whose removal keeps the power at 1."""
+def _order(pow_, a, n: int, one=1) -> int:
+    """The multiplicative order of a, given a^n = one: n less every prime
+    factor whose removal keeps the power at one."""
     for s in _prime_factors(n):
-        while n % s == 0 and pow_(a, n // s) == 1:
+        while n % s == 0 and pow_(a, n // s) == one:
             n //= s
     return n
 
@@ -86,16 +87,11 @@ def _monic_candidates(p: int, deg: int, start: int = 0):
     in the order of their coefficients read high-to-low in base p, from the
     one whose lower coefficients are the base-p digits of start."""
     for code in range(start, p ** deg):
-        yield tuple(_digits(code, p, deg)) + (1,)
-
-
-def _digits(code: int, p: int, m: int) -> list[int]:
-    """Base-p digits (length m, ascending) of an element code."""
-    out = []
-    for _ in range(m):
-        code, r = divmod(code, p)
-        out.append(r)
-    return out
+        digits = []
+        for _ in range(deg):
+            code, d = divmod(code, p)
+            digits.append(d)
+        yield tuple(digits) + (1,)
 
 
 def _power(mul, a, e: int, one=1):
@@ -110,102 +106,58 @@ def _power(mul, a, e: int, one=1):
     return result
 
 
-class _QuotientRing:
-    """Arithmetic on element codes of GF(p)[X]/(f), f monic of degree m,
-    without tables.
+def _ring(p: int, modulus):
+    """GF(p)[X]/(f), f the monic modulus, on polyring's kernel k for GF(p):
+    (k, prime, mul, native, code), with mul k's product and remainder by f.
+    native and code read a code's base-p digits as k's native form and
+    back, without a Poly: a GF(2) code is k's bitmask, GF(3) digits reach
+    k's mask pair as bytes and each mask's binary digits read in base 3
+    give the code back, and for p >= 5 the digits are k's code list."""
+    from .polyring import _kernel  # polyring imports this module
 
-    For p = 2 a code is a bitmask: mul is a carry-less product reduced by
-    the modulus bitmask.  For odd p, mul is a Kronecker substitution: the
-    base-p digits are spread into slots of ``bits`` bits, one integer product
-    convolves them, the slots of degree >= m are folded back with the packed
-    rows X^(m+t) mod f, and each slot is reduced mod p on the way back to a
-    code.  No slot exceeds 2m(p-1)^2, which ``bits`` holds, so none carries.
-    """
+    prime = _prime_field(p)
+    k = _kernel(prime)
+    kmul, kdivmod, f = k.mul, k.divmod, k.native(prime, modulus)
 
-    __slots__ = ("p", "m", "modmask", "bits", "mask", "rows")
+    def mul(a, b):
+        return kdivmod(prime, kmul(prime, a, b), f)[1]
 
-    def __init__(self, p: int, f):
-        m = len(f) - 1
-        self.p, self.m = p, m
-        if p == 2:
-            self.modmask = sum(c << i for i, c in enumerate(f))
-            return
-        bits = (2 * m * (p - 1) ** 2 + 1).bit_length()
-        low = [(-c) % p for c in f[:m]]  # X^m mod f
-        rows, r = [], low
-        for _ in range(m - 1):
-            rows.append(sum(d << (bits * i) for i, d in enumerate(r)))
-            r = [(prev + r[-1] * c) % p for prev, c in zip([0] + r[:-1], low)]
-        self.bits, self.mask, self.rows = bits, (1 << bits) - 1, rows
-
-    def spread(self, code: int) -> int:
-        p, bits = self.p, self.bits
-        x = shift = 0
+    def native(code):
+        digits = []
         while code:
             code, d = divmod(code, p)
-            x |= d << shift
-            shift += bits
-        return x
+            digits.append(d)
+        return k.native(prime, digits)
 
-    def collect(self, x: int) -> int:
-        """The code of a packed form of degree < m, slots reduced mod p."""
-        p, bits, mask = self.p, self.bits, self.mask
-        code = 0
-        for shift in range(bits * (self.m - 1), -1, -bits):
-            code = code * p + ((x >> shift) & mask) % p
-        return code
+    def code(x):
+        if p == 3:
+            return x and int(f"{x[0]:b}", 3) + 2 * int(f"{x[1]:b}", 3)
+        out = 0
+        for d in reversed(x):
+            out = out * p + d
+        return out
 
-    def lin(self, a: int, b: int, c: int) -> int:
-        """a + c*b digit by digit (odd p, 0 <= c < p)."""
-        return self.collect(self.spread(a) + c * self.spread(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if self.p == 2:
-            r = 0
-            while b:
-                if b & 1:
-                    r ^= a
-                a <<= 1
-                b >>= 1
-            mask = self.modmask
-            top = mask.bit_length() - 1
-            while r.bit_length() - 1 >= top:
-                r ^= mask << (r.bit_length() - 1 - top)
-            return r
-        p, bits, mask = self.p, self.bits, self.mask
-        c = self.spread(a) * self.spread(b)
-        high = c >> (bits * self.m)
-        c &= (1 << (bits * self.m)) - 1
-        for row in self.rows:
-            if not high:
-                break
-            c += (high & mask) % p * row
-            high >>= bits
-        return self.collect(c)
+    if p == 2:  # int is the identity on k's bitmasks
+        native = code = int
+    return k, prime, mul, native, code
 
 
 def _frobenius_irreducible(coeffs, p) -> bool:
     """Distinct-degree irreducibility criterion: f of degree r is irreducible
     over GF(p) iff X^(p^r) == X (mod f) and gcd(X^(p^(r/s)) - X, f) = 1 for
-    every prime s dividing r.  The test suite checks it against trial
-    division."""
-    from .polyring import Poly, poly_gcd  # polyring imports this module
-
+    every prime s dividing r, computed on the native form of :func:`_ring`.
+    The test suite checks it against trial division."""
     r = len(coeffs) - 1
     if r == 1:
         return True
-    prime = _prime_field(p)
-    f = Poly(prime, coeffs)
-    mul = _QuotientRing(p, coeffs).mul
-    h = x = p  # the code of X
+    k, prime, mul, native, _ = _ring(p, coeffs)
+    f, one, x = k.native(prime, coeffs), native(1), native(p)  # the code p is X
+    h = x
     checkpoints = {r // s for s in _prime_factors(r)}
     for j in range(1, r + 1):
-        h = _power(mul, h, p)
-        if j in checkpoints:
-            diff = _digits(h, p, r)
-            diff[1] = (diff[1] - 1) % p
-            if poly_gcd(f, Poly(prime, diff)).degree > 0:
-                return False
+        h = _power(mul, h, p, one)
+        if j in checkpoints and k.egcd(prime, f, k.sub(prime, h, x))[0] != one:
+            return False
     return h == x
 
 
@@ -331,7 +283,7 @@ def coeffs_to_poly_text(coeffs) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the field itself: tables up to _TABLE_LIMIT, _QuotientRing beyond
+# the field itself: tables up to _TABLE_LIMIT, polyring's GF(p) kernel beyond
 # ---------------------------------------------------------------------------
 
 # Tables cover every field that product and minimal-distance work touches,
@@ -356,12 +308,15 @@ def _tables(p: int, m: int, modulus: tuple[int, ...]):
     difference of logarithms indexes it directly; None for p = 2."""
     q = p ** m
     n = q - 1
-    mul = _QuotientRing(p, modulus).mul
-    pow_ = functools.partial(_power, mul)
-    g = next(g for g in range(1, q) if _order(pow_, g, n) == n)
-    cycle = [1]
-    for _ in range(n - 1):
-        cycle.append(mul(cycle[-1], g))
+    _, _, mul, native, code = _ring(p, modulus)
+    one = native(1)
+    pow_ = functools.partial(_power, mul, one=one)
+    # codes below p are constants, whose orders divide p - 1 < n
+    g = next(g for g in map(native, range(p, q)) if _order(pow_, g, n, one) == n)
+    x, cycle = one, [1]
+    for _ in range(n - 1):  # the powers of g in native form, kept as codes
+        x = mul(x, g)
+        cycle.append(code(x))
     log = [2 * n] * q
     for i, a in enumerate(cycle):
         log[a] = i
@@ -413,12 +368,12 @@ class Field:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "modulus", coeffs)
-        # prime fields need neither tables nor a quotient ring
+        # prime fields need neither tables nor a kernel ring
         exp = log = zech = ring = None
         if 1 < m and q <= _TABLE_LIMIT:
             exp, log, zech = _tables(p, m, coeffs)
         elif m > 1:
-            ring = _QuotientRing(p, coeffs)
+            ring = _ring(p, coeffs)
         object.__setattr__(self, "_exp", exp)
         object.__setattr__(self, "_log", log)
         object.__setattr__(self, "_zech", zech)
@@ -461,7 +416,8 @@ class Field:
             return (a + b) % self.p
         zech = self._zech
         if zech is None:
-            return self._ring.lin(a, b, 1)
+            k, prime, _, native, code = self._ring
+            return code(k.add(prime, native(a), native(b)))
         if not a or not b:
             return a or b
         log = self._log
@@ -475,7 +431,8 @@ class Field:
             return (a - b) % self.p
         zech = self._zech
         if zech is None:
-            return self._ring.lin(a, b, self.p - 1)
+            k, prime, _, native, code = self._ring
+            return code(k.sub(prime, native(a), native(b)))
         if not b:
             return a
         log = self._log
@@ -491,7 +448,7 @@ class Field:
         if self.m == 1:
             return (-a) % self.p
         if self._zech is None:
-            return self._ring.lin(0, a, self.p - 1)
+            return self.sub(0, a)
         return self._exp[self._log[a] + self._half]
 
     def mul(self, a: int, b: int) -> int:
@@ -499,7 +456,8 @@ class Field:
             return (a * b) % self.p
         log = self._log
         if log is None:
-            return self._ring.mul(a, b)
+            _, _, mul, native, code = self._ring
+            return code(mul(native(a), native(b)))
         return self._exp[log[a] + log[b]]
 
     def pow_(self, a: int, e: int) -> int:
@@ -511,7 +469,8 @@ class Field:
             return pow(a, e, self.p)
         if self._log is not None:
             return self._exp[self._log[a] * e % (self.q - 1)]
-        return _power(self._ring.mul, a, e % (self.q - 1))
+        _, _, mul, native, code = self._ring
+        return code(_power(mul, native(a), e % (self.q - 1), native(1)))
 
     def inv(self, a: int) -> int:
         return self.pow_(a, -1)

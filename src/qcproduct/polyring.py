@@ -28,7 +28,8 @@ convert their operands to the kernel's native form once and build a
   multipoint Kronecker substitution", JSC 2009);
 * extension fields: code lists with schoolbook loops over
   :class:`~qcproduct.field.Field` operations, summed by XOR in
-  characteristic 2.
+  characteristic 2 (an extension's own elements beyond its tables
+  multiply on the prime field's kernel, ``field._ring``).
 """
 
 from __future__ import annotations
@@ -212,13 +213,20 @@ def _trusted(field: Field, codes: list) -> Poly:
     return p
 
 
+def _integer(name: str, value, error: type, kind: str = "an integer") -> int:
+    """value as an int; error unless it is an integer (a float, a string
+    or a bool is refused, never truncated or read as 0 or 1)."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} = {value!r} is not {kind}")
+
+
 def _positive(name: str, value, error: type) -> int:
-    """value as an int; error unless it is an integer >= 1 (a float or a
-    string is refused, never truncated)."""
-    try:
-        v = index(value)
-    except TypeError:
-        v = 0
+    """value as an int; error unless it is an integer >= 1."""
+    v = _integer(name, value, error, "a positive integer")
     if v < 1:
         raise error(f"{name} = {value!r} is not a positive integer")
     return v
@@ -528,10 +536,10 @@ def _sub_p(f: Field, a, b) -> list:
 
 
 # Kronecker slots are 1, 2, 4, 8 or 16 bytes: 16 hold every bound below the
-# 2^31 characteristic cap.  Ints are read and written little-endian; on a
-# little-endian machine a memoryview reads the slots of up to 8 bytes as
-# native unsigned items.
-_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+# 2^31 characteristic cap.  Ints are read and written little-endian; a
+# one-byte slot is a byte, and on a little-endian machine a memoryview reads
+# the slots of 2 to 8 bytes as native unsigned items.
+_FORMAT = {2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 
 def _slot_bytes(bound: int) -> int:
@@ -545,8 +553,11 @@ def _slot_bytes(bound: int) -> int:
 def _pack(codes, s: int, p: int) -> int:
     """The codes as one int, code i in bytes [s*i, s*(i+1))."""
     if p < 256:  # one byte per code, at every s-th byte
-        buf = bytearray(s * len(codes))
-        buf[::s] = bytes(codes)
+        buf = bytes(codes)
+        if s > 1:
+            wide = bytearray(s * len(buf))
+            wide[::s] = buf
+            buf = wide
     else:
         buf = b"".join(c.to_bytes(s, "little") for c in codes)
     return int.from_bytes(buf, "little")
@@ -555,6 +566,8 @@ def _pack(codes, s: int, p: int) -> int:
 def _unpack(x: int, n: int, s: int, p: int) -> list:
     """The n slots of x, each reduced mod p."""
     buf = x.to_bytes(n * s, "little")
+    if s == 1:
+        return [c % p for c in buf]
     if s in _FORMAT:
         return [c % p for c in memoryview(buf).cast(_FORMAT[s])]
     return [int.from_bytes(buf[i:i + s], "little") % p for i in range(0, n * s, s)]
@@ -721,10 +734,8 @@ def modular_substitute(p: Poly, e: int, N: int, shift: int = 0) -> Poly:
     field.  DegreeMismatch unless N is an integer >= 1 and e and shift
     are integers."""
     N = _positive("N", N, DegreeMismatch)
-    try:
-        e, shift = index(e) % N, index(shift) % N
-    except TypeError:
-        raise DegreeMismatch(f"e = {e!r} and shift = {shift!r} must be integers") from None
+    e = _integer("e", e, DegreeMismatch) % N
+    shift = _integer("shift", shift, DegreeMismatch) % N
     f = p.field
     add = f.add
     out = [0] * N

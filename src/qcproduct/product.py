@@ -33,7 +33,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .field import Field
-from .polyring import Poly, fold_mod_xm1, modular_substitute, poly_gcd, x_pow_minus_one
+from .polyring import (Poly, _integer, _positive, fold_mod_xm1, modular_substitute,
+                       poly_gcd, x_pow_minus_one)
 from .qcmodule import GeneratingMatrix, PolyVector, RgbPotBasis, level
 
 __all__ = [
@@ -55,7 +56,8 @@ __all__ = [
 class ProductParams:
     """Shape and Bezout data for a product construction: row-code shape
     (ell_a, m_a), column-code length m_b, and integers a, b satisfying
-    a*ell_a*m_a + b*m_b = 1."""
+    a*ell_a*m_a + b*m_b = 1.  Each is read as an integer (ParamMismatch
+    for a float, a string or a bool, or for a shape below 1)."""
 
     ell_a: int
     m_a: int
@@ -64,9 +66,10 @@ class ProductParams:
     b: int
 
     def __post_init__(self):
+        for name in ("ell_a", "m_a", "m_b", "a", "b"):
+            read = _integer if name in ("a", "b") else _positive
+            object.__setattr__(self, name, read(name, getattr(self, name), ParamMismatch))
         ell_a, m_a, m_b, a, b = self.ell_a, self.m_a, self.m_b, self.a, self.b
-        if ell_a < 1 or m_a < 1 or m_b < 1:
-            raise ParamMismatch("ell_a, m_a, m_b must all be positive")
         if math.gcd(ell_a * m_a, m_b) != 1:
             raise NotCoprime(f"gcd({ell_a * m_a}, {m_b}) != 1")
         if a * ell_a * m_a + b * m_b != 1:
@@ -86,9 +89,11 @@ class ProductParams:
 
 def bezout_pair(ell_a: int, m_a: int, m_b: int) -> ProductParams:
     """Canonical Bezout parameters: a is the least positive inverse of
-    ell_a*m_a modulo m_b (a = 1 when m_b = 1), b follows."""
-    if ell_a < 1 or m_a < 1 or m_b < 1:
-        raise ParamMismatch("ell_a, m_a, m_b must all be positive")
+    ell_a*m_a modulo m_b (a = 1 when m_b = 1), b follows.  ParamMismatch
+    unless each shape is an integer >= 1."""
+    ell_a = _positive("ell_a", ell_a, ParamMismatch)
+    m_a = _positive("m_a", m_a, ParamMismatch)
+    m_b = _positive("m_b", m_b, ParamMismatch)
     base = ell_a * m_a
     if math.gcd(base, m_b) != 1:
         raise NotCoprime(f"gcd({base}, {m_b}) != 1")
@@ -100,7 +105,10 @@ def bezout_pair(ell_a: int, m_a: int, m_b: int) -> ProductParams:
 def map_f(i: int, j: int, p: ProductParams) -> int:
     """Serialization index of matrix entry (i, j): the bijection
     [m_b) x [ell_a*m_a) -> [ell_a*m_a*m_b) under which the product code is
-    quasi-cyclic of index ell_a."""
+    quasi-cyclic of index ell_a.  IndexOutOfRange unless i and j are
+    integers in range."""
+    i = _integer("row index", i, IndexOutOfRange)
+    j = _integer("column index", j, IndexOutOfRange)
     if not 0 <= i < p.m_b:
         raise IndexOutOfRange(f"row index {i} outside [0, {p.m_b})")
     if not 0 <= j < p.ell_a * p.m_a:
@@ -109,7 +117,10 @@ def map_f(i: int, j: int, p: ProductParams) -> int:
 
 
 def map_g(i: int, j: int, p: ProductParams) -> int:
-    """Component-level serialization index on [m_b) x [m_a) -> [m_a*m_b)."""
+    """Component-level serialization index on [m_b) x [m_a) -> [m_a*m_b);
+    IndexOutOfRange unless i and j are integers in range."""
+    i = _integer("row index", i, IndexOutOfRange)
+    j = _integer("column index", j, IndexOutOfRange)
     if not 0 <= i < p.m_b:
         raise IndexOutOfRange(f"row index {i} outside [0, {p.m_b})")
     if not 0 <= j < p.m_a:
@@ -213,6 +224,7 @@ class OneLevelCode:
 
     def __init__(self, g: Poly, fs, ell: int, m: int):
         field = g.field
+        ell, m = _positive("ell", ell, ShapeMismatch), _positive("m", m, ShapeMismatch)
         fs = tuple(fs)
         if len(fs) != ell - 1:
             raise ShapeMismatch(
@@ -229,8 +241,8 @@ class OneLevelCode:
                 raise FieldMismatch("multiplier over a different field")
             canon.append(fold_mod_xm1(fj, m) % cofactor)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ell", int(ell))
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "fs", tuple(canon))
 

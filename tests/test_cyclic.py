@@ -73,6 +73,20 @@ def test_coset_argument_validation():
         factor_xm_minus_1(4, -1)
 
 
+@pytest.mark.parametrize("bad", (1.5, 7.0, "7", True))
+@pytest.mark.parametrize("position", (0, 1, 2))
+def test_coset_arguments_are_read_as_integers(bad, position):
+    # each of q, m and i is read once as an integer: a float, a string or a
+    # bool raises the argument's QcError at once (1.5 as i used to hang)
+    error = (NotCoprime, DegreeMismatch, IndexOutOfRange)[position]
+    args = [2, 7, 1]
+    args[position] = bad
+    with pytest.raises(error, match="is not"):
+        cyclotomic_coset(*args)
+    with pytest.raises(error, match="is not"):
+        minimal_polynomial(*args)
+
+
 def test_cosets_partition_the_residues():
     rng = random.Random(404)
     for _ in range(20):

@@ -435,7 +435,10 @@ def test_table_kernel_sampled_pairs(q, data):
     check_against_reference(f, Reference(f), a, b, c, e)
 
 
-GENERIC_FIELDS = {(p, m): field_new(p, m) for p, m in ((2, 13), (3, 9), (5, 6))}
+# GF(2^58) is the largest internal extension (m = 59 over GF(2) and GF(4)),
+# and GF((2^31 - 1)^2) multiplies in Kronecker slots 8 bytes wide
+GENERIC_FIELDS = {(p, m): field_new(p, m)
+                  for p, m in ((2, 13), (3, 9), (5, 6), (2, 58), (2 ** 31 - 1, 2))}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

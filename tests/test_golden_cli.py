@@ -11,7 +11,11 @@ embedding's decode table was built by Horner's rule, and the
 Brouwer-Zimmermann ``mindist`` output for the worked example's [102, 18]
 product from after that search learned to use the shifts of its
 information sets, and the reduction of a benchmark-sized GF(3) matrix
-(ell 4, m 49) from before GF(3) polynomials became pairs of bitmasks.
+(ell 4, m 49) from before GF(3) polynomials became pairs of bitmasks, and
+the factorizations of X^41 - 1 over GF(3) and X^7 - 1 over GF(5), whose
+minimal polynomials are computed in GF(3^8) and GF(5^6), beyond the
+tables, from before those fields ran on the prime field's polynomial
+kernel.
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -37,6 +41,8 @@ CASES = {
     "maps_2_17_3": ["maps", "2", "17", "3"],
     "cosets_2_17": ["cosets", "2", "17"],
     "factor_3_8": ["factor", "3", "8"],
+    "factor_3_41": ["factor", "3", "41"],
+    "factor_5_7": ["factor", "5", "7"],
     "factor_4_23": ["factor", "4", "23"],
     "factor_9_10": ["factor", "9", "10"],
     "minpoly_16_17_1": ["minpoly", "16", "17", "1"],

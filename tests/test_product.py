@@ -103,6 +103,34 @@ def test_bezout_pair_rejections():
         bezout_pair(0, 3, 5)
 
 
+@pytest.mark.parametrize("shape", ((2.5, 3, 7), ("2", 3, 7), (2, True, 7), (2, 3, 7.0)))
+def test_product_shapes_are_read_as_integers(shape):
+    with pytest.raises(ParamMismatch, match="not a positive integer"):
+        bezout_pair(*shape)
+    with pytest.raises(ParamMismatch, match="not a positive integer"):
+        ProductParams(*shape, 1, -1)
+
+
+class Index:
+    """An integer type that is not an int, read through __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_product_params_store_the_integers_they_read():
+    for a, b in ((6.0, -5), (6, "-5"), (True, -5)):
+        with pytest.raises(ParamMismatch, match="not an integer"):
+            ProductParams(2, 3, 7, a, b)
+    p = ProductParams(Index(2), Index(3), 7, Index(6), -5)
+    assert p == bezout_pair(2, 3, 7) == bezout_pair(Index(2), 3, Index(7))
+    assert all(type(v) is int for v in (p.ell_a, p.m_a, p.m_b, p.a, p.b))
+    assert OneLevelCode(Poly(F2, (1, 1)), [], Index(1), Index(7)).m == 7
+
+
 def test_product_params_validation():
     p = ProductParams(2, 17, 3, 1, -11)
     assert p == bezout_pair(2, 17, 3)
@@ -161,6 +189,16 @@ def test_map_index_bounds():
         map_g(0, 17, p)
     with pytest.raises(IndexOutOfRange):
         map_g(-1, 0, p)
+
+
+@pytest.mark.parametrize("i, j", ((0.5, 0), (1, 0.5), ("1", 0), (0, True)))
+def test_map_indices_are_read_as_integers(i, j):
+    # a float index used to give a float position (map_f(0.5, 0, p) == 36.0)
+    p = bezout_pair(2, 17, 3)
+    with pytest.raises(IndexOutOfRange, match="not an integer"):
+        map_f(i, j, p)
+    with pytest.raises(IndexOutOfRange, match="not an integer"):
+        map_g(i, j, p)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +309,13 @@ def test_one_level_code_rejections():
         OneLevelCode(Poly(F2, (1, 0, 1, 1)), [], 1, 5)    # not a divisor
     with pytest.raises(FieldMismatch):
         OneLevelCode(Poly(F2, (1, 1)), [Poly.one(F3)], 2, 3)
+
+
+@pytest.mark.parametrize("ell, m", ((1.0, 7), (1, 7.0), ("1", 7), (1, "7"), (True, 7), (1, 0)))
+def test_one_level_code_reads_ell_and_m_as_integers(ell, m):
+    # ell and m used to pass through int(), which truncates a float
+    with pytest.raises(ShapeMismatch, match="not a positive integer"):
+        OneLevelCode(Poly(F2, (1, 1)), [], ell, m)
 
 
 def test_one_level_round_trip_through_basis():
