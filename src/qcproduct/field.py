@@ -340,11 +340,12 @@ class Field:
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_zech", "_half", "_ring")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
-        if (not isinstance(p, int) or not 0 <= p < _MAX_CHARACTERISTIC
-                or _prime_factors(p) != (p,)):
+        # a bool is refused, not read as 0 or 1, as polyring._integer does
+        if (isinstance(p, bool) or not isinstance(p, int)
+                or not 0 <= p < _MAX_CHARACTERISTIC or _prime_factors(p) != (p,)):
             raise NotPrime(
                 f"characteristic must be a prime below {_MAX_CHARACTERISTIC}, got {p!r}")
-        if not isinstance(m, int) or m < 1:
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise DegreeMismatch(f"extension degree must be a positive integer, got {m!r}")
         if modulus is None:
             coeffs = _default_modulus(p, m)

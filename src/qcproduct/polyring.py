@@ -20,13 +20,17 @@ convert their operands to the kernel's native form once and build a
   on the pair, negation swaps it, and division and the extended Euclid
   loop take one shifted sum per quotient term; products shift and add
   over a sparse factor, or go through Kronecker substitution;
+* GF(4): pairs of GF(2) bitmask ints, the two bit planes of the codes; a
+  sum is one XOR per plane, a scalar multiple permutes the planes, a
+  product is three carry-less products, and division and the extended
+  Euclid loop take one shifted XOR per plane for each quotient term;
 * GF(p), p >= 5: code lists; products by Kronecker substitution, the codes
   packed into byte slots of one integer wide enough for the bound
   (p-1)^2 * min(len) on a product coefficient, so one integer product
   convolves them without a carry between slots (FLINT's ``nmod_poly``
   multiplies the same way; Harvey, "Faster polynomial multiplication via
   multipoint Kronecker substitution", JSC 2009);
-* extension fields: code lists with schoolbook loops over
+* extension fields other than GF(4): code lists with schoolbook loops over
   :class:`~qcproduct.field.Field` operations, summed by XOR in
   characteristic 2 (an extension's own elements beyond its tables
   multiply on the prime field's kernel, ``field._ring``).
@@ -37,6 +41,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain
 from operator import index, xor
 
 from .errors import (
@@ -142,7 +147,7 @@ class Poly:
         return self._apply(other, "sub")
 
     def __neg__(self):
-        return self.scale(self.field.neg(1))
+        return Poly.zero(self.field) - self
 
     def __mul__(self, other):
         return self._apply(other, "mul")
@@ -178,7 +183,10 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero or self.is_monic:
             return self
-        return self.scale(self.field.inv(self.leading))
+        f = self.field
+        k = _kernel(f)  # the quotient by the leading coefficient, a constant
+        lead = k.native(f, [self.leading])
+        return k.poly(f, k.divmod(f, k.native(f, self.coeffs), lead)[0])
 
     def __call__(self, x: int) -> int:
         """The code of the value at the element code x, by Horner's rule."""
@@ -254,9 +262,10 @@ class _Kernel:
 
 
 # GF(2): a polynomial as the bitmask int of its coefficients (bit k for X^k),
-# converted through bytes of ASCII '0'/'1' digits
+# converted through bytes of ASCII '0'/'1' digits.  ASCII digits 0-3 -> codes
+# serves the bit-plane kernels of GF(3) and GF(4) too.
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+_FROM_DIGITS = bytes.maketrans(b"0123", b"\0\1\2\3")
 
 
 def _to_mask(f: Field, codes) -> int:
@@ -327,18 +336,18 @@ def _fold2(f: Field, x: int, m: int) -> int:
 # one per coefficient, through bytes.translate.
 
 # translation tables, byte v -> the ASCII digit of [v = 1 (mod 3)], the
-# ASCII digit of [v = 2 (mod 3)], and v mod 3; ASCII digits 0-2 -> codes
+# ASCII digit of [v = 2 (mod 3)], and v mod 3
 _ONE_DIGIT = (b"010" * 86)[:256]
 _TWO_DIGIT = (b"001" * 86)[:256]
 _MOD3 = (b"\0\1\2" * 86)[:256]
-_FROM_TERNARY = bytes.maketrans(b"012", b"\0\1\2")
 
 
-def _pair(digits: bytes):
+def _pair(digits: bytes, one: bytes = _ONE_DIGIT, two: bytes = _TWO_DIGIT):
     """The pair of the nonempty byte string digits, one coefficient per
-    byte, highest degree first, each byte read mod 3."""
-    ones = int(digits.translate(_ONE_DIGIT), 2)
-    twos = int(digits.translate(_TWO_DIGIT), 2)
+    byte, highest degree first: the planes that the tables one and two
+    translate each byte to, mod 3 by default."""
+    ones = int(digits.translate(one), 2)
+    twos = int(digits.translate(two), 2)
     return (ones, twos) if ones | twos else 0
 
 
@@ -346,22 +355,23 @@ def _to_pair(f: Field, codes):
     return _pair(bytes(codes)[::-1]) if codes else 0
 
 
-def _codes3(ones: int, twos: int) -> bytes:
-    """The codes of the nonzero pair (ones, twos), one byte each, highest
-    degree first: read as hexadecimal, the binary digits of each plane put
-    one bit in each nibble, and the nibbles of ones + 2*twos are the codes."""
+def _plane_codes(ones: int, twos: int) -> bytes:
+    """The codes ones_k + 2*twos_k of the nonzero pair (ones, twos), one
+    byte each, highest degree first: read as hexadecimal, the binary digits
+    of each plane put one bit in each nibble, and the nibbles of
+    ones + 2*twos are the codes."""
     return f"{int(f'{ones:b}', 16) + 2 * int(f'{twos:b}', 16):x}".encode().translate(
-        _FROM_TERNARY)
+        _FROM_DIGITS)
 
 
 def _from_pair(f: Field, x) -> Poly:
-    return _trusted(f, list(_codes3(*x)[::-1]) if x else [])
+    return _trusted(f, list(_plane_codes(*x)[::-1]) if x else [])
 
 
 def _slots(ones: int, twos: int, n: int, s: int) -> int:
     """The n codes of the nonzero pair (ones, twos) as one int, code k in
     byte s*k."""
-    codes = _codes3(ones, twos)
+    codes = _plane_codes(ones, twos)
     if s > 1:
         buf = bytearray(s * n)
         buf[s - 1::s] = codes
@@ -500,6 +510,123 @@ def _fold3(f: Field, x, m: int):
     while x and (x[0] | x[1]) >> m:
         x = _add3(f, (x[0] & low, x[1] & low), (x[0] >> m, x[1] >> m))
     return x
+
+
+# GF(4): a polynomial as the pair (lo, hi) of GF(2) bitmask ints, its two
+# bit planes: bit k of lo (hi) is bit 0 (bit 1) of the code of X^k, so X^k
+# has coefficient lo_k + hi_k*a over X^2 + X + 1, the one GF(4) modulus.
+# Zero is the int 0, as for GF(3).  A sum is one XOR per plane, and since
+# a^2 = a + 1 a scalar multiple permutes the planes: a*(lo, hi) =
+# (hi, lo ^ hi) and a^2*(lo, hi) = (lo ^ hi, lo).  M4RIE keeps matrices over
+# GF(2^e) in the same bit planes (Albrecht, "The M4RIE library for dense
+# linear algebra over small fields with even characteristic", ISSAC 2012).
+# Codes go in as GF(3) codes do, and come out through _from_pair.
+
+# translation tables, byte v -> the ASCII digit of bit 0 and of bit 1 of v
+_LO_DIGIT = b"01" * 128
+_HI_DIGIT = b"0011" * 64
+
+
+def _to_planes(f: Field, codes):
+    return _pair(bytes(codes)[::-1], _LO_DIGIT, _HI_DIGIT) if codes else 0
+
+
+def _scaled4(c: int, planes: tuple) -> tuple:
+    """c times every (lo, hi) pair in the flat tuple planes, c a nonzero
+    code: a*(lo, hi) = (hi, lo ^ hi) and a^2*(lo, hi) = (lo ^ hi, lo)."""
+    if c == 1:
+        return planes
+    lo, hi = planes[::2], planes[1::2]
+    mixed = map(xor, lo, hi)
+    return tuple(chain.from_iterable(zip(hi, mixed) if c == 2 else zip(mixed, lo)))
+
+
+def _lead4(lo: int, hi: int, top: int) -> int:
+    """The code of the coefficient of X^top, the highest term of (lo, hi)."""
+    return lo >> top | (hi >> top) << 1
+
+
+# the inverses of the codes 1, a (2) and a^2 = a + 1 (3)
+_INV4 = (0, 1, 3, 2)
+
+
+def _add4(f: Field, a, b):
+    if not a:
+        return b
+    if not b:
+        return a
+    lo, hi = a[0] ^ b[0], a[1] ^ b[1]
+    return (lo, hi) if lo | hi else 0
+
+
+def _mul4(f: Field, a, b):
+    """The product of two GF(4) pairs from three carry-less products,
+    Karatsuba style: lo = a0*b0 + a1*b1 and hi = (a0 + a1)*(b0 + b1) +
+    a0*b0, since a^2 = a + 1."""
+    if not a or not b:
+        return 0
+    (a0, a1), (b0, b1) = a, b
+    low = _mul2(f, a0, b0)
+    return low ^ _mul2(f, a1, b1), _mul2(f, a0 ^ a1, b0 ^ b1) ^ low
+
+
+def _divmod4(f: Field, a, b):
+    """(quotient, remainder) pairs of a by b != 0 over GF(4).  The divisor
+    is made monic by a plane permutation and its three scalar multiples
+    are formed once; each quotient term c*X^k then takes one shifted XOR
+    per plane.  The quotient is scaled back at the end."""
+    if not a:
+        return 0, 0
+    d = (b[0] | b[1]).bit_length()
+    inv = _INV4[_lead4(*b, d - 1)]
+    if d == 1:  # a constant: the quotient is a / b
+        return _scaled4(inv, a), 0
+    b0, b1 = _scaled4(inv, b)
+    mults = (None, (b0, b1), (b1, b0 ^ b1), (b0 ^ b1, b0))
+    r0, r1 = a
+    q0 = q1 = 0
+    while (k := (r0 | r1).bit_length() - d) >= 0:
+        c = _lead4(r0, r1, k + d - 1)
+        y0, y1 = mults[c]
+        r0 ^= y0 << k
+        r1 ^= y1 << k
+        q0 |= (c & 1) << k
+        q1 |= (c >> 1) << k
+    return (_scaled4(inv, (q0, q1)) if q0 | q1 else 0), ((r0, r1) if r0 | r1 else 0)
+
+
+def _egcd4(f: Field, u, v):
+    """poly_egcd on GF(4) pairs, as :func:`_egcd3` on GF(3) pairs: the row
+    (r1, s1, t1), six planes, is made monic by a plane permutation and its
+    scalar multiples are formed once; each quotient term of r0 / r1 is then
+    applied to r0, s0 and t0 at once."""
+    r0a, r0b = u or (0, 0)
+    s0a, s0b, t0a, t0b = 1, 0, 0, 0
+    row = (*(v or (0, 0)), 0, 0, 1, 0)
+    while row[0] | row[1]:
+        d = (row[0] | row[1]).bit_length()
+        row = _scaled4(_INV4[_lead4(row[0], row[1], d - 1)], row)
+        mults = (None, row, _scaled4(2, row), _scaled4(3, row))
+        while (k := (r0a | r0b).bit_length() - d) >= 0:
+            ra, rb, sa, sb, ta, tb = mults[_lead4(r0a, r0b, k + d - 1)]
+            r0a ^= ra << k
+            r0b ^= rb << k
+            s0a ^= sa << k
+            s0b ^= sb << k
+            t0a ^= ta << k
+            t0b ^= tb << k
+        (r0a, r0b, s0a, s0b, t0a, t0b), row = row, (r0a, r0b, s0a, s0b, t0a, t0b)
+    out = _scaled4(_INV4[_lead4(r0a, r0b, (r0a | r0b).bit_length() - 1)],
+                   (r0a, r0b, s0a, s0b, t0a, t0b))
+    return tuple((a, b) if a | b else 0 for a, b in zip(out[::2], out[1::2]))
+
+
+def _fold4(f: Field, x, m: int):
+    """fold_mod_xm1 on a GF(4) pair: each plane folds as a GF(2) bitmask."""
+    if not x:
+        return 0
+    lo, hi = _fold2(f, x[0], m), _fold2(f, x[1], m)
+    return (lo, hi) if lo | hi else 0
 
 
 # Every other field: a polynomial as its code sequence, the coeffs tuple
@@ -665,6 +792,7 @@ def _egcd_euclid(f: Field, u, v):
 
 _GF2 = _Kernel(_to_mask, _from_mask, _xor, _xor, _mul2, _divmod2, _egcd2, _fold2)
 _GF3 = _Kernel(_to_pair, _from_pair, _add3, _sub3, _mul3, _divmod3, _egcd3, _fold3)
+_GF4 = _Kernel(_to_planes, _from_pair, _add4, _add4, _mul4, _divmod4, _egcd4, _fold4)
 _GFP = _Kernel(_codes, _trusted, _add_p, _sub_p, _kronecker_mul, _divmod_p,
                _egcd_euclid, _fold_codes)
 _EXT = _Kernel(_codes, _trusted, _add_ext, _sub_ext, _mul_ext, _divmod_ext,
@@ -679,6 +807,8 @@ def _kernel(f: Field) -> _Kernel:
         return _GF2
     if f.q == 3:
         return _GF3
+    if f.q == 4:
+        return _GF4
     if f.m == 1:
         return _GFP
     return _EXT2 if f.p == 2 else _EXT

@@ -61,6 +61,19 @@ def test_nonprime_order_rejected():
         field_new(1)
 
 
+def test_bool_characteristic_and_degree_are_refused():
+    # True is an int subclass: it must not be read as the degree 1 or the
+    # characteristic 1, as every other integer reader refuses a bool
+    for m in (True, False):
+        for p in (2, 3):
+            with pytest.raises(DegreeMismatch):
+                Field(p, m)
+    for p in (True, False):
+        with pytest.raises(NotPrime):
+            Field(p)
+    assert field_new(2, 2).q == 4 and field_new(2, 2).m == 2
+
+
 def test_default_moduli_are_frozen():
     # first monic irreducible in the high-to-low base-p order
     assert coeffs_to_poly_text(_default_modulus(2, 2)) == "X^2+X+1"

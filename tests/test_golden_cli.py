@@ -15,7 +15,9 @@ information sets, and the reduction of a benchmark-sized GF(3) matrix
 the factorizations of X^41 - 1 over GF(3) and X^7 - 1 over GF(5), whose
 minimal polynomials are computed in GF(3^8) and GF(5^6), beyond the
 tables, from before those fields ran on the prime field's polynomial
-kernel.
+kernel, and a GF(4) product (ell_a 3, co-index 91) and a benchmark-sized
+GF(4) reduction (ell 4, m 45) from before GF(4) polynomials became pairs
+of GF(2) bit planes.
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -33,8 +35,10 @@ CASES = {
     "reduce_matrix_gf3": ["reduce", "matrix_gf3.json"],
     "reduce_matrix_gf4": ["reduce", "matrix_gf4.json"],
     "reduce_matrix_wide_gf3": ["reduce", "matrix_wide_gf3.json"],
+    "reduce_matrix_wide_gf4": ["reduce", "matrix_wide_gf4.json"],
     "product_gf2": ["product", "row_code_gf2.json", "column_code_gf2.json"],
     "product_gf3": ["product", "row_code_gf3.json", "column_code_gf3.json"],
+    "product_gf4": ["product", "row_code_gf4.json", "column_code_gf4.json"],
     "verify_row_code_gf2": ["verify", "row_code_gf2.json"],
     "verify_noncanonical_gf2": ["verify", "noncanonical_gf2.json"],
     "example_sec4": ["example-sec4"],

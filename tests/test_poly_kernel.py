@@ -6,9 +6,10 @@ and extended gcds are compared on derandomised hypothesis draws over
 primes from 2 up to the 2^31 characteristic cap, and products are also
 checked at both sides of every Kronecker slot-width boundary that fits in
 memory.  The GF(2) bitmask product and fold are compared with the same
-reference, as is every operation of the GF(3) kernel on bitmask pairs, and
-canonical reduction is checked to build a ``Poly`` only for its result
-over GF(2), GF(3), GF(4) and GF(9).
+reference, as is every operation of the GF(3) kernel on bitmask pairs.
+The GF(4) kernel on bit planes is compared with the schoolbook extension
+kernel, and canonical reduction is checked to build a ``Poly`` only for
+its result over GF(2), GF(3), GF(4) and GF(9).
 """
 
 from __future__ import annotations
@@ -228,22 +229,55 @@ def test_every_slot_width_is_reached():
 # one kernel per call: no per-coefficient Field calls, no re-validation
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("p", (2, 3, 5))
-def test_prime_field_kernel_makes_no_field_calls(p, monkeypatch):
-    f = FIELDS[p]
-    u = Poly(f, [(3 * k * k + 1) % p for k in range(70)] + [1])
-    v = Poly(f, [(5 * k + 2) % p for k in range(61)] + [1])
+def _record_field_calls(monkeypatch) -> list:
+    """A list that grows by the name of each Field operation called."""
     calls = []
     for name in ("mul", "add", "sub", "neg", "inv"):
         original = getattr(Field, name)
         monkeypatch.setattr(Field, name, lambda self, *args, _o=original, _n=name:
                             calls.append(_n) or _o(self, *args))
+    return calls
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_prime_field_kernel_makes_no_field_calls(p, monkeypatch):
+    f = FIELDS[p]
+    u = Poly(f, [(3 * k * k + 1) % p for k in range(70)] + [1])
+    v = Poly(f, [(5 * k + 2) % p for k in range(61)] + [1])
+    calls = _record_field_calls(monkeypatch)
     prod = u * v
     q, r = divmod(prod + u, v)
     g, s, t = poly_egcd(u, v)
     assert calls == []
     monkeypatch.undo()
     assert q * v + r == prod + u and s * u + t * v == g
+
+
+def test_gf4_kernel_makes_no_field_calls(monkeypatch):
+    # Poly operators, both gcds, monic, fold_mod_xm1 and canonical
+    # reduction over GF(4) run on bit planes, with leading coefficients
+    # a and a^2 that need a plane permutation
+    f = GF4
+    u = Poly(f, [(3 * k * k + 1) % 4 for k in range(70)] + [2])
+    v = Poly(f, [(5 * k + 2) % 4 for k in range(61)] + [3])
+    w = Poly(f, [1, 3, 0, 2])
+    rows = [[u * w, v, w + v], [v * w, u, Poly.zero(f)]]
+    gen = GeneratingMatrix(f, 3, 31, rows)
+    calls = _record_field_calls(monkeypatch)
+    prod = u * v
+    q, r = divmod(prod + u, v)
+    neg, diff, monic = -u, u - v, u.monic()
+    quot, rem = (u * w) // w, (u * w) % w
+    folded, gcd = fold_mod_xm1(prod, 31), poly_gcd(u * w, v * w)
+    g, s, t = poly_egcd(u, v)
+    basis = rgb_pot_reduce(gen)
+    assert calls == []
+    monkeypatch.undo()
+    assert q * v + r == prod + u and s * u + t * v == g
+    assert neg == u and diff == u + v and quot == u and rem.is_zero
+    assert monic == u.scale(f.inv(2)) and gcd == w.monic()
+    assert folded == prod % x_pow_minus_one(f, 31)
+    assert is_rgb_pot(basis)[0]
 
 
 def _record_built(monkeypatch) -> list:
@@ -329,6 +363,61 @@ def test_gf3_mask_kernel_matches_reference(a, b, c, m):
         if u or v:
             got = k.egcd(f, native(u), native(v))
             assert [codes(g) for g in got] == list(ref_egcd(u, v, 3))
+
+
+GF4 = field_new(2, 2)
+
+
+def quaternary(length):
+    """GF(4) code lists of up to length codes, the length drawn first."""
+    return st.integers(0, length).flatmap(
+        lambda n: st.lists(st.integers(0, 3), min_size=n, max_size=n))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(quaternary(130), quaternary(130), quaternary(12), st.integers(1, 64),
+       st.sampled_from((1, 2, 3)))
+def test_gf4_plane_kernel_matches_reference(a, b, c, m, lead):
+    # the GF(4) kernel on bit planes against the schoolbook extension
+    # kernel on code lists: every operation, divisors with leading
+    # coefficients 1, a (2) and a^2 (3), constant divisors, and the
+    # egcd(u, 0), egcd(0, v) and egcd(u, u) conventions
+    f, k, ref = GF4, polyring._GF4, polyring._EXT2
+    a, b, c = _trim(a), _trim(b), _trim(c)
+    ac, bc = ref.mul(f, a, c) or a, ref.mul(f, b, c) or b  # a common factor c
+
+    def native(codes):
+        x = k.native(f, tuple(codes))
+        assert (x == 0) == (not codes)  # zero is the int 0, nothing else
+        return x
+
+    def codes(x):
+        return list(k.poly(f, x).coeffs)
+
+    for x in (a, b, c, ac, bc):
+        assert codes(native(x)) == x
+    x, y = native(a), native(b)
+    assert codes(k.add(f, x, y)) == _trim(ref.add(f, a, b))
+    assert codes(k.sub(f, x, y)) == _trim(ref.sub(f, a, b))
+    assert k.sub(f, x, x) == 0
+    for u, v in ((a, b), (b, c), (ac, bc)):
+        assert codes(k.mul(f, native(u), native(v))) == ref.mul(f, u, v)
+    divisors = (b, c, c[:-1] + [lead] if c else [lead], [lead], b[-1:])
+    # _EXT2's egcd and fold reach the other operations through _kernel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyring, "_kernel", lambda field: ref)
+        want_div = [ref.divmod(f, a, d) for d in divisors if d]
+        want_fold = ref.fold(f, a, m)
+        pairs = [(u, v) for u, v in ((ac, bc), (a, []), ([], b), (a, a), (c, c))
+                 if u or v]
+        want_egcd = [ref.egcd(f, u, v) for u, v in pairs]
+    got_div = [k.divmod(f, x, native(d)) for d in divisors if d]
+    assert [(codes(q), codes(r)) for q, r in got_div] == [
+        (_trim(q), _trim(r)) for q, r in want_div]
+    assert codes(k.fold(f, x, m)) == _trim(want_fold)
+    got_egcd = [k.egcd(f, native(u), native(v)) for u, v in pairs]
+    assert [[codes(g) for g in e] for e in got_egcd] == [
+        [_trim(g) for g in e] for e in want_egcd]
 
 
 def test_reduction_builds_polys_only_at_the_boundary(monkeypatch):

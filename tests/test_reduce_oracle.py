@@ -96,7 +96,8 @@ def test_unimodular_scramble_reduces_to_the_same_basis(gen, data):
 
 
 # ---------------------------------------------------------------------------
-# GF(2) and GF(3) at the benchmark's sizes, too large for the RREF oracle
+# GF(2), GF(3) and GF(4) at the benchmark's sizes, too large for the RREF
+# oracle
 # ---------------------------------------------------------------------------
 
 def dense_polys(field, below):
@@ -128,7 +129,7 @@ def wide_matrices(draw, field):
     return GeneratingMatrix(field, ell, m, rows)
 
 
-@pytest.mark.parametrize("q", (2, 3))
+@pytest.mark.parametrize("q", (2, 3, 4))
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_wide_reduction_is_canonical(q, data):
