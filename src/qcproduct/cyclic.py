@@ -105,8 +105,7 @@ def _root_context(q: int, m: int):
     the base field, the extension containing an m-th root of unity, the
     root's code, and the decode table mapping embedded-subfield codes back
     to base-field codes."""
-    base = field_of_order(q)
-    p, s = base.p, base.m
+    p, s = _prime_power(q)  # both bounds are checked before a field is built
     r = len(cyclotomic_coset(q, m, 1 % m))  # the order of q mod m
     if s * r > _MAX_EXTENSION_DEGREE:
         raise TooLarge(
@@ -116,7 +115,7 @@ def _root_context(q: int, m: int):
         raise TooLarge(
             f"the {m}-th roots of unity over GF({q}) lie in GF({p}^{s * r}); "
             f"embedding a GF(q) with q above {_MAX_EMBEDDED_ORDER} is refused")
-    big = Field(p, s * r)
+    base, big = field_of_order(q), Field(p, s * r)
     alpha = nth_root_of_unity(big, m)
     if big == base or s == 1:
         # GF(q) is the whole field or its prime subfield, the constants

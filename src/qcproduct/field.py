@@ -27,7 +27,8 @@ order of X when GF(q) is embedded), and `_power` the only square-and-multiply
 The module also carries the two text formats for polynomials over GF(p)
 (sparse algebraic like ``X^8+X^4+X^3+X^2+1`` and dense ascending coefficient
 lists like ``1,0,1,1,1,0,0,0,1``), which the serialization layer reuses for
-polynomials over arbitrary fields.
+polynomials over arbitrary fields.  Sparse text is read in one left-to-right
+scan, one match of a single signed-term pattern per term.
 """
 
 from __future__ import annotations
@@ -196,8 +197,12 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
 _MAX_EXPONENT = 1 << 20
 _MAX_CHARACTERISTIC = 1 << 31
 
-_TERM_RE = re.compile(r"^(\d+)?(\*?X(\^(\d+))?)?$")
+# One signed term of the sparse form: sign, coefficient digits, "X" with an
+# optional "*" before it, and exponent digits.  A term may end in one
+# newline before the next sign: "X^2\n+1" reads as X^2 + 1.
+_TERM_RE = re.compile(r"([+-])(\d*)(?:(\*?X)(?:\^(\d+))?)?\n?")
 _DENSE_RE = re.compile(r"^[\s\d,+-]*,[\s\d,+-]*$")
+_MAX_EXPONENT_DIGITS = len(str(_MAX_EXPONENT))
 
 
 def _parse_int(digits: str) -> int:
@@ -214,6 +219,9 @@ def poly_text_to_coeffs(text: str) -> tuple[int, ...]:
     tuple of raw (possibly negative) integers.
 
     Sparse algebraic form: ``X^8+X^4+X^3+X^2+1``, ``2*X^3+X+2``, ``X^17-1``.
+    Spaces are ignored, ``x`` reads as ``X``, the first sign may be left
+    out, and the terms of one exponent are summed; PolyParseError names the
+    first place where no signed term starts.
     Dense ascending form: ``1,0,1,1,1,0,0,0,1``.
     The caller maps coefficients into its field (negatives become field
     negations, so ``X^17-1`` reads naturally in any characteristic).
@@ -228,37 +236,26 @@ def poly_text_to_coeffs(text: str) -> tuple[int, ...]:
             raise PolyParseError(f"bad dense coefficient list: {text!r}") from exc
         return tuple(coeffs)
     compact = s.replace(" ", "").replace("x", "X")
-    # split into signed terms
-    pieces = re.split(r"([+-])", compact)
-    if pieces[0] == "":
-        pieces = pieces[1:]
-    else:
-        pieces = ["+"] + pieces
-    if len(pieces) % 2 != 0:
-        raise PolyParseError(f"malformed polynomial: {text!r}")
+    if compact[0] not in "+-":
+        compact = "+" + compact
     acc: dict[int, int] = {}
-    for sign, term in zip(pieces[::2], pieces[1::2]):
-        if sign not in "+-" or not term:
-            raise PolyParseError(f"malformed polynomial: {text!r}")
-        mt = _TERM_RE.match(term)
-        if not mt or (mt.group(1) is None and mt.group(2) is None):
-            raise PolyParseError(f"bad term {term!r} in {text!r}")
-        coeff = _parse_int(mt.group(1)) if mt.group(1) is not None else 1
-        if mt.group(2) is None:
-            exp = 0
-        elif mt.group(4) is not None:
-            digits = mt.group(4).lstrip("0")
-            if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
-                raise PolyParseError(
-                    f"exponent in {term!r} exceeds the limit {_MAX_EXPONENT}")
-            exp = int(digits or 0)
+    pos, end, match = 0, len(compact), _TERM_RE.match
+    while pos < end:
+        mt = match(compact, pos)
+        if not mt or not (mt[2] or mt[3]):
+            raise PolyParseError(f"no term at {compact[pos:pos + 12]!r} in {text!r}")
+        sign, coeff, x, digits = mt.groups()
+        coeff = _parse_int(coeff) if coeff else 1
+        if digits is None:
+            exp = 1 if x else 0
         else:
-            exp = 1
-        if sign == "-":
-            coeff = -coeff
-        acc[exp] = acc.get(exp, 0) + coeff
-    if not acc:
-        raise PolyParseError(f"malformed polynomial: {text!r}")
+            digits = digits.lstrip("0")
+            if len(digits) > _MAX_EXPONENT_DIGITS or int(digits or 0) > _MAX_EXPONENT:
+                raise PolyParseError(
+                    f"exponent in {mt[0]!r} exceeds the limit {_MAX_EXPONENT}")
+            exp = int(digits or 0)
+        acc[exp] = acc.get(exp, 0) + (-coeff if sign == "-" else coeff)
+        pos = mt.end()
     out = [0] * (max(acc) + 1)
     for exp, coeff in acc.items():
         out[exp] = coeff

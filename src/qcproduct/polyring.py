@@ -31,9 +31,11 @@ convert their operands to the kernel's native form once and build a
   multiplies the same way; Harvey, "Faster polynomial multiplication via
   multipoint Kronecker substitution", JSC 2009);
 * extension fields other than GF(4): code lists with schoolbook loops over
-  :class:`~qcproduct.field.Field` operations, summed by XOR in
-  characteristic 2 (an extension's own elements beyond its tables
-  multiply on the prime field's kernel, ``field._ring``).
+  :class:`~qcproduct.field.Field` operations (an extension's own elements
+  beyond its tables multiply on the prime field's kernel, ``field._ring``).
+
+The two kernels on code lists build their egcd and fold on their own
+operations (:func:`_code_kernel`).
 """
 
 from __future__ import annotations
@@ -636,13 +638,6 @@ def _codes(f: Field, codes):
     return codes
 
 
-def _fold_codes(f: Field, codes, m: int):
-    add, out = _kernel(f).add, codes[:m]
-    for i in range(m, len(codes), m):
-        out = add(f, out, codes[i:i + m])
-    return out
-
-
 def _with_tail(out: list, a, b) -> list:
     """out, the sums at the positions a and b share, followed by the rest
     of the longer of them, without trailing zeros."""
@@ -730,10 +725,6 @@ def _divmod_p(f: Field, a, b):
     return quot, _strip(rem)
 
 
-def _xor_codes(f: Field, a, b) -> list:
-    return _with_tail(list(map(xor, a, b)), a, b)
-
-
 def _add_ext(f: Field, a, b) -> list:
     return _with_tail(list(map(f.add, a, b)), a, b)
 
@@ -775,30 +766,35 @@ def _divmod_ext(f: Field, a, b):
     return quot, _strip(rem)
 
 
-def _egcd_euclid(f: Field, u, v):
-    """poly_egcd on code lists: Euclid's loop on the field's kernel, and a
-    division by the gcd's leading coefficient."""
-    k = _kernel(f)
-    div, mul, sub = k.divmod, k.mul, k.sub
-    r0, r1, s0, s1, t0, t1 = u, v, [1], [], [], [1]
-    while r1:
-        q, r = div(f, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(f, s0, mul(f, q, s1))
-        t0, t1 = t1, sub(f, t0, mul(f, q, t1))
-    lead = r0[-1:]
-    return tuple(div(f, a, lead)[0] for a in (r0, s0, t0))
+def _code_kernel(add, sub, mul, divmod_) -> _Kernel:
+    """The kernel on code lists with the given operations, and the egcd
+    (Euclid's loop, then a division by the gcd's leading coefficient) and
+    fold built on them."""
+
+    def egcd(f: Field, u, v):
+        r0, r1, s0, s1, t0, t1 = u, v, [1], [], [], [1]
+        while r1:
+            q, r = divmod_(f, r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, sub(f, s0, mul(f, q, s1))
+            t0, t1 = t1, sub(f, t0, mul(f, q, t1))
+        lead = r0[-1:]
+        return tuple(divmod_(f, a, lead)[0] for a in (r0, s0, t0))
+
+    def fold(f: Field, codes, m: int):
+        out = codes[:m]
+        for i in range(m, len(codes), m):
+            out = add(f, out, codes[i:i + m])
+        return out
+
+    return _Kernel(_codes, _trusted, add, sub, mul, divmod_, egcd, fold)
 
 
 _GF2 = _Kernel(_to_mask, _from_mask, _xor, _xor, _mul2, _divmod2, _egcd2, _fold2)
 _GF3 = _Kernel(_to_pair, _from_pair, _add3, _sub3, _mul3, _divmod3, _egcd3, _fold3)
 _GF4 = _Kernel(_to_planes, _from_pair, _add4, _add4, _mul4, _divmod4, _egcd4, _fold4)
-_GFP = _Kernel(_codes, _trusted, _add_p, _sub_p, _kronecker_mul, _divmod_p,
-               _egcd_euclid, _fold_codes)
-_EXT = _Kernel(_codes, _trusted, _add_ext, _sub_ext, _mul_ext, _divmod_ext,
-               _egcd_euclid, _fold_codes)
-_EXT2 = _Kernel(_codes, _trusted, _xor_codes, _xor_codes, _mul_ext, _divmod_ext,
-                _egcd_euclid, _fold_codes)
+_GFP = _code_kernel(_add_p, _sub_p, _kronecker_mul, _divmod_p)
+_EXT = _code_kernel(_add_ext, _sub_ext, _mul_ext, _divmod_ext)
 
 
 def _kernel(f: Field) -> _Kernel:
@@ -809,9 +805,7 @@ def _kernel(f: Field) -> _Kernel:
         return _GF3
     if f.q == 4:
         return _GF4
-    if f.m == 1:
-        return _GFP
-    return _EXT2 if f.p == 2 else _EXT
+    return _GFP if f.m == 1 else _EXT
 
 
 def x_pow_minus_one(field: Field, m: int) -> Poly:

@@ -3,7 +3,12 @@
 Polynomials travel as text in either the sparse algebraic form
 ("X^8+X^4+X^3+X^2+1") or the dense ascending coefficient list
 ("1,0,1,1,1,0,0,0,1"); emitters always write the sparse form, so a document
-that has been written once round-trips byte-for-byte.
+that has been written once round-trips byte-for-byte.  `poly_from_text`
+checks each coefficient read from the text once, against (-q, q).
+
+Sizes are bounded before anything is built from them: a code length or a
+matrix entry count above 2^20 and a field's extension degree above 64 raise
+TooLarge.
 
 Document layouts (JSON objects):
 
@@ -14,7 +19,7 @@ Document layouts (JSON objects):
 
 from __future__ import annotations
 
-from .cyclic import CyclicCode, cyclic_code_new
+from .cyclic import _MAX_EXTENSION_DEGREE, CyclicCode, cyclic_code_new
 from .errors import PolyParseError, TooLarge
 from .field import (
     _MAX_EXPONENT,
@@ -23,7 +28,7 @@ from .field import (
     field_new,
     poly_text_to_coeffs,
 )
-from .polyring import Poly
+from .polyring import Poly, _trusted
 from .qcmodule import GeneratingMatrix, RgbPotBasis
 
 __all__ = [
@@ -44,21 +49,15 @@ __all__ = [
 def poly_from_text(field: Field, text: str) -> Poly:
     """Parse either polynomial text format into a polynomial over the
     field.  Negative coefficients are folded through field negation;
-    coefficients at or beyond q are rejected rather than reduced."""
-    raw = poly_text_to_coeffs(text)
+    coefficients at or beyond q are rejected rather than reduced.  Each
+    coefficient is checked once, here, so the Poly is built unchecked."""
+    q, neg = field.q, field.neg
     codes = []
-    for c in raw:
-        if c < 0:
-            if -c >= field.q:
-                raise PolyParseError(
-                    f"coefficient {c} outside the code range of GF({field.q})")
-            codes.append(field.neg(-c))
-        elif c >= field.q:
-            raise PolyParseError(
-                f"coefficient {c} outside the code range of GF({field.q})")
-        else:
-            codes.append(c)
-    return Poly(field, codes)
+    for c in poly_text_to_coeffs(text):
+        if not -q < c < q:
+            raise PolyParseError(f"coefficient {c} outside the code range of GF({q})")
+        codes.append(neg(-c) if c < 0 else c)
+    return _trusted(field, codes)
 
 
 def poly_to_text(p: Poly) -> str:
@@ -77,11 +76,12 @@ def _require(doc, key, kinds, what):
     return value
 
 
-def _check_length(n: int, what: str) -> None:
-    """Refuse a code length or a matrix entry count above 2^20, the bound of
-    exponents in polynomial text, before anything that size is built."""
-    if n > _MAX_EXPONENT:
-        raise TooLarge(f"{what} {n} exceeds the limit {_MAX_EXPONENT}")
+def _check_length(n: int, what: str, limit: int = _MAX_EXPONENT) -> None:
+    """Refuse a number above its limit before anything that size is built:
+    by default a code length or a matrix entry count above 2^20, the bound
+    of exponents in polynomial text."""
+    if n > limit:
+        raise TooLarge(f"{what} {n} exceeds the limit {limit}")
 
 
 def field_to_doc(field: Field) -> dict:
@@ -95,6 +95,8 @@ def field_to_doc(field: Field) -> dict:
 def field_from_doc(doc) -> Field:
     p = _require(doc, "p", int, "field")
     m = _require(doc, "m", int, "field")
+    # the modulus's irreducibility test costs about the cube of m
+    _check_length(m, "field extension degree m", _MAX_EXTENSION_DEGREE)
     text = _require(doc, "modulus", str, "field")
     modulus = poly_from_text(field_new(p), text)
     return field_new(p, m, modulus.coeffs)

@@ -357,6 +357,15 @@ def test_oversized_extension_degree_exits_3(capsys):
     assert err["error"]["type"] == "TooLarge"
 
 
+def test_huge_prime_power_field_order_exits_3_at_once(capsys):
+    # GF(2^1000) is beyond the extension-degree bound by itself
+    start = time.perf_counter()
+    assert main(["factor", str(2 ** 1000), "3"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "TooLarge"
+
+
 @pytest.mark.parametrize("q, m", [(2 ** 17, 7), (65521 ** 2, 37)])
 def test_oversized_embedded_field_exits_3_at_once(q, m, capsys):
     # the roots lie in GF(2^51) and GF(65521^4); embedding GF(q) into them
@@ -412,9 +421,16 @@ def _oversized_product(tmp_path):
             write_json(tmp_path / "B.json", doc)]
 
 
+def _oversized_field_degree(tmp_path):
+    # X^65+X^18+1 is irreducible over GF(2), but its degree is above 64
+    doc = small_matrix_doc()
+    doc["field"] = {"p": 2, "m": 65, "modulus": "X^65+X^18+1"}
+    return ["reduce", write_json(tmp_path / "G.json", doc)]
+
+
 @pytest.mark.parametrize("make_argv", [
     _oversized_matrix, _oversized_matrix_entries, _oversized_basis,
-    _oversized_column_code, _oversized_product])
+    _oversized_column_code, _oversized_product, _oversized_field_degree])
 def test_oversized_document_length_exits_3(make_argv, tmp_path, capsys):
     argv = make_argv(tmp_path)
     start = time.perf_counter()

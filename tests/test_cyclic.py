@@ -17,6 +17,7 @@ from qcproduct import (
     NotCoprime,
     NotPrime,
     Poly,
+    TooLarge,
     cyclic_code_new,
     cyclotomic_coset,
     cyclotomic_cosets,
@@ -27,6 +28,7 @@ from qcproduct import (
     poly_from_text,
     x_pow_minus_one,
 )
+from qcproduct import cyclic
 from qcproduct.cyclic import _prime_power
 
 F2 = field_new(2)
@@ -303,3 +305,17 @@ def test_large_prime_factor_runs_in_bounded_memory(m, factors):
     found = [line.split(" = ")[1] for line in out.stdout.splitlines()[1:]]
     assert ", ".join(found) == factors
     assert elapsed < 10, f"factor took {elapsed:.2f} s"
+
+
+def test_huge_field_order_is_refused_before_a_field_is_built(monkeypatch):
+    # GF(2^1000) would take seconds to build; s = 1000 alone exceeds the
+    # extension-degree bound, so no field is built at all
+    def no_field(*args):
+        raise AssertionError(f"a field was built for {args}")
+
+    monkeypatch.setattr(cyclic, "Field", no_field)
+    monkeypatch.setattr(cyclic, "field_of_order", no_field)
+    with pytest.raises(TooLarge):
+        factor_xm_minus_1(2 ** 1000, 3)
+    with pytest.raises(TooLarge):
+        minimal_polynomial(3 ** 65, 2, 1)

@@ -217,6 +217,11 @@ def test_sparse_text_parsing():
     assert poly_text_to_coeffs("0") == (0,)  # raw coefficients; Poly trims
     assert poly_text_to_coeffs("2*X^2+X") == (0, 1, 2)
     assert poly_text_to_coeffs("X^3 + X") == (0, 1, 0, 1)
+    # a term may end in one newline before the next sign, nowhere else
+    assert poly_text_to_coeffs("X^2\n+1") == (1, 0, 1)
+    for bad in ("X^2+\n1", "X^2\n\n+1", "X\n^2"):
+        with pytest.raises(PolyParseError):
+            poly_text_to_coeffs(bad)
 
 
 def test_dense_text_parsing():
@@ -242,6 +247,62 @@ def test_text_parse_errors():
     for bad in ("X^", "y+1", "1..2", "X**2", "++", ""):
         with pytest.raises(PolyParseError):
             poly_text_to_coeffs(bad)
+
+
+@st.composite
+def sparse_text(draw):
+    """Sparse polynomial text and the raw coefficients it stands for,
+    summed from the generated terms.  A term varies in its sign, a written
+    or implied coefficient, '*', 'x' or 'X', leading zeros in its
+    exponent, and spaces; exponents repeat."""
+    terms = draw(st.lists(st.tuples(
+        st.sampled_from("+-"),
+        st.none() | st.integers(0, 10 ** 6),  # None: no coefficient written
+        st.none() | st.integers(0, 12),  # None: a constant term
+        st.booleans(),  # '*' before the letter
+        st.sampled_from("xX"),
+        st.integers(0, 3),  # leading zeros of the exponent
+        st.booleans(),  # X^1 written as X
+    ), min_size=1, max_size=10))
+    tokens, sums = [], {}
+    for sign, coeff, exp, star, letter, zeros, bare in terms:
+        if coeff is None and exp is None:
+            coeff = 0
+        term = [sign, "" if coeff is None else str(coeff)]
+        if exp is not None:
+            term += ["*" if star else "", letter]
+            if not (bare and exp == 1):
+                term += ["^", "0" * zeros + str(exp)]
+        tokens += term
+        exp = exp or 0
+        value = 1 if coeff is None else coeff
+        sums[exp] = sums.get(exp, 0) + (-value if sign == "-" else value)
+    if tokens[0] == "+" and draw(st.booleans()):
+        tokens[0] = ""  # the first sign may be left out
+    spaces = draw(st.lists(st.sampled_from(("", "", " ", "  ")),
+                           min_size=len(tokens), max_size=len(tokens)))
+    text = "".join(sp + tok for sp, tok in zip(spaces, tokens))
+    want = [0] * (max(sums) + 1)
+    for exp, value in sums.items():
+        want[exp] = value
+    return text, tuple(want)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sparse_text())
+def test_sparse_text_sums_its_terms(case):
+    text, want = case
+    assert poly_text_to_coeffs(text) == want
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789Xx^*+-, ", max_size=24))
+def test_text_over_the_parser_alphabet_parses_or_raises_parse_error(text):
+    try:
+        coeffs = poly_text_to_coeffs(text)
+    except PolyParseError:
+        return
+    assert coeffs and all(type(c) is int for c in coeffs)
 
 
 # ---------------------------------------------------------------------------

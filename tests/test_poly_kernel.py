@@ -382,7 +382,7 @@ def test_gf4_plane_kernel_matches_reference(a, b, c, m, lead):
     # kernel on code lists: every operation, divisors with leading
     # coefficients 1, a (2) and a^2 (3), constant divisors, and the
     # egcd(u, 0), egcd(0, v) and egcd(u, u) conventions
-    f, k, ref = GF4, polyring._GF4, polyring._EXT2
+    f, k, ref = GF4, polyring._GF4, polyring._EXT
     a, b, c = _trim(a), _trim(b), _trim(c)
     ac, bc = ref.mul(f, a, c) or a, ref.mul(f, b, c) or b  # a common factor c
 
@@ -403,14 +403,10 @@ def test_gf4_plane_kernel_matches_reference(a, b, c, m, lead):
     for u, v in ((a, b), (b, c), (ac, bc)):
         assert codes(k.mul(f, native(u), native(v))) == ref.mul(f, u, v)
     divisors = (b, c, c[:-1] + [lead] if c else [lead], [lead], b[-1:])
-    # _EXT2's egcd and fold reach the other operations through _kernel
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polyring, "_kernel", lambda field: ref)
-        want_div = [ref.divmod(f, a, d) for d in divisors if d]
-        want_fold = ref.fold(f, a, m)
-        pairs = [(u, v) for u, v in ((ac, bc), (a, []), ([], b), (a, a), (c, c))
-                 if u or v]
-        want_egcd = [ref.egcd(f, u, v) for u, v in pairs]
+    want_div = [ref.divmod(f, a, d) for d in divisors if d]
+    want_fold = ref.fold(f, a, m)
+    pairs = [(u, v) for u, v in ((ac, bc), (a, []), ([], b), (a, a), (c, c)) if u or v]
+    want_egcd = [ref.egcd(f, u, v) for u, v in pairs]
     got_div = [k.divmod(f, x, native(d)) for d in divisors if d]
     assert [(codes(q), codes(r)) for q, r in got_div] == [
         (_trim(q), _trim(r)) for q, r in want_div]

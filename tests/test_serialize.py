@@ -10,6 +10,7 @@ from qcproduct import (
     GeneratingMatrix,
     Poly,
     PolyParseError,
+    TooLarge,
     basis_from_doc,
     basis_to_doc,
     canonical_json,
@@ -24,6 +25,7 @@ from qcproduct import (
     poly_from_text,
     poly_to_text,
     rgb_pot_reduce,
+    serialize,
 )
 
 F2 = field_new(2)
@@ -106,6 +108,19 @@ def test_field_doc_validation():
     with pytest.raises(DegreeMismatch):
         field_from_doc({"p": 2, "m": 1, "modulus": "X^2+X+1"})
     assert field_from_doc({"p": 3, "m": 1, "modulus": "X+1"}) == F3
+
+
+def test_field_doc_degree_above_64_is_refused_before_its_modulus_is_read(
+        monkeypatch):
+    # the degree-65 modulus is irreducible; reading it would start the
+    # irreducibility test, whose cost grows as the cube of m
+    def no_parse(*args):
+        raise AssertionError("the modulus text was parsed")
+
+    monkeypatch.setattr(serialize, "poly_from_text", no_parse)
+    for m in (65, 8192):
+        with pytest.raises(TooLarge):
+            field_from_doc({"p": 2, "m": m, "modulus": "X^65+X^18+1"})
 
 
 def test_prime_field_doc_round_trip_from_any_modulus():
