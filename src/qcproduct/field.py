@@ -198,9 +198,10 @@ _MAX_EXPONENT = 1 << 20
 _MAX_CHARACTERISTIC = 1 << 31
 
 # One signed term of the sparse form: sign, coefficient digits, "X" with an
-# optional "*" before it, and exponent digits.  A term may end in one
-# newline before the next sign: "X^2\n+1" reads as X^2 + 1.
-_TERM_RE = re.compile(r"([+-])(\d*)(?:(\*?X)(?:\^(\d+))?)?\n?")
+# optional "*" before it, and exponent digits.  The text is matched with
+# every ASCII whitespace character deleted and "x" read as "X".
+_TERM_RE = re.compile(r"([+-])(\d*)(?:(\*?X)(?:\^(\d+))?)?")
+_OTHER_WHITESPACE = str.maketrans("", "", "\t\n\r\v\f")
 _DENSE_RE = re.compile(r"^[\s\d,+-]*,[\s\d,+-]*$")
 _MAX_EXPONENT_DIGITS = len(str(_MAX_EXPONENT))
 
@@ -219,9 +220,9 @@ def poly_text_to_coeffs(text: str) -> tuple[int, ...]:
     tuple of raw (possibly negative) integers.
 
     Sparse algebraic form: ``X^8+X^4+X^3+X^2+1``, ``2*X^3+X+2``, ``X^17-1``.
-    Spaces are ignored, ``x`` reads as ``X``, the first sign may be left
-    out, and the terms of one exponent are summed; PolyParseError names the
-    first place where no signed term starts.
+    Every ASCII whitespace character is ignored, ``x`` reads as ``X``, the
+    first sign may be left out, and the terms of one exponent are summed;
+    PolyParseError names the first place where no signed term starts.
     Dense ascending form: ``1,0,1,1,1,0,0,0,1``.
     The caller maps coefficients into its field (negatives become field
     negations, so ``X^17-1`` reads naturally in any characteristic).
@@ -236,6 +237,8 @@ def poly_text_to_coeffs(text: str) -> tuple[int, ...]:
             raise PolyParseError(f"bad dense coefficient list: {text!r}") from exc
         return tuple(coeffs)
     compact = s.replace(" ", "").replace("x", "X")
+    if not compact.isprintable():  # the rest of ASCII whitespace is rare
+        compact = compact.translate(_OTHER_WHITESPACE)
     if compact[0] not in "+-":
         compact = "+" + compact
     acc: dict[int, int] = {}

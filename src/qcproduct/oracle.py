@@ -5,9 +5,10 @@ polynomial basis into one, exact minimum distance (a walk over every message
 for tiny codes, Brouwer-Zimmermann for the rest, which gets the shifts of
 its information sets for free on a quasi-cyclic code once it has checked
 the closure), shift-closure and membership tests.  A `LinearCodeView` packs
-its rows into ints once, and one packed GF(p) elimination, `_systematic`,
-serves its rank check, `is_quasi_cyclic` and both distance searches; the
-tests keep a list-based RREF as their independent reference.  These
+its rows into ints once (`expand_to_linear` packs each basis row once and
+rotates it), and one packed GF(p) elimination, `_systematic`, serves its
+rank check, `is_quasi_cyclic` and both distance searches; the tests keep
+a list-based RREF, packing and elimination as their references.  These
 routines deliberately avoid the canonical-form machinery (no division, no
 gcd) so they can serve as ground truth for it.
 """
@@ -83,37 +84,45 @@ class LinearCodeView:
 
     def __init__(self, field: Field, matrix, n: int | None = None,
                  ell: int | None = None):
-        index = operator.index
-        try:
-            rows = tuple(tuple([index(c) for c in row]) for row in matrix)
-        except TypeError:
-            raise ShapeMismatch(
-                "generator matrix must be rows of integer codes") from None
-        try:
-            n = index(len(rows[0]) if n is None and rows else n)
-        except TypeError:
-            n = -1
-        if n < 0 or any(len(row) != n for row in rows):
-            raise ShapeMismatch("rows must share one length n (give n if no rows)")
-        if n and rows and not (
-                0 <= min(map(min, rows)) <= max(map(max, rows)) < field.q):
-            raise FieldMismatch("matrix entries outside the field's code range")
-        ell = None if ell is None else _check_ell(n, ell)
-        k = len(rows)
-        bits, words = _packed_rows(field, rows if n else ())
-        _, words, slots = _systematic(field.p, field.m, n, bits, words)
-        if len(words) != k * field.m:
-            raise RankMismatch(f"generator matrix has rank "
-                               f"{len(words) // field.m}, not {k}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "packed", (bits, tuple(words), tuple(slots)))
+        _settle(self, field, matrix, n, ell)
 
     def __repr__(self):
         return f"LinearCodeView[{self.n}, {self.k}] over {self.field!r}"
+
+
+def _settle(view: LinearCodeView, field: Field, matrix, n, ell,
+            packed: tuple | None = None) -> None:
+    """Fill in `view` from a generator matrix: check every code's type and
+    range, eliminate the rows' packing (`packed`, or else `_packed_rows` of
+    the rows) with `_systematic`, and check the rank."""
+    index = operator.index
+    try:
+        rows = tuple(tuple([index(c) for c in row]) for row in matrix)
+    except TypeError:
+        raise ShapeMismatch(
+            "generator matrix must be rows of integer codes") from None
+    try:
+        n = index(len(rows[0]) if n is None and rows else n)
+    except TypeError:
+        n = -1
+    if n < 0 or any(len(row) != n for row in rows):
+        raise ShapeMismatch("rows must share one length n (give n if no rows)")
+    if n and rows and not (
+            0 <= min(map(min, rows)) <= max(map(max, rows)) < field.q):
+        raise FieldMismatch("matrix entries outside the field's code range")
+    ell = None if ell is None else _check_ell(n, ell)
+    k = len(rows)
+    bits, words = packed or _packed_rows(field, rows if n else ())
+    _, words, slots = _systematic(field.p, field.m, n, bits, words)
+    if len(words) != k * field.m:
+        raise RankMismatch(f"generator matrix has rank "
+                           f"{len(words) // field.m}, not {k}")
+    object.__setattr__(view, "field", field)
+    object.__setattr__(view, "n", n)
+    object.__setattr__(view, "k", k)
+    object.__setattr__(view, "matrix", rows)
+    object.__setattr__(view, "ell", ell)
+    object.__setattr__(view, "packed", (bits, tuple(words), tuple(slots)))
 
 
 def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
@@ -121,24 +130,37 @@ def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
     rows are the serializations of X^t * (row i) for
     0 <= t < m - deg(g_ii), coefficient e of entry j (folded mod X^m - 1)
     landing on position ell*e + j, so X^t * (row i) is the t = 0 row
-    rotated right by t*ell positions.  The rank check in LinearCodeView
-    then verifies independently that the basis dimension is honest.  The
-    view's `ell` is the basis's: the module is closed under
-    multiplication by X."""
+    rotated right by t*ell positions.  Only the t = 0 rows are packed; the
+    packed words of every other row are those rotated by `_rotation`, so
+    the view equals the one `LinearCodeView` builds from the same rows.
+    The rank check then verifies independently that the basis dimension
+    is honest.  The view's `ell` is the basis's: the module is closed
+    under multiplication by X."""
     k = dimension(b)  # raises on a zero diagonal entry before any row is built
-    ell, m = b.ell, b.m
+    f, ell, m = b.field, b.ell, b.m
     n = ell * m
-    rows = []
-    for i, entries in enumerate(b.matrix):
+    firsts = []
+    for entries in b.matrix:
         row = [0] * n
         for j, entry in enumerate(entries):
             codes = fold_mod_xm1(entry, m).coeffs
             row[j:ell * len(codes):ell] = codes
-        rows += (row[n - ell * t:] + row[:n - ell * t]
-                 for t in range(m - entries[i].degree))
+        firsts.append(row)
+    bits, base = _packed_rows(f, firsts)
+    rotate = _rotation(f.m, n, bits, ell)
+    rows, words = [], []
+    for i, (row, entries) in enumerate(zip(firsts, b.matrix)):
+        count = m - entries[i].degree
+        rows += (row[n - ell * t:] + row[:n - ell * t] for t in range(count))
+        shifted = base[i * f.m:(i + 1) * f.m]
+        for _ in range(count):
+            words += shifted
+            shifted = list(map(rotate, shifted))
     if len(rows) != k:
         raise RankMismatch(f"expanded {len(rows)} rows for stated dimension {k}")
-    return LinearCodeView(b.field, rows, ell * m, ell)
+    view = object.__new__(LinearCodeView)
+    _settle(view, f, rows, n, ell, (bits, words))
+    return view
 
 
 # ---------------------------------------------------------------------------
@@ -153,20 +175,19 @@ def _packed_rows(field: Field, rows) -> tuple[int, list[int]]:
     read in base p names the same codeword as read in base q over the
     original rows.  Each row is one integer: digit t of position i sits in
     slot t*n + i of `bits` bits, one bit for p = 2, else room for the sum
-    of two digits plus a guard bit above it.
+    of two digits plus a guard bit above it.  For each t and digit s, a map
+    takes every code present to the numeral of digit s of X^t times it,
+    and the numerals of a row are joined in one pass per digit.
     """
     p, m = field.p, field.m
     bits = 1 if p == 2 else (2 * p - 2).bit_length() + 1
-    slots = []  # each word's digits, the highest slot first
-    for row in rows:
-        for t in range(m):
-            codes = ([field.mul(p ** t, c) for c in reversed(row)] if t
-                     else row[::-1])
-            slots.append([c // p ** s % p for s in reversed(range(m))
-                          for c in codes])
-    numeral = {d: format(d, f"0{bits}b") for d in set().union(*slots)}
-    return bits, [int("".join([numeral[d] for d in word]), 2)
-                  for word in slots]
+    present = set().union(*rows)
+    planes = [[{c: format(field.mul(p ** t, c) // p ** s % p, f"0{bits}b")
+                for c in present}.__getitem__ for s in reversed(range(m))]
+              for t in range(m)]
+    return bits, [int("".join(["".join(map(numeral, row[::-1]))
+                               for numeral in plane]), 2)
+                  for row in rows for plane in planes]
 
 
 def _slot_ops(p: int, m: int, n: int, bits: int):
@@ -205,21 +226,10 @@ def _slot_ops(p: int, m: int, n: int, bits: int):
     return add, support
 
 
-def _times(add, x: int, c: int) -> int:
-    """c * x for an integer c >= 0, by doubling."""
-    out = 0
-    while c:
-        if c & 1:
-            out = add(out, x)
-        x, c = add(x, x), c >> 1
-    return out
-
-
-def _clear(add, p: int, bits: int, row: int, piv: int, shift: int) -> int:
-    """row less the multiple of piv that zeroes its slot at `shift`, piv
-    being 1 there."""
-    d = row >> shift & ((1 << bits) - 1)
-    return add(row, _times(add, piv, p - d)) if d else row
+def _negatives(p: int, add, x: int) -> list[int]:
+    """[-d * x for d < p] on a packed word x: (p - d) * x."""
+    times = list(itertools.accumulate(itertools.repeat(x, p - 1), add, initial=0))
+    return times[:1] + times[:0:-1]
 
 
 def _systematic(p: int, m: int, n: int, bits: int, rows, covered: int = 0):
@@ -233,11 +243,13 @@ def _systematic(p: int, m: int, n: int, bits: int, rows, covered: int = 0):
     space, even when they are dependent, so a position takes all m pivots
     or none and the GF(q) rank is len(words) // m.  `words[a*m + t]` is
     X^t * g_a, g_a the codeword that is 1 on the a-th pivot position and 0
-    on the others; dependent rows are dropped.
+    on the others; dependent rows are dropped.  Each pivot's p - 1 negated
+    multiples are formed once, and a row holding d in the pivot slot is
+    cleared by one add of the multiple -d.
     """
     add, support = _slot_ops(p, m, n, bits)
     top, dmask = bits - 1, (1 << bits) - 1
-    everywhere = sum(1 << (i * bits + top) for i in range(n))
+    everywhere = ((1 << n * bits) - 1) // dmask << top
     free, done, slots, new = list(rows), [], [], 0
     for allowed in (everywhere ^ covered, everywhere):
         while free:
@@ -251,9 +263,12 @@ def _systematic(p: int, m: int, n: int, bits: int, rows, covered: int = 0):
                 shift = (t * n + low // bits) * bits
                 piv = next(row for row in free if row >> shift & dmask)
                 free.remove(piv)
-                piv = _times(add, piv, pow(piv >> shift & dmask, -1, p))
-                free = [_clear(add, p, bits, row, piv, shift) for row in free]
-                done = [_clear(add, p, bits, row, piv, shift) for row in done]
+                # neg[e] = -e * piv: inv * piv = neg[p - inv] has a 1 in the
+                # slot, and neg[d * inv % p] clears a slot holding d from it
+                inv, neg = pow(piv >> shift & dmask, -1, p), _negatives(p, add, piv)
+                piv, neg = neg[p - inv], [neg[d * inv % p] for d in range(p)]
+                free = [add(row, neg[row >> shift & dmask]) for row in free]
+                done = [add(row, neg[row >> shift & dmask]) for row in done]
                 done.append(piv)
                 slots.append(shift)
     return new, done, slots
@@ -328,7 +343,7 @@ def _brouwer_zimmermann(view: LinearCodeView, limit: int):
     q, p, m = f.q, f.p, f.m
     bits, rows, slots = view.packed
     add, support = _slot_ops(p, m, n, bits)
-    everywhere = sum(1 << (i * bits + bits - 1) for i in range(n))
+    everywhere = ((1 << n * bits) - 1) // ((1 << bits) - 1) << bits - 1
     closed = ell is not None and is_quasi_cyclic(view, ell)
     rotate = _rotation(m, n, bits, ell) if closed else None
     # the first set is the view's packing, its positions those of its pivots
@@ -426,9 +441,10 @@ def min_distance(view: LinearCodeView, workers: int = 1,
                  limit: int = 1 << 26):
     """Exact minimum distance of the code; None for the zero code (k = 0).
 
-    Both searches start from the view's packing, the systematic matrix its
-    rank check built; nothing is packed again.  A code with q^k <= 2^10
-    messages is walked message by message; any larger one runs
+    Both searches start from the view's packing (rotated words of its
+    first rows, for a view from `expand_to_linear`), the systematic matrix
+    its rank check built; nothing is packed again.  A code with q^k <=
+    2^10 messages is walked message by message; any larger one runs
     Brouwer-Zimmermann (Grassl, "Searching for linear codes with large
     minimum distance", 2006) on greedily disjoint information sets.  When
     the view has an `ell` that passes `is_quasi_cyclic`, the same
@@ -459,10 +475,11 @@ def is_quasi_cyclic(view: LinearCodeView, ell: int) -> bool:
     if not words:  # the zero code
         return True
     add, _ = _slot_ops(f.p, f.m, n, bits)
-    rotate = _rotation(f.m, n, bits, ell)
+    rotate, dmask = _rotation(f.m, n, bits, ell), (1 << bits) - 1
+    pivots = [(_negatives(f.p, add, g), s) for g, s in zip(words, slots)]
     return not any(functools.reduce(
-        lambda y, ps: _clear(add, f.p, bits, y, *ps), zip(words, slots),
-        rotate(g)) for g in words[::f.m])
+        lambda y, ps: add(y, ps[0][y >> ps[1] & dmask]), pivots, rotate(g))
+        for g in words[::f.m])
 
 
 def modules_equal(a, b) -> bool:

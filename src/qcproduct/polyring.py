@@ -320,11 +320,13 @@ def _egcd2(f: Field, u: int, v: int):
 
 
 def _fold2(f: Field, x: int, m: int) -> int:
-    """fold_mod_xm1 on a GF(2) bitmask: the bits from m up are XORed back
-    onto bit 0 until none are left."""
-    low = (1 << m) - 1
-    while x >> m:
-        x = (x & low) ^ (x >> m)
+    """fold_mod_xm1 on a GF(2) bitmask: the bits from k up are XORed back
+    onto bit 0, k the least multiple of m that is at least half the bit
+    length (X^k = 1), until none are left from m up.  Each pass halves the
+    operand, so a fold takes O(log(D/m)) passes, one below 2m bits."""
+    while (b := x.bit_length()) > m:
+        k = -(-b // (2 * m)) * m
+        x = (x & ((1 << k) - 1)) ^ (x >> k)
     return x
 
 
@@ -506,11 +508,12 @@ def _egcd3(f: Field, u, v):
 
 
 def _fold3(f: Field, x, m: int):
-    """fold_mod_xm1 on a GF(3) pair: the coefficients from m up are added
-    back onto X^0 until none are left."""
-    low = (1 << m) - 1
-    while x and (x[0] | x[1]) >> m:
-        x = _add3(f, (x[0] & low, x[1] & low), (x[0] >> m, x[1] >> m))
+    """fold_mod_xm1 on a GF(3) pair, halving as `_fold2` does: the
+    coefficients from k up are added back onto X^0."""
+    while x and (b := (x[0] | x[1]).bit_length()) > m:
+        k = -(-b // (2 * m)) * m
+        low = (1 << k) - 1
+        x = _add3(f, (x[0] & low, x[1] & low), (x[0] >> k, x[1] >> k))
     return x
 
 

@@ -217,9 +217,13 @@ def test_sparse_text_parsing():
     assert poly_text_to_coeffs("0") == (0,)  # raw coefficients; Poly trims
     assert poly_text_to_coeffs("2*X^2+X") == (0, 1, 2)
     assert poly_text_to_coeffs("X^3 + X") == (0, 1, 0, 1)
-    # a term may end in one newline before the next sign, nowhere else
-    assert poly_text_to_coeffs("X^2\n+1") == (1, 0, 1)
-    for bad in ("X^2+\n1", "X^2\n\n+1", "X\n^2"):
+    # every ASCII whitespace character is ignored, wherever it stands
+    for text in ("X^2\n+1", "X^2+\n1", "X^2\t+1", "X^2\n\n+1", "X^2\r\n+1\r\n",
+                 "X\n^2+\v1", "\fX ^ 2 +1"):
+        assert poly_text_to_coeffs(text) == (1, 0, 1)
+    assert poly_text_to_coeffs("X^1\t0+1") == (1,) + (0,) * 9 + (1,)
+    # other characters are not whitespace here
+    for bad in ("X^2\u00a0+1", "X^2\x00+1", "X^2\x1c+1"):
         with pytest.raises(PolyParseError):
             poly_text_to_coeffs(bad)
 

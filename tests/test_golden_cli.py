@@ -17,7 +17,9 @@ minimal polynomials are computed in GF(3^8) and GF(5^6), beyond the
 tables, from before those fields ran on the prime field's polynomial
 kernel, and a GF(4) product (ell_a 3, co-index 91) and a benchmark-sized
 GF(4) reduction (ell 4, m 45) from before GF(4) polynomials became pairs
-of GF(2) bit planes.
+of GF(2) bit planes, and the reduction of a GF(2) matrix with an X^1048576
+entry (ell 2, m 3) from before folding modulo X^m - 1 learned to halve its
+operand.
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -36,6 +38,7 @@ CASES = {
     "reduce_matrix_gf4": ["reduce", "matrix_gf4.json"],
     "reduce_matrix_wide_gf3": ["reduce", "matrix_wide_gf3.json"],
     "reduce_matrix_wide_gf4": ["reduce", "matrix_wide_gf4.json"],
+    "reduce_matrix_high_degree_gf2": ["reduce", "matrix_high_degree_gf2.json"],
     "product_gf2": ["product", "row_code_gf2.json", "column_code_gf2.json"],
     "product_gf3": ["product", "row_code_gf3.json", "column_code_gf3.json"],
     "product_gf4": ["product", "row_code_gf4.json", "column_code_gf4.json"],

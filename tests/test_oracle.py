@@ -30,6 +30,7 @@ from qcproduct import (
     encode,
     expand_to_linear,
     field_new,
+    field_of_order,
     fold_mod_xm1,
     is_quasi_cyclic,
     level,
@@ -44,14 +45,17 @@ from qcproduct import (
     univariate_to_matrix,
     unreduced_product_basis,
     vector_to_univariate,
+    x_pow_minus_one,
 )
 from qcproduct import oracle
+import packref
 from rref import _rref
 
 F2 = field_new(2)
 F3 = field_new(3)
 F4 = field_new(2, 2)
 F9 = field_new(3, 2)
+F5 = field_new(5)
 
 
 def one_level_view(field, g_text, m, fs=(), ell=1):
@@ -147,6 +151,93 @@ def test_packed_elimination_matches_rref(case):
         shifted = [row[-ell:] + row[:-ell] for row in basis]
         closed = len(_rref(field, [*basis, *shifted])[0]) == view.k
         assert is_quasi_cyclic(view, ell) == closed
+
+
+PACKING_FIELDS = tuple(map(field_of_order, (2, 3, 4, 5, 8, 9, 25, 27, 257, 3 ** 6)))
+
+
+@st.composite
+def code_matrices(draw):
+    """(field, n, rows): up to five random rows of n codes over one of
+    PACKING_FIELDS, and sometimes a sixth that depends on the first two."""
+    field = draw(st.sampled_from(PACKING_FIELDS))
+    n = draw(st.integers(1, 10))
+    codes = st.integers(0, field.q - 1)
+    rows = draw(st.lists(st.lists(codes, min_size=n, max_size=n), max_size=5))
+    if len(rows) >= 2 and draw(st.booleans()):
+        c = draw(codes)
+        rows.append([field.add(a, field.mul(c, b))
+                     for a, b in zip(rows[0], rows[1])])
+    return field, n, rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(code_matrices())
+def test_packing_matches_digit_by_digit_reference(case):
+    field, _, rows = case
+    assert oracle._packed_rows(field, rows) == packref.packed_rows(field, rows)
+
+
+@pytest.mark.parametrize("field", PACKING_FIELDS, ids=lambda f: f"q{f.q}")
+def test_packing_of_every_code_matches_reference(field):
+    rows = [list(range(field.q)), list(range(field.q))[::-1]]
+    assert oracle._packed_rows(field, rows) == packref.packed_rows(field, rows)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(code_matrices(), st.data())
+def test_elimination_matches_doubling_reference(case, data):
+    # the same pivots, words and slots, with and without covered positions
+    field, n, rows = case
+    p, m = field.p, field.m
+    bits, words = packref.packed_rows(field, rows)
+    positions = data.draw(st.sets(st.integers(0, n - 1)))
+    covered = sum(1 << (i * bits + bits - 1) for i in positions)
+    for cov in {0, covered}:
+        assert (oracle._systematic(p, m, n, bits, words, cov)
+                == packref.systematic(p, m, n, bits, words, cov))
+
+
+@st.composite
+def triangular_bases(draw):
+    """An upper-triangular basis over GF(2), GF(3), GF(4), GF(5) or GF(9)
+    with ell <= 3 and m <= 6: each diagonal entry X^m - 1 or a random
+    polynomial of degree at most m, and entries above it of degree up to
+    2m, zero ones included."""
+    field = draw(st.sampled_from((F2, F3, F4, F5, F9)))
+    ell, m = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    codes = st.integers(0, field.q - 1)
+    matrix = []
+    for i in range(ell):
+        if draw(st.booleans()):
+            diagonal = x_pow_minus_one(field, m)
+        else:
+            diagonal = Poly(field, draw(st.lists(codes, max_size=m))
+                            + [draw(st.integers(1, field.q - 1))])
+        matrix.append([Poly.zero(field)] * i + [diagonal] + [
+            Poly(field, draw(st.lists(codes, max_size=2 * m + 1)))
+            for _ in range(ell - i - 1)])
+    return RgbPotBasis(field, ell, m, matrix)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(triangular_bases())
+def test_expansion_by_rotation_matches_the_public_constructor(b):
+    # rows X^t * (row i), reduced mod X^m - 1 by division, through
+    # LinearCodeView: the same view, packed words and pivots included
+    f, ell, m = b.field, b.ell, b.m
+    xm1 = x_pow_minus_one(f, m)
+    rows = []
+    for i, entries in enumerate(b.matrix):
+        for t in range(m - entries[i].degree):
+            row = [0] * (ell * m)
+            for j, entry in enumerate(entries):
+                shifted = entry * Poly(f, (0,) * t + (1,)) % xm1
+                row[j::ell] = shifted.coeffs + (0,) * (m - len(shifted.coeffs))
+            rows.append(row)
+    view, want = expand_to_linear(b), LinearCodeView(f, rows, ell * m, ell)
+    assert view == want
+    assert view.packed == want.packed
 
 
 def test_expand_small_basis_frozen():

@@ -9,10 +9,14 @@ memory.  The GF(2) bitmask product and fold are compared with the same
 reference, as is every operation of the GF(3) kernel on bitmask pairs.
 The GF(4) kernel on bit planes is compared with the schoolbook extension
 kernel, and canonical reduction is checked to build a ``Poly`` only for
-its result over GF(2), GF(3), GF(4) and GF(9).
+its result over GF(2), GF(3), GF(4) and GF(9).  The folds of the GF(2),
+GF(3) and GF(4) kernels, which halve their operand, are compared with the
+code-list fold, and folding X^(2^20) is bounded in wall time.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -312,7 +316,8 @@ def test_gf2_mask_kernel_matches_reference(x, y, m):
     a, b = ([k >> i & 1 for i in range(k.bit_length())] for k in (x, y))
     product = polyring._from_mask(f, polyring._mul2(f, x, y))
     assert product.coeffs == tuple(ref_mul(a, b, 2))
-    assert polyring._from_mask(f, polyring._fold2(f, x, m)) == fold_mod_xm1(Poly(f, a), m)
+    assert polyring._from_mask(f, polyring._fold2(f, x, m)) == Poly(
+        f, polyring._GFP.fold(f, a, m))  # the code-list fold
 
 
 def ref_add(a, b, p):
@@ -358,7 +363,7 @@ def test_gf3_mask_kernel_matches_reference(a, b, c, m):
         if d:
             q, r = k.divmod(f, x, native(d))
             assert (codes(q), codes(r)) == tuple(ref_divmod(a, d, 3))
-    assert codes(k.fold(f, x, m)) == list(fold_mod_xm1(Poly(f, a), m).coeffs)
+    assert codes(k.fold(f, x, m)) == _trim(polyring._GFP.fold(f, a, m))
     for u, v in ((ab, bc), (a, []), ([], b), (a, a), (b, b)):
         if u or v:
             got = k.egcd(f, native(u), native(v))
@@ -414,6 +419,35 @@ def test_gf4_plane_kernel_matches_reference(a, b, c, m, lead):
     got_egcd = [k.egcd(f, native(u), native(v)) for u, v in pairs]
     assert [[codes(g) for g in e] for e in got_egcd] == [
         [_trim(g) for g in e] for e in want_egcd]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 4)),
+       st.dictionaries(st.integers(0, 5000), st.integers(1, 3), max_size=40),
+       st.integers(1, 70))
+def test_halving_fold_matches_code_list_fold(q, terms, m):
+    # the bit-plane kernels cut the operand near its middle at a multiple
+    # of m; the code-list fold adds back one block of m codes at a time
+    f = GF4 if q == 4 else FIELDS[q]
+    k, ref = polyring._kernel(f), polyring._EXT if q == 4 else polyring._GFP
+    codes = [0] * (max(terms, default=-1) + 1)
+    for e, c in terms.items():
+        codes[e] = c % q
+    codes = _trim(codes)
+    folded = k.fold(f, k.native(f, tuple(codes)), m)
+    assert list(k.poly(f, folded).coeffs) == _trim(ref.fold(f, codes, m))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_fold_of_a_huge_power_of_x_takes_log_passes(q):
+    # folding X^(2^20) took seconds per m when each pass folded back only m
+    # coefficients (and minutes for m = 1); halving takes about 20 passes
+    f = GF4 if q == 4 else FIELDS[q]
+    x = Poly(f, [0] * (1 << 20) + [1])
+    start = time.perf_counter()
+    for m, want in ((8, (1,)), (3, (0, 1)), (1, (1,))):
+        assert fold_mod_xm1(x, m).coeffs == want  # 2^20 = 1 (mod 3)
+        assert time.perf_counter() - start < 2.0
 
 
 def test_reduction_builds_polys_only_at_the_boundary(monkeypatch):
