@@ -117,12 +117,9 @@ def _settle(view: LinearCodeView, field: Field, matrix, n, ell,
     if len(words) != k * field.m:
         raise RankMismatch(f"generator matrix has rank "
                            f"{len(words) // field.m}, not {k}")
-    object.__setattr__(view, "field", field)
-    object.__setattr__(view, "n", n)
-    object.__setattr__(view, "k", k)
-    object.__setattr__(view, "matrix", rows)
-    object.__setattr__(view, "ell", ell)
-    object.__setattr__(view, "packed", (bits, tuple(words), tuple(slots)))
+    for name, value in zip(("field", "n", "k", "matrix", "ell", "packed"), (
+            field, n, k, rows, ell, (bits, tuple(words), tuple(slots)))):
+        object.__setattr__(view, name, value)
 
 
 def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
@@ -152,10 +149,8 @@ def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
     for i, (row, entries) in enumerate(zip(firsts, b.matrix)):
         count = m - entries[i].degree
         rows += (row[n - ell * t:] + row[:n - ell * t] for t in range(count))
-        shifted = base[i * f.m:(i + 1) * f.m]
-        for _ in range(count):
-            words += shifted
-            shifted = list(map(rotate, shifted))
+        for t in range(count):  # X^t * row i: the t - 1 row's words rotated
+            words += map(rotate, words[-f.m:]) if t else base[i * f.m:i * f.m + f.m]
     if len(rows) != k:
         raise RankMismatch(f"expanded {len(rows)} rows for stated dimension {k}")
     view = object.__new__(LinearCodeView)
@@ -182,9 +177,10 @@ def _packed_rows(field: Field, rows) -> tuple[int, list[int]]:
     p, m = field.p, field.m
     bits = 1 if p == 2 else (2 * p - 2).bit_length() + 1
     present = set().union(*rows)
-    planes = [[{c: format(field.mul(p ** t, c) // p ** s % p, f"0{bits}b")
-                for c in present}.__getitem__ for s in reversed(range(m))]
-              for t in range(m)]
+    planes = [[{c: format(x // p ** s % p, f"0{bits}b")
+                for c, x in prod.items()}.__getitem__ for s in reversed(range(m))]
+              for prod in ({c: field.mul(p ** t, c) for c in present}
+                           for t in range(m))]
     return bits, [int("".join(["".join(map(numeral, row[::-1]))
                                for numeral in plane]), 2)
                   for row in rows for plane in planes]
@@ -226,10 +222,19 @@ def _slot_ops(p: int, m: int, n: int, bits: int):
     return add, support
 
 
-def _negatives(p: int, add, x: int) -> list[int]:
-    """[-d * x for d < p] on a packed word x: (p - d) * x."""
-    times = list(itertools.accumulate(itertools.repeat(x, p - 1), add, initial=0))
-    return times[:1] + times[:0:-1]
+class _Negatives(dict):
+    """neg[d] = -d * x = (p - d) * x for a packed word x: x for d = p - 1,
+    else formed by doubling when slot value d is first looked up, O(log p)
+    adds for each value that occurs, however large p is."""
+
+    def __init__(self, p: int, add, x: int):
+        self.p, self.add, self.x, self[0], self[p - 1] = p, add, x, 0, x
+
+    def __missing__(self, d: int) -> int:
+        out, x, c = 0, self.x, self.p - d
+        while c:
+            out, x, c = self.add(out, x) if c & 1 else out, self.add(x, x), c >> 1
+        return self.setdefault(d, out)
 
 
 def _systematic(p: int, m: int, n: int, bits: int, rows, covered: int = 0):
@@ -243,9 +248,8 @@ def _systematic(p: int, m: int, n: int, bits: int, rows, covered: int = 0):
     space, even when they are dependent, so a position takes all m pivots
     or none and the GF(q) rank is len(words) // m.  `words[a*m + t]` is
     X^t * g_a, g_a the codeword that is 1 on the a-th pivot position and 0
-    on the others; dependent rows are dropped.  Each pivot's p - 1 negated
-    multiples are formed once, and a row holding d in the pivot slot is
-    cleared by one add of the multiple -d.
+    on the others; dependent rows are dropped.  A row holding d in the
+    pivot slot is cleared by one add of -d * pivot (`_Negatives`).
     """
     add, support = _slot_ops(p, m, n, bits)
     top, dmask = bits - 1, (1 << bits) - 1
@@ -263,10 +267,9 @@ def _systematic(p: int, m: int, n: int, bits: int, rows, covered: int = 0):
                 shift = (t * n + low // bits) * bits
                 piv = next(row for row in free if row >> shift & dmask)
                 free.remove(piv)
-                # neg[e] = -e * piv: inv * piv = neg[p - inv] has a 1 in the
-                # slot, and neg[d * inv % p] clears a slot holding d from it
-                inv, neg = pow(piv >> shift & dmask, -1, p), _negatives(p, add, piv)
-                piv, neg = neg[p - inv], [neg[d * inv % p] for d in range(p)]
+                inv = pow(piv >> shift & dmask, -1, p)
+                piv = piv if inv == 1 else _Negatives(p, add, piv)[p - inv]
+                neg = _Negatives(p, add, piv)
                 free = [add(row, neg[row >> shift & dmask]) for row in free]
                 done = [add(row, neg[row >> shift & dmask]) for row in done]
                 done.append(piv)
@@ -476,7 +479,7 @@ def is_quasi_cyclic(view: LinearCodeView, ell: int) -> bool:
         return True
     add, _ = _slot_ops(f.p, f.m, n, bits)
     rotate, dmask = _rotation(f.m, n, bits, ell), (1 << bits) - 1
-    pivots = [(_negatives(f.p, add, g), s) for g, s in zip(words, slots)]
+    pivots = [(_Negatives(f.p, add, g), s) for g, s in zip(words, slots)]
     return not any(functools.reduce(
         lambda y, ps: add(y, ps[0][y >> ps[1] & dmask]), pivots, rotate(g))
         for g in words[::f.m])

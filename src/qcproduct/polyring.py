@@ -321,9 +321,8 @@ def _egcd2(f: Field, u: int, v: int):
 
 def _fold2(f: Field, x: int, m: int) -> int:
     """fold_mod_xm1 on a GF(2) bitmask: the bits from k up are XORed back
-    onto bit 0, k the least multiple of m that is at least half the bit
-    length (X^k = 1), until none are left from m up.  Each pass halves the
-    operand, so a fold takes O(log(D/m)) passes, one below 2m bits."""
+    onto bit 0, k the least multiple of m (X^k = 1) that is at least half
+    the bit length, until none are left from m up: O(log(D/m)) passes."""
     while (b := x.bit_length()) > m:
         k = -(-b // (2 * m)) * m
         x = (x & ((1 << k) - 1)) ^ (x >> k)

@@ -3,6 +3,7 @@ exhaustive minimum distance, shift closure, and membership."""
 
 import math
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -196,6 +197,21 @@ def test_elimination_matches_doubling_reference(case, data):
     for cov in {0, covered}:
         assert (oracle._systematic(p, m, n, bits, words, cov)
                 == packref.systematic(p, m, n, bits, words, cov))
+
+
+def test_elimination_over_a_prime_near_2_31_is_bounded():
+    # a pivot's multiple -d * pivot is formed by doubling only for the slot
+    # values d that occur, never for all p - 1 of them
+    f = field_new(2147483647)
+    rows = [[3, 1, 4, 1, 0], [5, 9, 2, 6, 5], [f.q - 1, 5, 3, 5, f.q - 2]]
+    b = RgbPotBasis(f, 1, 2, [[Poly(f, (1, 1))]])
+    start = time.perf_counter()
+    view = LinearCodeView(f, rows)
+    assert is_quasi_cyclic(expand_to_linear(b), 1)
+    assert time.perf_counter() - start < 2.0
+    bits, words = packref.packed_rows(f, rows)
+    _, words, slots = packref.systematic(f.p, 1, 5, bits, words)
+    assert view.packed == (bits, tuple(words), tuple(slots))
 
 
 @st.composite
