@@ -1,16 +1,16 @@
 """Independent linear-algebra checks for the polynomial constructions.
 
 Everything here works on plain generator matrices over GF(q): expanding a
-polynomial basis into one, exact minimum distance (a walk over every message
-for tiny codes, Brouwer-Zimmermann for the rest, which gets the shifts of
-its information sets for free on a quasi-cyclic code once it has checked
-the closure), shift-closure and membership tests.  A `LinearCodeView` packs
-its rows into ints once (`expand_to_linear` packs each basis row once and
-rotates it), and one packed GF(p) elimination, `_systematic`, serves its
-rank check, `is_quasi_cyclic` and both distance searches; the tests keep
-a list-based RREF, packing and elimination as their references.  These
-routines deliberately avoid the canonical-form machinery (no division, no
-gcd) so they can serve as ground truth for it.
+polynomial basis into one, exact minimum distance (a walk over one message
+per 1-dimensional subspace for tiny codes, Brouwer-Zimmermann for the rest,
+which gets the shifts of its information sets for free on a quasi-cyclic
+code once it has checked the closure), shift-closure and membership tests.
+A `LinearCodeView` packs its rows into ints once (`expand_to_linear` packs
+each basis row once and rotates it), and one packed GF(p) elimination,
+`_systematic`, serves its rank check, `is_quasi_cyclic` and both distance
+searches; the tests keep a list-based RREF, packing and elimination as their
+references.  These routines deliberately avoid the canonical-form machinery
+(no division, no gcd) so they can serve as ground truth for it.
 """
 
 from __future__ import annotations
@@ -285,37 +285,44 @@ def _rotation(m: int, n: int, bits: int, ell: int):
     return lambda x: (x & low) << e | (x ^ (x & low)) >> (width - e)
 
 
-def _range_min(p: int, m: int, n: int, bits: int, rows) -> int:
-    """Minimum Hamming weight over every nonzero message of a code packed
-    by `_packed_rows`, message index idx read as base-p digits over the
-    rows.
-
-    Going from idx-1 to idx raises digit v = v_p(idx) by one and wraps the
-    digits below it from p-1 to 0; each of those adds its row once, so the
-    step adds the precomputed prefix sum of rows 0..v.  Over GF(2) it is
-    one XOR and one popcount per codeword.
-    """
-    add, support = _slot_ops(p, m, n, bits)
+def _steps(p: int, add, rows) -> list:
+    """The words a base-p count over the rows adds, for c = 1 ..
+    p^len(rows) - 1 in order: going from c-1 to c raises digit v = v_p(c)
+    by one and wraps the digits below it from p-1 to 0; each of those adds
+    its row once, so the step adds the prefix sum of rows 0..v."""
     prefix = list(itertools.accumulate(rows, add))
-    total = p ** len(rows)
-    cur, best = 0, 1 << 62
-    if p == 2 and m == 1:
-        for idx in range(1, total):
-            cur ^= prefix[(idx & -idx).bit_length() - 1]
-            w = cur.bit_count()
+    ruler = []  # v_p(c)
+    for v in range(len(rows)):
+        ruler = (ruler + [v]) * (p - 1) + ruler
+    return list(map(prefix.__getitem__, ruler))
+
+
+def _range_min(p: int, m: int, n: int, bits: int, rows):
+    """(lightest weight, messages walked) over the messages of a code
+    packed by `_packed_rows` whose first nonzero coefficient is 1: one per
+    1-dimensional subspace, as scalar multiples weigh the same.  For each
+    a the walk counts from rows[a*m] = g_a over the rows after g_a's:
+    q^(k-1-a) messages, (q^k - 1)/(q - 1) in all.  Over GF(2) it is one
+    XOR and one popcount per codeword."""
+    add, support = _slot_ops(p, m, n, bits)
+    best, walked = 1 << 62, 0
+    for a in range(0, len(rows), m):
+        cur, steps = rows[a], _steps(p, add, rows[a + m:])
+        walked += len(steps) + 1
+        best = min(best, support(cur).bit_count())
+        if p == 2 and m == 1:
+            for x in steps:
+                cur ^= x
+                w = cur.bit_count()
+                if w < best:
+                    best = w
+            continue
+        for x in steps:
+            cur = add(cur, x)
+            w = support(cur).bit_count()
             if w < best:
                 best = w
-        return best
-    for idx in range(1, total):
-        v, i = 0, idx
-        while not i % p:
-            i //= p
-            v += 1
-        cur = add(cur, prefix[v])
-        w = support(cur).bit_count()
-        if w < best:
-            best = w
-    return best
+    return best, walked
 
 
 def _brouwer_zimmermann(view: LinearCodeView, limit: int):
@@ -339,8 +346,9 @@ def _brouwer_zimmermann(view: LinearCodeView, limit: int):
     least that term on its r positions, and those are disjoint: the search
     stops once the lightest word found is at most the sum of the terms,
     times one plus the shifts of each set, or when the first set has
-    covered every message.  TooLarge is raised before a weight block that
-    would take the count enumerated past `limit`.
+    covered every message.  Weight 1 takes the k rows g_a themselves, and
+    weight 2 builds the tables of their multiples.  TooLarge is raised
+    before a weight block that would take the count past `limit`.
     """
     f, n, k, ell = view.field, view.n, view.k, view.ell
     q, p, m = f.q, f.p, f.m
@@ -375,10 +383,11 @@ def _brouwer_zimmermann(view: LinearCodeView, limit: int):
                 if enumerated + count > limit:
                     raise TooLarge(f"Brouwer-Zimmermann would enumerate more "
                                    f"than the limit of {limit} messages")
-                if v == 1:
-                    tables[j] = [_multiples(p, m, q, add, words[a * m:a * m + m])
-                                 for a in range(k)]
-                best = min(best, _weight_block(tables[j], v, add, support))
+                if v == 2:  # c * g_a for c = 1 .. q-1
+                    tables[j] = [list(itertools.accumulate(_steps(
+                        p, add, words[a * m:a * m + m]), add)) for a in range(k)]
+                best = min(best, _weight_block(tables[j], v, add, support) if v > 1
+                           else min(map(int.bit_count, map(support, words[::m]))))
                 enumerated += count
             reached[j] = w
             if w == k or best <= sum(c * max(0, v + 1 - (k - r))
@@ -386,21 +395,8 @@ def _brouwer_zimmermann(view: LinearCodeView, limit: int):
                 return best, enumerated
 
 
-def _multiples(p: int, m: int, q: int, add, powers) -> list:
-    """[c * g for c = 1 .. q-1] from powers = [X^t * g for t < m]: c takes
-    the multiple of c - p^v and adds X^v * g, v the lowest nonzero base-p
-    digit of c."""
-    out = [0]
-    for c in range(1, q):
-        v = 0
-        while not c // p ** v % p:
-            v += 1
-        out.append(add(out[c - p ** v], powers[v]))
-    return out[1:]
-
-
 def _weight_block(tables, w: int, add, support) -> int:
-    """Lightest sum over all messages of weight w whose first nonzero
+    """Lightest sum over all messages of weight w >= 2 whose first nonzero
     coefficient is 1, table a listing the nonzero multiples of row a."""
     k, c = len(tables), len(tables[0])
     flat = [x for row in tables for x in row]
@@ -412,31 +408,27 @@ def _weight_block(tables, w: int, add, support) -> int:
         return min(descend(add(cur, x), a + 1, depth - 1)
                    for a in range(start, k - depth + 1) for x in tables[a])
 
-    if w == 1:  # every multiple of every row: k * (q - 1) words
-        return descend(0, 0, 1)
     return min(descend(tables[a][0], a + 1, w - 1) for a in range(k - w + 1))
 
 
-# Codes with at most this many messages q^k are walked.  On codes this small
-# the walk and Brouwer-Zimmermann take about the same time (the summed search
-# time over the mindist benchmark's codes is flat from 2^9 to 2^13), and the
-# walk reports the plain count q^k - 1.
+# Codes with at most this many messages q^k are walked.  The summed search
+# time over the mindist benchmark's codes was flat from 2^9 to 2^13 while the
+# walk still took every message; it reports the plain count (q^k - 1)/(q - 1).
 _WALK_MAX = 1 << 10
 
 
 def _distance_search(view: LinearCodeView, limit: int = 1 << 26):
-    """(d, messages enumerated, search name) for `min_distance`, which
-    documents the rule that picks the search."""
+    """(d, messages the search walked, search name) for `min_distance`,
+    which documents the rule that picks the search."""
     f, k = view.field, view.k
     if k == 0:
         return None, 0, "exhaustive"
     total = f.q ** k
     if total <= _WALK_MAX:
-        if total - 1 > limit:
-            raise TooLarge(f"{f.q}^{k} - 1 = {total - 1} messages exceeds "
-                           f"the limit {limit}")
-        return (_range_min(f.p, f.m, view.n, *view.packed[:2]),
-                total - 1, "exhaustive")
+        if (count := (total - 1) // (f.q - 1)) > limit:
+            raise TooLarge(f"({f.q}^{k} - 1)/({f.q} - 1) = {count} messages "
+                           f"exceeds the limit {limit}")
+        return (*_range_min(f.p, f.m, view.n, *view.packed[:2]), "exhaustive")
     return (*_brouwer_zimmermann(view, limit), "Brouwer-Zimmermann")
 
 
@@ -447,7 +439,8 @@ def min_distance(view: LinearCodeView, workers: int = 1,
     Both searches start from the view's packing (rotated words of its
     first rows, for a view from `expand_to_linear`), the systematic matrix
     its rank check built; nothing is packed again.  A code with q^k <=
-    2^10 messages is walked message by message; any larger one runs
+    2^10 messages is walked, one message per 1-dimensional subspace; any
+    larger one runs
     Brouwer-Zimmermann (Grassl, "Searching for linear codes with large
     minimum distance", 2006) on greedily disjoint information sets.  When
     the view has an `ell` that passes `is_quasi_cyclic`, the same
@@ -456,9 +449,9 @@ def min_distance(view: LinearCodeView, workers: int = 1,
     enumerated; a set is enumerated only once its term of the bound is
     positive.  The search stops once that bound meets the lightest word
     found.  `limit` bounds the messages enumerated: TooLarge is raised
-    before the walk when q^k - 1 exceeds it, and before a weight block that
-    would take Brouwer-Zimmermann's count past it.  Everything runs in this
-    process: `workers` is ignored until the benchmark stops passing it.
+    before the walk when (q^k - 1)/(q - 1) exceeds it, and before a weight
+    block that would take Brouwer-Zimmermann's count past it.  `workers`
+    is ignored until the benchmark stops passing it.
     """
     return _distance_search(view, limit)[0]
 

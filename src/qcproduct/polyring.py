@@ -728,11 +728,11 @@ def _divmod_p(f: Field, a, b):
 
 
 def _add_ext(f: Field, a, b) -> list:
-    return _with_tail(list(map(f.add, a, b)), a, b)
+    return _with_tail(list(map(xor if f.p == 2 else f.add, a, b)), a, b)
 
 
 def _sub_ext(f: Field, a, b) -> list:
-    out = list(map(f.sub, a, b))
+    out = list(map(xor if f.p == 2 else f.sub, a, b))
     out += a[len(b):] if len(a) > len(b) else map(f.neg, b[len(a):])
     return _strip(out)
 

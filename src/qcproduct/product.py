@@ -275,7 +275,8 @@ class OneLevelCode:
         g = b.matrix[0][0]
         fs = []
         for j in range(1, b.ell):
-            q, r = divmod(b.matrix[0][j], g)
+            # g | X^m - 1 (checked below): folding keeps r and q mod (X^m - 1)/g
+            q, r = divmod(fold_mod_xm1(b.matrix[0][j], b.m), g)
             if not r.is_zero:
                 raise NotADivisor(
                     f"entry (0, {j}) is not a multiple of the shared divisor")

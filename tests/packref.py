@@ -1,13 +1,16 @@
-"""Packing and elimination on plain loops: the tests' references for
-`_packed_rows` and `_systematic` in `qcproduct.oracle`.
+"""Packing, elimination and the exhaustive walk on plain loops: the
+tests' references for `_packed_rows`, `_systematic` and `_range_min` in
+`qcproduct.oracle`.
 
 `packed_rows` reads each code's base-p digits one code and one digit at a
 time; `systematic` forms the multiple of the pivot that clears a row by
-doubling, once for every row it clears.  Both share only the slot
+doubling, once for every row it clears; `range_min` walks every nonzero
+message, scalar multiples included.  All three share only the slot
 arithmetic (`_slot_ops`) with the package.
 """
 
 import functools
+import itertools
 import operator
 
 from qcproduct.field import Field
@@ -72,3 +75,20 @@ def systematic(p: int, m: int, n: int, bits: int, rows, covered: int = 0):
                 done.append(piv)
                 slots.append(shift)
     return new, done, slots
+
+
+def range_min(p: int, m: int, n: int, bits: int, rows) -> int:
+    """Minimum Hamming weight over every nonzero message of a packed code,
+    message index idx read as base-p digits over the rows: the step from
+    idx-1 to idx adds the prefix sum of rows 0..v_p(idx)."""
+    add, support = _slot_ops(p, m, n, bits)
+    prefix = list(itertools.accumulate(rows, add))
+    cur, best = 0, 1 << 62
+    for idx in range(1, p ** len(rows)):
+        v, i = 0, idx
+        while not i % p:
+            i //= p
+            v += 1
+        cur = add(cur, prefix[v])
+        best = min(best, support(cur).bit_count())
+    return best

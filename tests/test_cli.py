@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from qcproduct.cli import main
 from qcproduct.qcmodule import GeneratingMatrix
 
 F2 = field_new(2)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_json(path, doc):
@@ -142,6 +144,22 @@ def test_product_command(tmp_path, capsys):
     assert doc["reduced"]["rows"][0] == doc["one_level_row"]
 
 
+def test_product_reads_a_row_entry_modulo_xm_minus_1(tmp_path, capsys):
+    # 2^20 = 16 mod 17, so adding X^1048576 + X^16 to an entry of the
+    # golden row code leaves the module, and so every byte of the product,
+    # unchanged; the closed form divides the entry by g only after folding
+    # it (dividing first took about 5 s)
+    doc = json.loads((GOLDEN / "row_code_gf2.json").read_text())
+    doc["rows"][0][1] += "+X^1048576+X^16"
+    path = write_json(tmp_path / "A.json", doc)
+    start = time.perf_counter()
+    assert main(["--format", "json", "product", path,
+                 str(GOLDEN / "column_code_gf2.json")]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out == (
+        GOLDEN / "product_gf2.out.json").read_text()
+
+
 def test_mindist_command(tmp_path, capsys):
     path = write_json(tmp_path / "A.json", row_code_doc())
     assert main(["--format", "json", "mindist", path]) == 0
@@ -173,6 +191,42 @@ def test_mindist_reports_what_brouwer_zimmermann_enumerated(tmp_path, capsys):
     out = capsys.readouterr().out
     assert (f"Brouwer-Zimmermann search enumerated {doc['enumerated']} "
             "nonzero codewords") in out
+
+
+def test_mindist_over_a_walked_gf4_basis_counts_one_message_per_subspace(
+        tmp_path, capsys):
+    # [5, 4] over GF(4): q^k = 256 messages, so walked; the walk takes one
+    # per 1-dimensional subspace, (4^4 - 1)/(4 - 1) = 85 of them
+    f4 = field_new(2, 2)
+    basis = OneLevelCode(poly_from_text(f4, "X+1"), [], 1, 5).basis()
+    path = write_json(tmp_path / "C.json", basis_to_doc(basis))
+    assert main(["--format", "json", "mindist", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["n"], doc["k"], doc["d"]) == (5, 4, 2)
+    assert doc["enumerated"] == 85
+    assert main(["--format", "json", "mindist", path, "--limit", "85"]) == 0
+    assert json.loads(capsys.readouterr().out) == doc
+    assert main(["--format", "json", "mindist", path, "--limit", "84"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "TooLarge"
+
+
+def test_distance_over_a_prime_near_2_31_is_bounded(tmp_path, capsys):
+    # over GF(2^31 - 1) neither search may touch all q - 1 multiples of a
+    # row: k = 1 (X + 1, m 2) and k = 2 (X - 1, m 3, a committed document)
+    doc = {"ell": 1, "field": {"m": 1, "modulus": "X", "p": 2147483647},
+           "m": 2, "rows": [["X+1"]]}
+    paths = [write_json(tmp_path / "k1.json", doc),
+             str(GOLDEN / "row_code_gf2147483647.json")]
+    for path, k in zip(paths, (1, 2)):
+        start = time.perf_counter()
+        assert main(["--format", "json", "mindist", path]) == 0
+        assert time.perf_counter() - start < 2.0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["n"], out["k"], out["d"]) == (k + 1, k, 2)
 
 
 def test_verify_command(tmp_path, capsys):

@@ -7,7 +7,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcproduct import (
@@ -414,10 +414,40 @@ def linear_codes(draw):
 
 
 def _walk(view):
-    """d by the exhaustive walk over every nonzero message."""
+    """d by the reference walk over every nonzero message."""
     f = view.field
-    return oracle._range_min(f.p, f.m, view.n,
-                             *oracle._packed_rows(f, view.matrix))
+    return packref.range_min(f.p, f.m, view.n,
+                             *packref.packed_rows(f, view.matrix))
+
+
+WALK_FIELDS = tuple(map(field_of_order, (2, 3, 4, 5, 8, 9, 25)))
+
+
+@st.composite
+def walked_rows(draw):
+    """(field, n, rows): k >= 1 rows of n random codes over one of
+    WALK_FIELDS with q^k <= 2^11, so not systematic and at times dependent
+    (a nonzero message may then weigh 0)."""
+    field = draw(st.sampled_from(WALK_FIELDS))
+    k = draw(st.integers(1, int(math.log(1 << 11, field.q) + 1e-9)))
+    n = draw(st.integers(1, 12))
+    codes = st.integers(0, field.q - 1)
+    return field, n, draw(st.lists(st.lists(codes, min_size=n, max_size=n),
+                                   min_size=k, max_size=k))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(walked_rows())
+@example((F9, 3, [[4, 0, 7]]))  # k = 1: a single subspace
+def test_walk_takes_one_message_per_subspace(case):
+    # the lightest word and the count against the reference walk, which
+    # visits all q^k - 1 messages, scalar multiples included
+    field, n, rows = case
+    q, k = field.q, len(rows)
+    bits, words = packref.packed_rows(field, rows)
+    assert oracle._range_min(field.p, field.m, n, bits, words) == (
+        packref.range_min(field.p, field.m, n, bits, words),
+        (q ** k - 1) // (q - 1))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
