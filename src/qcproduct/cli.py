@@ -39,6 +39,7 @@ from .cyclic import (
 from .errors import NonPrefixPattern, PolyParseError, QcError
 from .field import _parse_int, field_new
 from .oracle import (
+    _MESSAGE_LIMIT,
     _distance_search,
     expand_to_linear,
     is_quasi_cyclic,
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mindist", help="exact minimum distance by enumeration")
     p.add_argument("basis", metavar="basis.json")
-    p.add_argument("--limit", type=int, default=1 << 26,
+    p.add_argument("--limit", type=int, default=_MESSAGE_LIMIT,
                    help="refuse a code whose search would enumerate more than "
                    "this many messages")
 

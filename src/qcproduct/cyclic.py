@@ -3,13 +3,15 @@
 Minimal polynomials of coset classes are computed honestly: an extension
 field GF(q^r) containing an m-th root of unity alpha is built (r = the
 multiplicative order of q mod m, which is the size of the coset of 1), the
-product over the conjugate roots alpha^j is taken there, and every
-coefficient is verified to lie in the embedded copy of GF(q) before being
-mapped back down.  The embedding walks GF(q) once, so it is refused above
-q = 2^16 (`_MAX_EMBEDDED_ORDER`), as are extensions of degree above 64 over
-GF(p) (`_MAX_EXTENSION_DEGREE`).  Only the semisimple case gcd(m, q) = 1 is
-supported, so X^m - 1 always splits into distinct irreducible factors, one
-per coset.
+product over the conjugate roots alpha^j is taken there one linear factor
+X - alpha^j at a time, and every coefficient is verified to lie in the
+embedded copy of GF(q) before being mapped back down.  Each minimal
+polynomial is computed once per process: the last `_MINPOLY_CACHE` of them
+are kept, keyed by (q, m, smallest coset member).  The embedding walks
+GF(q) once, so it is refused above q = 2^16 (`_MAX_EMBEDDED_ORDER`), as are
+extensions of degree above 64 over GF(p) (`_MAX_EXTENSION_DEGREE`).  Only
+the semisimple case gcd(m, q) = 1 is supported, so X^m - 1 always splits
+into distinct irreducible factors, one per coset.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import index
 
 from .errors import (
     CoefficientNotInBaseField,
@@ -150,18 +153,36 @@ def _root_context(q: int, m: int):
     return base, big, alpha, decode
 
 
+# Minimal polynomials kept per process, each at most 65 codes: the factors
+# of several lengths at once (the `product` benchmark has 84 cosets in all).
+_MINPOLY_CACHE = 256
+
+
 def minimal_polynomial(q: int, m: int, i: int) -> Poly:
     """The monic irreducible factor of X^m - 1 over GF(q) whose roots are
     alpha^j for j in the coset of i (alpha the canonical m-th root of
-    unity).  Degree equals the coset size."""
-    coset = cyclotomic_coset(q, m, i)
+    unity).  Degree equals the coset size.  Every member of a coset gets
+    the same cached Poly."""
+    coset = cyclotomic_coset(q, m, i)  # checks q, m and i before the cache
+    return _minimal_polynomial(index(q), index(m), coset[0])
+
+
+@functools.lru_cache(maxsize=_MINPOLY_CACHE)
+def _minimal_polynomial(q: int, m: int, rep: int) -> Poly:
+    """The product of X - alpha^j over the coset of rep, formed in place on
+    a monic code list in GF(q^r) and decoded into GF(q)."""
     base, big, alpha, decode = _root_context(q, m)
-    prod = Poly.one(big)
-    for j in coset:
+    mul, sub = big.mul, big.sub
+    prod = [1]
+    for j in cyclotomic_coset(q, m, rep):
         root = big.pow_(alpha, j)
-        prod = prod * Poly(big, (big.neg(root), 1))
+        # coefficient k of prod * (X - root) is prod[k-1] - root * prod[k]
+        prod.append(1)
+        for k in range(len(prod) - 2, 0, -1):
+            prod[k] = sub(prod[k - 1], mul(root, prod[k]))
+        prod[0] = sub(0, mul(root, prod[0]))
     out = []
-    for c in prod.coeffs:
+    for c in prod:
         if c not in decode:
             raise CoefficientNotInBaseField(
                 f"coefficient {c} of the conjugate product is not in GF({q})")
@@ -185,10 +206,9 @@ def cyclotomic_cosets(q: int, m: int) -> list[tuple[int, ...]]:
 def factor_xm_minus_1(q: int, m: int) -> list[tuple[int, Poly]]:
     """Complete factorization of X^m - 1 over GF(q): one monic irreducible
     per cyclotomic coset, keyed by the smallest coset member, ascending."""
-    if math.gcd(q, m) != 1:
-        raise NotCoprime(f"gcd({q}, {m}) != 1")
-    return [(c[0], minimal_polynomial(q, m, c[0]))
-            for c in cyclotomic_cosets(q, m)]
+    cosets = cyclotomic_cosets(q, m)  # checks q and m
+    q, m = index(q), index(m)
+    return [(c[0], _minimal_polynomial(q, m, c[0])) for c in cosets]
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)

@@ -416,8 +416,13 @@ def _weight_block(tables, w: int, add, support) -> int:
 # walk still took every message; it reports the plain count (q^k - 1)/(q - 1).
 _WALK_MAX = 1 << 10
 
+# The default bound on the messages either search enumerates, and the CLI's
+# `--limit`, sized to seconds: the [102, 18] worked example read over GF(7)
+# is refused after 2.4 s (2 vCPU Xeon), where 2^24 let it run 11 s to d.
+_MESSAGE_LIMIT = 1 << 22
 
-def _distance_search(view: LinearCodeView, limit: int = 1 << 26):
+
+def _distance_search(view: LinearCodeView, limit: int = _MESSAGE_LIMIT):
     """(d, messages the search walked, search name) for `min_distance`,
     which documents the rule that picks the search."""
     f, k = view.field, view.k
@@ -433,7 +438,7 @@ def _distance_search(view: LinearCodeView, limit: int = 1 << 26):
 
 
 def min_distance(view: LinearCodeView, workers: int = 1,
-                 limit: int = 1 << 26):
+                 limit: int = _MESSAGE_LIMIT):
     """Exact minimum distance of the code; None for the zero code (k = 0).
 
     Both searches start from the view's packing (rotated words of its

@@ -71,7 +71,8 @@ def _require(doc, key, kinds, what):
         value = doc[key]
     except (KeyError, TypeError):
         raise PolyParseError(f"{what} document is missing field '{key}'") from None
-    if not isinstance(value, kinds):
+    # JSON true and false are Python ints; no document field is a boolean
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise PolyParseError(f"{what} document field '{key}' has the wrong type")
     return value
 

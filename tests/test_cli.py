@@ -543,6 +543,29 @@ def test_mindist_limit_exits_3(tmp_path, capsys):
     assert err["error"]["type"] == "TooLarge"
 
 
+def test_json_boolean_shape_exits_2(tmp_path, capsys):
+    # JSON true is a Python int; it is refused as a type, not read as 1
+    doc = json.loads((GOLDEN / "row_code_gf2.json").read_text())
+    path = write_json(tmp_path / "A.json", dict(doc, ell=True))
+    assert main(["mindist", path]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"message": "basis document field 'ell' has the wrong type",
+                   "type": "PolyParseError"}
+
+
+def test_default_limit_stops_a_long_search_within_seconds(capsys):
+    # the worked example's [102, 18] product read over GF(7) would take
+    # Brouwer-Zimmermann through 14.6 million words; the default refuses it
+    path = str(GOLDEN / "product_basis_gf7.json")
+    start = time.perf_counter()
+    assert main(["--format", "json", "mindist", path]) == 3
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert json.loads(line)["error"]["type"] == "TooLarge"
+
+
 def test_mindist_workers_option_is_gone(tmp_path, capsys):
     # the search runs in one process; --workers is an unknown option
     path = write_json(tmp_path / "A.json", row_code_doc())

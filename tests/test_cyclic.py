@@ -9,7 +9,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import minpolyref
 from qcproduct import (
     DegreeMismatch,
     IndexOutOfRange,
@@ -71,8 +74,9 @@ def test_coset_argument_validation():
     for m in (0, -1, -3):
         with pytest.raises(DegreeMismatch):
             cyclotomic_cosets(2, m)
-    with pytest.raises(DegreeMismatch):
-        factor_xm_minus_1(4, -1)
+    for m in (0, -1):
+        with pytest.raises(DegreeMismatch):
+            factor_xm_minus_1(4, m)
 
 
 @pytest.mark.parametrize("bad", (1.5, 7.0, "7", True))
@@ -87,6 +91,9 @@ def test_coset_arguments_are_read_as_integers(bad, position):
         cyclotomic_coset(*args)
     with pytest.raises(error, match="is not"):
         minimal_polynomial(*args)
+    if position < 2:
+        with pytest.raises(error, match="is not"):
+            factor_xm_minus_1(*args[:2])
 
 
 def test_cosets_partition_the_residues():
@@ -132,6 +139,62 @@ def test_minimal_polynomials_multiply_to_xm_minus_1():
     m1 = minimal_polynomial(2, 17, 1)
     m3 = minimal_polynomial(2, 17, 3)
     assert m0 * m1 * m3 == x_pow_minus_one(F2, 17)
+
+
+def _in_reach(q: int, m: int) -> bool:
+    """Whether the m-th roots of unity over GF(q) lie within the
+    extension-degree bound (every q drawn below embeds)."""
+    p, s = _prime_power(q)
+    return s * len(cyclotomic_coset(q, m, 1 % m)) <= cyclic._MAX_EXTENSION_DEGREE
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 16, 25)), st.integers(1, 50))
+def test_minimal_polynomials_match_the_conjugate_product_loop(q, m):
+    # every i, cold (the first member of each coset after cache_clear) and
+    # warm, gives the reference loop's polynomial, and one coset one object
+    assume(math.gcd(q, m) == 1 and _in_reach(q, m))
+    cyclic._minimal_polynomial.cache_clear()
+    expected = {c: minpolyref.minimal_polynomial(q, m, c[0])
+                for c in cyclotomic_cosets(q, m)}
+    first = {}
+    for i in range(m):
+        coset = cyclotomic_coset(q, m, i)
+        got = minimal_polynomial(q, m, i)
+        assert got == expected[coset]
+        assert first.setdefault(coset, got) is got
+    assert factor_xm_minus_1(q, m) == [(c[0], first[c]) for c in expected]
+    for i in range(m):
+        assert minimal_polynomial(q, m, i) is first[cyclotomic_coset(q, m, i)]
+
+
+@pytest.mark.parametrize("args, error", [
+    ((2, 17, True), IndexOutOfRange),
+    ((2.0, 17, 1), NotCoprime),
+    ((2, 17, 1.0), IndexOutOfRange),
+    ((True, 17, 1), NotCoprime),
+    ((2, 17.0, 1), DegreeMismatch),
+])
+def test_cached_minimal_polynomial_still_checks_its_arguments(args, error):
+    # an lru key takes True == 1 and 2.0 == 2, so the checks sit before it
+    minimal_polynomial(2, 17, 1)
+    with pytest.raises(error):
+        minimal_polynomial(*args)
+
+
+def test_minimal_polynomial_cache_is_bounded():
+    maxsize = cyclic._minimal_polynomial.cache_info().maxsize
+    assert type(maxsize) is int and maxsize > 0
+
+
+def test_refused_root_field_is_not_cached():
+    # GF(2^65) would hold the roots; the refusal is raised again, not kept
+    infos = (cyclic._minimal_polynomial.cache_info, cyclic._root_context.cache_info)
+    before = [info().currsize for info in infos]
+    for _ in range(2):
+        with pytest.raises(TooLarge):
+            minimal_polynomial(2, 2 ** 65 - 1, 1)
+    assert [info().currsize for info in infos] == before
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ kernel, and a GF(4) product (ell_a 3, co-index 91) and a benchmark-sized
 GF(4) reduction (ell 4, m 45) from before GF(4) polynomials became pairs
 of GF(2) bit planes, and the reduction of a GF(2) matrix with an X^1048576
 entry (ell 2, m 3) from before folding modulo X^m - 1 learned to halve its
-operand.
+operand, and the factorizations of X^49 - 1 over GF(3) and X^47 - 1 over
+GF(2), the costliest conjugate products, in GF(3^42) and GF(2^23), from
+before minimal polynomials were formed one linear factor at a time and
+cached.
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -49,6 +52,8 @@ CASES = {
     "cosets_2_17": ["cosets", "2", "17"],
     "factor_3_8": ["factor", "3", "8"],
     "factor_3_41": ["factor", "3", "41"],
+    "factor_3_49": ["factor", "3", "49"],
+    "factor_2_47": ["factor", "2", "47"],
     "factor_5_7": ["factor", "5", "7"],
     "factor_4_23": ["factor", "4", "23"],
     "factor_9_10": ["factor", "9", "10"],

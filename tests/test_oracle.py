@@ -502,7 +502,7 @@ def test_limit_is_checked_before_either_search(monkeypatch):
 
 def test_limit_bounds_what_brouwer_zimmermann_enumerates():
     # a [210, 30] binary product, so q^k = 2^30 is past the default limit
-    # of 2^26; d(A (x) B) = d_A * d_B, with d_A and d_B walked
+    # of 2^22; d(A (x) B) = d_A * d_B, with d_A and d_B walked
     g_a = minimal_polynomial(2, 15, 0) * minimal_polynomial(2, 15, 1)
     f1 = Poly(F2, (0, 0, 1, 0, 1, 1, 1, 1, 1, 0, 1, 0, 1, 1))
     A = OneLevelCode(g_a, [f1], 2, 15)

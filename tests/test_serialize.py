@@ -197,6 +197,29 @@ def test_cyclic_doc_validation():
         cyclic_from_doc({"m": 7, "field": {"p": 2, "m": 1, "modulus": "X"}})
 
 
+def _int_fields():
+    """(reader, document, key) for every int field of every document."""
+    field = {"p": 2, "m": 1, "modulus": "X"}
+    matrix = GeneratingMatrix(F2, 2, 3, [[Poly(F2, (1, 0, 1)), Poly(F2, (1, 1))]])
+    cyclic = cyclic_to_doc(cyclic_code_new(7, poly_from_text(F2, "X^3+X+1")))
+    for reader, doc, keys in (
+            (basis_from_doc, basis_to_doc(small_reduced_basis()), ("ell", "m")),
+            (generating_matrix_from_doc, generating_matrix_to_doc(matrix), ("ell", "m")),
+            (field_from_doc, field, ("p", "m")),
+            (cyclic_from_doc, cyclic, ("m",))):
+        for key in keys:
+            yield pytest.param(reader, doc, key, id=f"{reader.__name__}-{key}")
+
+
+@pytest.mark.parametrize("value", (True, False))
+@pytest.mark.parametrize("reader, doc, key", list(_int_fields()))
+def test_json_booleans_are_not_read_as_ints(reader, doc, key, value):
+    # JSON true and false load as Python bools, which are ints
+    assert reader(doc) is not None
+    with pytest.raises(PolyParseError, match=f"'{key}' has the wrong type"):
+        reader(dict(doc, **{key: value}))
+
+
 # ---------------------------------------------------------------------------
 # canonical JSON
 # ---------------------------------------------------------------------------
