@@ -28,10 +28,11 @@ from .errors import (
     NotADivisor,
     NotCoprime,
     NotPrime,
+    ShapeMismatch,
     TooLarge,
 )
 from .field import _MAX_CHARACTERISTIC, Field, _order, nth_root_of_unity
-from .polyring import Poly, _integer, _positive, x_pow_minus_one
+from .polyring import Poly, _integer, _monic, _positive
 
 __all__ = [
     "cyclotomic_coset",
@@ -222,6 +223,8 @@ class CyclicCode:
     k: int
 
     def __init__(self, m: int, g: Poly):
+        if not isinstance(g, Poly):
+            raise ShapeMismatch("the generator must be a polynomial")
         field = g.field
         m = _positive("block length m", m, NotADivisor)
         if m % field.p == 0:
@@ -231,14 +234,9 @@ class CyclicCode:
             raise NotADivisor(
                 "the zero polynomial is not a generator; the zero code of "
                 f"length {m} is generated by X^{m}-1")
-        g = g.monic()
-        rem = x_pow_minus_one(field, m) % g
-        if not rem.is_zero:
-            raise NotADivisor(f"{g!r} does not divide X^{m}-1")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "k", m - g.degree)
+        g = _monic(g, m)[1]
+        for name, value in zip(("field", "m", "g", "k"), (field, m, g, m - g.degree)):
+            object.__setattr__(self, name, value)
 
     def __repr__(self):
         return f"CyclicCode[{self.m}, {self.k}] over {self.field!r}"

@@ -51,6 +51,7 @@ from .errors import (
     DegreeMismatch,
     DivisionByZero,
     FieldMismatch,
+    NotADivisor,
 )
 from .field import Field, _power, coeffs_to_poly_text
 
@@ -183,12 +184,7 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero or self.is_monic:
-            return self
-        f = self.field
-        k = _kernel(f)  # the quotient by the leading coefficient, a constant
-        lead = k.native(f, [self.leading])
-        return k.poly(f, k.divmod(f, k.native(f, self.coeffs), lead)[0])
+        return self if self.is_zero or self.is_monic else _monic(self)[1]
 
     def __call__(self, x: int) -> int:
         """The code of the value at the element code x, by Horner's rule."""
@@ -251,7 +247,8 @@ class _Kernel:
     """Polynomial arithmetic over one kind of field on a native form, in
     which zero is the one false value.  Every function takes the field
     first and changes no operand; `egcd` returns (g, s, t) as
-    :func:`poly_egcd` does and `fold` reduces modulo X^m - 1."""
+    :func:`poly_egcd` does, `gcd` a gcd not made monic (Euclid's loop on
+    `divmod`), `fold` reduces modulo X^m - 1 and `xm1` is X^m - 1."""
 
     native: Callable  # (field, stripped codes) -> native form
     poly: Callable  # (field, native form) -> Poly
@@ -261,6 +258,14 @@ class _Kernel:
     divmod: Callable
     egcd: Callable
     fold: Callable
+
+    def gcd(self, f: Field, a, b):
+        while b:
+            a, b = b, self.divmod(f, a, b)[1]
+        return a
+
+    def xm1(self, f: Field, m: int):
+        return self.native(f, (f.p - 1,) + (0,) * (m - 1) + (1,))  # -1 = p - 1
 
 
 # GF(2): a polynomial as the bitmask int of its coefficients (bit k for X^k),
@@ -810,6 +815,20 @@ def _kernel(f: Field) -> _Kernel:
     return _GFP if f.m == 1 else _EXT
 
 
+def _monic(g: Poly, m: int = 0):
+    """(kernel, g made monic, and for an int m >= 1 the native cofactor
+    (X^m - 1)/g) for a nonzero g; NotADivisor unless g divides X^m - 1."""
+    f, k = g.field, _kernel(g.field)
+    native = k.native(f, g.coeffs)
+    if not g.is_monic:  # the quotient by the leading coefficient, a constant
+        native = k.divmod(f, native, k.native(f, (g.leading,)))[0]
+        g = k.poly(f, native)
+    cofactor, rem = k.divmod(f, k.xm1(f, m), native) if m else (None, 0)
+    if rem:
+        raise NotADivisor(f"{g!r} does not divide X^{m}-1")
+    return k, g, cofactor
+
+
 def x_pow_minus_one(field: Field, m: int) -> Poly:
     """The polynomial X^m - 1 over the field; DegreeMismatch unless m is an
     integer >= 1."""
@@ -822,12 +841,8 @@ def poly_gcd(u: Poly, v: Poly) -> Poly:
     if u.is_zero and v.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
     u._check(v)
-    f = u.field
-    k = _kernel(f)
-    a, b = k.native(f, u.coeffs), k.native(f, v.coeffs)
-    while b:
-        a, b = b, k.divmod(f, a, b)[1]
-    return k.poly(f, a).monic()
+    f, k = u.field, _kernel(u.field)
+    return k.poly(f, k.gcd(f, k.native(f, u.coeffs), k.native(f, v.coeffs))).monic()
 
 
 def poly_egcd(u: Poly, v: Poly):

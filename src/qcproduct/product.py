@@ -10,8 +10,8 @@ the two construction routes for the product code's generating basis:
   row codes, with shared divisor gcd(X^(m_A*m_B)-1,
   g^A(X^(b*m_B)) * g^B(X^(a*ell_A*m_A))).
 
-Both describe the same submodule; the test suite checks they reduce to the
-same canonical basis.
+Both reduce to the same canonical basis, as the tests check.  They and
+:class:`OneLevelCode` run in the field's kernel: one conversion per input.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .cyclic import CyclicCode
 from .errors import (
     DegreeOverflow,
     DimensionMismatch,
+    DivisionByZero,
     FieldMismatch,
     IndexOutOfRange,
     NotADivisor,
@@ -33,8 +34,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .field import Field
-from .polyring import (Poly, _integer, _positive, fold_mod_xm1, modular_substitute,
-                       poly_gcd, x_pow_minus_one)
+from .polyring import (Poly, _integer, _kernel, _monic, _positive,
+                       modular_substitute, x_pow_minus_one)
 from .qcmodule import GeneratingMatrix, PolyVector, RgbPotBasis, level
 
 __all__ = [
@@ -223,23 +224,23 @@ class OneLevelCode:
     fs: tuple
 
     def __init__(self, g: Poly, fs, ell: int, m: int):
+        fs = tuple(fs)
+        if not all(isinstance(x, Poly) for x in (g,) + fs):
+            raise ShapeMismatch("the shared divisor and multipliers must be polynomials")
         field = g.field
         ell, m = _positive("ell", ell, ShapeMismatch), _positive("m", m, ShapeMismatch)
-        fs = tuple(fs)
         if len(fs) != ell - 1:
             raise ShapeMismatch(
                 f"need {ell - 1} multiplier polynomials for ell={ell}, got {len(fs)}")
         if g.is_zero:
             raise NotADivisor("the shared divisor g must be nonzero")
-        g = g.monic()
-        cofactor, rem = divmod(x_pow_minus_one(field, m), g)
-        if not rem.is_zero:
-            raise NotADivisor(f"{g!r} does not divide X^{m}-1")
+        k, g, cofactor = _monic(g, m)
         canon = []
         for fj in fs:
             if fj.field != field:
                 raise FieldMismatch("multiplier over a different field")
-            canon.append(fold_mod_xm1(fj, m) % cofactor)
+            folded = k.fold(field, k.native(field, fj.coeffs), m)
+            canon.append(k.poly(field, k.divmod(field, folded, cofactor)[1]))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "m", m)
@@ -252,35 +253,35 @@ class OneLevelCode:
 
     def row(self) -> tuple[Poly, ...]:
         """The generating row (g, g*f_1, ..., g*f_(ell-1))."""
-        return (self.g,) + tuple(self.g * fj for fj in self.fs)
+        f, k = self.field, _kernel(self.field)
+        g = k.native(f, self.g.coeffs)
+        return (self.g,) + tuple(k.poly(f, k.mul(f, g, k.native(f, fj.coeffs)))
+                                 for fj in self.fs)
 
     def basis(self) -> RgbPotBasis:
         """The full canonical basis: the generating row on top, rows
         (X^m-1)e_i below."""
-        f = self.field
-        xm1 = x_pow_minus_one(f, self.m)
-        zero = Poly.zero(f)
-        rows = [list(self.row())]
-        for i in range(1, self.ell):
-            row = [zero] * self.ell
-            row[i] = xm1
-            rows.append(row)
-        return RgbPotBasis(f, self.ell, self.m, rows)
+        f, ell = self.field, self.ell
+        xm1, zero = x_pow_minus_one(f, self.m), Poly.zero(f)
+        rows = [self.row()] + [(zero,) * i + (xm1,) + (zero,) * (ell - 1 - i)
+                               for i in range(1, ell)]
+        return RgbPotBasis(f, ell, self.m, rows)
 
     @classmethod
     def from_basis(cls, b: RgbPotBasis) -> "OneLevelCode":
         """Extract (g, f_j) from a canonical basis of level exactly 1."""
         if level(b) != 1:
             raise NotOneLevel(f"basis has level {level(b)}, expected 1")
-        g = b.matrix[0][0]
-        fs = []
+        f, k, g = b.field, _kernel(b.field), b.matrix[0][0]
+        if g.is_zero and b.ell > 1:
+            raise DivisionByZero("polynomial division by zero")
+        native, fs = k.native(f, g.coeffs), []
         for j in range(1, b.ell):
             # g | X^m - 1 (checked below): folding keeps r and q mod (X^m - 1)/g
-            q, r = divmod(fold_mod_xm1(b.matrix[0][j], b.m), g)
-            if not r.is_zero:
-                raise NotADivisor(
-                    f"entry (0, {j}) is not a multiple of the shared divisor")
-            fs.append(q)
+            q, r = k.divmod(f, k.fold(f, k.native(f, b.matrix[0][j].coeffs), b.m), native)
+            if r:
+                raise NotADivisor(f"entry (0, {j}) is not a multiple of the shared divisor")
+            fs.append(k.poly(f, q))
         return cls(g, fs, b.ell, b.m)
 
     def __repr__(self):
@@ -307,20 +308,14 @@ def unreduced_product_basis(G_A: RgbPotBasis, B: CyclicCode,
     reduced mod X^(m_a*m_b) - 1.  The (X^(m_a*m_b)-1)e_j rows stay implicit
     in the returned GeneratingMatrix."""
     _check_product_inputs(G_A.ell, G_A.m, G_A.field, B, p)
-    f = G_A.field
-    N = p.big_m
-    gB_sub = modular_substitute(B.g, p.a * p.ell_a * p.m_a, N)
-    rows = []
-    for i in range(p.ell_a):
-        row = []
-        for j in range(p.ell_a):
-            entry = G_A.matrix[i][j]
-            if entry.is_zero:
-                row.append(Poly.zero(f))
-                continue
-            sub = modular_substitute(entry, p.b * p.m_b, N, -j * p.a * p.m_a)
-            row.append(fold_mod_xm1(gB_sub * sub, N))
-        rows.append(row)
+    f, k, N = G_A.field, _kernel(G_A.field), p.big_m
+    gB_sub = k.native(f, modular_substitute(B.g, p.a * p.ell_a * p.m_a, N).coeffs)
+
+    def entry(j: int, e: Poly):
+        sub = modular_substitute(e, p.b * p.m_b, N, -j * p.a * p.m_a)
+        return k.poly(f, k.fold(f, k.mul(f, gB_sub, k.native(f, sub.coeffs)), N))
+    rows = [[e if e.is_zero else entry(j, e) for j, e in enumerate(row)]
+            for row in G_A.matrix]
     return GeneratingMatrix(f, p.ell_a, N, rows)
 
 
@@ -331,11 +326,10 @@ def one_level_product_rgb(A: OneLevelCode, B: CyclicCode,
     g = gcd(X^(m_a*m_b)-1, g^A(X^(b*m_b)) * g^B(X^(a*ell_a*m_a))) and
     multipliers f_j^A(X^(b*m_b)) * X^(-j*a*m_a), reduced canonically."""
     _check_product_inputs(A.ell, A.m, A.field, B, p)
-    f = A.field
-    N = p.big_m
-    gA_sub = modular_substitute(A.g, p.b * p.m_b, N)
-    gB_sub = modular_substitute(B.g, p.a * p.ell_a * p.m_a, N)
-    g = poly_gcd(x_pow_minus_one(f, N), fold_mod_xm1(gA_sub * gB_sub, N))
+    f, k, N = A.field, _kernel(A.field), p.big_m
+    gA_sub = k.native(f, modular_substitute(A.g, p.b * p.m_b, N).coeffs)
+    gB_sub = k.native(f, modular_substitute(B.g, p.a * p.ell_a * p.m_a, N).coeffs)
+    g = k.gcd(f, k.xm1(f, N), k.fold(f, k.mul(f, gA_sub, gB_sub), N))
     multipliers = [modular_substitute(A.fs[j - 1], p.b * p.m_b, N, -j * p.a * p.m_a)
                    for j in range(1, p.ell_a)]
-    return OneLevelCode(g, multipliers, p.ell_a, N)
+    return OneLevelCode(k.poly(f, g), multipliers, p.ell_a, N)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .errors import (
     DegreeMismatch,
     DegreeOverflow,
+    DivisionByZero,
     FieldMismatch,
     MessageDegreeTooLarge,
     NonPrefixPattern,
@@ -199,7 +200,7 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
     k = _kernel(f)
     native, add, sub, mul, div, fold = k.native, k.add, k.sub, k.mul, k.divmod, k.fold
     zero = native(f, ())
-    full = sub(f, native(f, (0,) * m + (1,)), native(f, (1,)))  # X^m - 1
+    full = k.xm1(f, m)
     pending = [[fold(f, native(f, p.coeffs), m) for p in row] for row in gen.rows]
     pending += ([zero] * j + [full] + [zero] * (ell - 1 - j) for j in range(ell))
 
@@ -311,14 +312,16 @@ def reduce_vector(b: RgbPotBasis, v: PolyVector) -> PolyVector:
     position); the zero vector comes back exactly when v is a codeword."""
     if v.ell != b.ell or v.m != b.m:
         raise ShapeMismatch("vector shape does not match the basis")
-    w = [fold_mod_xm1(c, b.m) for c in v.components]
-    for i in range(b.ell):
-        q, r = divmod(w[i], b.matrix[i][i])
-        w[i] = r
-        if not q.is_zero:
-            for k in range(i + 1, b.ell):
-                w[k] = fold_mod_xm1(w[k] - q * b.matrix[i][k], b.m)
-    return PolyVector(w, b.m)
+    f, m, k = b.field, b.m, _kernel(b.field)
+    w = [k.native(f, c.coeffs) for c in v.components]  # each of degree < m
+    for i, row in enumerate(b.matrix):
+        if row[i].is_zero:
+            raise DivisionByZero("polynomial division by zero")
+        q, w[i] = k.divmod(f, w[i], k.native(f, row[i].coeffs))
+        if q:
+            for j in range(i + 1, b.ell):
+                w[j] = k.fold(f, k.sub(f, w[j], k.mul(f, q, k.native(f, row[j].coeffs))), m)
+    return PolyVector([k.poly(f, x) for x in w], m)
 
 
 # ---------------------------------------------------------------------------

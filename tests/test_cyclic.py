@@ -20,6 +20,7 @@ from qcproduct import (
     NotCoprime,
     NotPrime,
     Poly,
+    ShapeMismatch,
     TooLarge,
     cyclic_code_new,
     cyclotomic_coset,
@@ -319,6 +320,12 @@ def test_cyclic_code_rejections():
         cyclic_code_new(7, poly_from_text(F2, "X^2+1"))  # not a divisor of X^7-1
     with pytest.raises(NotADivisor):
         cyclic_code_new(0, Poly.one(F2))
+
+
+def test_cyclic_code_refuses_a_generator_that_is_not_a_polynomial():
+    # a QcError, raised before the generator is read or converted
+    with pytest.raises(ShapeMismatch, match="must be a polynomial"):
+        cyclic_code_new(3, 1)
 
 
 @pytest.mark.parametrize("m", (0, -1, 2.5, "3"))

@@ -22,7 +22,10 @@ entry (ell 2, m 3) from before folding modulo X^m - 1 learned to halve its
 operand, and the factorizations of X^49 - 1 over GF(3) and X^47 - 1 over
 GF(2), the costliest conjugate products, in GF(3^42) and GF(2^23), from
 before minimal polynomials were formed one linear factor at a time and
-cached.
+cached, and the first products over GF(5) (ell_a 2, co-index 42) and GF(9)
+(ell_a 3, co-index 40), on the code-list kernels for prime and extension
+fields, from before the product constructions ran in the polynomial
+kernel.
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -45,6 +48,8 @@ CASES = {
     "product_gf2": ["product", "row_code_gf2.json", "column_code_gf2.json"],
     "product_gf3": ["product", "row_code_gf3.json", "column_code_gf3.json"],
     "product_gf4": ["product", "row_code_gf4.json", "column_code_gf4.json"],
+    "product_gf5": ["product", "row_code_gf5.json", "column_code_gf5.json"],
+    "product_gf9": ["product", "row_code_gf9.json", "column_code_gf9.json"],
     "verify_row_code_gf2": ["verify", "row_code_gf2.json"],
     "verify_noncanonical_gf2": ["verify", "noncanonical_gf2.json"],
     "example_sec4": ["example-sec4"],

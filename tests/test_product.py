@@ -311,6 +311,17 @@ def test_one_level_code_rejections():
         OneLevelCode(Poly(F2, (1, 1)), [Poly.one(F3)], 2, 3)
 
 
+@pytest.mark.parametrize("g, fs", [
+    (Poly(F2, (1, 1)), [1]),                  # a multiplier that is a code
+    (Poly(F2, (1, 1)), [[1, 0]]),             # a multiplier that is a code list
+    ((1, 1), [Poly(F2, (0, 1))]),             # a divisor that is a code tuple
+], ids=["int multiplier", "list multiplier", "tuple divisor"])
+def test_one_level_code_refuses_non_polynomials(g, fs):
+    # a QcError, raised before anything is converted into the kernel
+    with pytest.raises(ShapeMismatch, match="must be polynomials"):
+        OneLevelCode(g, fs, 2, 3)
+
+
 @pytest.mark.parametrize("ell, m", ((1.0, 7), (1, 7.0), ("1", 7), (1, "7"), (True, 7), (1, 0)))
 def test_one_level_code_reads_ell_and_m_as_integers(ell, m):
     # ell and m used to pass through int(), which truncates a float
