@@ -27,8 +27,10 @@ order of X when GF(q) is embedded), and `_power` the only square-and-multiply
 The module also carries the two text formats for polynomials over GF(p)
 (sparse algebraic like ``X^8+X^4+X^3+X^2+1`` and dense ascending coefficient
 lists like ``1,0,1,1,1,0,0,0,1``), which the serialization layer reuses for
-polynomials over arbitrary fields.  Sparse text is read in one left-to-right
-scan, one match of a single signed-term pattern per term.
+polynomials over arbitrary fields.  Sparse text is split at its signs, and
+each term text ("X^19", "-2*X", "5") is looked up in a per-process memo of
+its exponent and signed coefficient, bounded in entries and in key length;
+only a term missing from it is matched with the signed-term pattern.
 """
 
 from __future__ import annotations
@@ -205,6 +207,13 @@ _OTHER_WHITESPACE = str.maketrans("", "", "\t\n\r\v\f")
 _DENSE_RE = re.compile(r"^[\s\d,+-]*,[\s\d,+-]*$")
 _MAX_EXPONENT_DIGITS = len(str(_MAX_EXPONENT))
 
+# Accepted term texts and their (exponent, signed coefficient): at most
+# _TERM_MEMO of them, emptied when full, each at most _TERM_MEMO_KEY
+# characters, so the memo's memory is bounded whatever a document holds.
+_TERM_MEMO = 1024
+_TERM_MEMO_KEY = 16
+_terms: dict[str, tuple[int, int]] = {}
+
 
 def _parse_int(digits: str) -> int:
     """int() of untrusted decimal text; Python's digit limit is a parse error."""
@@ -213,6 +222,45 @@ def _parse_int(digits: str) -> int:
     except ValueError:
         raise PolyParseError(
             f"integer of {len(digits)} characters is too long to read") from None
+
+
+def _read_terms(found: list, terms: list, compact: str, text: str) -> None:
+    """Fill each None in found with the (exponent, signed coefficient) of
+    the term text of the same index, read with the term pattern, and keep
+    each short one in the memo.  PolyParseError names the first place in
+    compact where no signed term starts, as one scan of it would."""
+    match, memo = _TERM_RE.match, _terms
+    for i, term in enumerate(terms):
+        if found[i] is not None:
+            continue
+        signed = term if term[:1] == "-" else "+" + term
+        mt = match(signed)  # a signed text always matches, if only its sign
+        sign, coeff, x, digits = mt.groups()
+        if not (coeff or x):
+            _no_term(terms, i, 0, compact, text)
+        coeff = _parse_int(coeff) if coeff else 1
+        if digits is None:
+            exp = 1 if x else 0
+        else:
+            digits = digits.lstrip("0")
+            if (len(digits) > _MAX_EXPONENT_DIGITS
+                    or (exp := int(digits or 0)) > _MAX_EXPONENT):
+                raise PolyParseError(
+                    f"exponent in {mt[0]!r} exceeds the limit {_MAX_EXPONENT}")
+        if mt.end() < len(signed):
+            _no_term(terms, i, mt.end(), compact, text)
+        found[i] = value = exp, -coeff if sign == "-" else coeff
+        if len(term) <= _TERM_MEMO_KEY:
+            if len(memo) >= _TERM_MEMO:
+                memo.clear()
+            memo[term] = value
+
+
+def _no_term(terms: list, i: int, read: int, compact: str, text: str):
+    """PolyParseError after the first `read` characters of terms[i]; each
+    term before it fills its text in compact, and a positive one a "+"."""
+    pos = sum(len(t) + (t[:1] != "-") for t in terms[:i]) + read
+    raise PolyParseError(f"no term at {compact[pos:pos + 12]!r} in {text!r}")
 
 
 def poly_text_to_coeffs(text: str) -> tuple[int, ...]:
@@ -230,7 +278,7 @@ def poly_text_to_coeffs(text: str) -> tuple[int, ...]:
     s = text.strip()
     if not s:
         raise PolyParseError("empty polynomial text")
-    if _DENSE_RE.match(s):
+    if "," in s and _DENSE_RE.match(s):
         try:
             coeffs = [int(part.strip()) for part in s.split(",")]
         except ValueError as exc:
@@ -241,24 +289,16 @@ def poly_text_to_coeffs(text: str) -> tuple[int, ...]:
         compact = compact.translate(_OTHER_WHITESPACE)
     if compact[0] not in "+-":
         compact = "+" + compact
-    acc: dict[int, int] = {}
-    pos, end, match = 0, len(compact), _TERM_RE.match
-    while pos < end:
-        mt = match(compact, pos)
-        if not mt or not (mt[2] or mt[3]):
-            raise PolyParseError(f"no term at {compact[pos:pos + 12]!r} in {text!r}")
-        sign, coeff, x, digits = mt.groups()
-        coeff = _parse_int(coeff) if coeff else 1
-        if digits is None:
-            exp = 1 if x else 0
-        else:
-            digits = digits.lstrip("0")
-            if len(digits) > _MAX_EXPONENT_DIGITS or int(digits or 0) > _MAX_EXPONENT:
-                raise PolyParseError(
-                    f"exponent in {mt[0]!r} exceeds the limit {_MAX_EXPONENT}")
-            exp = int(digits or 0)
-        acc[exp] = acc.get(exp, 0) + (-coeff if sign == "-" else coeff)
-        pos = mt.end()
+    terms = compact.replace("-", "+-").split("+")
+    del terms[0]  # before the leading sign
+    found = list(map(_terms.get, terms))
+    if None in found:
+        _read_terms(found, terms, compact, text)
+    acc = dict(found)
+    if len(acc) < len(found):  # an exponent repeats: sum its terms
+        acc = {}
+        for exp, coeff in found:
+            acc[exp] = acc.get(exp, 0) + coeff
     out = [0] * (max(acc) + 1)
     for exp, coeff in acc.items():
         out[exp] = coeff

@@ -212,7 +212,8 @@ def _strip(codes: list) -> list:
 
 def _trusted(field: Field, codes: list) -> Poly:
     """A Poly from codes that ``Field`` operations made out of validated
-    codes: trailing zeros are stripped in place, the other checks skipped."""
+    codes: trailing zeros are stripped in place, the other checks skipped.
+    A tuple whose last code is nonzero is kept as it is."""
     p = object.__new__(Poly)
     _set_field(p, field)
     _set_coeffs(p, tuple(_strip(codes)))
@@ -880,10 +881,14 @@ def modular_substitute(p: Poly, e: int, N: int, shift: int = 0) -> Poly:
     f = p.field
     add = f.add
     out = [0] * N
+    top = -1
     for k, c in enumerate(p.coeffs):
         if c:
             pos = (k * e + shift) % N
             out[pos] = add(out[pos], c) if out[pos] else c
+            if pos > top:
+                top = pos
+    del out[top + 1:]  # one cut; _trusted strips a top whose codes cancelled
     return _trusted(f, out)
 
 

@@ -4,7 +4,10 @@ Polynomials travel as text in either the sparse algebraic form
 ("X^8+X^4+X^3+X^2+1") or the dense ascending coefficient list
 ("1,0,1,1,1,0,0,0,1"); emitters always write the sparse form, so a document
 that has been written once round-trips byte-for-byte.  `poly_from_text`
-checks each coefficient read from the text once, against (-q, q).
+checks the coefficients once, by their least and greatest, against
+(-q, q), and reads text through field.py's bounded memo of term texts.
+`field_from_doc` keeps one Field per (p, m, modulus) that passed its
+checks, for the last 64 of them.
 
 Sizes are bounded before anything is built from them: a code length or a
 matrix entry count above 2^20 and a field's extension degree above 64 raise
@@ -19,11 +22,14 @@ Document layouts (JSON objects):
 
 from __future__ import annotations
 
+import functools
+
 from .cyclic import _MAX_EXTENSION_DEGREE, CyclicCode, cyclic_code_new
 from .errors import PolyParseError, TooLarge
 from .field import (
     _MAX_EXPONENT,
     Field,
+    _prime_field,
     coeffs_to_poly_text,
     field_new,
     poly_text_to_coeffs,
@@ -49,15 +55,20 @@ __all__ = [
 def poly_from_text(field: Field, text: str) -> Poly:
     """Parse either polynomial text format into a polynomial over the
     field.  Negative coefficients are folded through field negation;
-    coefficients at or beyond q are rejected rather than reduced.  Each
-    coefficient is checked once, here, so the Poly is built unchecked."""
-    q, neg = field.q, field.neg
-    codes = []
-    for c in poly_text_to_coeffs(text):
-        if not -q < c < q:
-            raise PolyParseError(f"coefficient {c} outside the code range of GF({q})")
-        codes.append(neg(-c) if c < 0 else c)
-    return _trusted(field, codes)
+    coefficients at or beyond q are rejected rather than reduced.  They
+    are checked once, here, so the Poly is built unchecked."""
+    q = field.q
+    coeffs = poly_text_to_coeffs(text)
+    low = min(coeffs)
+    if low <= -q or max(coeffs) >= q:
+        c = next(c for c in coeffs if not -q < c < q)
+        raise PolyParseError(f"coefficient {c} outside the code range of GF({q})")
+    if low < 0:
+        neg = field.neg
+        coeffs = [neg(-c) if c < 0 else c for c in coeffs]
+    elif not coeffs[-1]:  # _trusted strips a list in place
+        coeffs = list(coeffs)
+    return _trusted(field, coeffs)
 
 
 def poly_to_text(p: Poly) -> str:
@@ -99,8 +110,11 @@ def field_from_doc(doc) -> Field:
     # the modulus's irreducibility test costs about the cube of m
     _check_length(m, "field extension degree m", _MAX_EXTENSION_DEGREE)
     text = _require(doc, "modulus", str, "field")
-    modulus = poly_from_text(field_new(p), text)
-    return field_new(p, m, modulus.coeffs)
+    return _field(p, m, poly_from_text(_prime_field(p), text).coeffs)
+
+
+# bounded, since documents are untrusted; a refusal raises, so it is never kept
+_field = functools.lru_cache(maxsize=64)(field_new)
 
 
 def _matrix_to_doc(field: Field, ell: int, m: int, rows) -> dict:

@@ -9,13 +9,28 @@ result back), and returns plain polynomials rather than the package's
 classes, so none of the code under test runs.  The gcd is Euclid's loop
 on `Poly` remainders, and a polynomial is made monic by `Poly.scale` with
 the field's inverse of its leading coefficient, not by `Poly.monic`, which
-shares its kernel step with the constructions.  Only the checks after the
-argument reading are repeated: callers pass shapes and fields that the
-package accepts.
+shares its kernel step with the constructions.  `modular_substitute` is
+the package's earlier body, which strips its N-long output one trailing
+zero at a time.  Only the checks after the argument reading are
+repeated: callers pass shapes and fields that the package accepts.
 """
 
 from qcproduct.errors import FieldMismatch, NotADivisor, NotCoprime
-from qcproduct.polyring import Poly, fold_mod_xm1, modular_substitute, x_pow_minus_one
+from qcproduct.polyring import Poly, fold_mod_xm1, x_pow_minus_one
+
+
+def modular_substitute(p: Poly, e: int, N: int, shift: int = 0) -> Poly:
+    """p(X^e) * X^shift modulo X^N - 1, colliding codes summed in the field."""
+    e, shift = e % N, shift % N
+    add = p.field.add
+    out = [0] * N
+    for k, c in enumerate(p.coeffs):
+        if c:
+            pos = (k * e + shift) % N
+            out[pos] = add(out[pos], c) if out[pos] else c
+    while out and out[-1] == 0:
+        out.pop()
+    return Poly(p.field, out)
 
 
 def monic(g: Poly) -> Poly:

@@ -3,7 +3,9 @@
 Each case takes a golden `reduce`, `product`, `verify` or `mindist` input
 document, sets one or two of its values (leaves, or whole lists and
 objects) to polynomial text, a nearby int, or any int, float, bool, None,
-string, list or object, or drops one, and runs the command on it through
+string, list or object, edits inside a text value (a sign, "*", "^", a
+digit or whitespace inserted or deleted, or leading zeros put before a
+number), or drops one, and runs the command on it through
 `cli.main` under a 5-s alarm.  Every case must exit 0, 2 or 3, and a failing case must write
 exactly one JSON error line to stderr.  Case i draws everything from
 `random.Random(i)`, so a failure names the case that reproduces it.
@@ -46,6 +48,8 @@ POLY_TEXT = ["0", "1", "X", "X+1", "2*X^2+X", "X^1048576", "X^1048577",
 SCALARS = [0, 1, -1, 2, 3, 4, 7, 64, 65, 2 ** 20, 2 ** 31 - 1, 2 ** 64, -2 ** 70,
            0.0, 1.5, -2.5, 1e300, float("nan"), float("inf"),
            True, False, None, "", "2", "X", "é"]
+# what an edit inside a text value inserts or deletes
+EDITS = "+-*^0123456789 \t\n"
 CASES = 400
 ALARM_S = 5
 
@@ -58,6 +62,28 @@ def _poly(rng: random.Random) -> str:
              f"{rng.choice([0, 1, 2, 5, 17, 60, 200])}"
              for _ in range(rng.randrange(1, 5))]
     return "+".join(terms)
+
+
+def _edit(rng: random.Random, text: str) -> str:
+    """text with one to three edits: a sign, "*", "^", a digit or
+    whitespace inserted or deleted, or leading zeros before a number."""
+    for _ in range(rng.randrange(1, 4)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(EDITS) + text[i:]
+        elif kind == 1:
+            places = [i for i, ch in enumerate(text) if ch in EDITS]
+            if places:
+                i = rng.choice(places)
+                text = text[:i] + text[i + 1:]
+        else:
+            starts = [i for i, ch in enumerate(text)
+                      if ch.isdigit() and not text[i - 1:i].isdigit()]
+            if starts:
+                i = rng.choice(starts)
+                text = text[:i] + "0" * rng.randrange(1, 9) + text[i:]
+    return text
 
 
 def _value(rng: random.Random, old):
@@ -93,8 +119,8 @@ def _paths(node, path=()):
 
 
 def _mutate(rng: random.Random, doc):
-    """doc with one or two values replaced or dropped, a leaf four times
-    in five."""
+    """doc with one or two values replaced, edited or dropped, a leaf four
+    times in five; a text leaf is edited half the times it is replaced."""
     for _ in range(rng.randrange(1, 3)):
         paths = list(_paths(doc))
         if not paths:
@@ -106,7 +132,9 @@ def _mutate(rng: random.Random, doc):
         for step in parent:
             owner = owner[step]
         if rng.randrange(5):
-            owner[key] = _value(rng, owner[key])
+            old = owner[key]
+            owner[key] = (_edit(rng, old) if isinstance(old, str) and rng.randrange(2)
+                          else _value(rng, old))
         else:
             del owner[key]
     return doc

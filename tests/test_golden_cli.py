@@ -25,7 +25,11 @@ before minimal polynomials were formed one linear factor at a time and
 cached, and the first products over GF(5) (ell_a 2, co-index 42) and GF(9)
 (ell_a 3, co-index 40), on the code-list kernels for prime and extension
 fields, from before the product constructions ran in the polynomial
-kernel.
+kernel, and the reduction of a one-row GF(3) matrix whose entries use
+every accepted text form (a leading sign or none, "-", "x", "2X" without
+"*", spaces, tab and newline inside a term, "X^007", a repeated exponent
+and one dense entry) from before sparse text was read through a memo of
+term texts.
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -45,6 +49,7 @@ CASES = {
     "reduce_matrix_wide_gf3": ["reduce", "matrix_wide_gf3.json"],
     "reduce_matrix_wide_gf4": ["reduce", "matrix_wide_gf4.json"],
     "reduce_matrix_high_degree_gf2": ["reduce", "matrix_high_degree_gf2.json"],
+    "reduce_matrix_text_forms_gf3": ["reduce", "matrix_text_forms_gf3.json"],
     "product_gf2": ["product", "row_code_gf2.json", "column_code_gf2.json"],
     "product_gf3": ["product", "row_code_gf3.json", "column_code_gf3.json"],
     "product_gf4": ["product", "row_code_gf4.json", "column_code_gf4.json"],

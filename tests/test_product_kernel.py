@@ -1,7 +1,8 @@
 """The product constructions, `CyclicCode` and `reduce_vector` in the
 polynomial kernel: each against its `Poly`-operator reference
 (`tests/productref.py`), over prime fields and extension fields of both
-kernels, and a check that none of them calls `Poly` arithmetic."""
+kernels, and a check that none of them calls `Poly` arithmetic; and
+`modular_substitute` against its earlier body."""
 
 import math
 
@@ -23,6 +24,7 @@ from qcproduct import (
     bezout_pair,
     factor_xm_minus_1,
     field_of_order,
+    modular_substitute,
     one_level_product_rgb,
     reduce_vector,
     rgb_pot_reduce,
@@ -75,6 +77,35 @@ def generators(draw, q, m):
     if draw(st.integers(0, 3)):
         return draw(divisors(q, m))
     return draw(polys(field_of_order(q), m + 1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), q=st.sampled_from(ORDERS))
+def test_modular_substitute_matches_reference(data, q):
+    # e and shift of either sign, often sharing a factor with N (e = 0
+    # sends every code to one position), and up to 2N terms
+    field = field_of_order(q)
+    N = data.draw(st.integers(1, 24))
+    e = data.draw(st.integers(-2 * N, 2 * N) | st.sampled_from([0, N, -N, N // 2]))
+    shift = data.draw(st.integers(-2 * N, 2 * N))
+    p = data.draw(polys(field, 2 * N))
+    assert modular_substitute(p, e, N, shift) == ref.modular_substitute(p, e, N, shift)
+
+
+@pytest.mark.parametrize("q, coeffs, e, N, shift, want", [
+    # X^2 and 1 meet at X^3 and cancel, below them X lands on X^1
+    (2, (1, 1, 1), 2, 4, 3, (0, 1)),
+    # every code lands on X^2; 1 + 2 = 0 over GF(3)
+    (3, (1, 2), 0, 5, -3, ()),
+    # 1 and X^3 meet at the top position X^5 and cancel (2 + 1 over
+    # GF(3)); X^2 lands on X^3
+    (3, (2, 0, 1, 1), 2, 6, 5, (0, 0, 0, 1)),
+])
+def test_modular_substitute_cuts_below_a_cancelled_top(q, coeffs, e, N, shift, want):
+    p = Poly(field_of_order(q), coeffs)
+    got = modular_substitute(p, e, N, shift)
+    assert got.coeffs == want
+    assert got == ref.modular_substitute(p, e, N, shift)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

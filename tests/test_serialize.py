@@ -8,6 +8,8 @@ import pytest
 from qcproduct import (
     DegreeMismatch,
     GeneratingMatrix,
+    NotIrreducible,
+    NotPrime,
     Poly,
     PolyParseError,
     TooLarge,
@@ -27,6 +29,7 @@ from qcproduct import (
     rgb_pot_reduce,
     serialize,
 )
+from qcproduct import field as fieldmod
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -108,6 +111,30 @@ def test_field_doc_validation():
     with pytest.raises(DegreeMismatch):
         field_from_doc({"p": 2, "m": 1, "modulus": "X^2+X+1"})
     assert field_from_doc({"p": 3, "m": 1, "modulus": "X+1"}) == F3
+
+
+def test_repeated_field_doc_reads_share_one_field(monkeypatch):
+    doc = {"p": 2147483647, "m": 1, "modulus": "X"}
+    first = field_from_doc(doc)
+    # a cached read builds no Field, so it makes no trial division of p
+    monkeypatch.setattr(fieldmod, "_prime_factors", None)
+    assert field_from_doc(dict(doc)) is first
+    assert field_from_doc({"p": 2147483647, "m": 1, "modulus": "x"}) is first
+    monkeypatch.undo()
+    assert field_from_doc({"p": 2147483647, "m": 1, "modulus": "X+5"}) == first
+    custom = {"p": 2, "m": 8, "modulus": "X^8+X^4+X^3+X^2+1"}
+    assert field_from_doc(custom) is field_from_doc(dict(custom))
+    assert field_from_doc(custom) is not field_from_doc(field_to_doc(field_new(2, 8)))
+
+
+def test_reducible_modulus_is_refused_on_every_read():
+    doc = {"p": 2, "m": 4, "modulus": "X^4+1"}  # (X+1)^4
+    for _ in range(3):
+        with pytest.raises(NotIrreducible):
+            field_from_doc(doc)
+    with pytest.raises(NotPrime):
+        field_from_doc({"p": 4, "m": 1, "modulus": "X"})
+    assert field_from_doc({"p": 2, "m": 4, "modulus": "X^4+X+1"}).q == 16
 
 
 def test_field_doc_degree_above_64_is_refused_before_its_modulus_is_read(
