@@ -36,6 +36,7 @@ only a term missing from it is matched with the signed-term pattern.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 
@@ -537,8 +538,10 @@ def nth_root_of_unity(field: Field, n: int) -> int:
     if (field.q - 1) % n != 0:
         raise NoSuchRoot(f"{n} does not divide q - 1 = {field.q - 1}")
     cofactor = (field.q - 1) // n
-    # codes below p form GF(p), which has no element of order n unless n | p - 1
-    start = 1 if (field.p - 1) % n == 0 else field.p
+    # codes below p form GF(p), whose g^cofactor have orders dividing
+    # (p - 1)/gcd(p - 1, cofactor): unless n divides that, skip them all
+    p1 = field.p - 1
+    start = 1 if p1 // math.gcd(p1, cofactor) % n == 0 else field.p
     for code in range(start, field.q):
         beta = field.pow_(code, cofactor)
         if _order(field.pow_, beta, n) == n:

@@ -304,6 +304,8 @@ def _mul2(f: Field, a: int, b: int) -> int:
 def _divmod2(f: Field, a: int, b: int):
     """(quotient, remainder) bitmasks of a by b != 0 over GF(2)."""
     q, d = 0, b.bit_length()
+    if d == 1:  # b = 1
+        return a, 0
     while (k := a.bit_length() - d) >= 0:
         q |= 1 << k
         a ^= b << k

@@ -179,19 +179,21 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
     explicit rows together with the (X^m-1)e_j rows.
 
     Triangularization runs column by column: all rows active at a column
-    are folded into a single pivot via extended gcds (each fold is a
-    determinant -1 row transform, so the row span never changes), which
-    makes every diagonal a monic divisor of X^m - 1: the (X^m-1)e_j row
-    always reaches its own column untouched, so the pivot there is that row
-    or an egcd's monic gcd with it.  Both rows of a fold are zero left of
-    the column, and there the fold gives the gcd and zero, so only the
-    entries right of it are combined.  While column col is processed every
-    (X^m-1)e_k row with k > col is still pending, so reducing those entries
-    modulo X^m - 1 changes neither the submodule nor the result, and keeps
-    operands below degree 2m.  Entries above each diagonal are then reduced
-    modulo it.  A diagonal is all of X^m - 1 only where the (X^m-1)e_i row
-    was alone at its column, with a zero tail.  The result is unique per
-    submodule.
+    are folded into a single pivot, each fold a unimodular row transform,
+    so the row span never changes.  The first fold of a column is an
+    extended gcd (determinant -1), which makes every diagonal a monic
+    divisor of X^m - 1: the (X^m-1)e_j row always reaches its own column
+    untouched, so the pivot there is that row or an egcd's monic gcd with
+    it.  A later fold is one exact division, row - quo*pivot, when the
+    pivot divides the row's entry, and an egcd otherwise.  Both rows of a
+    fold are zero left of the column, and there the fold gives the pivot
+    and zero, so only the entries right of it are combined.  While column
+    col is processed every (X^m-1)e_k row with k > col is still pending, so
+    reducing those entries modulo X^m - 1 changes neither the submodule nor
+    the result, and keeps operands below degree 2m.  Entries above each
+    diagonal are then reduced modulo it.  A diagonal is all of X^m - 1 only
+    where the (X^m-1)e_i row was alone at its column, with a zero tail.
+    The result is unique per submodule.
 
     The loop runs in the field's kernel (``polyring._kernel``) on native
     entries, and a ``Poly`` is built only for the returned basis.
@@ -209,11 +211,17 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
         active = [r for r in pending if r[col]]
         pending = [r for r in pending if not r[col]]
         acc = active[0]
-        for row in active[1:]:
+        for i, row in enumerate(active[1:]):
+            tails = list(zip(acc[col + 1:], row[col + 1:]))
+            if i:  # the pivot is monic now: try one exact division first
+                quo, rem = div(f, row[col], acc[col])
+                if not rem:
+                    pending.append([zero] * (col + 1) + [
+                        fold(f, sub(f, b, mul(f, quo, a)), m) for a, b in tails])
+                    continue
             g, s, t = k.egcd(f, acc[col], row[col])
             co_acc = div(f, acc[col], g)[0]
             co_row = div(f, row[col], g)[0]
-            tails = list(zip(acc[col + 1:], row[col + 1:]))
             acc = [zero] * col + [g] + [
                 fold(f, add(f, mul(f, s, a), mul(f, t, b)), m) for a, b in tails]
             pending.append([zero] * (col + 1) + [

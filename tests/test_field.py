@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rootref
 from qcproduct import (
     CodewordMatrix,
     DegreeMismatch,
@@ -409,6 +410,36 @@ def test_nth_root_trivial_order():
     f = field_new(5)
     assert nth_root_of_unity(f, 1) == 1
     assert nth_root_of_unity(f, 2) == 4  # the unique element of order 2
+
+
+ROOT_ORDERS = [(p, s, n) for p in (2, 3, 5, 7, 11, 13, 17) for s in (1, 2, 3, 4)
+               for n in range(1, p ** s) if p ** s <= 2 ** 13 and (p ** s - 1) % n == 0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(ROOT_ORDERS))
+def test_root_search_start_matches_the_earlier_rule(case):
+    """The search skips GF(p) unless n divides (p-1)/gcd(p-1, (q-1)/n);
+    the earlier rule skipped it unless n divides p - 1, and tried in vain
+    the candidates in between (25 of these 237 cases, GF(25) with n = 4
+    among them)."""
+    p, s, n = case
+    f = field_new(p, s)
+    assert nth_root_of_unity(f, n) == rootref.nth_root_of_unity(f, n)
+
+
+def test_root_search_skips_prime_field_candidates_of_the_wrong_order(monkeypatch):
+    """Over GF(65521^3) every g^((q-1)/63) with g in GF(65521) has order
+    dividing 21, so the search must not try those 65,520 candidates."""
+    import qcproduct.field as field_module
+
+    f = field_new(65521, 3)
+    tried = []
+    monkeypatch.setattr(field_module, "_order",
+                        lambda *args: tried.append(1) or _order(*args))
+    root = nth_root_of_unity(f, 63)
+    assert _order(f.pow_, root, 63) == 63
+    assert len(tried) < 100
 
 
 @pytest.mark.parametrize("q", [5, 7, 4, 8, 9, 16, 25, 27])

@@ -29,7 +29,12 @@ kernel, and the reduction of a one-row GF(3) matrix whose entries use
 every accepted text form (a leading sign or none, "-", "x", "2X" without
 "*", spaces, tab and newline inside a term, "X^007", a repeated exponent
 and one dense entry) from before sparse text was read through a memo of
-term texts.
+term texts, and the reduction of a row-scrambled GF(2) matrix with divisors
+of X^45 - 1 on its diagonal (ell 5, m 45), whose folds mostly find the
+pivot dividing the entry, from before such a fold became one exact
+division, and the minimal polynomial of 40 for m 63 over GF(65521^3), whose
+root-of-unity search ran through all of GF(65521), from before that search
+skipped the prime-field candidates that cannot have order m.
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -50,6 +55,7 @@ CASES = {
     "reduce_matrix_wide_gf4": ["reduce", "matrix_wide_gf4.json"],
     "reduce_matrix_high_degree_gf2": ["reduce", "matrix_high_degree_gf2.json"],
     "reduce_matrix_text_forms_gf3": ["reduce", "matrix_text_forms_gf3.json"],
+    "reduce_matrix_divisors_gf2": ["reduce", "matrix_divisors_gf2.json"],
     "product_gf2": ["product", "row_code_gf2.json", "column_code_gf2.json"],
     "product_gf3": ["product", "row_code_gf3.json", "column_code_gf3.json"],
     "product_gf4": ["product", "row_code_gf4.json", "column_code_gf4.json"],
@@ -69,6 +75,7 @@ CASES = {
     "factor_9_10": ["factor", "9", "10"],
     "minpoly_16_17_1": ["minpoly", "16", "17", "1"],
     "minpoly_2_17_3": ["minpoly", "2", "17", "3"],
+    "minpoly_281281747415761_63_40": ["minpoly", "281281747415761", "63", "40"],
     "mindist_row_code_gf2": ["mindist", "row_code_gf2.json"],
     "mindist_product_gf2": ["mindist", "product_basis_gf2.json"],
 }

@@ -318,6 +318,11 @@ def test_gf2_mask_kernel_matches_reference(x, y, m):
     assert product.coeffs == tuple(ref_mul(a, b, 2))
     assert polyring._from_mask(f, polyring._fold2(f, x, m)) == Poly(
         f, polyring._GFP.fold(f, a, m))  # the code-list fold
+    for d, codes in ((y, b), (1, [1])):  # 1 takes the unit-divisor return
+        if d:
+            got = polyring._divmod2(f, x, d)
+            want = ref_divmod(a, codes, 2)
+            assert [polyring._from_mask(f, z).coeffs for z in got] == [tuple(w) for w in want]
 
 
 def ref_add(a, b, p):
