@@ -160,7 +160,7 @@ def _frobenius_irreducible(coeffs, p) -> bool:
     checkpoints = {r // s for s in _prime_factors(r)}
     for j in range(1, r + 1):
         h = _power(mul, h, p, one)
-        if j in checkpoints and k.egcd(prime, f, k.sub(prime, h, x))[0] != one:
+        if j in checkpoints and k.poly(prime, k.gcd(prime, f, k.sub(prime, h, x))).degree:
             return False
     return h == x
 

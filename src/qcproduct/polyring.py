@@ -13,17 +13,17 @@ record that only :func:`_kernel` chooses.  ``Poly`` operators, the gcds,
 convert their operands to the kernel's native form once and build a
 ``Poly`` only for their results:
 
-* GF(2): bitmask ints, bit k for X^k; sums, products, division and the
-  extended Euclid loop are XOR and shift;
+* GF(2): bitmask ints, bit k for X^k; sums, products and division are
+  XOR and shift;
 * GF(3): pairs of bitmask ints, one for the coefficients equal to 1 and
   one for those equal to 2 (bitslicing); a sum is seven bitwise operations
-  on the pair, negation swaps it, and division and the extended Euclid
-  loop take one shifted sum per quotient term; products shift and add
-  over a sparse factor, or go through Kronecker substitution;
+  on the pair, negation swaps it, and division takes one shifted sum per
+  quotient term; products shift and add over a sparse factor, or go
+  through Kronecker substitution;
 * GF(4): pairs of GF(2) bitmask ints, the two bit planes of the codes; a
   sum is one XOR per plane, a scalar multiple permutes the planes, a
-  product is three carry-less products, and division and the extended
-  Euclid loop take one shifted XOR per plane for each quotient term;
+  product is three carry-less products, and division takes one shifted
+  XOR per plane for each quotient term;
 * GF(p), p >= 5: code lists; products by Kronecker substitution, the codes
   packed into byte slots of one integer wide enough for the bound
   (p-1)^2 * min(len) on a product coefficient, so one integer product
@@ -34,8 +34,11 @@ convert their operands to the kernel's native form once and build a
   :class:`~qcproduct.field.Field` operations (an extension's own elements
   beyond its tables multiply on the prime field's kernel, ``field._ring``).
 
-The two kernels on code lists build their egcd and fold on their own
-operations (:func:`_code_kernel`).
+Each kernel has one Euclid loop, ``euclid``, which carries every quotient
+term along two whole rows: the egcd runs it on (u, 1, 0) and (v, 0, 1),
+and canonical reduction on matrix rows.  The bit-plane kernels pack a row
+into one int per plane; the two kernels on code lists build ``euclid`` and
+the fold on their own operations (:func:`_code_kernel`).
 """
 
 from __future__ import annotations
@@ -247,9 +250,11 @@ def _positive(name: str, value, error: type) -> int:
 class _Kernel:
     """Polynomial arithmetic over one kind of field on a native form, in
     which zero is the one false value.  Every function takes the field
-    first and changes no operand; `egcd` returns (g, s, t) as
-    :func:`poly_egcd` does, `gcd` a gcd not made monic (Euclid's loop on
-    `divmod`), `fold` reduces modulo X^m - 1 and `xm1` is X^m - 1."""
+    first and changes no operand.  `euclid(f, a, b)` runs Euclid's loop on
+    the rows' first entries, each quotient term applied to the whole row,
+    and returns the unimodular transform (monic gcd, ...), (0, ...) of the
+    rows; `egcd` returns (g, s, t) as :func:`poly_egcd` does, `gcd` a gcd
+    not made monic, `fold` reduces modulo X^m - 1 and `xm1` is X^m - 1."""
 
     native: Callable  # (field, stripped codes) -> native form
     poly: Callable  # (field, native form) -> Poly
@@ -257,8 +262,12 @@ class _Kernel:
     sub: Callable
     mul: Callable
     divmod: Callable
-    egcd: Callable
+    euclid: Callable
     fold: Callable
+
+    def egcd(self, f: Field, u, v):
+        one, zero = self.native(f, (1,)), self.native(f, ())
+        return self.euclid(f, [u, one, zero], [v, zero, one])[0]
 
     def gcd(self, f: Field, a, b):
         while b:
@@ -267,6 +276,31 @@ class _Kernel:
 
     def xm1(self, f: Field, m: int):
         return self.native(f, (f.p - 1,) + (0,) * (m - 1) + (1,))  # -1 = p - 1
+
+
+# The bit-plane kernels run `euclid` on packed rows: a plane of a row is one
+# int, entry j in the j-th field of w bits from the top, so the leading
+# entry's degree is read off the bit length.  Every row in the run is
+# s*a + t*b with deg s <= deg b[0] and deg t <= deg a[0], so w = the most
+# bits of a leading entry plus the most bits of any other keeps every entry
+# inside its field.
+
+def _pack_pairs(a: list, b: list):
+    """(w, the two planes of a, the two planes of b) for rows of pairs."""
+    n, bits = len(a), [x and (x[0] | x[1]).bit_length() for x in chain(a, b)]
+    w = max(bits[0], bits[n]) + max(bits[1:n] + bits[n + 1:], default=0)
+    x1 = x2 = y1 = y2 = 0
+    for u, v in zip(a, b):
+        u1, u2 = u or (0, 0)
+        v1, v2 = v or (0, 0)
+        x1, x2, y1, y2 = x1 << w | u1, x2 << w | u2, y1 << w | v1, y2 << w | v2
+    return w, x1, x2, y1, y2
+
+
+def _unpack_pairs(x1: int, x2: int, top: int, w: int) -> list:
+    mask, x = (1 << w) - 1, x1 | x2
+    return [(x1 >> s & mask, x2 >> s & mask) if x >> s & mask else 0
+            for s in range(top, -1, -w)]
 
 
 # GF(2): a polynomial as the bitmask int of its coefficients (bit k for X^k),
@@ -312,19 +346,22 @@ def _divmod2(f: Field, a: int, b: int):
     return q, a
 
 
-def _egcd2(f: Field, u: int, v: int):
-    """poly_egcd on GF(2) bitmasks.  Each XOR-shift step of the division
-    r0 / r1 applies the same quotient term to the cofactor pairs, which is
-    Euclid's s0 - q*s1 without forming q."""
-    r0, r1, s0, s1, t0, t1 = u, v, 1, 0, 0, 1
-    while r1:
-        d = r1.bit_length()
-        while (k := r0.bit_length() - d) >= 0:
-            r0 ^= r1 << k
-            s0 ^= s1 << k
-            t0 ^= t1 << k
-        r0, r1, s0, s1, t0, t1 = r1, r0, s1, s0, t1, t0
-    return r0, s0, t0
+def _euclid2(f: Field, a: list, b: list):
+    """euclid on GF(2) rows packed into one bitmask each: the
+    :func:`_divmod2` loop, run on the whole rows.  The gcd comes monic."""
+    bits = int.bit_length
+    n, w = len(a), max(bits(a[0]), bits(b[0])) + max(map(bits, a[1:] + b[1:]), default=0)
+    x = y = 0
+    for u, v in zip(a, b):
+        x, y = x << w | u, y << w | v
+    top = (n - 1) * w
+    while y >> top:
+        d = y.bit_length()
+        while (k := x.bit_length() - d) >= 0:
+            x ^= y << k
+        x, y = y, x
+    mask, shifts = (1 << w) - 1, range(top, -1, -w)
+    return [x >> s & mask for s in shifts], [y >> s & mask for s in shifts]
 
 
 def _fold2(f: Field, x: int, m: int) -> int:
@@ -479,39 +516,24 @@ def _divmod3(f: Field, a, b):
     return (q1, q2) if q1 | q2 else 0, (r1, r2) if r1 | r2 else 0
 
 
-def _egcd3(f: Field, u, v):
-    """poly_egcd on GF(3) pairs, as :func:`_egcd2` on GF(2) masks: each
-    quotient term of r0 / r1 is applied to r0, s0 and t0 at once, without
-    forming the quotient.  r1 is made monic by swapping its planes and
-    those of s1 and t1, a unit multiple of the row that changes no later
-    remainder or cofactor."""
-    r0a, r0b = u or (0, 0)
-    r1a, r1b = v or (0, 0)
-    s0a, s0b, s1a, s1b, t0a, t0b, t1a, t1b = 1, 0, 0, 0, 0, 0, 1, 0
-    while r1a | r1b:
-        if r1b > r1a:
-            r1a, r1b, s1a, s1b, t1a, t1b = r1b, r1a, s1b, s1a, t1b, t1a
-        rs, ss, ts = r1a | r1b, s1a | s1b, t1a | t1b
-        d = rs.bit_length()
-        while (k := (x := r0a | r0b).bit_length() - d) >= 0:
-            if r0b > r0a:  # r0 - 2*X^k*r1 = r0 + X^k*r1
-                ra, rb, sa, sb, ta, tb = (r1a << k, r1b << k, s1a << k, s1b << k,
-                                          t1a << k, t1b << k)
-            else:
-                ra, rb, sa, sb, ta, tb = (r1b << k, r1a << k, s1b << k, s1a << k,
-                                          t1b << k, t1a << k)
-            c = x & (rs << k)
-            r0a, r0b = (r0a | ra) ^ c, (r0b | rb) ^ c
-            c = (s0a | s0b) & (ss << k)
-            s0a, s0b = (s0a | sa) ^ c, (s0b | sb) ^ c
-            c = (t0a | t0b) & (ts << k)
-            t0a, t0b = (t0a | ta) ^ c, (t0b | tb) ^ c
-        r0a, r0b, s0a, s0b, t0a, t0b, r1a, r1b, s1a, s1b, t1a, t1b = (
-            r1a, r1b, s1a, s1b, t1a, t1b, r0a, r0b, s0a, s0b, t0a, t0b)
-    if r0b > r0a:
-        r0a, r0b, s0a, s0b, t0a, t0b = r0b, r0a, s0b, s0a, t0b, t0a
-    return tuple((a, b) if a | b else 0
-                 for a, b in ((r0a, r0b), (s0a, s0b), (t0a, t0b)))
+def _euclid3(f: Field, a: list, b: list):
+    """euclid on GF(3) rows packed into one pair of planes each: the
+    :func:`_divmod3` loop, run on the whole rows, and the gcd made monic."""
+    w, x1, x2, y1, y2 = _pack_pairs(a, b)
+    top = (len(a) - 1) * w
+    while (y1 | y2) >> top:
+        if y2 > y1:
+            y1, y2 = y2, y1
+        support = y1 | y2
+        d = support.bit_length()
+        while (k := (x := x1 | x2).bit_length() - d) >= 0:
+            z1, z2 = (y1 << k, y2 << k) if x2 > x1 else (y2 << k, y1 << k)
+            c = x & (support << k)
+            x1, x2 = (x1 | z1) ^ c, (x2 | z2) ^ c
+        x1, x2, y1, y2 = y1, y2, x1, x2
+    if x2 > x1:
+        x1, x2 = x2, x1
+    return _unpack_pairs(x1, x2, top, w), _unpack_pairs(y1, y2, top, w)
 
 
 def _fold3(f: Field, x, m: int):
@@ -607,30 +629,23 @@ def _divmod4(f: Field, a, b):
     return (_scaled4(inv, (q0, q1)) if q0 | q1 else 0), ((r0, r1) if r0 | r1 else 0)
 
 
-def _egcd4(f: Field, u, v):
-    """poly_egcd on GF(4) pairs, as :func:`_egcd3` on GF(3) pairs: the row
-    (r1, s1, t1), six planes, is made monic by a plane permutation and its
-    scalar multiples are formed once; each quotient term of r0 / r1 is then
-    applied to r0, s0 and t0 at once."""
-    r0a, r0b = u or (0, 0)
-    s0a, s0b, t0a, t0b = 1, 0, 0, 0
-    row = (*(v or (0, 0)), 0, 0, 1, 0)
-    while row[0] | row[1]:
-        d = (row[0] | row[1]).bit_length()
-        row = _scaled4(_INV4[_lead4(row[0], row[1], d - 1)], row)
-        mults = (None, row, _scaled4(2, row), _scaled4(3, row))
-        while (k := (r0a | r0b).bit_length() - d) >= 0:
-            ra, rb, sa, sb, ta, tb = mults[_lead4(r0a, r0b, k + d - 1)]
-            r0a ^= ra << k
-            r0b ^= rb << k
-            s0a ^= sa << k
-            s0b ^= sb << k
-            t0a ^= ta << k
-            t0b ^= tb << k
-        (r0a, r0b, s0a, s0b, t0a, t0b), row = row, (r0a, r0b, s0a, s0b, t0a, t0b)
-    out = _scaled4(_INV4[_lead4(r0a, r0b, (r0a | r0b).bit_length() - 1)],
-                   (r0a, r0b, s0a, s0b, t0a, t0b))
-    return tuple((a, b) if a | b else 0 for a, b in zip(out[::2], out[1::2]))
+def _euclid4(f: Field, a: list, b: list):
+    """euclid on GF(4) rows packed into one pair of planes each: the
+    :func:`_divmod4` loop, run on the whole rows, and the gcd made monic."""
+    w, x0, x1, y0, y1 = _pack_pairs(a, b)
+    top = (len(a) - 1) * w
+    while (y0 | y1) >> top:
+        d = (y0 | y1).bit_length()
+        y0, y1 = _scaled4(_INV4[_lead4(y0, y1, d - 1)], (y0, y1))
+        mults = (None, (y0, y1), (y1, y0 ^ y1), (y0 ^ y1, y0))
+        while (k := (x0 | x1).bit_length() - d) >= 0:
+            z0, z1 = mults[_lead4(x0, x1, k + d - 1)]
+            x0 ^= z0 << k
+            x1 ^= z1 << k
+        x0, x1, y0, y1 = y0, y1, x0, x1
+    if (x0 | x1) >> top:
+        x0, x1 = _scaled4(_INV4[_lead4(x0, x1, (x0 | x1).bit_length() - 1)], (x0, x1))
+    return _unpack_pairs(x0, x1, top, w), _unpack_pairs(y0, y1, top, w)
 
 
 def _fold4(f: Field, x, m: int):
@@ -777,19 +792,19 @@ def _divmod_ext(f: Field, a, b):
 
 
 def _code_kernel(add, sub, mul, divmod_) -> _Kernel:
-    """The kernel on code lists with the given operations, and the egcd
-    (Euclid's loop, then a division by the gcd's leading coefficient) and
-    fold built on them."""
+    """The kernel on code lists with the given operations, and euclid
+    (Euclid's loop, each quotient applied to the rest of the row by one
+    product and one difference per entry, then a division of the gcd row by
+    the gcd's leading coefficient) and fold built on them."""
 
-    def egcd(f: Field, u, v):
-        r0, r1, s0, s1, t0, t1 = u, v, [1], [], [], [1]
-        while r1:
-            q, r = divmod_(f, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, sub(f, s0, mul(f, q, s1))
-            t0, t1 = t1, sub(f, t0, mul(f, q, t1))
-        lead = r0[-1:]
-        return tuple(divmod_(f, a, lead)[0] for a in (r0, s0, t0))
+    def euclid(f: Field, a: list, b: list):
+        while b[0]:
+            q, r = divmod_(f, a[0], b[0])
+            a, b = b, [r] + [sub(f, x, mul(f, q, y)) for x, y in zip(a[1:], b[1:])]
+        if a[0] and a[0][-1] != 1:
+            lead = a[0][-1:]
+            a = [divmod_(f, x, lead)[0] for x in a]
+        return a, b
 
     def fold(f: Field, codes, m: int):
         out = codes[:m]
@@ -797,12 +812,12 @@ def _code_kernel(add, sub, mul, divmod_) -> _Kernel:
             out = add(f, out, codes[i:i + m])
         return out
 
-    return _Kernel(_codes, _trusted, add, sub, mul, divmod_, egcd, fold)
+    return _Kernel(_codes, _trusted, add, sub, mul, divmod_, euclid, fold)
 
 
-_GF2 = _Kernel(_to_mask, _from_mask, _xor, _xor, _mul2, _divmod2, _egcd2, _fold2)
-_GF3 = _Kernel(_to_pair, _from_pair, _add3, _sub3, _mul3, _divmod3, _egcd3, _fold3)
-_GF4 = _Kernel(_to_planes, _from_pair, _add4, _add4, _mul4, _divmod4, _egcd4, _fold4)
+_GF2 = _Kernel(_to_mask, _from_mask, _xor, _xor, _mul2, _divmod2, _euclid2, _fold2)
+_GF3 = _Kernel(_to_pair, _from_pair, _add3, _sub3, _mul3, _divmod3, _euclid3, _fold3)
+_GF4 = _Kernel(_to_planes, _from_pair, _add4, _add4, _mul4, _divmod4, _euclid4, _fold4)
 _GFP = _code_kernel(_add_p, _sub_p, _kronecker_mul, _divmod_p)
 _EXT = _code_kernel(_add_ext, _sub_ext, _mul_ext, _divmod_ext)
 

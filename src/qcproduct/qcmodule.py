@@ -180,27 +180,28 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
 
     Triangularization runs column by column: all rows active at a column
     are folded into a single pivot, each fold a unimodular row transform,
-    so the row span never changes.  The first fold of a column is an
-    extended gcd (determinant -1), which makes every diagonal a monic
-    divisor of X^m - 1: the (X^m-1)e_j row always reaches its own column
-    untouched, so the pivot there is that row or an egcd's monic gcd with
-    it.  A later fold is one exact division, row - quo*pivot, when the
-    pivot divides the row's entry, and an egcd otherwise.  Both rows of a
-    fold are zero left of the column, and there the fold gives the pivot
-    and zero, so only the entries right of it are combined.  While column
-    col is processed every (X^m-1)e_k row with k > col is still pending, so
-    reducing those entries modulo X^m - 1 changes neither the submodule nor
-    the result, and keeps operands below degree 2m.  Entries above each
-    diagonal are then reduced modulo it.  A diagonal is all of X^m - 1 only
-    where the (X^m-1)e_i row was alone at its column, with a zero tail.
-    The result is unique per submodule.
+    so the row span never changes.  A fold is the kernel's `euclid` on the
+    pivot row and the row from the column on: Euclid's algorithm on the
+    two entries there, every quotient term applied to the whole row, ends
+    with the monic gcd leading the new pivot row and zero leading the other
+    row, which returns to the pending rows.  When the pivot divides the
+    entry that is one step.  Every diagonal is a monic divisor of X^m - 1:
+    the (X^m-1)e_j row always reaches its own column untouched, so the
+    pivot there is that row or a gcd with it.  While column col is
+    processed every (X^m-1)e_k row with k > col is still pending, so
+    reducing the entries right of the column modulo X^m - 1 after each fold
+    changes neither the submodule nor the result, and keeps them below
+    degree 2m inside a fold.  Entries above each diagonal are then reduced
+    modulo it.  A diagonal is all of X^m - 1 only where the (X^m-1)e_i row
+    was alone at its column, with a zero tail.  The result is unique per
+    submodule.
 
     The loop runs in the field's kernel (``polyring._kernel``) on native
     entries, and a ``Poly`` is built only for the returned basis.
     """
     f, ell, m = gen.field, gen.ell, gen.m
     k = _kernel(f)
-    native, add, sub, mul, div, fold = k.native, k.add, k.sub, k.mul, k.divmod, k.fold
+    native, sub, mul, div, euclid, fold = k.native, k.sub, k.mul, k.divmod, k.euclid, k.fold
     zero = native(f, ())
     full = k.xm1(f, m)
     pending = [[fold(f, native(f, p.coeffs), m) for p in row] for row in gen.rows]
@@ -208,25 +209,14 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
 
     pivots = []
     for col in range(ell):
-        active = [r for r in pending if r[col]]
+        active = [r[col:] for r in pending if r[col]]
         pending = [r for r in pending if not r[col]]
         acc = active[0]
-        for i, row in enumerate(active[1:]):
-            tails = list(zip(acc[col + 1:], row[col + 1:]))
-            if i:  # the pivot is monic now: try one exact division first
-                quo, rem = div(f, row[col], acc[col])
-                if not rem:
-                    pending.append([zero] * (col + 1) + [
-                        fold(f, sub(f, b, mul(f, quo, a)), m) for a, b in tails])
-                    continue
-            g, s, t = k.egcd(f, acc[col], row[col])
-            co_acc = div(f, acc[col], g)[0]
-            co_row = div(f, row[col], g)[0]
-            acc = [zero] * col + [g] + [
-                fold(f, add(f, mul(f, s, a), mul(f, t, b)), m) for a, b in tails]
-            pending.append([zero] * (col + 1) + [
-                fold(f, sub(f, mul(f, co_row, a), mul(f, co_acc, b)), m) for a, b in tails])
-        pivots.append(acc)
+        for row in active[1:]:
+            acc, low = euclid(f, acc, row)
+            acc[1:] = [fold(f, x, m) for x in acc[1:]]
+            pending.append([zero] * (col + 1) + [fold(f, x, m) for x in low[1:]])
+        pivots.append([zero] * col + acc)
 
     # leftover rows have zeros at every position; nothing to keep
     # reduce above-diagonal entries modulo the diagonal, left to right

@@ -1,14 +1,17 @@
 """Canonical reduction with an extended gcd at every fold: the tests'
 reference for `rgb_pot_reduce` in `qcproduct.qcmodule`.
 
-This is the reduction loop as it stood before a fold learned to try one
-exact division first.  Every row active at a column is folded into the
-pivot by an egcd, whether or not the pivot already divides its entry.  It
-shares the field kernel (`polyring._kernel`, looked up on every call, so a
-test can count the kernel's calls in both) and `RgbPotBasis` with the
+Every row active at a column is folded into the pivot by an egcd of the
+two entries there, two cofactor divisions and four products per entry
+right of it, the fold `rgb_pot_reduce` ran before it carried Euclid's
+algorithm on whole rows (`polyring._Kernel.euclid`).  The egcd is
+`egcdref.egcd`, so the reference shares no code with `euclid`.  It shares
+the rest of the field kernel (`polyring._kernel`, looked up on every call,
+so a test can count the kernel's calls in both) and `RgbPotBasis` with the
 package.
 """
 
+import egcdref
 from qcproduct.polyring import _kernel
 from qcproduct.qcmodule import RgbPotBasis
 
@@ -28,7 +31,7 @@ def rgb_pot_reduce(gen):
         pending = [r for r in pending if not r[col]]
         acc = active[0]
         for row in active[1:]:
-            g, s, t = k.egcd(f, acc[col], row[col])
+            g, s, t = egcdref.egcd(f, acc[col], row[col])
             co_acc = div(f, acc[col], g)[0]
             co_row = div(f, row[col], g)[0]
             tails = list(zip(acc[col + 1:], row[col + 1:]))

@@ -34,7 +34,10 @@ of X^45 - 1 on its diagonal (ell 5, m 45), whose folds mostly find the
 pivot dividing the entry, from before such a fold became one exact
 division, and the minimal polynomial of 40 for m 63 over GF(65521^3), whose
 root-of-unity search ran through all of GF(65521), from before that search
-skipped the prime-field candidates that cannot have order m.
+skipped the prime-field candidates that cannot have order m, and the
+reductions of full random ell-4 matrices over GF(5) (m 12) and GF(9)
+(m 10), on the code-list kernels, from before a column fold ran Euclid's
+algorithm on whole rows.
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -56,6 +59,8 @@ CASES = {
     "reduce_matrix_high_degree_gf2": ["reduce", "matrix_high_degree_gf2.json"],
     "reduce_matrix_text_forms_gf3": ["reduce", "matrix_text_forms_gf3.json"],
     "reduce_matrix_divisors_gf2": ["reduce", "matrix_divisors_gf2.json"],
+    "reduce_matrix_gf5": ["reduce", "matrix_gf5.json"],
+    "reduce_matrix_gf9": ["reduce", "matrix_gf9.json"],
     "product_gf2": ["product", "row_code_gf2.json", "column_code_gf2.json"],
     "product_gf3": ["product", "row_code_gf3.json", "column_code_gf3.json"],
     "product_gf4": ["product", "row_code_gf4.json", "column_code_gf4.json"],

@@ -1,15 +1,16 @@
 """Canonical reduction against the egcd-at-every-fold reference.
 
-`rgb_pot_reduce` folds a row into a column's pivot by one exact division
-when the pivot divides the row's entry there, and by an extended gcd
-otherwise; the first fold of each column is always an egcd, which makes
-the diagonal monic.  `reduceref.rgb_pot_reduce` takes an egcd at every
-fold.  Both must return the same canonical basis over GF(2), GF(3), GF(4),
-GF(5) and GF(9), on random matrices and on matrices with divisors of
-X^m - 1 on the diagonal scrambled by unimodular row operations, where the
-exact division is the common case.  On a fixed divisor matrix the library
-must take fewer kernel egcds than the reference, so that the division
-cannot stop firing unnoticed.
+`rgb_pot_reduce` folds a row into a column's pivot by the kernel's
+`euclid`, which runs Euclid's algorithm on the two entries at the column
+and carries every quotient term along the whole row; when the pivot
+divides the entry it stops after one step.  `reduceref.rgb_pot_reduce`
+takes an egcd (`egcdref`), two cofactor divisions and four products per
+entry at every fold.  Both must return the same canonical basis over
+GF(2), GF(3), GF(4), GF(5) and GF(9), on random matrices and on matrices
+with divisors of X^m - 1 on the diagonal scrambled by unimodular row
+operations, where the pivot mostly divides the entry.  On a fixed divisor
+matrix the library must run `euclid` and take fewer kernel products than
+the reference, so that the folds cannot fall back to products unnoticed.
 """
 
 import dataclasses
@@ -95,18 +96,24 @@ def test_scrambled_divisor_matrices_reduce_as_the_reference_does(gen):
     assert rgb_pot_reduce(gen) == reduceref.rgb_pot_reduce(gen)
 
 
-def test_divisor_matrix_takes_fewer_egcds_than_the_reference(monkeypatch):
+def test_divisor_matrix_takes_fewer_products_than_the_reference(monkeypatch):
     gen = generating_matrix_from_doc(
         json.loads((GOLDEN / "matrix_divisors_gf2.json").read_text()))
-    calls = []
+    calls = {"mul": 0, "euclid": 0}
 
-    def egcd(f, u, v, _egcd=polyring._GF2.egcd):
-        calls.append(1)
-        return _egcd(f, u, v)
+    def counted(name):
+        op = getattr(polyring._GF2, name)
 
-    monkeypatch.setattr(polyring, "_GF2", dataclasses.replace(polyring._GF2, egcd=egcd))
+        def call(*args):
+            calls[name] += 1
+            return op(*args)
+        return call
+
+    monkeypatch.setattr(polyring, "_GF2", dataclasses.replace(
+        polyring._GF2, mul=counted("mul"), euclid=counted("euclid")))
     want = reduceref.rgb_pot_reduce(gen)
-    by_reference = len(calls)
-    calls.clear()
+    by_reference = calls["mul"]
+    calls.update(mul=0, euclid=0)
     assert rgb_pot_reduce(gen) == want
-    assert 0 < len(calls) < by_reference
+    assert calls["euclid"] >= 1
+    assert calls["mul"] < by_reference
