@@ -34,11 +34,16 @@ convert their operands to the kernel's native form once and build a
   :class:`~qcproduct.field.Field` operations (an extension's own elements
   beyond its tables multiply on the prime field's kernel, ``field._ring``).
 
-Each kernel has one Euclid loop, ``euclid``, which carries every quotient
-term along two whole rows: the egcd runs it on (u, 1, 0) and (v, 0, 1),
-and canonical reduction on matrix rows.  The bit-plane kernels pack a row
-into one int per plane; the two kernels on code lists build ``euclid`` and
-the fold on their own operations (:func:`_code_kernel`).
+Rows of entries have a format that only this module knows.  The bit-plane
+kernels pack a row into one int per plane, entry j in the j-th field of w
+bits from the top; the kernels on code lists keep the list of entries
+(:func:`_code_kernel`).  The caller chooses w once: canonical reduction
+2m + 1 for its whole run, the egcd one more than its longer operand.  The
+row operations then carry each quotient term of Euclid's loop (`euclid`)
+or of a division at one column (`divide`), and the fold modulo X^m - 1
+(`fold_row`), along whole rows.  The bit-plane kernels share one
+long-division loop per field among `euclid`, `divide` and, over GF(3) and
+GF(4), `divmod`, which runs it on the rows (a, 0) and (b, -1).
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import chain
 from operator import index, xor
 
@@ -250,11 +256,18 @@ def _positive(name: str, value, error: type) -> int:
 class _Kernel:
     """Polynomial arithmetic over one kind of field on a native form, in
     which zero is the one false value.  Every function takes the field
-    first and changes no operand.  `euclid(f, a, b)` runs Euclid's loop on
-    the rows' first entries, each quotient term applied to the whole row,
-    and returns the unimodular transform (monic gcd, ...), (0, ...) of the
-    rows; `egcd` returns (g, s, t) as :func:`poly_egcd` does, `gcd` a gcd
-    not made monic, `fold` reduces modulo X^m - 1 and `xm1` is X^m - 1."""
+    first and changes no operand.  `egcd` takes two code sequences and
+    returns (g, s, t) as :func:`poly_egcd` does, `gcd` is a gcd not made
+    monic, `fold` reduces modulo X^m - 1, `xm1` is X^m - 1.  A row of
+    native entries has a form only the kernel reads: `pack(f, entries, w)`
+    makes one for entries of up to w coefficients, w the caller's, and
+    `unpack(f, a, n, w)` lists its last n.  The others act at the column n
+    entries from the end, with zeros before it in b (and a, for `lead` and
+    `euclid`): `lead` tests a's entry there, `euclid` runs Euclid's loop on
+    the entries there with each quotient term applied to the whole row and
+    returns the rows (..., monic gcd, ...), (..., 0, ...), `divide`
+    subtracts the quotient there times b from a, and `fold_row(f, a, n, m,
+    w)` reduces the last n entries, each below degree 2m, modulo X^m - 1."""
 
     native: Callable  # (field, stripped codes) -> native form
     poly: Callable  # (field, native form) -> Poly
@@ -262,12 +275,19 @@ class _Kernel:
     sub: Callable
     mul: Callable
     divmod: Callable
-    euclid: Callable
     fold: Callable
+    pack: Callable
+    unpack: Callable
+    lead: Callable
+    euclid: Callable
+    divide: Callable
+    fold_row: Callable
 
     def egcd(self, f: Field, u, v):
-        one, zero = self.native(f, (1,)), self.native(f, ())
-        return self.euclid(f, [u, one, zero], [v, zero, one])[0]
+        one, zero, w = self.native(f, (1,)), self.native(f, ()), max(len(u), len(v)) + 1
+        a = self.pack(f, [self.native(f, u), one, zero], w)
+        b = self.pack(f, [self.native(f, v), zero, one], w)
+        return tuple(self.poly(f, x) for x in self.unpack(f, self.euclid(f, a, b, 3, w)[0], 3, w))
 
     def gcd(self, f: Field, a, b):
         while b:
@@ -278,29 +298,18 @@ class _Kernel:
         return self.native(f, (f.p - 1,) + (0,) * (m - 1) + (1,))  # -1 = p - 1
 
 
-# The bit-plane kernels run `euclid` on packed rows: a plane of a row is one
-# int, entry j in the j-th field of w bits from the top, so the leading
-# entry's degree is read off the bit length.  Every row in the run is
-# s*a + t*b with deg s <= deg b[0] and deg t <= deg a[0], so w = the most
-# bits of a leading entry plus the most bits of any other keeps every entry
-# inside its field.
+# The bit-plane kernels pack a row into one int per plane, entry j of n in
+# the j-th field of w bits from the top, so with zeros before the column
+# the bit length reads the degree there, and a quotient term costs one
+# shifted XOR or bitsliced sum for the whole row.  A Euclid run's rows are
+# s*a + t*b with deg s <= deg b[0], deg t <= deg a[0]: no entry spills into
+# the next field while a leading entry's and another's coefficients add up
+# to at most w + 1.
 
-def _pack_pairs(a: list, b: list):
-    """(w, the two planes of a, the two planes of b) for rows of pairs."""
-    n, bits = len(a), [x and (x[0] | x[1]).bit_length() for x in chain(a, b)]
-    w = max(bits[0], bits[n]) + max(bits[1:n] + bits[n + 1:], default=0)
-    x1 = x2 = y1 = y2 = 0
-    for u, v in zip(a, b):
-        u1, u2 = u or (0, 0)
-        v1, v2 = v or (0, 0)
-        x1, x2, y1, y2 = x1 << w | u1, x2 << w | u2, y1 << w | v1, y2 << w | v2
-    return w, x1, x2, y1, y2
-
-
-def _unpack_pairs(x1: int, x2: int, top: int, w: int) -> list:
-    mask, x = (1 << w) - 1, x1 | x2
-    return [(x1 >> s & mask, x2 >> s & mask) if x >> s & mask else 0
-            for s in range(top, -1, -w)]
+@lru_cache(maxsize=64)  # bounded: m comes from untrusted documents
+def _low_bits(n: int, m: int, w: int) -> int:
+    """The mask of the m lowest bits of each of the n lowest w-bit fields."""
+    return ((1 << n * w) - 1) // ((1 << w) - 1) * ((1 << m) - 1)
 
 
 # GF(2): a polynomial as the bitmask int of its coefficients (bit k for X^k),
@@ -335,6 +344,15 @@ def _mul2(f: Field, a: int, b: int) -> int:
     return out
 
 
+def _rem2(x: int, y: int) -> int:
+    """x less the multiples y << k that clear its bits from y's top bit
+    up: the :func:`_divmod2` loop without the quotient, on packed rows."""
+    d = y.bit_length()
+    while (k := x.bit_length() - d) >= 0:
+        x ^= y << k
+    return x
+
+
 def _divmod2(f: Field, a: int, b: int):
     """(quotient, remainder) bitmasks of a by b != 0 over GF(2)."""
     q, d = 0, b.bit_length()
@@ -346,22 +364,32 @@ def _divmod2(f: Field, a: int, b: int):
     return q, a
 
 
-def _euclid2(f: Field, a: list, b: list):
-    """euclid on GF(2) rows packed into one bitmask each: the
-    :func:`_divmod2` loop, run on the whole rows.  The gcd comes monic."""
-    bits = int.bit_length
-    n, w = len(a), max(bits(a[0]), bits(b[0])) + max(map(bits, a[1:] + b[1:]), default=0)
-    x = y = 0
-    for u, v in zip(a, b):
-        x, y = x << w | u, y << w | v
-    top = (n - 1) * w
-    while y >> top:
-        d = y.bit_length()
-        while (k := x.bit_length() - d) >= 0:
-            x ^= y << k
-        x, y = y, x
-    mask, shifts = (1 << w) - 1, range(top, -1, -w)
-    return [x >> s & mask for s in shifts], [y >> s & mask for s in shifts]
+def _pack2(f: Field, entries, w: int) -> int:
+    x = 0
+    for u in entries:
+        x = x << w | u
+    return x
+
+
+def _unpack2(f: Field, x: int, n: int, w: int) -> list:
+    mask = (1 << w) - 1
+    return [x >> s & mask for s in range((n - 1) * w, -1, -w)]
+
+
+def _euclid2(f: Field, x: int, y: int, n: int, w: int):
+    while y >> (n - 1) * w:  # the gcd comes monic
+        x, y = y, _rem2(x, y)
+    return x, y
+
+
+def _divide2(f: Field, x: int, y: int, n: int, w: int) -> int:
+    return x >> n * w << n * w | _rem2(x & ((1 << n * w) - 1), y)
+
+
+def _fold_row2(f: Field, x: int, n: int, m: int, w: int) -> int:
+    """Bits m to 2m - 1 of each of the last n fields XORed onto bit 0."""
+    low = _low_bits(n, m, w)
+    return x >> n * w << n * w | (x & low) ^ (x >> m & low)
 
 
 def _fold2(f: Field, x: int, m: int) -> int:
@@ -414,6 +442,26 @@ def _plane_codes(ones: int, twos: int) -> bytes:
 
 def _from_pair(f: Field, x) -> Poly:
     return _trusted(f, list(_plane_codes(*x)[::-1]) if x else [])
+
+
+# A row of pairs, over GF(3) or GF(4), is the pair of its packed planes.
+
+def _pack_pair(f: Field, entries, w: int) -> tuple:
+    x1 = x2 = 0
+    for u in entries:
+        u1, u2 = u or (0, 0)
+        x1, x2 = x1 << w | u1, x2 << w | u2
+    return x1, x2
+
+
+def _lead_pair(f: Field, a: tuple, n: int, w: int) -> int:
+    return (a[0] | a[1]) >> (n - 1) * w
+
+
+def _unpack_pair(f: Field, a: tuple, n: int, w: int) -> list:
+    (x1, x2), mask, x = a, (1 << w) - 1, a[0] | a[1]
+    return [(x1 >> s & mask, x2 >> s & mask) if x >> s & mask else 0
+            for s in range((n - 1) * w, -1, -w)]
 
 
 def _slots(ones: int, twos: int, n: int, s: int) -> int:
@@ -483,57 +531,60 @@ def _mul3(f: Field, a, b):
     return _pair(out.to_bytes(s * n, "big")[s - 1::s])
 
 
-def _divmod3(f: Field, a, b):
-    """(quotient, remainder) pairs of a by b != 0 over GF(3).  A divisor
-    with leading coefficient 2 is made monic by swapping its planes, and
-    the quotient's planes are swapped back.  Each quotient term is then the
-    remainder's leading coefficient c, and r - c*X^k*b is a sum with b's
-    planes shifted by k, swapped when c = 1.  Of two disjoint planes the
-    larger int holds the leading coefficient."""
+def _rem3(x1: int, x2: int, y1: int, y2: int) -> tuple:
+    """The planes of x less the multiples of y that clear its terms from
+    y's top term up: long division over GF(3), of a polynomial or of a
+    packed row.  A y led by 2 is made monic by swapping its planes; each
+    term is then x's leading coefficient c, and x - c*X^k*y is a sum with
+    y's planes shifted by k, swapped when c = 1.  Of two disjoint planes
+    the larger int holds the leading coefficient."""
+    if y2 > y1:
+        y1, y2 = y2, y1
+    support = y1 | y2
+    d = support.bit_length()
+    while (k := (x := x1 | x2).bit_length() - d) >= 0:
+        z1, z2 = (y1 << k, y2 << k) if x2 > x1 else (y2 << k, y1 << k)
+        c = x & (support << k)
+        x1, x2 = (x1 | z1) ^ c, (x2 | z2) ^ c
+    return x1, x2
+
+
+def _divmod_pair(rem: Callable, scale: Callable, f: Field, a, b):
+    """(quotient, remainder) pairs of a by b != 0 over GF(3) or GF(4): with
+    w bits for the quotient, rem takes the rows (a, 0), (b, -1) to (r, q).
+    The planes of -1, the code p - 1, are its two bits in both kernels.  A
+    constant b of code c gives the quotient scale(c, a)."""
     if not a:
         return 0, 0
-    b1, b2 = b
-    flip = b2 > b1
-    if flip:
-        b1, b2 = b2, b1
-    support = b1 | b2
-    d = support.bit_length()
-    if d == 1:  # a constant: the quotient is a or -a
-        return (a[1], a[0]) if flip else a, 0
-    r1, r2 = a
-    q1 = q2 = 0
-    while (k := (x := r1 | r2).bit_length() - d) >= 0:
-        if r2 > r1:
-            y1, y2 = b1 << k, b2 << k
-            q2 |= 1 << k
-        else:
-            y1, y2 = b2 << k, b1 << k
-            q1 |= 1 << k
-        c = x & (support << k)
-        r1, r2 = (r1 | y1) ^ c, (r2 | y2) ^ c
-    if flip:
-        q1, q2 = q2, q1
-    return (q1, q2) if q1 | q2 else 0, (r1, r2) if r1 | r2 else 0
+    (b1, b2), c = b, f.p - 1
+    if (w := (a[0] | a[1]).bit_length() - (b1 | b2).bit_length() + 1) <= 0:
+        return 0, a
+    if b1 | b2 == 1:
+        return scale(b1 | b2 << 1, a), 0
+    x1, x2 = rem(a[0] << w, a[1] << w, b1 << w | c & 1, b2 << w | c >> 1)
+    q, r = (x1 & (1 << w) - 1, x2 & (1 << w) - 1), (x1 >> w, x2 >> w)
+    return (q if q[0] | q[1] else 0), (r if r[0] | r[1] else 0)
 
 
-def _euclid3(f: Field, a: list, b: list):
-    """euclid on GF(3) rows packed into one pair of planes each: the
-    :func:`_divmod3` loop, run on the whole rows, and the gcd made monic."""
-    w, x1, x2, y1, y2 = _pack_pairs(a, b)
-    top = (len(a) - 1) * w
-    while (y1 | y2) >> top:
-        if y2 > y1:
-            y1, y2 = y2, y1
-        support = y1 | y2
-        d = support.bit_length()
-        while (k := (x := x1 | x2).bit_length() - d) >= 0:
-            z1, z2 = (y1 << k, y2 << k) if x2 > x1 else (y2 << k, y1 << k)
-            c = x & (support << k)
-            x1, x2 = (x1 | z1) ^ c, (x2 | z2) ^ c
-        x1, x2, y1, y2 = y1, y2, x1, x2
-    if x2 > x1:
-        x1, x2 = x2, x1
-    return _unpack_pairs(x1, x2, top, w), _unpack_pairs(y1, y2, top, w)
+def _euclid3(f: Field, a: tuple, b: tuple, n: int, w: int):
+    while (b[0] | b[1]) >> (n - 1) * w:
+        a, b = b, _rem3(*a, *b)
+    return (a if a[0] >= a[1] else a[::-1]), b  # the gcd made monic
+
+
+def _divide_pair(rem: Callable, f: Field, a: tuple, b: tuple, n: int, w: int) -> tuple:
+    """divide on rows of pairs: rem on a's last n entries."""
+    s, last = n * w, (1 << n * w) - 1
+    x1, x2 = rem(a[0] & last, a[1] & last, *b)
+    return a[0] >> s << s | x1, a[1] >> s << s | x2
+
+
+def _fold_row3(f: Field, a: tuple, n: int, m: int, w: int) -> tuple:
+    """`_fold_row2` with one bitsliced sum of the low and the high parts."""
+    (x1, x2), low, s = a, _low_bits(n, m, w), n * w
+    l1, l2, h1, h2 = x1 & low, x2 & low, x1 >> m & low, x2 >> m & low
+    c = (l1 | l2) & (h1 | h2)
+    return x1 >> s << s | (l1 | h1) ^ c, x2 >> s << s | (l2 | h2) ^ c
 
 
 def _fold3(f: Field, x, m: int):
@@ -604,48 +655,32 @@ def _mul4(f: Field, a, b):
     return low ^ _mul2(f, a1, b1), _mul2(f, a0 ^ a1, b0 ^ b1) ^ low
 
 
-def _divmod4(f: Field, a, b):
-    """(quotient, remainder) pairs of a by b != 0 over GF(4).  The divisor
-    is made monic by a plane permutation and its three scalar multiples
-    are formed once; each quotient term c*X^k then takes one shifted XOR
-    per plane.  The quotient is scaled back at the end."""
-    if not a:
-        return 0, 0
-    d = (b[0] | b[1]).bit_length()
-    inv = _INV4[_lead4(*b, d - 1)]
-    if d == 1:  # a constant: the quotient is a / b
-        return _scaled4(inv, a), 0
-    b0, b1 = _scaled4(inv, b)
-    mults = (None, (b0, b1), (b1, b0 ^ b1), (b0 ^ b1, b0))
-    r0, r1 = a
-    q0 = q1 = 0
-    while (k := (r0 | r1).bit_length() - d) >= 0:
-        c = _lead4(r0, r1, k + d - 1)
-        y0, y1 = mults[c]
-        r0 ^= y0 << k
-        r1 ^= y1 << k
-        q0 |= (c & 1) << k
-        q1 |= (c >> 1) << k
-    return (_scaled4(inv, (q0, q1)) if q0 | q1 else 0), ((r0, r1) if r0 | r1 else 0)
+def _rem4(x0: int, x1: int, y0: int, y1: int) -> tuple:
+    """The planes of x less the multiples of y that clear its terms from
+    y's top term up: long division over GF(4), of a polynomial or of a
+    packed row.  y is made monic by a plane permutation and its three
+    scalar multiples are formed once; each term c*X^k then takes one
+    shifted XOR per plane."""
+    d = (y0 | y1).bit_length()
+    y0, y1 = _scaled4(_INV4[_lead4(y0, y1, d - 1)], (y0, y1))
+    mults = (None, (y0, y1), (y1, y0 ^ y1), (y0 ^ y1, y0))
+    while (k := (x0 | x1).bit_length() - d) >= 0:
+        z0, z1 = mults[_lead4(x0, x1, k + d - 1)]
+        x0 ^= z0 << k
+        x1 ^= z1 << k
+    return x0, x1
 
 
-def _euclid4(f: Field, a: list, b: list):
-    """euclid on GF(4) rows packed into one pair of planes each: the
-    :func:`_divmod4` loop, run on the whole rows, and the gcd made monic."""
-    w, x0, x1, y0, y1 = _pack_pairs(a, b)
-    top = (len(a) - 1) * w
-    while (y0 | y1) >> top:
-        d = (y0 | y1).bit_length()
-        y0, y1 = _scaled4(_INV4[_lead4(y0, y1, d - 1)], (y0, y1))
-        mults = (None, (y0, y1), (y1, y0 ^ y1), (y0 ^ y1, y0))
-        while (k := (x0 | x1).bit_length() - d) >= 0:
-            z0, z1 = mults[_lead4(x0, x1, k + d - 1)]
-            x0 ^= z0 << k
-            x1 ^= z1 << k
-        x0, x1, y0, y1 = y0, y1, x0, x1
-    if (x0 | x1) >> top:
-        x0, x1 = _scaled4(_INV4[_lead4(x0, x1, (x0 | x1).bit_length() - 1)], (x0, x1))
-    return _unpack_pairs(x0, x1, top, w), _unpack_pairs(y0, y1, top, w)
+def _euclid4(f: Field, a: tuple, b: tuple, n: int, w: int):
+    while (b[0] | b[1]) >> (n - 1) * w:
+        a, b = b, _rem4(*a, *b)
+    if (x := a[0] | a[1]) >> (n - 1) * w:  # the gcd made monic
+        a = _scaled4(_INV4[_lead4(*a, x.bit_length() - 1)], a)
+    return a, b
+
+
+def _fold_row4(f: Field, a: tuple, n: int, m: int, w: int) -> tuple:
+    return _fold_row2(f, a[0], n, m, w), _fold_row2(f, a[1], n, m, w)
 
 
 def _fold4(f: Field, x, m: int):
@@ -792,19 +827,9 @@ def _divmod_ext(f: Field, a, b):
 
 
 def _code_kernel(add, sub, mul, divmod_) -> _Kernel:
-    """The kernel on code lists with the given operations, and euclid
-    (Euclid's loop, each quotient applied to the rest of the row by one
-    product and one difference per entry, then a division of the gcd row by
-    the gcd's leading coefficient) and fold built on them."""
-
-    def euclid(f: Field, a: list, b: list):
-        while b[0]:
-            q, r = divmod_(f, a[0], b[0])
-            a, b = b, [r] + [sub(f, x, mul(f, q, y)) for x, y in zip(a[1:], b[1:])]
-        if a[0] and a[0][-1] != 1:
-            lead = a[0][-1:]
-            a = [divmod_(f, x, lead)[0] for x in a]
-        return a, b
+    """The kernel on code lists with the given operations, and the fold and
+    the row operations built on them: a row is the list of its entries,
+    each quotient applied by one product and one difference per entry."""
 
     def fold(f: Field, codes, m: int):
         out = codes[:m]
@@ -812,12 +837,38 @@ def _code_kernel(add, sub, mul, divmod_) -> _Kernel:
             out = add(f, out, codes[i:i + m])
         return out
 
-    return _Kernel(_codes, _trusted, add, sub, mul, divmod_, euclid, fold)
+    def euclid(f: Field, a: list, b: list, n: int, w: int):
+        c = len(a) - n
+        while b[c]:
+            q, r = divmod_(f, a[c], b[c])
+            a, b = b, a[:c] + [r] + [sub(f, x, mul(f, q, y)) for x, y in zip(a[c + 1:], b[c + 1:])]
+        if a[c] and a[c][-1] != 1:
+            a = [divmod_(f, x, a[c][-1:])[0] for x in a]
+        return a, b
+
+    def divide(f: Field, a: list, b: list, n: int, w: int) -> list:
+        c = len(a) - n
+        q = divmod_(f, a[c], b[c])[0]
+        return a[:c] + [sub(f, x, mul(f, q, y)) for x, y in zip(a[c:], b[c:])] if q else a
+
+    def fold_row(f: Field, a: list, n: int, m: int, w: int) -> list:
+        return a[:len(a) - n] + [fold(f, x, m) for x in a[len(a) - n:]]
+
+    return _Kernel(_codes, _trusted, add, sub, mul, divmod_, fold,
+                   lambda f, entries, w: list(entries), lambda f, a, n, w: a[-n:],
+                   lambda f, a, n, w: a[-n], euclid, divide, fold_row)
 
 
-_GF2 = _Kernel(_to_mask, _from_mask, _xor, _xor, _mul2, _divmod2, _euclid2, _fold2)
-_GF3 = _Kernel(_to_pair, _from_pair, _add3, _sub3, _mul3, _divmod3, _euclid3, _fold3)
-_GF4 = _Kernel(_to_planes, _from_pair, _add4, _add4, _mul4, _divmod4, _euclid4, _fold4)
+_GF2 = _Kernel(_to_mask, _from_mask, _xor, _xor, _mul2, _divmod2, _fold2, _pack2, _unpack2,
+               lambda f, x, n, w: x >> (n - 1) * w, _euclid2, _divide2, _fold_row2)
+_GF3 = _Kernel(_to_pair, _from_pair, _add3, _sub3, _mul3,
+               partial(_divmod_pair, _rem3, lambda c, a: a if c == 1 else a[::-1]), _fold3,
+               _pack_pair, _unpack_pair, _lead_pair, _euclid3, partial(_divide_pair, _rem3),
+               _fold_row3)
+_GF4 = _Kernel(_to_planes, _from_pair, _add4, _add4, _mul4,
+               partial(_divmod_pair, _rem4, lambda c, a: _scaled4(_INV4[c], a)), _fold4,
+               _pack_pair, _unpack_pair, _lead_pair, _euclid4, partial(_divide_pair, _rem4),
+               _fold_row4)
 _GFP = _code_kernel(_add_p, _sub_p, _kronecker_mul, _divmod_p)
 _EXT = _code_kernel(_add_ext, _sub_ext, _mul_ext, _divmod_ext)
 
@@ -880,10 +931,7 @@ def poly_egcd(u: Poly, v: Poly):
     if u.is_zero and v.is_zero:
         raise BothZero("egcd(0, 0) is undefined")
     u._check(v)
-    f = u.field
-    k = _kernel(f)
-    return tuple(k.poly(f, x)
-                 for x in k.egcd(f, k.native(f, u.coeffs), k.native(f, v.coeffs)))
+    return _kernel(u.field).egcd(u.field, u.coeffs, v.coeffs)
 
 
 def modular_substitute(p: Poly, e: int, N: int, shift: int = 0) -> Poly:

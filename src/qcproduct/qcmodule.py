@@ -181,52 +181,60 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
     Triangularization runs column by column: all rows active at a column
     are folded into a single pivot, each fold a unimodular row transform,
     so the row span never changes.  A fold is the kernel's `euclid` on the
-    pivot row and the row from the column on: Euclid's algorithm on the
-    two entries there, every quotient term applied to the whole row, ends
-    with the monic gcd leading the new pivot row and zero leading the other
+    pivot row and the row at the column: Euclid's algorithm on the two
+    entries there, every quotient term applied to the whole row, ends with
+    the monic gcd leading the new pivot row and zero leading the other
     row, which returns to the pending rows.  When the pivot divides the
     entry that is one step.  Every diagonal is a monic divisor of X^m - 1:
     the (X^m-1)e_j row always reaches its own column untouched, so the
     pivot there is that row or a gcd with it.  While column col is
     processed every (X^m-1)e_k row with k > col is still pending, so
     reducing the entries right of the column modulo X^m - 1 after each fold
-    changes neither the submodule nor the result, and keeps them below
-    degree 2m inside a fold.  Entries above each diagonal are then reduced
-    modulo it.  A diagonal is all of X^m - 1 only where the (X^m-1)e_i row
-    was alone at its column, with a zero tail.  The result is unique per
-    submodule.
+    changes neither the submodule nor the result.  Entries above each
+    diagonal are then reduced modulo it by the kernel's `divide`, and those
+    right of it folded again: (X^m-1)e_k for k > col lies in the span of
+    pivots k, ..., ell-1, so the row stays in the submodule with the same
+    entries up to the column.  A diagonal is all of X^m - 1 only where the
+    (X^m-1)e_i row was alone at its column, with a zero tail.  The result
+    is unique per submodule.
 
-    The loop runs in the field's kernel (``polyring._kernel``) on native
-    entries, and a ``Poly`` is built only for the returned basis.
+    Each row is packed once in the field's kernel (``polyring._kernel``),
+    at w = 2m + 1 coefficients an entry, and unpacked once for the result.
+    A fold starts from leading entries of degree at most m and others below
+    m, and its rows are s*a + t*b with deg s, deg t <= m, so no entry passes
+    degree 2m - 1; above a diagonal, quotient and entries are below m.  So
+    w, the m + 1 coefficients of a leading entry and the m of any other,
+    has one to spare.
     """
     f, ell, m = gen.field, gen.ell, gen.m
-    k = _kernel(f)
-    native, sub, mul, div, euclid, fold = k.native, k.sub, k.mul, k.divmod, k.euclid, k.fold
-    zero = native(f, ())
-    full = k.xm1(f, m)
-    pending = [[fold(f, native(f, p.coeffs), m) for p in row] for row in gen.rows]
-    pending += ([zero] * j + [full] + [zero] * (ell - 1 - j) for j in range(ell))
+    k, w = _kernel(f), 2 * m + 1
+    native, pack, lead, euclid, fold_row = k.native, k.pack, k.lead, k.euclid, k.fold_row
+    zero, full = native(f, ()), k.xm1(f, m)
+    pending = [pack(f, [native(f, p.coeffs) if len(p.coeffs) <= m
+                        else k.fold(f, native(f, p.coeffs), m) for p in row], w)
+               for row in gen.rows]
+    pending += (pack(f, [zero] * j + [full] + [zero] * (ell - 1 - j), w) for j in range(ell))
 
     pivots = []
     for col in range(ell):
-        active = [r[col:] for r in pending if r[col]]
-        pending = [r for r in pending if not r[col]]
+        n = ell - col
+        active, pending, rest = [], [], pending
+        for r in rest:
+            (active if lead(f, r, n, w) else pending).append(r)
         acc = active[0]
         for row in active[1:]:
-            acc, low = euclid(f, acc, row)
-            acc[1:] = [fold(f, x, m) for x in acc[1:]]
-            pending.append([zero] * (col + 1) + [fold(f, x, m) for x in low[1:]])
-        pivots.append([zero] * col + acc)
+            acc, low = euclid(f, acc, row, n, w)
+            acc = fold_row(f, acc, n - 1, m, w)
+            pending.append(fold_row(f, low, n - 1, m, w))
+        pivots.append(acc)
 
     # leftover rows have zeros at every position; nothing to keep
-    # reduce above-diagonal entries modulo the diagonal, left to right
     for col in range(1, ell):
-        d = pivots[col]
-        for row in pivots[:col]:
-            q = div(f, row[col], d[col])[0]
-            if q:
-                row[col:] = [sub(f, x, mul(f, q, y)) for x, y in zip(row[col:], d[col:])]
-    return RgbPotBasis(f, ell, m, [[k.poly(f, x) for x in row] for row in pivots])
+        d, n = pivots[col], ell - col
+        pivots[:col] = [fold_row(f, k.divide(f, row, d, n, w), n - 1, m, w)
+                        for row in pivots[:col]]
+    return RgbPotBasis(f, ell, m, [[k.poly(f, x) for x in k.unpack(f, row, ell, w)]
+                                   for row in pivots])
 
 
 def is_rgb_pot(b: RgbPotBasis):

@@ -1,15 +1,18 @@
 """The kernels' `euclid` and the `egcd` built on it, against references
 that share no code with them.
 
-`egcd` is `euclid(f, [u, 1, 0], [v, 0, 1])[0]`; `egcdref` keeps one egcd
-loop per kind of field.  Over GF(2), GF(3) and GF(4) `euclid` packs each
-row into one int per plane, entry j in the j-th field of w bits, and a
-field too narrow for an entry lets it spill into the next.  `row_euclid`
-below runs the same algorithm on lists of `Poly` entries, one division of
-the leading entries and one product and one difference per other entry
-at each step, with no packing.  The rows are drawn to need the full
-width: tails up to degree 3m that are not folded modulo X^m - 1, the pivot
-X^m - 1, leading coefficients other than 1, one-entry rows and zero tails.
+`egcd` is `euclid` on the rows (u, 1, 0) and (v, 0, 1); `egcdref` keeps
+one egcd loop per kind of field.  Over GF(2), GF(3) and GF(4) a row is
+packed into one int per plane, entry j in the j-th field of w bits, and a
+field too narrow for an entry lets it spill into the next.  The rows here
+are packed at w = the most coefficients of a leading entry plus the most
+of any other entry, the rule `egcd` follows with its tails of one
+coefficient.  `row_euclid` below runs the
+same algorithm on lists of `Poly` entries, one division of the leading
+entries and one product and one difference per other entry at each step,
+with no packing.  The rows are drawn to need the full width: tails up to
+degree 3m that are not folded modulo X^m - 1, the pivot X^m - 1, leading
+coefficients other than 1, one-entry rows and zero tails.
 """
 
 from hypothesis import given, settings
@@ -51,9 +54,8 @@ def test_egcd_matches_the_reference_loops(data):
     for x, y in pairs:
         if x.is_zero and y.is_zero:
             continue
-        a, b = _native(k, f, x), _native(k, f, y)
-        got = [k.poly(f, g) for g in k.egcd(f, a, b)]
-        want = [k.poly(f, g) for g in egcdref.egcd(f, a, b)]
+        got = k.egcd(f, x.coeffs, y.coeffs)
+        want = tuple(k.poly(f, g) for g in egcdref.egcd(f, _native(k, f, x), _native(k, f, y)))
         assert got == want
         g, s, t = got
         assert s * x + t * y == g and g.is_monic
@@ -107,9 +109,11 @@ def row_pairs(draw):
 def test_euclid_matches_the_row_reference(case):
     f, a, b = case
     k = _kernel(f)
-    top, low = (
-        [k.poly(f, x) for x in row]
-        for row in k.euclid(f, [_native(k, f, x) for x in a], [_native(k, f, x) for x in b]))
+    n = len(a)
+    w = max(len(a[0].coeffs), len(b[0].coeffs)) + max(
+        (len(x.coeffs) for x in a[1:] + b[1:]), default=0)
+    top, low = ([k.poly(f, x) for x in k.unpack(f, row, n, w)] for row in k.euclid(
+        f, *(k.pack(f, [_native(k, f, x) for x in r], w) for r in (a, b)), n, w))
     want_top, want_low = row_euclid(a, b)
     assert top == want_top
     assert low[0].is_zero

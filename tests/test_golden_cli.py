@@ -37,7 +37,11 @@ root-of-unity search ran through all of GF(65521), from before that search
 skipped the prime-field candidates that cannot have order m, and the
 reductions of full random ell-4 matrices over GF(5) (m 12) and GF(9)
 (m 10), on the code-list kernels, from before a column fold ran Euclid's
-algorithm on whole rows.
+algorithm on whole rows, and the reductions of scrambled matrices with
+divisors of X^m - 1 as pivots and tails of degree m - 1 over GF(2) (ell 5,
+m 21), GF(3) (ell 4, m 20) and GF(4) (ell 4, m 15), each with at least two
+diagonals other than 1, from before reduction kept its rows packed at one
+width from start to end.
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -61,6 +65,9 @@ CASES = {
     "reduce_matrix_divisors_gf2": ["reduce", "matrix_divisors_gf2.json"],
     "reduce_matrix_gf5": ["reduce", "matrix_gf5.json"],
     "reduce_matrix_gf9": ["reduce", "matrix_gf9.json"],
+    "reduce_matrix_full_width_gf2": ["reduce", "matrix_full_width_gf2.json"],
+    "reduce_matrix_full_width_gf3": ["reduce", "matrix_full_width_gf3.json"],
+    "reduce_matrix_full_width_gf4": ["reduce", "matrix_full_width_gf4.json"],
     "product_gf2": ["product", "row_code_gf2.json", "column_code_gf2.json"],
     "product_gf3": ["product", "row_code_gf3.json", "column_code_gf3.json"],
     "product_gf4": ["product", "row_code_gf4.json", "column_code_gf4.json"],
