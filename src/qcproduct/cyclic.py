@@ -63,7 +63,7 @@ def _prime_power(q: int) -> tuple[int, int]:
     raise NotPrime(f"{q} is not a power of a prime below {_MAX_CHARACTERISTIC}")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)  # bounded: q may come from untrusted input
 def field_of_order(q: int) -> Field:
     """GF(q) with the default (deterministic) modulus."""
     return Field(*_prime_power(q))
@@ -103,7 +103,7 @@ _MAX_EXTENSION_DEGREE = 64
 _MAX_EMBEDDED_ORDER = 1 << 16
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)  # bounded: q and m may come from untrusted input
 def _root_context(q: int, m: int):
     """Shared machinery for minimal-polynomial computation over GF(q):
     the base field, the extension containing an m-th root of unity, the

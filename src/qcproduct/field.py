@@ -160,7 +160,7 @@ def _frobenius_irreducible(coeffs, p) -> bool:
     checkpoints = {r // s for s in _prime_factors(r)}
     for j in range(1, r + 1):
         h = _power(mul, h, p, one)
-        if j in checkpoints and k.poly(prime, k.gcd(prime, f, k.sub(prime, h, x))).degree:
+        if j in checkpoints and k.poly(prime, k.gcd(prime, f, k.sub(prime, h, x), r + 1)).degree:
             return False
     return h == x
 
@@ -170,7 +170,7 @@ def _prime_field(p: int) -> "Field":
     return Field(p)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)  # bounded: p and m may come from untrusted input
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over GF(p),
     comparing coefficients high-to-low.
@@ -272,7 +272,7 @@ def poly_text_to_coeffs(text: str) -> tuple[int, ...]:
     Every ASCII whitespace character is ignored, ``x`` reads as ``X``, the
     first sign may be left out, and the terms of one exponent are summed;
     PolyParseError names the first place where no signed term starts.
-    Dense ascending form: ``1,0,1,1,1,0,0,0,1``.
+    Dense ascending form: ``1,0,1,1,1,0,0,0,1``.  Either reads up to X^_MAX_EXPONENT.
     The caller maps coefficients into its field (negatives become field
     negations, so ``X^17-1`` reads naturally in any characteristic).
     """
@@ -280,6 +280,8 @@ def poly_text_to_coeffs(text: str) -> tuple[int, ...]:
     if not s:
         raise PolyParseError("empty polynomial text")
     if "," in s and _DENSE_RE.match(s):
+        if s.count(",") > _MAX_EXPONENT:
+            raise PolyParseError(f"dense list longer than {_MAX_EXPONENT + 1} codes")
         try:
             coeffs = [int(part.strip()) for part in s.split(",")]
         except ValueError as exc:
@@ -533,7 +535,7 @@ def nth_root_of_unity(field: Field, n: int) -> int:
     of n need checking).  The first candidate that is a primitive element
     always succeeds, so the loop terminates early and deterministically.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise NoSuchRoot(f"order must be a positive integer, got {n!r}")
     if (field.q - 1) % n != 0:
         raise NoSuchRoot(f"{n} does not divide q - 1 = {field.q - 1}")

@@ -29,7 +29,7 @@ from .errors import (
     TooLarge,
 )
 from .field import Field
-from .polyring import Poly, _positive, fold_mod_xm1
+from .polyring import Poly, _integer, _positive, fold_mod_xm1
 from .product import (
     CodewordMatrix,
     ProductParams,
@@ -425,6 +425,7 @@ _MESSAGE_LIMIT = 1 << 22
 def _distance_search(view: LinearCodeView, limit: int = _MESSAGE_LIMIT):
     """(d, messages the search walked, search name) for `min_distance`,
     which documents the rule that picks the search."""
+    limit = _integer("limit", limit, TooLarge)
     f, k = view.field, view.k
     if k == 0:
         return None, 0, "exhaustive"

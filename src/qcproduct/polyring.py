@@ -39,11 +39,11 @@ kernels pack a row into one int per plane, entry j in the j-th field of w
 bits from the top; the kernels on code lists keep the list of entries
 (:func:`_code_kernel`).  The caller chooses w once: canonical reduction
 2m + 1 for its whole run, the egcd one more than its longer operand.  The
-row operations then carry each quotient term of Euclid's loop (`euclid`)
-or of a division at one column (`divide`), and the fold modulo X^m - 1
-(`fold_row`), along whole rows.  The bit-plane kernels share one
-long-division loop per field among `euclid`, `divide` and, over GF(3) and
-GF(4), `divmod`, which runs it on the rows (a, 0) and (b, -1).
+row operations carry along whole rows each quotient term of Euclid's loop
+(`euclid`, also the gcd's) or of a division at one column (`divide`), and
+the fold modulo X^m - 1 (`fold_row`).  Each bit-plane kernel has one long
+division, which `divmod` runs on the rows (a, 0) and (b, -1), and one
+fold, which `fold` runs on a one-entry row.
 """
 
 from __future__ import annotations
@@ -257,8 +257,8 @@ class _Kernel:
     """Polynomial arithmetic over one kind of field on a native form, in
     which zero is the one false value.  Every function takes the field
     first and changes no operand.  `egcd` takes two code sequences and
-    returns (g, s, t) as :func:`poly_egcd` does, `gcd` is a gcd not made
-    monic, `fold` reduces modulo X^m - 1, `xm1` is X^m - 1.  A row of
+    returns (g, s, t) as :func:`poly_egcd` does, `gcd(f, a, b, w)` the
+    monic gcd, `fold` reduces modulo X^m - 1, `xm1` is X^m - 1.  A row of
     native entries has a form only the kernel reads: `pack(f, entries, w)`
     makes one for entries of up to w coefficients, w the caller's, and
     `unpack(f, a, n, w)` lists its last n.  The others act at the column n
@@ -289,10 +289,9 @@ class _Kernel:
         b = self.pack(f, [self.native(f, v), zero, one], w)
         return tuple(self.poly(f, x) for x in self.unpack(f, self.euclid(f, a, b, 3, w)[0], 3, w))
 
-    def gcd(self, f: Field, a, b):
-        while b:
-            a, b = b, self.divmod(f, a, b)[1]
-        return a
+    def gcd(self, f: Field, a, b, w: int):
+        g = self.euclid(f, self.pack(f, [a], w), self.pack(f, [b], w), 1, w)[0]
+        return self.unpack(f, g, 1, w)[0]
 
     def xm1(self, f: Field, m: int):
         return self.native(f, (f.p - 1,) + (0,) * (m - 1) + (1,))  # -1 = p - 1
@@ -346,7 +345,7 @@ def _mul2(f: Field, a: int, b: int) -> int:
 
 def _rem2(x: int, y: int) -> int:
     """x less the multiples y << k that clear its bits from y's top bit
-    up: the :func:`_divmod2` loop without the quotient, on packed rows."""
+    up: long division over GF(2), of a polynomial or of a packed row."""
     d = y.bit_length()
     while (k := x.bit_length() - d) >= 0:
         x ^= y << k
@@ -354,14 +353,13 @@ def _rem2(x: int, y: int) -> int:
 
 
 def _divmod2(f: Field, a: int, b: int):
-    """(quotient, remainder) bitmasks of a by b != 0 over GF(2)."""
-    q, d = 0, b.bit_length()
-    if d == 1:  # b = 1
+    """(quotient, remainder) of a by b != 0: `_rem2` on the rows (a, 0), (b, 1)."""
+    if (w := a.bit_length() - b.bit_length() + 1) <= 0:
+        return 0, a
+    if b == 1:
         return a, 0
-    while (k := a.bit_length() - d) >= 0:
-        q |= 1 << k
-        a ^= b << k
-    return q, a
+    x = _rem2(a << w, b << w | 1)
+    return x & (1 << w) - 1, x >> w
 
 
 def _pack2(f: Field, entries, w: int) -> int:
@@ -392,14 +390,13 @@ def _fold_row2(f: Field, x: int, n: int, m: int, w: int) -> int:
     return x >> n * w << n * w | (x & low) ^ (x >> m & low)
 
 
-def _fold2(f: Field, x: int, m: int) -> int:
-    """fold_mod_xm1 on a GF(2) bitmask: the bits from k up are XORed back
-    onto bit 0, k the least multiple of m (X^k = 1) that is at least half
-    the bit length, until none are left from m up: O(log(D/m)) passes."""
-    while (b := x.bit_length()) > m:
+def _fold(fold_row: Callable, f: Field, x, m: int):
+    """fold_mod_xm1 on a bitmask or a pair of b bits: fold_row on a one-entry
+    row of width 2k modulo X^k = 1, k the least multiple of m >= b/2, till b <= m."""
+    while (b := (x if type(x) is int else x[0] | x[1]).bit_length()) > m:
         k = -(-b // (2 * m)) * m
-        x = (x & ((1 << k) - 1)) ^ (x >> k)
-    return x
+        x = fold_row(f, x, 1, k, 2 * k)
+    return x if b else 0  # zero as the int 0
 
 
 # GF(3): a polynomial as the pair (ones, twos) of bitmask ints, bit k of
@@ -456,6 +453,11 @@ def _pack_pair(f: Field, entries, w: int) -> tuple:
 
 def _lead_pair(f: Field, a: tuple, n: int, w: int) -> int:
     return (a[0] | a[1]) >> (n - 1) * w
+
+
+def _lead4(lo: int, hi: int, top: int) -> int:
+    """The code of X^top, the highest term of (lo, hi), over GF(3) or GF(4)."""
+    return lo >> top | (hi >> top) << 1
 
 
 def _unpack_pair(f: Field, a: tuple, n: int, w: int) -> list:
@@ -549,27 +551,35 @@ def _rem3(x1: int, x2: int, y1: int, y2: int) -> tuple:
     return x1, x2
 
 
-def _divmod_pair(rem: Callable, scale: Callable, f: Field, a, b):
+def _over3(c: int, a: tuple) -> tuple:  # a/c: 1/2 = 2 swaps the planes
+    return a if c == 1 else a[::-1]
+
+
+def _divmod_pair(rem: Callable, over: Callable, f: Field, a, b):
     """(quotient, remainder) pairs of a by b != 0 over GF(3) or GF(4): with
     w bits for the quotient, rem takes the rows (a, 0), (b, -1) to (r, q).
     The planes of -1, the code p - 1, are its two bits in both kernels.  A
-    constant b of code c gives the quotient scale(c, a)."""
+    constant b of code c gives the quotient over(c, a), a divided by c."""
     if not a:
         return 0, 0
     (b1, b2), c = b, f.p - 1
     if (w := (a[0] | a[1]).bit_length() - (b1 | b2).bit_length() + 1) <= 0:
         return 0, a
     if b1 | b2 == 1:
-        return scale(b1 | b2 << 1, a), 0
+        return over(b1 | b2 << 1, a), 0
     x1, x2 = rem(a[0] << w, a[1] << w, b1 << w | c & 1, b2 << w | c >> 1)
     q, r = (x1 & (1 << w) - 1, x2 & (1 << w) - 1), (x1 >> w, x2 >> w)
     return (q if q[0] | q[1] else 0), (r if r[0] | r[1] else 0)
 
 
-def _euclid3(f: Field, a: tuple, b: tuple, n: int, w: int):
+def _euclid_pair(rem: Callable, over: Callable, f: Field, a: tuple, b: tuple, n: int, w: int):
+    """euclid on rows of pairs over GF(3) or GF(4): rem per step, then the
+    gcd row divided by its leading coefficient's code (`over`)."""
     while (b[0] | b[1]) >> (n - 1) * w:
-        a, b = b, _rem3(*a, *b)
-    return (a if a[0] >= a[1] else a[::-1]), b  # the gcd made monic
+        a, b = b, rem(*a, *b)
+    if (x := a[0] | a[1]) >> (n - 1) * w:
+        a = over(_lead4(*a, x.bit_length() - 1), a)
+    return a, b
 
 
 def _divide_pair(rem: Callable, f: Field, a: tuple, b: tuple, n: int, w: int) -> tuple:
@@ -585,16 +595,6 @@ def _fold_row3(f: Field, a: tuple, n: int, m: int, w: int) -> tuple:
     l1, l2, h1, h2 = x1 & low, x2 & low, x1 >> m & low, x2 >> m & low
     c = (l1 | l2) & (h1 | h2)
     return x1 >> s << s | (l1 | h1) ^ c, x2 >> s << s | (l2 | h2) ^ c
-
-
-def _fold3(f: Field, x, m: int):
-    """fold_mod_xm1 on a GF(3) pair, halving as `_fold2` does: the
-    coefficients from k up are added back onto X^0."""
-    while x and (b := (x[0] | x[1]).bit_length()) > m:
-        k = -(-b // (2 * m)) * m
-        low = (1 << k) - 1
-        x = _add3(f, (x[0] & low, x[1] & low), (x[0] >> k, x[1] >> k))
-    return x
 
 
 # GF(4): a polynomial as the pair (lo, hi) of GF(2) bitmask ints, its two
@@ -616,23 +616,15 @@ def _to_planes(f: Field, codes):
     return _pair(bytes(codes)[::-1], _LO_DIGIT, _HI_DIGIT) if codes else 0
 
 
-def _scaled4(c: int, planes: tuple) -> tuple:
-    """c times every (lo, hi) pair in the flat tuple planes, c a nonzero
-    code: a*(lo, hi) = (hi, lo ^ hi) and a^2*(lo, hi) = (lo ^ hi, lo)."""
+def _over4(c: int, planes: tuple) -> tuple:
+    """Every (lo, hi) pair in the flat tuple planes divided by the nonzero
+    code c: (lo, hi)/a = a^2*(lo, hi) = (lo ^ hi, lo) and (lo, hi)/a^2 =
+    a*(lo, hi) = (hi, lo ^ hi)."""
     if c == 1:
         return planes
     lo, hi = planes[::2], planes[1::2]
     mixed = map(xor, lo, hi)
-    return tuple(chain.from_iterable(zip(hi, mixed) if c == 2 else zip(mixed, lo)))
-
-
-def _lead4(lo: int, hi: int, top: int) -> int:
-    """The code of the coefficient of X^top, the highest term of (lo, hi)."""
-    return lo >> top | (hi >> top) << 1
-
-
-# the inverses of the codes 1, a (2) and a^2 = a + 1 (3)
-_INV4 = (0, 1, 3, 2)
+    return tuple(chain.from_iterable(zip(mixed, lo) if c == 2 else zip(hi, mixed)))
 
 
 def _add4(f: Field, a, b):
@@ -662,7 +654,7 @@ def _rem4(x0: int, x1: int, y0: int, y1: int) -> tuple:
     scalar multiples are formed once; each term c*X^k then takes one
     shifted XOR per plane."""
     d = (y0 | y1).bit_length()
-    y0, y1 = _scaled4(_INV4[_lead4(y0, y1, d - 1)], (y0, y1))
+    y0, y1 = _over4(_lead4(y0, y1, d - 1), (y0, y1))
     mults = (None, (y0, y1), (y1, y0 ^ y1), (y0 ^ y1, y0))
     while (k := (x0 | x1).bit_length() - d) >= 0:
         z0, z1 = mults[_lead4(x0, x1, k + d - 1)]
@@ -671,24 +663,8 @@ def _rem4(x0: int, x1: int, y0: int, y1: int) -> tuple:
     return x0, x1
 
 
-def _euclid4(f: Field, a: tuple, b: tuple, n: int, w: int):
-    while (b[0] | b[1]) >> (n - 1) * w:
-        a, b = b, _rem4(*a, *b)
-    if (x := a[0] | a[1]) >> (n - 1) * w:  # the gcd made monic
-        a = _scaled4(_INV4[_lead4(*a, x.bit_length() - 1)], a)
-    return a, b
-
-
 def _fold_row4(f: Field, a: tuple, n: int, m: int, w: int) -> tuple:
     return _fold_row2(f, a[0], n, m, w), _fold_row2(f, a[1], n, m, w)
-
-
-def _fold4(f: Field, x, m: int):
-    """fold_mod_xm1 on a GF(4) pair: each plane folds as a GF(2) bitmask."""
-    if not x:
-        return 0
-    lo, hi = _fold2(f, x[0], m), _fold2(f, x[1], m)
-    return (lo, hi) if lo | hi else 0
 
 
 # Every other field: a polynomial as its code sequence, the coeffs tuple
@@ -859,16 +835,15 @@ def _code_kernel(add, sub, mul, divmod_) -> _Kernel:
                    lambda f, a, n, w: a[-n], euclid, divide, fold_row)
 
 
-_GF2 = _Kernel(_to_mask, _from_mask, _xor, _xor, _mul2, _divmod2, _fold2, _pack2, _unpack2,
-               lambda f, x, n, w: x >> (n - 1) * w, _euclid2, _divide2, _fold_row2)
-_GF3 = _Kernel(_to_pair, _from_pair, _add3, _sub3, _mul3,
-               partial(_divmod_pair, _rem3, lambda c, a: a if c == 1 else a[::-1]), _fold3,
-               _pack_pair, _unpack_pair, _lead_pair, _euclid3, partial(_divide_pair, _rem3),
-               _fold_row3)
-_GF4 = _Kernel(_to_planes, _from_pair, _add4, _add4, _mul4,
-               partial(_divmod_pair, _rem4, lambda c, a: _scaled4(_INV4[c], a)), _fold4,
-               _pack_pair, _unpack_pair, _lead_pair, _euclid4, partial(_divide_pair, _rem4),
-               _fold_row4)
+_GF2 = _Kernel(_to_mask, _from_mask, _xor, _xor, _mul2, _divmod2, partial(_fold, _fold_row2),
+               _pack2, _unpack2, lambda f, x, n, w: x >> (n - 1) * w, _euclid2, _divide2,
+               _fold_row2)
+_GF3 = _Kernel(_to_pair, _from_pair, _add3, _sub3, _mul3, partial(_divmod_pair, _rem3, _over3),
+               partial(_fold, _fold_row3), _pack_pair, _unpack_pair, _lead_pair,
+               partial(_euclid_pair, _rem3, _over3), partial(_divide_pair, _rem3), _fold_row3)
+_GF4 = _Kernel(_to_planes, _from_pair, _add4, _add4, _mul4, partial(_divmod_pair, _rem4, _over4),
+               partial(_fold, _fold_row4), _pack_pair, _unpack_pair, _lead_pair,
+               partial(_euclid_pair, _rem4, _over4), partial(_divide_pair, _rem4), _fold_row4)
 _GFP = _code_kernel(_add_p, _sub_p, _kronecker_mul, _divmod_p)
 _EXT = _code_kernel(_add_ext, _sub_ext, _mul_ext, _divmod_ext)
 
@@ -911,7 +886,8 @@ def poly_gcd(u: Poly, v: Poly) -> Poly:
         raise BothZero("gcd(0, 0) is undefined")
     u._check(v)
     f, k = u.field, _kernel(u.field)
-    return k.poly(f, k.gcd(f, k.native(f, u.coeffs), k.native(f, v.coeffs))).monic()
+    w = max(len(u.coeffs), len(v.coeffs))
+    return k.poly(f, k.gcd(f, k.native(f, u.coeffs), k.native(f, v.coeffs), w))
 
 
 def poly_egcd(u: Poly, v: Poly):

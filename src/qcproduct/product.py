@@ -329,7 +329,7 @@ def one_level_product_rgb(A: OneLevelCode, B: CyclicCode,
     f, k, N = A.field, _kernel(A.field), p.big_m
     gA_sub = k.native(f, modular_substitute(A.g, p.b * p.m_b, N).coeffs)
     gB_sub = k.native(f, modular_substitute(B.g, p.a * p.ell_a * p.m_a, N).coeffs)
-    g = k.gcd(f, k.xm1(f, N), k.fold(f, k.mul(f, gA_sub, gB_sub), N))
+    g = k.gcd(f, k.xm1(f, N), k.fold(f, k.mul(f, gA_sub, gB_sub), N), N + 1)
     multipliers = [modular_substitute(A.fs[j - 1], p.b * p.m_b, N, -j * p.a * p.m_a)
                    for j in range(1, p.ell_a)]
     return OneLevelCode(k.poly(f, g), multipliers, p.ell_a, N)

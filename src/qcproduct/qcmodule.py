@@ -192,11 +192,11 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
     reducing the entries right of the column modulo X^m - 1 after each fold
     changes neither the submodule nor the result.  Entries above each
     diagonal are then reduced modulo it by the kernel's `divide`, and those
-    right of it folded again: (X^m-1)e_k for k > col lies in the span of
-    pivots k, ..., ell-1, so the row stays in the submodule with the same
-    entries up to the column.  A diagonal is all of X^m - 1 only where the
-    (X^m-1)e_i row was alone at its column, with a zero tail.  The result
-    is unique per submodule.
+    right of it folded again, row by row from the top (`_reduce_row`):
+    (X^m-1)e_k for k > col lies in the span of pivots k, ..., ell-1, so the
+    row stays in the submodule with the same entries up to the column.  A
+    diagonal is all of X^m - 1 only where the (X^m-1)e_i row was alone at
+    its column, with a zero tail.  The result is unique per submodule.
 
     Each row is packed once in the field's kernel (``polyring._kernel``),
     at w = 2m + 1 coefficients an entry, and unpacked once for the result.
@@ -229,12 +229,18 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
         pivots.append(acc)
 
     # leftover rows have zeros at every position; nothing to keep
-    for col in range(1, ell):
-        d, n = pivots[col], ell - col
-        pivots[:col] = [fold_row(f, k.divide(f, row, d, n, w), n - 1, m, w)
-                        for row in pivots[:col]]
+    for i in range(ell - 1):
+        pivots[i] = _reduce_row(k, f, pivots[i], pivots[i + 1:], m, w)
     return RgbPotBasis(f, ell, m, [[k.poly(f, x) for x in k.unpack(f, row, ell, w)]
                                    for row in pivots])
+
+
+def _reduce_row(k, f: Field, x, rows: list, m: int, w: int):
+    """x reduced by `divide` at each of the last len(rows) columns by the row
+    of that column, and folded right of it: no entry passes degree 2m - 2."""
+    for n, row in zip(range(len(rows), 0, -1), rows):
+        x = k.fold_row(f, k.divide(f, x, row, n, w), n - 1, m, w)
+    return x
 
 
 def is_rgb_pot(b: RgbPotBasis):
@@ -315,19 +321,19 @@ def encode(b: RgbPotBasis, message) -> PolyVector:
 
 def reduce_vector(b: RgbPotBasis, v: PolyVector) -> PolyVector:
     """Normal form of v against the basis (sequential division position by
-    position); the zero vector comes back exactly when v is a codeword."""
+    position); the zero vector comes back exactly when v is a codeword.
+    Each row is packed once, its tail right of the diagonal folded."""
     if v.ell != b.ell or v.m != b.m:
         raise ShapeMismatch("vector shape does not match the basis")
-    f, m, k = b.field, b.m, _kernel(b.field)
-    w = [k.native(f, c.coeffs) for c in v.components]  # each of degree < m
-    for i, row in enumerate(b.matrix):
-        if row[i].is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        q, w[i] = k.divmod(f, w[i], k.native(f, row[i].coeffs))
-        if q:
-            for j in range(i + 1, b.ell):
-                w[j] = k.fold(f, k.sub(f, w[j], k.mul(f, q, k.native(f, row[j].coeffs))), m)
-    return PolyVector([k.poly(f, x) for x in w], m)
+    f, ell, m, k = b.field, b.ell, b.m, _kernel(b.field)
+    if any(d.is_zero for d in b.diagonal()):  # the kernels' division never ends
+        raise DivisionByZero("polynomial division by zero")
+    native, w = k.native, max(2 * m, *(len(d.coeffs) for d in b.diagonal())) + 1
+    rows = [k.pack(f, [native(f, ())] * i + [native(f, row[i].coeffs)] +
+                   [k.fold(f, native(f, p.coeffs), m) for p in row[i + 1:]], w)
+            for i, row in enumerate(b.matrix)]
+    x = _reduce_row(k, f, k.pack(f, [native(f, c.coeffs) for c in v.components], w), rows, m, w)
+    return PolyVector([k.poly(f, e) for e in k.unpack(f, x, ell, w)], m)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ quotient; the code-list loop divides, then takes s0 - q*s1 and t0 - q*t1
 with the kernel's own operations.  None of them calls `euclid`.
 """
 
-from qcproduct.polyring import _INV4, _kernel, _lead4, _scaled4
+from qcproduct.polyring import _kernel, _lead4, _over4
 
 
 def egcd2(u: int, v: int):
@@ -64,8 +64,8 @@ def egcd4(u, v):
     row = (*(v or (0, 0)), 0, 0, 1, 0)
     while row[0] | row[1]:
         d = (row[0] | row[1]).bit_length()
-        row = _scaled4(_INV4[_lead4(row[0], row[1], d - 1)], row)
-        mults = (None, row, _scaled4(2, row), _scaled4(3, row))
+        row = _over4(_lead4(row[0], row[1], d - 1), row)
+        mults = (None, row, _over4(3, row), _over4(2, row))  # 1/a^2 = a, 1/a = a^2
         while (k := (r0a | r0b).bit_length() - d) >= 0:
             ra, rb, sa, sb, ta, tb = mults[_lead4(r0a, r0b, k + d - 1)]
             r0a ^= ra << k
@@ -75,8 +75,8 @@ def egcd4(u, v):
             t0a ^= ta << k
             t0b ^= tb << k
         (r0a, r0b, s0a, s0b, t0a, t0b), row = row, (r0a, r0b, s0a, s0b, t0a, t0b)
-    out = _scaled4(_INV4[_lead4(r0a, r0b, (r0a | r0b).bit_length() - 1)],
-                   (r0a, r0b, s0a, s0b, t0a, t0b))
+    out = _over4(_lead4(r0a, r0b, (r0a | r0b).bit_length() - 1),
+                 (r0a, r0b, s0a, s0b, t0a, t0b))
     return tuple((a, b) if a | b else 0 for a, b in zip(out[::2], out[1::2]))
 
 

@@ -34,6 +34,7 @@ from qcproduct import (
 )
 from qcproduct import cyclic
 from qcproduct.cyclic import _prime_power
+from qcproduct.field import _default_modulus
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -186,6 +187,13 @@ def test_cached_minimal_polynomial_still_checks_its_arguments(args, error):
 def test_minimal_polynomial_cache_is_bounded():
     maxsize = cyclic._minimal_polynomial.cache_info().maxsize
     assert type(maxsize) is int and maxsize > 0
+
+
+def test_field_and_root_caches_are_bounded():
+    # each is keyed by arguments that may come from untrusted input
+    for cached in (cyclic.field_of_order, cyclic._root_context, _default_modulus):
+        maxsize = cached.cache_info().maxsize
+        assert type(maxsize) is int and maxsize > 0, cached
 
 
 def test_refused_root_field_is_not_cached():

@@ -235,6 +235,17 @@ def test_dense_text_parsing():
     assert poly_text_to_coeffs("1, 2") == (1, 2)
 
 
+def test_dense_text_is_bounded_as_sparse_text_is():
+    # X^(2^20) is the highest term either form reads: a longer dense list
+    # is refused by its comma count, before any coefficient is converted
+    top = 1 << 20
+    assert poly_text_to_coeffs("0," * top + "1")[top] == 1
+    with pytest.raises(PolyParseError, match="dense list"):
+        poly_text_to_coeffs("0," * (top + 1) + "1")
+    with pytest.raises(PolyParseError):
+        poly_text_to_coeffs(f"X^{top + 1}")
+
+
 def test_text_negative_and_duplicate_terms():
     assert poly_text_to_coeffs("X^2-1") == (-1, 0, 1)
     assert poly_text_to_coeffs("X+X") == (0, 2)
@@ -404,6 +415,13 @@ def test_nth_root_of_unity_has_exact_order():
 def test_nth_root_requires_divisibility():
     with pytest.raises(NoSuchRoot):
         nth_root_of_unity(field_new(2, 4), 7)  # 7 does not divide 15
+
+
+def test_nth_root_refuses_a_bool_order():
+    # True would be read as the order 1 and answer the code 1
+    for n in (True, False):
+        with pytest.raises(NoSuchRoot):
+            nth_root_of_unity(field_new(5), n)
 
 
 def test_nth_root_trivial_order():

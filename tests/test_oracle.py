@@ -350,6 +350,15 @@ def test_min_distance_respects_limit():
     assert min_distance(v, limit=16) == 3
 
 
+def test_min_distance_reads_limit_as_an_integer():
+    # a string or None raised TypeError, True was read as 1 and 2.5
+    # compared as a float: each is a QcError now, whatever the search
+    v = one_level_view(F2, "X^3+X+1", 7)
+    for limit in ("9", None, True, 2.5, 16.0):
+        with pytest.raises(TooLarge, match="limit"):
+            min_distance(v, limit=limit)
+
+
 def test_min_distance_matches_brute_force():
     # every field shape of the packed walk: q = 2, prime q, and extensions
     # of characteristic 2 and odd characteristic

@@ -316,7 +316,7 @@ def test_gf2_mask_kernel_matches_reference(x, y, m):
     a, b = ([k >> i & 1 for i in range(k.bit_length())] for k in (x, y))
     product = polyring._from_mask(f, polyring._mul2(f, x, y))
     assert product.coeffs == tuple(ref_mul(a, b, 2))
-    assert polyring._from_mask(f, polyring._fold2(f, x, m)) == Poly(
+    assert polyring._from_mask(f, polyring._GF2.fold(f, x, m)) == Poly(
         f, polyring._GFP.fold(f, a, m))  # the code-list fold
     for d, codes in ((y, b), (1, [1])):  # 1 takes the unit-divisor return
         if d:

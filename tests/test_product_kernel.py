@@ -183,6 +183,17 @@ def test_reduce_vector_matches_reference(data, q):
     v = [data.draw(polys(field, m)) for _ in range(ell)]
     got = reduce_vector(basis, PolyVector(v, m))
     assert list(got.components) == ref.reduce_vector(basis.matrix, m, v)
+    # a basis that RgbPotBasis accepts but reduction never produces: entries
+    # right of the diagonal of degree m and up, diagonals of degree above m,
+    # zero entries, and entries left of the diagonal, which are ignored
+    raw = [[data.draw(polys(field, 3 * m + 1)) for _ in range(ell)] for _ in range(ell)]
+    for i in range(ell):
+        low = data.draw(st.integers(0, 2 * m + 1).flatmap(
+            lambda n: st.lists(st.integers(0, q - 1), min_size=n, max_size=n)))
+        raw[i][i] = Poly(field, low + [data.draw(st.integers(1, q - 1))])
+    basis = RgbPotBasis(field, ell, m, raw)
+    got = reduce_vector(basis, PolyVector(v, m))
+    assert list(got.components) == ref.reduce_vector(basis.matrix, m, v)
 
 
 def test_zero_divisor_refusals_match_reference():
