@@ -41,9 +41,10 @@ bits from the top; the kernels on code lists keep the list of entries
 2m + 1 for its whole run, the egcd one more than its longer operand.  The
 row operations carry along whole rows each quotient term of Euclid's loop
 (`euclid`, also the gcd's) or of a division at one column (`divide`), and
-the fold modulo X^m - 1 (`fold_row`).  Each bit-plane kernel has one long
-division, which `divmod` runs on the rows (a, 0) and (b, -1), and one
-fold, which `fold` runs on a one-entry row.
+the fold modulo X^m - 1 (`fold_row`).  Each bit-plane kernel has one
+Euclid loop, which `divide` and `divmod` (on the rows (a, 0) and (b, -1))
+stop after one remainder, and one fold, which `fold` runs on a one-entry
+row.  Every kernel's `fold` halves its operand per pass.
 """
 
 from __future__ import annotations
@@ -267,7 +268,8 @@ class _Kernel:
     the entries there with each quotient term applied to the whole row and
     returns the rows (..., monic gcd, ...), (..., 0, ...), `divide`
     subtracts the quotient there times b from a, and `fold_row(f, a, n, m,
-    w)` reduces the last n entries, each below degree 2m, modulo X^m - 1."""
+    w)` reduces the last n entries, each below degree 2m, modulo X^m - 1.
+    A bit-plane kernel's `divide` and `divmod` stop its Euclid loop early."""
 
     native: Callable  # (field, stripped codes) -> native form
     poly: Callable  # (field, native form) -> Poly
@@ -343,22 +345,25 @@ def _mul2(f: Field, a: int, b: int) -> int:
     return out
 
 
-def _rem2(x: int, y: int) -> int:
-    """x less the multiples y << k that clear its bits from y's top bit
-    up: long division over GF(2), of a polynomial or of a packed row."""
-    d = y.bit_length()
-    while (k := x.bit_length() - d) >= 0:
-        x ^= y << k
-    return x
+def _euclid2(x: int, y: int, s: int):
+    """Euclid's loop over GF(2) on polynomials or packed rows while y >> s != 0:
+    x less the multiples y << k that clear its bits from y's top bit up, then
+    (x, y) = (y, that remainder).  With s y's top bit it stops after one."""
+    while y >> s:
+        d = y.bit_length()
+        while (k := x.bit_length() - d) >= 0:
+            x ^= y << k
+        x, y = y, x
+    return x, y
 
 
 def _divmod2(f: Field, a: int, b: int):
-    """(quotient, remainder) of a by b != 0: `_rem2` on the rows (a, 0), (b, 1)."""
+    """(quotient, remainder) of a by b != 0: one remainder of the rows (a, 0), (b, 1)."""
     if (w := a.bit_length() - b.bit_length() + 1) <= 0:
         return 0, a
     if b == 1:
         return a, 0
-    x = _rem2(a << w, b << w | 1)
+    x = _euclid2(a << w, b << w | 1, b.bit_length() - 1 + w)[1]
     return x & (1 << w) - 1, x >> w
 
 
@@ -374,14 +379,8 @@ def _unpack2(f: Field, x: int, n: int, w: int) -> list:
     return [x >> s & mask for s in range((n - 1) * w, -1, -w)]
 
 
-def _euclid2(f: Field, x: int, y: int, n: int, w: int):
-    while y >> (n - 1) * w:  # the gcd comes monic
-        x, y = y, _rem2(x, y)
-    return x, y
-
-
 def _divide2(f: Field, x: int, y: int, n: int, w: int) -> int:
-    return x >> n * w << n * w | _rem2(x & ((1 << n * w) - 1), y)
+    return x >> n * w << n * w | _euclid2(x & ((1 << n * w) - 1), y, y.bit_length() - 1)[1]
 
 
 def _fold_row2(f: Field, x: int, n: int, m: int, w: int) -> int:
@@ -533,59 +532,57 @@ def _mul3(f: Field, a, b):
     return _pair(out.to_bytes(s * n, "big")[s - 1::s])
 
 
-def _rem3(x1: int, x2: int, y1: int, y2: int) -> tuple:
-    """The planes of x less the multiples of y that clear its terms from
-    y's top term up: long division over GF(3), of a polynomial or of a
-    packed row.  A y led by 2 is made monic by swapping its planes; each
-    term is then x's leading coefficient c, and x - c*X^k*y is a sum with
-    y's planes shifted by k, swapped when c = 1.  Of two disjoint planes
-    the larger int holds the leading coefficient."""
-    if y2 > y1:
-        y1, y2 = y2, y1
-    support = y1 | y2
-    d = support.bit_length()
-    while (k := (x := x1 | x2).bit_length() - d) >= 0:
-        z1, z2 = (y1 << k, y2 << k) if x2 > x1 else (y2 << k, y1 << k)
-        c = x & (support << k)
-        x1, x2 = (x1 | z1) ^ c, (x2 | z2) ^ c
-    return x1, x2
+def _euclid3(x: tuple, y: tuple, s: int):
+    """`_euclid2` on GF(3) pairs.  A y led by 2 is made monic by swapping
+    its planes (u); each term is then x's leading coefficient c, and
+    x - c*X^k*u is a sum with u's planes shifted by k, swapped when c = 1.
+    Of two disjoint planes the larger int holds the leading coefficient."""
+    (x1, x2), (y1, y2) = x, y
+    while (support := y1 | y2) >> s:
+        u1, u2 = (y2, y1) if y2 > y1 else (y1, y2)
+        d = support.bit_length()
+        while (k := (t := x1 | x2).bit_length() - d) >= 0:
+            z1, z2 = (u1 << k, u2 << k) if x2 > x1 else (u2 << k, u1 << k)
+            c = t & (support << k)
+            x1, x2 = (x1 | z1) ^ c, (x2 | z2) ^ c
+        x1, x2, y1, y2 = y1, y2, x1, x2
+    return (x1, x2), (y1, y2)
 
 
 def _over3(c: int, a: tuple) -> tuple:  # a/c: 1/2 = 2 swaps the planes
     return a if c == 1 else a[::-1]
 
 
-def _divmod_pair(rem: Callable, over: Callable, f: Field, a, b):
+def _divmod_pair(loop: Callable, over: Callable, f: Field, a, b):
     """(quotient, remainder) pairs of a by b != 0 over GF(3) or GF(4): with
-    w bits for the quotient, rem takes the rows (a, 0), (b, -1) to (r, q).
-    The planes of -1, the code p - 1, are its two bits in both kernels.  A
+    w bits for the quotient, one remainder of the rows (a, 0), (b, -1) is (r,
+    q); -1, the code p - 1, has its two bits as planes in both kernels.  A
     constant b of code c gives the quotient over(c, a), a divided by c."""
     if not a:
         return 0, 0
     (b1, b2), c = b, f.p - 1
-    if (w := (a[0] | a[1]).bit_length() - (b1 | b2).bit_length() + 1) <= 0:
+    if (w := (a[0] | a[1]).bit_length() - (d := (b1 | b2).bit_length()) + 1) <= 0:
         return 0, a
     if b1 | b2 == 1:
         return over(b1 | b2 << 1, a), 0
-    x1, x2 = rem(a[0] << w, a[1] << w, b1 << w | c & 1, b2 << w | c >> 1)
+    x1, x2 = loop((a[0] << w, a[1] << w), (b1 << w | c & 1, b2 << w | c >> 1), d - 1 + w)[1]
     q, r = (x1 & (1 << w) - 1, x2 & (1 << w) - 1), (x1 >> w, x2 >> w)
     return (q if q[0] | q[1] else 0), (r if r[0] | r[1] else 0)
 
 
-def _euclid_pair(rem: Callable, over: Callable, f: Field, a: tuple, b: tuple, n: int, w: int):
-    """euclid on rows of pairs over GF(3) or GF(4): rem per step, then the
-    gcd row divided by its leading coefficient's code (`over`)."""
-    while (b[0] | b[1]) >> (n - 1) * w:
-        a, b = b, rem(*a, *b)
+def _euclid_pair(loop: Callable, over: Callable, f: Field, a: tuple, b: tuple, n: int, w: int):
+    """euclid on rows of pairs over GF(3) or GF(4): the field's Euclid loop,
+    then the gcd row divided by its leading coefficient's code (`over`)."""
+    a, b = loop(a, b, (n - 1) * w)
     if (x := a[0] | a[1]) >> (n - 1) * w:
         a = over(_lead4(*a, x.bit_length() - 1), a)
     return a, b
 
 
-def _divide_pair(rem: Callable, f: Field, a: tuple, b: tuple, n: int, w: int) -> tuple:
-    """divide on rows of pairs: rem on a's last n entries."""
+def _divide_pair(loop: Callable, f: Field, a: tuple, b: tuple, n: int, w: int) -> tuple:
+    """divide on rows of pairs: one remainder of a's last n entries by b."""
     s, last = n * w, (1 << n * w) - 1
-    x1, x2 = rem(a[0] & last, a[1] & last, *b)
+    x1, x2 = loop((a[0] & last, a[1] & last), b, (b[0] | b[1]).bit_length() - 1)[1]
     return a[0] >> s << s | x1, a[1] >> s << s | x2
 
 
@@ -647,20 +644,21 @@ def _mul4(f: Field, a, b):
     return low ^ _mul2(f, a1, b1), _mul2(f, a0 ^ a1, b0 ^ b1) ^ low
 
 
-def _rem4(x0: int, x1: int, y0: int, y1: int) -> tuple:
-    """The planes of x less the multiples of y that clear its terms from
-    y's top term up: long division over GF(4), of a polynomial or of a
-    packed row.  y is made monic by a plane permutation and its three
-    scalar multiples are formed once; each term c*X^k then takes one
-    shifted XOR per plane."""
-    d = (y0 | y1).bit_length()
-    y0, y1 = _over4(_lead4(y0, y1, d - 1), (y0, y1))
-    mults = (None, (y0, y1), (y1, y0 ^ y1), (y0 ^ y1, y0))
-    while (k := (x0 | x1).bit_length() - d) >= 0:
-        z0, z1 = mults[_lead4(x0, x1, k + d - 1)]
-        x0 ^= z0 << k
-        x1 ^= z1 << k
-    return x0, x1
+def _euclid4(x: tuple, y: tuple, s: int):
+    """`_euclid2` on GF(4) pairs of planes: y is made monic by a plane
+    permutation (u) and its three scalar multiples are formed once per
+    remainder; each term c*X^k then takes one shifted XOR per plane."""
+    (x0, x1), (y0, y1) = x, y
+    while (support := y0 | y1) >> s:
+        d = support.bit_length()
+        u0, u1 = _over4(_lead4(y0, y1, d - 1), (y0, y1))
+        mults = (None, (u0, u1), (u1, u0 ^ u1), (u0 ^ u1, u0))
+        while (k := (x0 | x1).bit_length() - d) >= 0:
+            z0, z1 = mults[_lead4(x0, x1, k + d - 1)]
+            x0 ^= z0 << k
+            x1 ^= z1 << k
+        x0, x1, y0, y1 = y0, y1, x0, x1
+    return (x0, x1), (y0, y1)
 
 
 def _fold_row4(f: Field, a: tuple, n: int, m: int, w: int) -> tuple:
@@ -807,11 +805,11 @@ def _code_kernel(add, sub, mul, divmod_) -> _Kernel:
     the row operations built on them: a row is the list of its entries,
     each quotient applied by one product and one difference per entry."""
 
-    def fold(f: Field, codes, m: int):
-        out = codes[:m]
-        for i in range(m, len(codes), m):
-            out = add(f, out, codes[i:i + m])
-        return out
+    def fold(f: Field, codes, m: int):  # halving, as _fold does
+        while (b := len(codes)) > m:
+            k = -(-b // (2 * m)) * m
+            codes = add(f, codes[:k], codes[k:])
+        return codes
 
     def euclid(f: Field, a: list, b: list, n: int, w: int):
         c = len(a) - n
@@ -836,14 +834,17 @@ def _code_kernel(add, sub, mul, divmod_) -> _Kernel:
 
 
 _GF2 = _Kernel(_to_mask, _from_mask, _xor, _xor, _mul2, _divmod2, partial(_fold, _fold_row2),
-               _pack2, _unpack2, lambda f, x, n, w: x >> (n - 1) * w, _euclid2, _divide2,
-               _fold_row2)
-_GF3 = _Kernel(_to_pair, _from_pair, _add3, _sub3, _mul3, partial(_divmod_pair, _rem3, _over3),
+               _pack2, _unpack2, lambda f, x, n, w: x >> (n - 1) * w,
+               lambda f, x, y, n, w: _euclid2(x, y, (n - 1) * w),  # the gcd comes monic
+               _divide2, _fold_row2)
+_GF3 = _Kernel(_to_pair, _from_pair, _add3, _sub3, _mul3, partial(_divmod_pair, _euclid3, _over3),
                partial(_fold, _fold_row3), _pack_pair, _unpack_pair, _lead_pair,
-               partial(_euclid_pair, _rem3, _over3), partial(_divide_pair, _rem3), _fold_row3)
-_GF4 = _Kernel(_to_planes, _from_pair, _add4, _add4, _mul4, partial(_divmod_pair, _rem4, _over4),
-               partial(_fold, _fold_row4), _pack_pair, _unpack_pair, _lead_pair,
-               partial(_euclid_pair, _rem4, _over4), partial(_divide_pair, _rem4), _fold_row4)
+               partial(_euclid_pair, _euclid3, _over3), partial(_divide_pair, _euclid3),
+               _fold_row3)
+_GF4 = _Kernel(_to_planes, _from_pair, _add4, _add4, _mul4,
+               partial(_divmod_pair, _euclid4, _over4), partial(_fold, _fold_row4), _pack_pair,
+               _unpack_pair, _lead_pair, partial(_euclid_pair, _euclid4, _over4),
+               partial(_divide_pair, _euclid4), _fold_row4)
 _GFP = _code_kernel(_add_p, _sub_p, _kronecker_mul, _divmod_p)
 _EXT = _code_kernel(_add_ext, _sub_ext, _mul_ext, _divmod_ext)
 

@@ -36,7 +36,7 @@ from .errors import (
 from .field import Field
 from .polyring import (Poly, _integer, _kernel, _monic, _positive,
                        modular_substitute, x_pow_minus_one)
-from .qcmodule import GeneratingMatrix, PolyVector, RgbPotBasis, level
+from .qcmodule import GeneratingMatrix, PolyVector, RgbPotBasis, _trusted_matrix, level
 
 __all__ = [
     "ProductParams",
@@ -263,9 +263,9 @@ class OneLevelCode:
         (X^m-1)e_i below."""
         f, ell = self.field, self.ell
         xm1, zero = x_pow_minus_one(f, self.m), Poly.zero(f)
-        rows = [self.row()] + [(zero,) * i + (xm1,) + (zero,) * (ell - 1 - i)
-                               for i in range(1, ell)]
-        return RgbPotBasis(f, ell, self.m, rows)
+        rows = (self.row(),) + tuple((zero,) * i + (xm1,) + (zero,) * (ell - 1 - i)
+                                     for i in range(1, ell))
+        return _trusted_matrix(RgbPotBasis, f, ell, self.m, rows)
 
     @classmethod
     def from_basis(cls, b: RgbPotBasis) -> "OneLevelCode":
@@ -314,9 +314,9 @@ def unreduced_product_basis(G_A: RgbPotBasis, B: CyclicCode,
     def entry(j: int, e: Poly):
         sub = modular_substitute(e, p.b * p.m_b, N, -j * p.a * p.m_a)
         return k.poly(f, k.fold(f, k.mul(f, gB_sub, k.native(f, sub.coeffs)), N))
-    rows = [[e if e.is_zero else entry(j, e) for j, e in enumerate(row)]
-            for row in G_A.matrix]
-    return GeneratingMatrix(f, p.ell_a, N, rows)
+    rows = tuple(tuple([e if e.is_zero else entry(j, e) for j, e in enumerate(row)])
+                 for row in G_A.matrix)
+    return _trusted_matrix(GeneratingMatrix, f, p.ell_a, N, rows)
 
 
 def one_level_product_rgb(A: OneLevelCode, B: CyclicCode,

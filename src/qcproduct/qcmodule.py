@@ -113,6 +113,15 @@ def _check_rows(field: Field, ell: int, rows) -> tuple:
     return tuple(checked)
 
 
+def _trusted_matrix(cls: type, field: Field, ell: int, m: int, rows: tuple):
+    """A GeneratingMatrix or RgbPotBasis of rows the library made, tuples of
+    ell Polys over the field in a tuple (of ell for a basis), unchecked."""
+    out = object.__new__(cls)
+    for name, value in zip(cls.__slots__, (field, ell, m, rows)):
+        object.__setattr__(out, name, value)
+    return out
+
+
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class GeneratingMatrix:
     """Explicit generating rows of a submodule of F_q[X]^ell containing
@@ -199,7 +208,8 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
     its column, with a zero tail.  The result is unique per submodule.
 
     Each row is packed once in the field's kernel (``polyring._kernel``),
-    at w = 2m + 1 coefficients an entry, and unpacked once for the result.
+    at w = 2m + 1 coefficients an entry, each nonzero entry converted once,
+    and unpacked once for the result, all its zeros one shared Poly.
     A fold starts from leading entries of degree at most m and others below
     m, and its rows are s*a + t*b with deg s, deg t <= m, so no entry passes
     degree 2m - 1; above a diagonal, quotient and entries are below m.  So
@@ -210,8 +220,8 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
     k, w = _kernel(f), 2 * m + 1
     native, pack, lead, euclid, fold_row = k.native, k.pack, k.lead, k.euclid, k.fold_row
     zero, full = native(f, ()), k.xm1(f, m)
-    pending = [pack(f, [native(f, p.coeffs) if len(p.coeffs) <= m
-                        else k.fold(f, native(f, p.coeffs), m) for p in row], w)
+    pending = [pack(f, [(native(f, c) if len(c) <= m else k.fold(f, native(f, c), m))
+                        if (c := p.coeffs) else zero for p in row], w)
                for row in gen.rows]
     pending += (pack(f, [zero] * j + [full] + [zero] * (ell - 1 - j), w) for j in range(ell))
 
@@ -231,8 +241,10 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
     # leftover rows have zeros at every position; nothing to keep
     for i in range(ell - 1):
         pivots[i] = _reduce_row(k, f, pivots[i], pivots[i + 1:], m, w)
-    return RgbPotBasis(f, ell, m, [[k.poly(f, x) for x in k.unpack(f, row, ell, w)]
-                                   for row in pivots])
+    zero_poly = Poly.zero(f)
+    return _trusted_matrix(RgbPotBasis, f, ell, m, tuple(
+        tuple([k.poly(f, x) if x else zero_poly for x in k.unpack(f, row, ell, w)])
+        for row in pivots))
 
 
 def _reduce_row(k, f: Field, x, rows: list, m: int, w: int):

@@ -1,18 +1,52 @@
 """The kernel loops that the packed-row operations replaced: the tests'
-reference for `divmod`, `fold`, `gcd` and `euclid` in `qcproduct.polyring`.
+reference for `divmod`, `divide`, `fold`, `gcd` and `euclid` in
+`qcproduct.polyring`.
 
-`divmod2` is GF(2)'s long division with its own quotient loop; `fold2`,
-`fold3` and `fold4` halve a GF(2) bitmask, a GF(3) pair and a GF(4) pair of
-planes, each with its own loop; `euclid3` and `euclid4` are the Euclid
-loops on rows of GF(3) and GF(4) pairs, each with its own monic step; `gcd`
-is Euclid's loop on the kernel's `divmod`, made monic by one more
-division.  The kernels now run `divmod` and `gcd` on their row operations
-and `fold` through one halving helper over `fold_row`.  `divmod_codes`,
-`fold_codes` and `euclid_codes` work on code lists with one `Field` call
-per coefficient, the reference for every field.
+`rem2`, `rem3` and `rem4` are the long divisions of the bit-plane kernels
+over GF(2), GF(3) and GF(4), one remainder per call, on polynomials or
+packed rows; the kernels now run one Euclid loop each, which `divide` and
+`divmod` stop after one remainder.  `divmod2` is GF(2)'s long division
+with its own quotient loop; `fold2`, `fold3` and `fold4` halve a GF(2)
+bitmask, a GF(3) pair and a GF(4) pair of planes, each with its own loop;
+`euclid2`, `euclid3` and `euclid4` are Euclid's loops on rows of those
+forms, calling the long division once per remainder, each with its own
+monic step; `gcd` is Euclid's loop on the kernel's `divmod`, made monic by
+one more division.  `divmod_codes`, `fold_codes`, `divide_codes` and
+`euclid_codes` work on code lists with one `Field` call per coefficient,
+the reference for every field.
 """
 
-from qcproduct.polyring import _kernel, _lead4, _over4, _rem3, _rem4
+from qcproduct.polyring import _kernel, _lead4, _over4
+
+
+def rem2(x: int, y: int) -> int:
+    d = y.bit_length()
+    while (k := x.bit_length() - d) >= 0:
+        x ^= y << k
+    return x
+
+
+def rem3(x1: int, x2: int, y1: int, y2: int) -> tuple:
+    if y2 > y1:  # y made monic
+        y1, y2 = y2, y1
+    support = y1 | y2
+    d = support.bit_length()
+    while (k := (x := x1 | x2).bit_length() - d) >= 0:
+        z1, z2 = (y1 << k, y2 << k) if x2 > x1 else (y2 << k, y1 << k)
+        c = x & (support << k)
+        x1, x2 = (x1 | z1) ^ c, (x2 | z2) ^ c
+    return x1, x2
+
+
+def rem4(x0: int, x1: int, y0: int, y1: int) -> tuple:
+    d = (y0 | y1).bit_length()
+    y0, y1 = _over4(_lead4(y0, y1, d - 1), (y0, y1))  # y made monic
+    mults = (None, (y0, y1), (y1, y0 ^ y1), (y0 ^ y1, y0))
+    while (k := (x0 | x1).bit_length() - d) >= 0:
+        z0, z1 = mults[_lead4(x0, x1, k + d - 1)]
+        x0 ^= z0 << k
+        x1 ^= z1 << k
+    return x0, x1
 
 
 def divmod2(a: int, b: int):
@@ -50,15 +84,21 @@ def fold4(x, m: int):
     return (lo, hi) if lo | hi else 0
 
 
+def euclid2(a: int, b: int, n: int, w: int):
+    while b >> (n - 1) * w:
+        a, b = b, rem2(a, b)
+    return a, b  # the gcd comes monic
+
+
 def euclid3(a: tuple, b: tuple, n: int, w: int):
     while (b[0] | b[1]) >> (n - 1) * w:
-        a, b = b, _rem3(*a, *b)
+        a, b = b, rem3(*a, *b)
     return (a if a[0] >= a[1] else a[::-1]), b  # the gcd made monic
 
 
 def euclid4(a: tuple, b: tuple, n: int, w: int):
     while (b[0] | b[1]) >> (n - 1) * w:
-        a, b = b, _rem4(*a, *b)
+        a, b = b, rem4(*a, *b)
     if (x := a[0] | a[1]) >> (n - 1) * w:  # the gcd made monic
         a = _over4(_lead4(*a, x.bit_length() - 1), a)
     return a, b
@@ -106,6 +146,12 @@ def _sub_mul(f, x: list, c: list, y: list) -> list:
         for j, v in enumerate(y):
             out[i + j] = f.sub(out[i + j], f.mul(u, v))
     return _strip(out)
+
+
+def divide_codes(f, a: list, b: list) -> list:
+    """a less q*b, q the quotient of a's first entry by b's."""
+    q = divmod_codes(f, a[0], b[0])[0]
+    return [_sub_mul(f, x, q, y) for x, y in zip(a, b)]
 
 
 def euclid_codes(f, a: list, b: list):

@@ -41,7 +41,9 @@ algorithm on whole rows, and the reductions of scrambled matrices with
 divisors of X^m - 1 as pivots and tails of degree m - 1 over GF(2) (ell 5,
 m 21), GF(3) (ell 4, m 20) and GF(4) (ell 4, m 15), each with at least two
 diagonals other than 1, from before reduction kept its rows packed at one
-width from start to end.
+width from start to end, and the reductions of GF(5) and GF(9) matrices
+with an X^1048576 entry (ell 2, m 3), on the code-list kernels, from
+before their folds modulo X^m - 1 learned to halve the operand.
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -61,6 +63,8 @@ CASES = {
     "reduce_matrix_wide_gf3": ["reduce", "matrix_wide_gf3.json"],
     "reduce_matrix_wide_gf4": ["reduce", "matrix_wide_gf4.json"],
     "reduce_matrix_high_degree_gf2": ["reduce", "matrix_high_degree_gf2.json"],
+    "reduce_matrix_high_degree_gf5": ["reduce", "matrix_high_degree_gf5.json"],
+    "reduce_matrix_high_degree_gf9": ["reduce", "matrix_high_degree_gf9.json"],
     "reduce_matrix_text_forms_gf3": ["reduce", "matrix_text_forms_gf3.json"],
     "reduce_matrix_divisors_gf2": ["reduce", "matrix_divisors_gf2.json"],
     "reduce_matrix_gf5": ["reduce", "matrix_gf5.json"],

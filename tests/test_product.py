@@ -536,6 +536,21 @@ def test_both_routes_agree_over_extension_fields(q, data):
     assert direct == one_level_product_rgb(A, B, p).basis()
 
 
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_library_built_matrices_are_what_their_constructors_build(q, data):
+    # OneLevelCode.basis and unreduced_product_basis skip the constructors'
+    # checks: their rows are tuples of tuples that the constructors accept
+    A, B, p = data.draw(one_level_products(q))
+    basis = A.basis()
+    raw = unreduced_product_basis(basis, B, p)
+    for built, rows, cls in ((basis, basis.matrix, RgbPotBasis),
+                             (raw, raw.rows, GeneratingMatrix)):
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        assert built == cls(built.field, built.ell, built.m, rows)
+
+
 @st.composite
 def general_products(draw, q):
     """(G_A, B, params, r) over GF(q): a row code of level exactly r given

@@ -20,6 +20,9 @@ degree m - 1, which would take an entry past degree 2m if the tails were
 not folded in between.  On a fixed divisor matrix the library must run
 `euclid`, take fewer kernel products than the reference and no fold of a
 single entry, so that the folds cannot fall back to entries unnoticed.
+`rgb_pot_reduce` builds its result without the checks of the
+`RgbPotBasis` constructor, so its matrix must be a tuple of tuples of
+`Poly` that the constructor takes to an equal basis.
 """
 
 import dataclasses
@@ -34,6 +37,7 @@ import reduceref
 from qcproduct import (
     GeneratingMatrix,
     Poly,
+    RgbPotBasis,
     factor_xm_minus_1,
     field_of_order,
     fold_mod_xm1,
@@ -145,6 +149,15 @@ def test_random_matrices_reduce_as_the_reference_does(gen):
 @example(unit_pivot_after_a_linear_one(4))
 def test_scrambled_divisor_matrices_reduce_as_the_reference_does(gen):
     assert rgb_pot_reduce(gen) == reduceref.rgb_pot_reduce(gen)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(random_matrices(), divisor_matrices()))
+def test_reduction_builds_the_basis_its_constructor_builds(gen):
+    out = rgb_pot_reduce(gen)
+    assert type(out.matrix) is tuple
+    assert all(type(row) is tuple and all(type(p) is Poly for p in row) for row in out.matrix)
+    assert out == RgbPotBasis(gen.field, gen.ell, gen.m, out.matrix)
 
 
 def test_divisor_matrix_takes_fewer_products_than_the_reference(monkeypatch):
