@@ -300,8 +300,9 @@ def _cmd_mindist(args) -> int:
 
 def _cmd_verify(args) -> int:
     basis = basis_from_doc(_load_json(args.basis))
-    ok, violations = is_rgb_pot(basis)
+    # first, for its bound on k*n, which also bounds is_rgb_pot's divisions
     view = expand_to_linear(basis)
+    ok, violations = is_rgb_pot(basis)
     qc = is_quasi_cyclic(view, basis.ell)
     doc = {
         "ell": basis.ell, "m": basis.m, "n": view.n, "k": view.k,

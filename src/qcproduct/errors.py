@@ -52,10 +52,6 @@ class NotADivisor(QcError):
     """A polynomial (or integer) required to divide another does not."""
 
 
-class MessageDegreeTooLarge(QcError):
-    """An encoder message component exceeds its admissible degree bound."""
-
-
 class DegreeOverflow(QcError):
     """A component polynomial exceeds the degree bound of its container."""
 
@@ -67,10 +63,6 @@ class NonPrefixPattern(QcError):
 
 class IndexOutOfRange(QcError):
     """A matrix or mapping index lies outside its declared range."""
-
-
-class DimensionMismatch(QcError):
-    """An array's shape disagrees with the parameters it must match."""
 
 
 class ParamMismatch(QcError):

@@ -376,8 +376,8 @@ class Field:
     whose base-p digits are the polynomial-basis coefficients.  `add`,
     `sub`, `neg`, `mul`, `inv` and `pow_` trust their codes, with no check
     per call on this hot path: a code outside [0, q) may raise IndexError
-    or give a wrong code.  `Poly`, `Poly.__call__`, `LinearCodeView` and
-    `CodewordMatrix` check the codes a caller gives them (FieldMismatch).
+    or give a wrong code.  `Poly`, `Poly.__call__` and `LinearCodeView`
+    check the codes a caller gives them (FieldMismatch).
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_zech", "_half", "_ring")

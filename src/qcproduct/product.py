@@ -18,12 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import index
 
 from .cyclic import CyclicCode
 from .errors import (
-    DegreeOverflow,
-    DimensionMismatch,
     DivisionByZero,
     FieldMismatch,
     IndexOutOfRange,
@@ -36,18 +33,14 @@ from .errors import (
 from .field import Field
 from .polyring import (Poly, _integer, _kernel, _monic, _positive,
                        modular_substitute, x_pow_minus_one)
-from .qcmodule import GeneratingMatrix, PolyVector, RgbPotBasis, _trusted_matrix, level
+from .qcmodule import GeneratingMatrix, RgbPotBasis, _trusted_matrix, level
 
 __all__ = [
     "ProductParams",
-    "CodewordMatrix",
     "OneLevelCode",
     "bezout_pair",
     "map_f",
     "map_g",
-    "matrix_to_univariate",
-    "univariate_to_matrix",
-    "matrix_to_components",
     "unreduced_product_basis",
     "one_level_product_rgb",
 ]
@@ -127,88 +120,6 @@ def map_g(i: int, j: int, p: ProductParams) -> int:
     if not 0 <= j < p.m_a:
         raise IndexOutOfRange(f"column index {j} outside [0, {p.m_a})")
     return (i * p.a * p.ell_a * p.m_a + j * p.b * p.m_b) % p.big_m
-
-
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class CodewordMatrix:
-    """An m_b x (ell_a*m_a) array of field element codes: the planar view of
-    one product codeword (rows should live in the row code A, columns in the
-    column code B)."""
-
-    field: Field
-    entries: tuple
-
-    def __init__(self, field: Field, entries):
-        try:
-            rows = tuple(tuple([index(c) for c in row]) for row in entries)
-        except TypeError:
-            raise FieldMismatch("entries must be integer codes") from None
-        if not rows or not rows[0]:
-            raise DimensionMismatch("codeword matrix must be nonempty")
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise DimensionMismatch("ragged codeword matrix")
-            for c in row:
-                if not 0 <= c < field.q:
-                    raise FieldMismatch(f"entry code {c} outside [0, {field.q})")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.entries), len(self.entries[0])
-
-    def __repr__(self):
-        r, c = self.shape
-        return f"CodewordMatrix({r}x{c} over {self.field!r})"
-
-
-def _check_matrix(M: CodewordMatrix, p: ProductParams):
-    if M.shape != (p.m_b, p.ell_a * p.m_a):
-        raise DimensionMismatch(
-            f"matrix shape {M.shape} does not match params "
-            f"({p.m_b}, {p.ell_a * p.m_a})")
-
-
-def matrix_to_univariate(M: CodewordMatrix, p: ProductParams) -> Poly:
-    """c(X) = sum of m_ij X^f(i,j): serialize the matrix into one
-    polynomial of degree < ell_a*m_a*m_b."""
-    _check_matrix(M, p)
-    out = [0] * p.n
-    for i, row in enumerate(M.entries):
-        for j, c in enumerate(row):
-            if c:
-                out[map_f(i, j, p)] = c
-    return Poly(M.field, out)
-
-
-def univariate_to_matrix(c: Poly, p: ProductParams) -> CodewordMatrix:
-    """Inverse serialization: entry (i, j) reads coefficient f(i, j)."""
-    if c.degree >= p.n:
-        raise DegreeOverflow(f"degree {c.degree} does not fit length {p.n}")
-    entries = [[c.coeff(map_f(i, j, p)) for j in range(p.ell_a * p.m_a)]
-               for i in range(p.m_b)]
-    return CodewordMatrix(c.field, entries)
-
-
-def matrix_to_components(M: CodewordMatrix, p: ProductParams) -> PolyVector:
-    """The ell_a component polynomials of the serialized codeword:
-    c_h = X^(h*(-a*m_a)) * sum_ij m_(i, j*ell_a+h) X^g(i,j) mod X^(m_a*m_b)-1,
-    chosen so that interleaving the components reproduces
-    :func:`matrix_to_univariate`."""
-    _check_matrix(M, p)
-    N = p.big_m
-    comps = []
-    for h in range(p.ell_a):
-        # g is a bijection, so each position receives exactly one entry
-        acc = [0] * N
-        for i in range(p.m_b):
-            for j in range(p.m_a):
-                acc[(map_g(i, j, p) - h * p.a * p.m_a) % N] = \
-                    M.entries[i][j * p.ell_a + h]
-        comps.append(Poly(M.field, acc))
-    return PolyVector(comps, N)
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)

@@ -10,9 +10,7 @@ module provides:
   basis (a Hermite-style triangularization over the principal ideal domain
   F_q[X], followed by monic/degree normalization), unique per submodule;
 * the four structural conditions of that canonical form
-  (:func:`is_rgb_pot`), dimension, level, encoding, membership reduction;
-* the interleaving bijection between component vectors and single
-  univariate polynomials of degree < ell*m.
+  (:func:`is_rgb_pot`), dimension, level and membership reduction.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from .errors import (
     DegreeOverflow,
     DivisionByZero,
     FieldMismatch,
-    MessageDegreeTooLarge,
     NonPrefixPattern,
     ShapeMismatch,
 )
@@ -33,7 +30,6 @@ from .polyring import (
     Poly,
     _kernel,
     _positive,
-    fold_mod_xm1,
     x_pow_minus_one,
 )
 
@@ -45,10 +41,7 @@ __all__ = [
     "is_rgb_pot",
     "dimension",
     "level",
-    "encode",
     "reduce_vector",
-    "vector_to_univariate",
-    "univariate_to_vector",
 ]
 
 
@@ -172,9 +165,6 @@ class RgbPotBasis:
     def diagonal(self) -> tuple[Poly, ...]:
         return tuple(self.matrix[i][i] for i in range(self.ell))
 
-    def to_generating_matrix(self) -> GeneratingMatrix:
-        return GeneratingMatrix(self.field, self.ell, self.m, self.matrix)
-
     def __repr__(self):
         return f"RgbPotBasis(ell={self.ell}, m={self.m})"
 
@@ -199,7 +189,9 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
     pivot there is that row or a gcd with it.  While column col is
     processed every (X^m-1)e_k row with k > col is still pending, so
     reducing the entries right of the column modulo X^m - 1 after each fold
-    changes neither the submodule nor the result.  Entries above each
+    changes neither the submodule nor the result.  The last column has no
+    entries right of it: nothing is reduced modulo X^m - 1 there, and the
+    all-zero rows its folds leave are dropped.  Entries above each
     diagonal are then reduced modulo it by the kernel's `divide`, and those
     right of it folded again, row by row from the top (`_reduce_row`):
     (X^m-1)e_k for k > col lies in the span of pivots k, ..., ell-1, so the
@@ -234,8 +226,9 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
         acc = active[0]
         for row in active[1:]:
             acc, low = euclid(f, acc, row, n, w)
-            acc = fold_row(f, acc, n - 1, m, w)
-            pending.append(fold_row(f, low, n - 1, m, w))
+            if n > 1:
+                acc = fold_row(f, acc, n - 1, m, w)
+                pending.append(fold_row(f, low, n - 1, m, w))
         pivots.append(acc)
 
     # leftover rows have zeros at every position; nothing to keep
@@ -251,7 +244,9 @@ def _reduce_row(k, f: Field, x, rows: list, m: int, w: int):
     """x reduced by `divide` at each of the last len(rows) columns by the row
     of that column, and folded right of it: no entry passes degree 2m - 2."""
     for n, row in zip(range(len(rows), 0, -1), rows):
-        x = k.fold_row(f, k.divide(f, x, row, n, w), n - 1, m, w)
+        x = k.divide(f, x, row, n, w)
+        if n > 1:
+            x = k.fold_row(f, x, n - 1, m, w)
     return x
 
 
@@ -309,28 +304,6 @@ def level(b: RgbPotBasis) -> int:
     return r
 
 
-def encode(b: RgbPotBasis, message) -> PolyVector:
-    """c(X) = i(X) G(X): each message component j must have degree
-    < m - deg g_jj (rows with a full diagonal admit only zero)."""
-    comps = tuple(message.components) if isinstance(message, PolyVector) \
-        else tuple(message)
-    if len(comps) != b.ell:
-        raise ShapeMismatch(f"message needs {b.ell} components, got {len(comps)}")
-    for j, i_j in enumerate(comps):
-        bound = b.m - b.matrix[j][j].degree
-        if i_j.degree >= bound:
-            raise MessageDegreeTooLarge(
-                f"message component {j} has degree {i_j.degree}, bound is < {bound}")
-    out = []
-    for col in range(b.ell):
-        acc = Poly.zero(b.field)
-        for row in range(b.ell):
-            if not comps[row].is_zero and not b.matrix[row][col].is_zero:
-                acc = acc + comps[row] * b.matrix[row][col]
-        out.append(fold_mod_xm1(acc, b.m))
-    return PolyVector(out, b.m)
-
-
 def reduce_vector(b: RgbPotBasis, v: PolyVector) -> PolyVector:
     """Normal form of v against the basis (sequential division position by
     position); the zero vector comes back exactly when v is a codeword.
@@ -346,31 +319,3 @@ def reduce_vector(b: RgbPotBasis, v: PolyVector) -> PolyVector:
             for i, row in enumerate(b.matrix)]
     x = _reduce_row(k, f, k.pack(f, [native(f, c.coeffs) for c in v.components], w), rows, m, w)
     return PolyVector([k.poly(f, e) for e in k.unpack(f, x, ell, w)], m)
-
-
-# ---------------------------------------------------------------------------
-# interleaving between vectors and univariate polynomials
-# ---------------------------------------------------------------------------
-
-def vector_to_univariate(c: PolyVector) -> Poly:
-    """Interleave the components into one polynomial of degree < ell*m:
-    coefficient k of component i lands on X^(ell*k + i)."""
-    ell, m = c.ell, c.m
-    out = [0] * (ell * m)
-    for i, comp in enumerate(c.components):
-        for k, coeff in enumerate(comp.coeffs):
-            out[ell * k + i] = coeff
-    return Poly(c.field, out)
-
-
-def univariate_to_vector(p: Poly, ell: int, m: int) -> PolyVector:
-    """Inverse interleaving: component i collects the coefficients at
-    positions congruent to i mod ell."""
-    if p.degree >= ell * m:
-        raise DegreeOverflow(
-            f"degree {p.degree} does not fit length {ell}*{m}")
-    f = p.field
-    comps = []
-    for i in range(ell):
-        comps.append(Poly(f, [p.coeff(ell * k + i) for k in range(m)]))
-    return PolyVector(comps, m)

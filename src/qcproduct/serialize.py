@@ -46,7 +46,6 @@ __all__ = [
     "basis_from_doc",
     "generating_matrix_to_doc",
     "generating_matrix_from_doc",
-    "cyclic_to_doc",
     "cyclic_from_doc",
     "canonical_json",
 ]
@@ -161,14 +160,6 @@ def generating_matrix_to_doc(g: GeneratingMatrix) -> dict:
 
 def generating_matrix_from_doc(doc) -> GeneratingMatrix:
     return _matrix_from_doc(doc, GeneratingMatrix, "generating matrix")
-
-
-def cyclic_to_doc(code: CyclicCode) -> dict:
-    return {
-        "m": code.m,
-        "field": field_to_doc(code.field),
-        "generator": poly_to_text(code.g),
-    }
 
 
 def cyclic_from_doc(doc) -> CyclicCode:

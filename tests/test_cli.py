@@ -11,8 +11,6 @@ from qcproduct import (
     Poly,
     basis_to_doc,
     canonical_json,
-    cyclic_code_new,
-    cyclic_to_doc,
     field_new,
     generating_matrix_to_doc,
     minimal_polynomial,
@@ -38,7 +36,7 @@ def row_code_doc():
 
 
 def column_code_doc():
-    return cyclic_to_doc(cyclic_code_new(3, poly_from_text(F2, "X+1")))
+    return {"m": 3, "field": {"p": 2, "m": 1, "modulus": "X"}, "generator": "X+1"}
 
 
 def small_matrix_doc():
@@ -560,6 +558,20 @@ def test_default_limit_stops_a_long_search_within_seconds(capsys):
     start = time.perf_counter()
     assert main(["--format", "json", "mindist", path]) == 3
     assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert json.loads(line)["error"]["type"] == "TooLarge"
+
+
+@pytest.mark.parametrize("command", ["verify", "mindist"])
+def test_wide_row_code_exits_3_within_a_second(command, capsys):
+    # ell 1, m 2^20 and row X + 1 over GF(2), 74 bytes: a [2^20, 2^20 - 1]
+    # code, refused by the size of its generator matrix before it is built
+    path = str(GOLDEN / "wide_row_code_gf2.json")
+    start = time.perf_counter()
+    assert main(["--format", "json", command, path]) == 3
+    assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import rootref
 from qcproduct import (
-    CodewordMatrix,
     DegreeMismatch,
     DivisionByZero,
     FieldMismatch,
@@ -140,8 +139,7 @@ def test_division_by_zero():
     lambda f, c: Poly(f, (1, c)),
     lambda f, c: Poly(f, (1, 1))(c),
     lambda f, c: LinearCodeView(f, [[1, c]]),
-    lambda f, c: CodewordMatrix(f, [[1, c]]),
-], ids=["Poly", "Poly.__call__", "LinearCodeView", "CodewordMatrix"])
+], ids=["Poly", "Poly.__call__", "LinearCodeView"])
 @pytest.mark.parametrize("q", (2, 3, 4, 9))
 def test_public_entries_check_the_codes_field_ops_trust(entry, q):
     # Field's operations run unchecked (over GF(4), mul(7, 1) raises

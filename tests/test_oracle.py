@@ -11,45 +11,38 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcproduct import (
-    CodewordMatrix,
     DegreeMismatch,
-    DimensionMismatch,
     FieldMismatch,
     GeneratingMatrix,
     LinearCodeView,
     OneLevelCode,
-    ParamMismatch,
     Poly,
+    PolyVector,
     RankMismatch,
     RgbPotBasis,
     ShapeMismatch,
     TooLarge,
     bezout_pair,
-    check_product_membership,
     cyclic_code_new,
     cyclotomic_coset,
-    encode,
     expand_to_linear,
     field_new,
     field_of_order,
     fold_mod_xm1,
     is_quasi_cyclic,
     level,
-    matrix_to_components,
     min_distance,
     minimal_polynomial,
-    modules_equal,
     one_level_product_rgb,
     poly_from_text,
     reduce_vector,
     rgb_pot_reduce,
-    univariate_to_matrix,
     unreduced_product_basis,
-    vector_to_univariate,
     x_pow_minus_one,
 )
 from qcproduct import oracle
 import packref
+from paper_maps import components, in_product, interleave, matrix, span_rref
 from rref import _rref
 
 F2 = field_new(2)
@@ -285,8 +278,8 @@ def test_expand_matches_stated_dimension_randomly():
 
 
 def test_expand_rows_are_encoded_shifts():
-    # row (i, t) is the serialization of the codeword with message X^t e_i,
-    # computed here through the encoder
+    # row (i, t) is the serialization of the codeword X^t * (row i),
+    # computed here by polynomial products
     rng = random.Random(8)
     for field in (F2, F4, F9):
         for _ in range(6):
@@ -297,11 +290,21 @@ def test_expand_rows_are_encoded_shifts():
             expected = []
             for i in range(ell):
                 for t in range(m - b.matrix[i][i].degree):
-                    msg = [Poly(field, (0,) * t + (1,)) if j == i else Poly.zero(field)
-                           for j in range(ell)]
-                    codes = vector_to_univariate(encode(b, msg)).coeffs
-                    expected.append(codes + (0,) * (ell * m - len(codes)))
+                    shift = Poly(field, (0,) * t + (1,))
+                    expected.append(tuple(interleave(
+                        [fold_mod_xm1(e * shift, m).coeffs for e in b.matrix[i]], m)))
             assert expand_to_linear(b).matrix == tuple(expected)
+
+
+def test_expand_refuses_more_entries_than_its_limit(monkeypatch):
+    # a [1024, 1023] code is expanded, a [2048, 2047] one is refused
+    assert 1023 * 1024 <= oracle._EXPAND_LIMIT < 2047 * 2048
+    b = OneLevelCode(Poly(F2, (1, 1)), [], 1, 8).basis()  # [8, 7]: 56 entries
+    monkeypatch.setattr(oracle, "_EXPAND_LIMIT", 56)
+    assert expand_to_linear(b).k == 7
+    monkeypatch.setattr(oracle, "_EXPAND_LIMIT", 55)
+    with pytest.raises(TooLarge, match="56 entries"):
+        expand_to_linear(b)
 
 
 def test_expand_zero_diagonal_raises_degree_mismatch():
@@ -707,33 +710,25 @@ def test_modules_equal_on_product_routes():
     B = cyclic_code_new(3, poly_from_text(F2, "X+1"))
     p = bezout_pair(2, 17, 3)
     raw = unreduced_product_basis(A.basis(), B, p)
-    assert modules_equal(raw, one_level_product_rgb(A, B, p).basis())
+    closed = one_level_product_rgb(A, B, p).basis()
+    assert span_rref(F2, p.big_m, raw.rows) == span_rref(F2, p.big_m, closed.matrix)
 
 
 def test_modules_equal_takes_canonical_bases():
+    # distinct canonical bases span distinct codes; a basis spans its own
     rows_a = [[Poly(F2, (1, 0, 1)), Poly(F2, (1, 1))]]
     a = rgb_pot_reduce(GeneratingMatrix(F2, 2, 3, rows_a))
     b = rgb_pot_reduce(GeneratingMatrix(F2, 2, 3, [[Poly(F2, (1, 1)), Poly.one(F2)]]))
-    assert modules_equal(a, a)
-    assert not modules_equal(a, b)
-    assert modules_equal(a, a.to_generating_matrix())
+    assert a != b
+    assert span_rref(F2, 3, a.matrix) != span_rref(F2, 3, b.matrix)
+    assert span_rref(F2, 3, a.matrix) == span_rref(F2, 3, rows_a)
 
 
 def test_modules_equal_distinguishes_modules():
     a = GeneratingMatrix(F2, 2, 3, [[Poly(F2, (1, 1)), Poly.zero(F2)]])
     b = GeneratingMatrix(F2, 2, 3, [[Poly(F2, (1, 1)), Poly.one(F2)]])
-    assert not modules_equal(a, b)
-    assert modules_equal(a, a)
-
-
-def test_modules_equal_shape_checks():
-    a = GeneratingMatrix(F2, 2, 3)
-    with pytest.raises(ShapeMismatch):
-        modules_equal(a, GeneratingMatrix(F2, 2, 4))
-    with pytest.raises(FieldMismatch):
-        modules_equal(a, GeneratingMatrix(F3, 2, 3))
-    with pytest.raises(ShapeMismatch):
-        modules_equal(a, "not a matrix")
+    assert rgb_pot_reduce(a) != rgb_pot_reduce(b)
+    assert span_rref(F2, 3, a.rows) != span_rref(F2, 3, b.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -747,58 +742,27 @@ def product_instance():
 
 
 def outer_product_matrix(A, B, p, a_msg, b_msg):
-    a_word = vector_to_univariate(encode(A.basis(), (a_msg, Poly.zero(F2))))
+    a_word = interleave([fold_mod_xm1(a_msg * e, p.m_a).coeffs for e in A.row()], p.m_a)
     b_word = b_msg * B.g
-    entries = [[F2.mul(b_word.coeff(i), a_word.coeff(j))
-                for j in range(p.ell_a * p.m_a)] for i in range(p.m_b)]
-    return CodewordMatrix(F2, entries)
+    return [[F2.mul(b_word.coeff(i), a_word[j]) for j in range(p.ell_a * p.m_a)]
+            for i in range(p.m_b)]
 
 
 def test_product_membership_accepts_outer_products():
     A, B, p = product_instance()
     M = outer_product_matrix(A, B, p, Poly(F2, (1, 1)), Poly(F2, (1, 0, 1)))
-    assert check_product_membership(M, A.basis(), B, p)
+    assert in_product(F2, M, expand_to_linear(A.basis()).matrix, B.g)
     # and the serialized word really lies in the product module
     prod = one_level_product_rgb(A, B, p)
-    assert reduce_vector(prod.basis(), matrix_to_components(M, p)).is_zero
+    comps = [Poly(F2, c) for c in components(M, p)]
+    assert reduce_vector(prod.basis(), PolyVector(comps, p.big_m)).is_zero
 
 
 def test_product_membership_rejects_perturbations():
     A, B, p = product_instance()
     M = outer_product_matrix(A, B, p, Poly(F2, (1, 1)), Poly(F2, (1, 0, 1)))
-    flipped = [list(row) for row in M.entries]
-    flipped[2][3] ^= 1
-    assert not check_product_membership(CodewordMatrix(F2, flipped), A.basis(), B, p)
-
-
-def test_product_membership_shape_checks():
-    A, B, p = product_instance()
-    M = outer_product_matrix(A, B, p, Poly(F2, (1, 1)), Poly(F2, (1, 0, 1)))
-    with pytest.raises(DimensionMismatch):
-        check_product_membership(CodewordMatrix(F2, [[1]]), A.basis(), B, p)
-    assert check_product_membership(M, A.basis(), B, p)
-
-
-@pytest.mark.parametrize("case, error, message", [
-    ("row code shape", ParamMismatch, "row code shape"),
-    ("column length", ParamMismatch, "column code length"),
-    ("column field", FieldMismatch, "row and column codes"),
-    ("matrix field", FieldMismatch, "codeword matrix"),
-])
-def test_product_membership_input_errors(case, error, message):
-    A, B, p = product_instance()
-    M = outer_product_matrix(A, B, p, Poly(F2, (1, 1)), Poly(F2, (1, 0, 1)))
-    row_basis = A.basis()
-    if case == "row code shape":
-        row_basis = OneLevelCode(Poly(F2, (1, 1)), [], 1, 3).basis()
-    elif case == "column length":
-        B = cyclic_code_new(3, Poly.one(F2))
-    elif case == "column field":
-        B = cyclic_code_new(5, poly_from_text(F3, "X-1"))
-    else:
-        M = CodewordMatrix(F3, M.entries)
-    with pytest.raises(error, match=message):
-        check_product_membership(M, row_basis, B, p)
+    M[2][3] ^= 1
+    assert not in_product(F2, M, expand_to_linear(A.basis()).matrix, B.g)
 
 
 def test_product_codewords_decode_to_row_and_column_structure():
@@ -806,7 +770,6 @@ def test_product_codewords_decode_to_row_and_column_structure():
     # the row code and columns in the column code
     A, B, p = product_instance()
     prod = one_level_product_rgb(A, B, p)
-    view = expand_to_linear(prod.basis())
-    for row in view.matrix:
-        M = univariate_to_matrix(Poly(F2, row), p)
-        assert check_product_membership(M, A.basis(), B, p)
+    row_code = expand_to_linear(A.basis()).matrix
+    for row in expand_to_linear(prod.basis()).matrix:
+        assert in_product(F2, matrix(row, p), row_code, B.g)

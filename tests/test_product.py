@@ -1,5 +1,6 @@
 """Tests for the product construction: Bezout parameters, index maps,
-codeword matrices, and the two routes to the product basis."""
+codeword matrices (through `paper_maps`), and the two routes to the
+product basis."""
 
 import math
 import random
@@ -9,9 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcproduct import (
-    CodewordMatrix,
-    DegreeOverflow,
-    DimensionMismatch,
     FieldMismatch,
     GeneratingMatrix,
     IndexOutOfRange,
@@ -21,13 +19,13 @@ from qcproduct import (
     OneLevelCode,
     ParamMismatch,
     Poly,
+    PolyVector,
     ProductParams,
     RgbPotBasis,
     ShapeMismatch,
     bezout_pair,
     cyclic_code_new,
     dimension,
-    encode,
     expand_to_linear,
     factor_xm_minus_1,
     field_new,
@@ -37,18 +35,15 @@ from qcproduct import (
     level,
     map_f,
     map_g,
-    matrix_to_components,
-    matrix_to_univariate,
     minimal_polynomial,
     one_level_product_rgb,
     poly_from_text,
     reduce_vector,
     rgb_pot_reduce,
-    univariate_to_matrix,
     unreduced_product_basis,
-    vector_to_univariate,
     x_pow_minus_one,
 )
+from paper_maps import components, interleave, matrix, serialize
 from rref import _rref
 
 F2 = field_new(2)
@@ -205,22 +200,6 @@ def test_map_indices_are_read_as_integers(i, j):
 # codeword matrices and serialization
 # ---------------------------------------------------------------------------
 
-def test_codeword_matrix_validation():
-    M = CodewordMatrix(F2, [[1, 0], [0, 1]])
-    assert M.shape == (2, 2)
-    with pytest.raises(DimensionMismatch):
-        CodewordMatrix(F2, [])
-    with pytest.raises(DimensionMismatch):
-        CodewordMatrix(F2, [[1, 0], [1]])
-    with pytest.raises(FieldMismatch):
-        CodewordMatrix(F2, [[2]])
-    for entries in ([[1.9, 0]], [["1", 0]]):  # no truncation, no parsing
-        with pytest.raises(FieldMismatch):
-            CodewordMatrix(F2, entries)
-    with pytest.raises(AttributeError):
-        M.entries = ()
-
-
 def test_matrix_serialization_round_trip():
     rng = random.Random(1309)
     for _ in range(30):
@@ -232,20 +211,12 @@ def test_matrix_serialization_round_trip():
             if math.gcd(ell_a * m_a, m_b) == 1:
                 break
         p = bezout_pair(ell_a, m_a, m_b)
-        M = CodewordMatrix(field, [[rng.randrange(field.q)
-                                    for _ in range(ell_a * m_a)]
-                                   for _ in range(m_b)])
-        c = matrix_to_univariate(M, p)
-        assert c.degree < p.n or c.is_zero
-        assert univariate_to_matrix(c, p) == M
-
-
-def test_matrix_serialization_shape_checks():
-    p = bezout_pair(2, 3, 5)
-    with pytest.raises(DimensionMismatch):
-        matrix_to_univariate(CodewordMatrix(F2, [[1]]), p)
-    with pytest.raises(DegreeOverflow):
-        univariate_to_matrix(Poly(F2, (0,) * 30 + (1,)), p)
+        M = [[rng.randrange(field.q) for _ in range(ell_a * m_a)]
+             for _ in range(m_b)]
+        c = serialize(M, p)
+        assert len(c) == p.n
+        assert sorted(c) == sorted(x for row in M for x in row)
+        assert matrix(c, p) == M
 
 
 def test_components_agree_with_serialization():
@@ -261,12 +232,11 @@ def test_components_agree_with_serialization():
             if math.gcd(ell_a * m_a, m_b) == 1:
                 break
         p = bezout_pair(ell_a, m_a, m_b)
-        M = CodewordMatrix(field, [[rng.randrange(field.q)
-                                    for _ in range(ell_a * m_a)]
-                                   for _ in range(m_b)])
-        comps = matrix_to_components(M, p)
-        assert comps.ell == ell_a and comps.m == p.big_m
-        assert vector_to_univariate(comps) == matrix_to_univariate(M, p)
+        M = [[rng.randrange(field.q) for _ in range(ell_a * m_a)]
+             for _ in range(m_b)]
+        comps = components(M, p)
+        assert len(comps) == ell_a and {len(c) for c in comps} == {p.big_m}
+        assert interleave(comps, p.big_m) == serialize(M, p)
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +413,16 @@ def test_both_routes_agree_with_seven_columns():
 def test_product_shape_mismatches_rejected():
     A, B, p = section_iv_instance()
     wrong = bezout_pair(2, 17, 5)
-    with pytest.raises(ParamMismatch):
-        one_level_product_rgb(A, B, wrong)    # B has length 3, params say 5
     B3 = cyclic_code_new(5, Poly.one(F3))
-    with pytest.raises(FieldMismatch):
-        one_level_product_rgb(A, B3, wrong)   # GF(3) column code, GF(2) rows
+    A1 = OneLevelCode(Poly(F2, (1, 1)), [], 1, 17)
+    for route, row_code in ((one_level_product_rgb, lambda a: a),
+                            (unreduced_product_basis, OneLevelCode.basis)):
+        with pytest.raises(ParamMismatch, match="column code length"):
+            route(row_code(A), B, wrong)       # B has length 3, params say 5
+        with pytest.raises(FieldMismatch, match="row and column codes"):
+            route(row_code(A), B3, wrong)      # GF(3) column code, GF(2) rows
+        with pytest.raises(ParamMismatch, match="row code shape"):
+            route(row_code(A1), B, p)          # ell 1, params say 2
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +438,9 @@ def test_product_span_small_instance():
     assert prod.k == A.k * B.k == 8
     basis = prod.basis()
 
-    # serialized basis codewords of the row code
-    a_words = []
-    for t in range(A.k):
-        msg = (Poly(F2, (0,) * t + (1,)), Poly.zero(F2))
-        u = vector_to_univariate(encode(A.basis(), msg))
-        a_words.append([u.coeff(s) for s in range(6)])
+    # serialized basis codewords of the row code: X^t times its row
+    a_words = [interleave([fold_mod_xm1(e * Poly(F2, (0,) * t + (1,)), 3).coeffs
+                           for e in A.row()], 3) for t in range(A.k)]
     # basis codewords of the column code
     b_words = []
     for t in range(B.k):
@@ -478,18 +450,16 @@ def test_product_span_small_instance():
     # every outer product b (x) a must land in the product code
     for bw in b_words:
         for aw in a_words:
-            M = CodewordMatrix(F2, [[F2.mul(bi, aj) for aj in aw]
-                                    for bi in bw])
-            comps = matrix_to_components(M, p)
-            assert reduce_vector(basis, comps).is_zero
+            M = [[F2.mul(bi, aj) for aj in aw] for bi in bw]
+            comps = [Poly(F2, c) for c in components(M, p)]
+            assert reduce_vector(basis, PolyVector(comps, p.big_m)).is_zero
 
     # a one-position perturbation leaves the code (minimum distance is > 1)
-    M = CodewordMatrix(F2, [[F2.mul(b_words[0][i], a_words[0][j])
-                             for j in range(6)] for i in range(5)])
-    flipped = [list(row) for row in M.entries]
-    flipped[0][0] ^= 1
-    bad = matrix_to_components(CodewordMatrix(F2, flipped), p)
-    assert not reduce_vector(basis, bad).is_zero
+    M = [[F2.mul(b_words[0][i], a_words[0][j]) for j in range(6)]
+         for i in range(5)]
+    M[0][0] ^= 1
+    bad = [Poly(F2, c) for c in components(M, p)]
+    assert not reduce_vector(basis, PolyVector(bad, p.big_m)).is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Tests for submodule bases, canonical reduction, and the interleaving maps."""
+"""Tests for submodule bases, canonical reduction, membership, and the
+interleaving of `paper_maps`."""
 
 import random
 import time
@@ -10,24 +11,22 @@ from qcproduct import (
     DegreeOverflow,
     FieldMismatch,
     GeneratingMatrix,
-    MessageDegreeTooLarge,
     NonPrefixPattern,
     Poly,
     PolyVector,
     RgbPotBasis,
     ShapeMismatch,
     dimension,
-    encode,
     field_new,
+    fold_mod_xm1,
     is_rgb_pot,
     level,
     minimal_polynomial,
     reduce_vector,
     rgb_pot_reduce,
-    univariate_to_vector,
-    vector_to_univariate,
     x_pow_minus_one,
 )
+from paper_maps import interleave
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -143,7 +142,7 @@ def test_reduce_is_idempotent():
         gen = random_generating_matrix(rng, field, ell, m, rng.randrange(1, 4))
         b = rgb_pot_reduce(gen)
         assert is_rgb_pot(b)[0]
-        again = rgb_pot_reduce(b.to_generating_matrix())
+        again = rgb_pot_reduce(GeneratingMatrix(field, ell, m, b.matrix))
         assert again == b
 
 
@@ -240,27 +239,18 @@ def test_dimension_rejects_zero_diagonal():
 # encoding and membership
 # ---------------------------------------------------------------------------
 
+def encode(b, msg):
+    """c(X) = i(X) G(X), each component folded modulo X^m - 1."""
+    return PolyVector([fold_mod_xm1(sum((i * row[col] for i, row in zip(msg, b.matrix)),
+                                        Poly.zero(b.field)), b.m)
+                       for col in range(b.ell)], b.m)
+
+
 def test_encode_frozen_golden():
     b = small_basis()
     c = encode(b, (Poly(F2, (1, 1)), Poly.zero(F2)))
     assert [p.coeffs for p in c.components] == [(1, 0, 1), (1, 1)]
     assert reduce_vector(b, c).is_zero
-
-
-def test_encode_degree_bounds():
-    b = small_basis()
-    with pytest.raises(MessageDegreeTooLarge):
-        encode(b, (Poly(F2, (1, 0, 1)), Poly.zero(F2)))   # deg 2 >= 2
-    with pytest.raises(MessageDegreeTooLarge):
-        encode(b, (Poly.zero(F2), Poly.one(F2)))          # full diagonal row
-    with pytest.raises(ShapeMismatch):
-        encode(b, (Poly.one(F2),))
-
-
-def test_encode_accepts_poly_vector_message():
-    b = small_basis()
-    msg = PolyVector((Poly.one(F2), Poly.zero(F2)), 3)
-    assert encode(b, msg) == encode(b, tuple(msg))
 
 
 def test_reduce_vector_detects_non_members():
@@ -294,13 +284,10 @@ def test_all_message_encodings_reduce_to_zero():
 
 def test_interleaving_positions():
     # coefficient k of component i lands on X^(ell*k + i)
-    v = PolyVector((Poly(F2, (1, 0, 1)), Poly(F2, (0, 1))), 3)
-    u = vector_to_univariate(v)
-    assert u.coeffs == (1, 0, 0, 1, 1)   # 1 + X^3 + X^4
-    assert u.coeff(0) == 1               # comp 0, k=0
-    assert u.coeff(4) == 1               # comp 0, k=2 -> 2*2+0
-    assert u.coeff(3) == 1               # comp 1, k=1 -> 2*1+1
-    assert univariate_to_vector(u, 2, 3) == v
+    comps = [(1, 0, 1), (0, 1)]
+    u = interleave(comps, 3)
+    assert u == [1, 0, 0, 1, 1, 0]   # 1 + X^3 + X^4
+    assert [u[0::2], u[1::2]] == [[1, 0, 1], [0, 1, 0]]
 
 
 def test_interleaving_round_trip_random():
@@ -309,14 +296,7 @@ def test_interleaving_round_trip_random():
         field = rng.choice((F2, F3))
         ell = rng.randrange(1, 4)
         m = rng.randrange(1, 6)
-        comps = [Poly(field, [rng.randrange(field.q) for _ in range(m)])
-                 for _ in range(ell)]
-        v = PolyVector(comps, m)
-        u = vector_to_univariate(v)
-        assert u.degree < ell * m
-        assert univariate_to_vector(u, ell, m) == v
-
-
-def test_univariate_degree_bound():
-    with pytest.raises(DegreeOverflow):
-        univariate_to_vector(Poly(F2, (0,) * 6 + (1,)), 2, 3)
+        comps = [[rng.randrange(field.q) for _ in range(m)] for _ in range(ell)]
+        u = interleave(comps, m)
+        assert len(u) == ell * m
+        assert [u[i::ell] for i in range(ell)] == comps

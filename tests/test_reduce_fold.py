@@ -20,6 +20,8 @@ degree m - 1, which would take an entry past degree 2m if the tails were
 not folded in between.  On a fixed divisor matrix the library must run
 `euclid`, take fewer kernel products than the reference and no fold of a
 single entry, so that the folds cannot fall back to entries unnoticed.
+Neither reduction nor `reduce_vector` may fold a row at the last column,
+where no entry lies right of it.
 `rgb_pot_reduce` builds its result without the checks of the
 `RgbPotBasis` constructor, so its matrix must be a tuple of tuples of
 `Poly` that the constructor takes to an equal basis.
@@ -29,6 +31,7 @@ import dataclasses
 import functools
 import json
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -37,12 +40,15 @@ import reduceref
 from qcproduct import (
     GeneratingMatrix,
     Poly,
+    PolyVector,
     RgbPotBasis,
     factor_xm_minus_1,
     field_of_order,
     fold_mod_xm1,
     generating_matrix_from_doc,
     polyring,
+    qcmodule,
+    reduce_vector,
     rgb_pot_reduce,
     x_pow_minus_one,
 )
@@ -183,3 +189,24 @@ def test_divisor_matrix_takes_fewer_products_than_the_reference(monkeypatch):
     assert calls["euclid"] >= 1
     assert calls["mul"] < by_reference
     assert calls["fold"] == 0  # every entry of the document is below degree m
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(random_matrices(), divisor_matrices()))
+def test_no_fold_of_an_empty_tail(gen):
+    tails = []
+
+    def kernel(f):
+        k = polyring._kernel(f)
+
+        def fold_row(f, a, n, m, w):
+            tails.append(n)
+            return k.fold_row(f, a, n, m, w)
+        return dataclasses.replace(k, fold_row=fold_row)
+
+    with mock.patch.object(qcmodule, "_kernel", kernel):
+        out = rgb_pot_reduce(gen)
+        for row in gen.rows:
+            reduce_vector(out, PolyVector([fold_mod_xm1(e, gen.m) for e in row], gen.m))
+    assert out == reduceref.rgb_pot_reduce(gen)
+    assert 0 not in tails

@@ -21,8 +21,8 @@ from qcproduct import (
     is_rgb_pot,
     reduce_vector,
     rgb_pot_reduce,
-    vector_to_univariate,
 )
+from paper_maps import span_rref
 from rref import _rref
 
 FIELDS = {2: field_new(2), 3: field_new(3), 4: field_new(2, 2), 5: field_new(5)}
@@ -42,18 +42,6 @@ def generating_matrices(draw):
     return GeneratingMatrix(field, ell, m, draw(st.lists(row, max_size=ell + 1)))
 
 
-def shift_span_rref(gen):
-    f, m = gen.field, gen.m
-    rows = []
-    for row in gen.rows:
-        for t in range(m):
-            shift = Poly(f, (0,) * t + (1,))
-            vec = PolyVector([fold_mod_xm1(p * shift, m) for p in row], m)
-            codes = list(vector_to_univariate(vec).coeffs)
-            rows.append(codes + [0] * (gen.ell * m - len(codes)))
-    return _rref(f, rows)
-
-
 def canonical_rref(gen):
     return _rref(gen.field, expand_to_linear(rgb_pot_reduce(gen)).matrix)
 
@@ -61,7 +49,7 @@ def canonical_rref(gen):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(generating_matrices())
 def test_canonical_basis_spans_the_generated_code(gen):
-    assert canonical_rref(gen) == shift_span_rref(gen)
+    assert canonical_rref(gen) == span_rref(gen.field, gen.m, gen.rows)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

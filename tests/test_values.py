@@ -9,7 +9,6 @@ import pickle
 import pytest
 
 from qcproduct import (
-    CodewordMatrix,
     CyclicCode,
     GeneratingMatrix,
     LinearCodeView,
@@ -36,7 +35,6 @@ VALUES = {
     "GeneratingMatrix": _matrix,
     "RgbPotBasis": lambda x: rgb_pot_reduce(_matrix(x)),
     "ProductParams": lambda x: bezout_pair(2, 17, 2 * x + 1),
-    "CodewordMatrix": lambda x: CodewordMatrix(Field(2), [[1, 0], [0, x % 2]]),
     "OneLevelCode": lambda x: OneLevelCode(
         Poly(Field(2), (1, 1)), [Poly(Field(2), (0,) * x + (1,))], 2, 3),
     "LinearCodeView": lambda x: LinearCodeView(Field(2), [[1, 0, 1], [0, 1, x % 2]]),
