@@ -5,12 +5,12 @@ polynomial basis into one, exact minimum distance (a walk over one message
 per 1-dimensional subspace for tiny codes, Brouwer-Zimmermann for the rest,
 which gets the shifts of its information sets for free on a quasi-cyclic
 code once it has checked the closure) and the shift-closure test.
-A `LinearCodeView` packs its rows into ints once (`expand_to_linear` packs
-each basis row once and rotates it), and one packed GF(p) elimination,
-`_systematic`, serves its rank check, `is_quasi_cyclic` and both distance
-searches; the tests keep a list-based RREF, packing and elimination as their
-references.  These routines deliberately avoid the canonical-form machinery
-(no division, no gcd) so they can serve as ground truth for it.
+A `LinearCodeView` checks its rows and packs them into ints once, by byte
+tables for q <= 256 (`expand_to_linear` packs each basis row once, rotates
+it and trusts the rows it built); one packed GF(p) elimination serves its rank
+check, `is_quasi_cyclic` and both searches, and Brouwer-Zimmermann weighs a
+word in one call.  The tests keep list-based references.  No canonical-form
+machinery (no division, no gcd) is used, so this can be ground truth for it.
 """
 
 from __future__ import annotations
@@ -68,36 +68,33 @@ class LinearCodeView:
 
     def __init__(self, field: Field, matrix, n: int | None = None,
                  ell: int | None = None):
-        _settle(self, field, matrix, n, ell)
+        index = operator.index
+        try:
+            rows = tuple(tuple([index(c) for c in row]) for row in matrix)
+        except TypeError:
+            raise ShapeMismatch(
+                "generator matrix must be rows of integer codes") from None
+        try:
+            n = index(len(rows[0]) if n is None and rows else n)
+        except TypeError:
+            n = -1
+        if n < 0 or any(len(row) != n for row in rows):
+            raise ShapeMismatch("rows must share one length n (give n if no rows)")
+        if n and rows and not (
+                0 <= min(map(min, rows)) <= max(map(max, rows)) < field.q):
+            raise FieldMismatch("matrix entries outside the field's code range")
+        ell = None if ell is None else _check_ell(n, ell)
+        _settle(self, field, rows, n, ell, _packed_rows(field, rows if n else ()))
 
     def __repr__(self):
         return f"LinearCodeView[{self.n}, {self.k}] over {self.field!r}"
 
 
-def _settle(view: LinearCodeView, field: Field, matrix, n, ell,
-            packed: tuple | None = None) -> None:
-    """Fill in `view` from a generator matrix: check every code's type and
-    range, eliminate the rows' packing (`packed`, or else `_packed_rows` of
-    the rows) with `_systematic`, and check the rank."""
-    index = operator.index
-    try:
-        rows = tuple(tuple([index(c) for c in row]) for row in matrix)
-    except TypeError:
-        raise ShapeMismatch(
-            "generator matrix must be rows of integer codes") from None
-    try:
-        n = index(len(rows[0]) if n is None and rows else n)
-    except TypeError:
-        n = -1
-    if n < 0 or any(len(row) != n for row in rows):
-        raise ShapeMismatch("rows must share one length n (give n if no rows)")
-    if n and rows and not (
-            0 <= min(map(min, rows)) <= max(map(max, rows)) < field.q):
-        raise FieldMismatch("matrix entries outside the field's code range")
-    ell = None if ell is None else _check_ell(n, ell)
-    k = len(rows)
-    bits, words = packed or _packed_rows(field, rows if n else ())
-    _, words, slots = _systematic(field.p, field.m, n, bits, words)
+def _settle(view: LinearCodeView, field: Field, rows: tuple, n: int,
+            ell: int | None, packed: tuple) -> None:
+    """Fill in `view` from checked rows and their packing: eliminate, check rank."""
+    k, bits = len(rows), packed[0]
+    _, words, slots = _systematic(field.p, field.m, n, *packed)
     if len(words) != k * field.m:
         raise RankMismatch(f"generator matrix has rank "
                            f"{len(words) // field.m}, not {k}")
@@ -106,9 +103,9 @@ def _settle(view: LinearCodeView, field: Field, matrix, n, ell,
         object.__setattr__(view, name, value)
 
 
-# The most entries k*n an expanded generator matrix may have, sized to
-# seconds: packing and eliminating grow about as its square, and a [1024,
-# 1023] code (GF(2), ell 1, row X + 1) is verified in about 0.9 s (2 vCPU Xeon).
+# At most this many bits in the k*m packed words of an expanded generator
+# matrix (k*n over GF(2)), which bounds an elimination's adds: a [1024, 1023]
+# code (GF(2), ell 1, row X + 1) is verified in about 0.9 s (2 vCPU Xeon).
 _EXPAND_LIMIT = 1 << 20
 
 
@@ -123,20 +120,21 @@ def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
     The rank check then verifies independently that the basis dimension
     is honest.  The view's `ell` is the basis's: the module is closed
     under multiplication by X.  TooLarge is raised before any row is
-    built when the k x n matrix would hold more than 2^20 entries."""
+    built when the packed words would hold more than 2^20 bits (k x n
+    entries over GF(2)).  `_settle` trusts the rows built here."""
     k = dimension(b)  # raises on a zero diagonal entry before any row is built
     f, ell, m = b.field, b.ell, b.m
     n = ell * m
-    if k * n > _EXPAND_LIMIT:
+    if (size := k * n * f.m ** 2 * _slot_bits(f.p)) > _EXPAND_LIMIT:
         raise TooLarge(f"a [{n}, {k}] generator matrix has {k * n} entries, "
-                       f"over the limit {_EXPAND_LIMIT}")
+                       f"{size} bits packed, over the limit {_EXPAND_LIMIT}")
     firsts = []
     for entries in b.matrix:
         row = [0] * n
         for j, entry in enumerate(entries):
             codes = fold_mod_xm1(entry, m).coeffs
             row[j:ell * len(codes):ell] = codes
-        firsts.append(row)
+        firsts.append(tuple(row))
     bits, base = _packed_rows(f, firsts)
     rotate = _rotation(f.m, n, bits, ell)
     rows, words = [], []
@@ -148,13 +146,30 @@ def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
     if len(rows) != k:
         raise RankMismatch(f"expanded {len(rows)} rows for stated dimension {k}")
     view = object.__new__(LinearCodeView)
-    _settle(view, f, rows, n, ell, (bits, words))
+    _settle(view, f, tuple(rows), n, ell, (bits, words))
     return view
 
 
 # ---------------------------------------------------------------------------
 # minimum distance on packed words: the exhaustive walk and Brouwer-Zimmermann
 # ---------------------------------------------------------------------------
+
+def _slot_bits(p: int) -> int:
+    """Bits per digit slot: 1 for p = 2, else room for 2p - 2 and a guard bit."""
+    return 1 if p == 2 else (2 * p - 2).bit_length() + 1
+
+
+@functools.lru_cache(maxsize=16)  # bounded: fields come from documents
+def _digit_tables(field: Field, bits: int) -> list:
+    """tables[t][j][s]: the `bytes.translate` table taking each code of a
+    field with q <= 256 to bit bits-1-j, as b"0" or b"1", of digit m-1-s
+    of X^t times the code."""
+    p, m = field.p, field.m
+    return [[[bytes(b"01"[x // p ** s % p >> bits - 1 - j & 1] for x in prod)
+              .ljust(256, b"0") for s in reversed(range(m))] for j in range(bits)]
+            for prod in ([field.mul(p ** t, c) for c in range(field.q)]
+                         for t in range(m))]
+
 
 def _packed_rows(field: Field, rows) -> tuple[int, list[int]]:
     """Pack the code as a GF(p)-linear code of dimension k*m, p the
@@ -163,34 +178,40 @@ def _packed_rows(field: Field, rows) -> tuple[int, list[int]]:
     Generator row r becomes the m rows X^t * r (t < m), so a message index
     read in base p names the same codeword as read in base q over the
     original rows.  Each row is one integer: digit t of position i sits in
-    slot t*n + i of `bits` bits, one bit for p = 2, else room for the sum
-    of two digits plus a guard bit above it.  For each t and digit s, a map
-    takes every code present to the numeral of digit s of X^t times it,
-    and the numerals of a row are joined in one pass per digit.
+    slot t*n + i of `_slot_bits` bits.  When the codes fit in a byte (q <=
+    256), bit j of every slot of its binary numeral is one `bytes.translate`
+    per digit plane (`_digit_tables`) and one strided copy; above that each
+    digit is formatted on its own.
     """
     p, m = field.p, field.m
-    bits = 1 if p == 2 else (2 * p - 2).bit_length() + 1
-    present = set().union(*rows)
-    planes = [[{c: format(x // p ** s % p, f"0{bits}b")
-                for c, x in prod.items()}.__getitem__ for s in reversed(range(m))]
-              for prod in ({c: field.mul(p ** t, c) for c in present}
-                           for t in range(m))]
-    return bits, [int("".join(["".join(map(numeral, row[::-1]))
-                               for numeral in plane]), 2)
-                  for row in rows for plane in planes]
+    bits = _slot_bits(p)
+    if field.q > 256:
+        return bits, [int("".join([format(field.mul(p ** t, c) // p ** s % p, f"0{bits}b")
+                                   for s in reversed(range(m)) for c in reversed(row)]), 2)
+                      for row in rows for t in range(m)]
+    words = []
+    for row in rows:
+        rev = bytes(row[::-1])
+        for planes in _digit_tables(field, bits):
+            numeral = bytearray(len(rev) * m * bits)
+            for j, plane in enumerate(planes):
+                numeral[j::bits] = b"".join([rev.translate(t) for t in plane])
+            words.append(int(numeral, 2))
+    return bits, words
 
 
 def _slot_ops(p: int, m: int, n: int, bits: int):
-    """(add, support) on words packed by `_packed_rows`.
+    """(add, support, weigh) on words packed by `_packed_rows`.
 
     `add` is XOR for p = 2 and slot-parallel addition mod p otherwise.
     `support` sets the guard bit of every nonzero slot and ORs each
     position's m slots onto those of digit 0, so bit i*bits + bits-1 is set
     iff position i is nonzero: its popcount is the Hamming weight.  Over
-    GF(2) the support is the word itself.
+    GF(2) the support is the word itself.  `weigh(x, y)` is the Hamming
+    weight of x + y.
     """
     if p == 2 and m == 1:
-        return operator.xor, int
+        return operator.xor, int, lambda x, y: (x ^ y).bit_count()
     top = bits - 1
     width = bits * n
     ones = ((1 << (width * m)) - 1) // ((1 << bits) - 1)  # bit 0 of each slot
@@ -213,7 +234,14 @@ def _slot_ops(p: int, m: int, n: int, bits: int):
             g |= g >> sh
         return g & mask
 
-    return add, support
+    def weigh(x, y):  # support(add(x, y)).bit_count() in one call
+        s = x ^ y if p == 2 else (t := x + y) - (((t + fix) & guard) >> top) * p
+        g = (s + low) & guard
+        for sh in shifts:
+            g |= g >> sh
+        return (g & mask).bit_count()
+
+    return add, support, weigh
 
 
 class _Negatives(dict):
@@ -243,9 +271,9 @@ def _systematic(p: int, m: int, n: int, bits: int, rows, covered: int = 0):
     or none and the GF(q) rank is len(words) // m.  `words[a*m + t]` is
     X^t * g_a, g_a the codeword that is 1 on the a-th pivot position and 0
     on the others; dependent rows are dropped.  A row holding d in the
-    pivot slot is cleared by one add of -d * pivot (`_Negatives`).
+    pivot slot gets -d * pivot added (`_Negatives`; (0, pivot) for p = 2).
     """
-    add, support = _slot_ops(p, m, n, bits)
+    add, support, _ = _slot_ops(p, m, n, bits)
     top, dmask = bits - 1, (1 << bits) - 1
     everywhere = ((1 << n * bits) - 1) // dmask << top
     free, done, slots, new = list(rows), [], [], 0
@@ -263,7 +291,7 @@ def _systematic(p: int, m: int, n: int, bits: int, rows, covered: int = 0):
                 free.remove(piv)
                 inv = pow(piv >> shift & dmask, -1, p)
                 piv = piv if inv == 1 else _Negatives(p, add, piv)[p - inv]
-                neg = _Negatives(p, add, piv)
+                neg = (0, piv) if p == 2 else _Negatives(p, add, piv)
                 free = [add(row, neg[row >> shift & dmask]) for row in free]
                 done = [add(row, neg[row >> shift & dmask]) for row in done]
                 done.append(piv)
@@ -298,7 +326,7 @@ def _range_min(p: int, m: int, n: int, bits: int, rows):
     a the walk counts from rows[a*m] = g_a over the rows after g_a's:
     q^(k-1-a) messages, (q^k - 1)/(q - 1) in all.  Over GF(2) it is one
     XOR and one popcount per codeword."""
-    add, support = _slot_ops(p, m, n, bits)
+    add, support, _ = _slot_ops(p, m, n, bits)
     best, walked = 1 << 62, 0
     for a in range(0, len(rows), m):
         cur, steps = rows[a], _steps(p, add, rows[a + m:])
@@ -347,7 +375,7 @@ def _brouwer_zimmermann(view: LinearCodeView, limit: int):
     f, n, k, ell = view.field, view.n, view.k, view.ell
     q, p, m = f.q, f.p, f.m
     bits, rows, slots = view.packed
-    add, support = _slot_ops(p, m, n, bits)
+    add, support, weigh = _slot_ops(p, m, n, bits)
     everywhere = ((1 << n * bits) - 1) // ((1 << bits) - 1) << bits - 1
     closed = ell is not None and is_quasi_cyclic(view, ell)
     rotate = _rotation(m, n, bits, ell) if closed else None
@@ -380,7 +408,7 @@ def _brouwer_zimmermann(view: LinearCodeView, limit: int):
                 if v == 2:  # c * g_a for c = 1 .. q-1
                     tables[j] = [list(itertools.accumulate(_steps(
                         p, add, words[a * m:a * m + m]), add)) for a in range(k)]
-                best = min(best, _weight_block(tables[j], v, add, support) if v > 1
+                best = min(best, _weight_block(tables[j], v, add, weigh) if v > 1
                            else min(map(int.bit_count, map(support, words[::m]))))
                 enumerated += count
             reached[j] = w
@@ -389,16 +417,17 @@ def _brouwer_zimmermann(view: LinearCodeView, limit: int):
                 return best, enumerated
 
 
-def _weight_block(tables, w: int, add, support) -> int:
+def _weight_block(tables, w: int, add, weigh) -> int:
     """Lightest sum over all messages of weight w >= 2 whose first nonzero
-    coefficient is 1, table a listing the nonzero multiples of row a."""
+    coefficient is 1, table a listing the nonzero multiples of row a.  The
+    last level is one `weigh` per word, or over GF(2) C-level XOR and popcount."""
     k, c = len(tables), len(tables[0])
     flat = [x for row in tables for x in row]
 
     def descend(cur, start, depth):
         if depth == 1:
-            return min(map(int.bit_count, map(support, map(
-                add, itertools.repeat(cur), flat[start * c:]))))
+            return min(map(weigh, itertools.repeat(cur), flat[start * c:]) if c > 1
+                       else map(int.bit_count, map(add, itertools.repeat(cur), flat[start:])))
         return min(descend(add(cur, x), a + 1, depth - 1)
                    for a in range(start, k - depth + 1) for x in tables[a])
 
@@ -470,9 +499,10 @@ def is_quasi_cyclic(view: LinearCodeView, ell: int) -> bool:
     bits, words, slots = view.packed
     if not words:  # the zero code
         return True
-    add, _ = _slot_ops(f.p, f.m, n, bits)
+    add = _slot_ops(f.p, f.m, n, bits)[0]
     rotate, dmask = _rotation(f.m, n, bits, ell), (1 << bits) - 1
-    pivots = [(_Negatives(f.p, add, g), s) for g, s in zip(words, slots)]
+    pivots = [((0, g) if f.p == 2 else _Negatives(f.p, add, g), s)
+              for g, s in zip(words, slots)]
     return not any(functools.reduce(
         lambda y, ps: add(y, ps[0][y >> ps[1] & dmask]), pivots, rotate(g))
         for g in words[::f.m])

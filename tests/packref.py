@@ -54,7 +54,7 @@ def _clear(add, p: int, bits: int, row: int, piv: int, shift: int) -> int:
 def systematic(p: int, m: int, n: int, bits: int, rows, covered: int = 0):
     """(guard-bit mask of the new positions, words, pivot slots), pivoting
     on positions outside `covered` first, lowest position first."""
-    add, support = _slot_ops(p, m, n, bits)
+    add, support, _ = _slot_ops(p, m, n, bits)
     top, dmask = bits - 1, (1 << bits) - 1
     everywhere = sum(1 << (i * bits + top) for i in range(n))
     free, done, slots, new = list(rows), [], [], 0
@@ -81,7 +81,7 @@ def range_min(p: int, m: int, n: int, bits: int, rows) -> int:
     """Minimum Hamming weight over every nonzero message of a packed code,
     message index idx read as base-p digits over the rows: the step from
     idx-1 to idx adds the prefix sum of rows 0..v_p(idx)."""
-    add, support = _slot_ops(p, m, n, bits)
+    add, support, _ = _slot_ops(p, m, n, bits)
     prefix = list(itertools.accumulate(rows, add))
     cur, best = 0, 1 << 62
     for idx in range(1, p ** len(rows)):

@@ -9,6 +9,10 @@ number), or drops one, and runs the command on it through
 `cli.main` under a 5-s alarm.  Every case must exit 0, 2 or 3, and a failing case must write
 exactly one JSON error line to stderr.  Case i draws everything from
 `random.Random(i)`, so a failure names the case that reproduces it.
+
+A second mutation raises `m` of each `verify` and `mindist` document to
+every power of two up to 2^20: under the same alarm each such case must
+answer or exit 3, the bound on the expanded generator matrix.
 """
 
 import json
@@ -163,16 +167,21 @@ def _alarm(signum, frame):
     raise _Overran(f"over {ALARM_S} s")
 
 
-@pytest.mark.parametrize("i", range(CASES))
-def test_mutated_document_exits_cleanly(i, tmp_path, capsys):
-    argv = _case(i, tmp_path)
+def _run(argv) -> int:
+    """main(argv) under the alarm."""
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(ALARM_S)
     try:
-        code = main(argv)
+        return main(argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("i", range(CASES))
+def test_mutated_document_exits_cleanly(i, tmp_path, capsys):
+    argv = _case(i, tmp_path)
+    code = _run(argv)
     err = capsys.readouterr().err
     assert code in (0, 2, 3), (argv, code, err)
     if code:
@@ -180,3 +189,24 @@ def test_mutated_document_exits_cleanly(i, tmp_path, capsys):
         assert len(lines) == 1, (argv, err)
         error = json.loads(lines[0])["error"]
         assert set(error) == {"type", "message"}, (argv, err)
+
+
+# (command, document, m) for m a power of two above the document's, to 2^20
+RAISED_M = [(command, name, 1 << e)
+            for command, names in COMMANDS if command in ("verify", "mindist")
+            for name in names
+            for e in range(21)
+            if 1 << e > json.loads((GOLDEN / name).read_text(encoding="utf-8"))["m"]]
+
+
+@pytest.mark.parametrize("command, name, m", RAISED_M,
+                         ids=[f"{c}-{n[:-5]}-m{m}" for c, n, m in RAISED_M])
+def test_raised_m_answers_or_exits_3(command, name, m, tmp_path, capsys):
+    doc = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    path = tmp_path / "raised.json"
+    path.write_text(json.dumps(dict(doc, m=m)), encoding="utf-8")
+    code = _run(["--format", "json", command, str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 3), (m, code, err)
+    if code:
+        assert json.loads(err)["error"]["type"] == "TooLarge", err

@@ -43,7 +43,12 @@ m 21), GF(3) (ell 4, m 20) and GF(4) (ell 4, m 15), each with at least two
 diagonals other than 1, from before reduction kept its rows packed at one
 width from start to end, and the reductions of GF(5) and GF(9) matrices
 with an X^1048576 entry (ell 2, m 3), on the code-list kernels, from
-before their folds modulo X^m - 1 learned to halve the operand.
+before their folds modulo X^m - 1 learned to halve the operand, and the
+``verify`` and ``mindist`` outputs of the row codes over GF(3), GF(4),
+GF(5) and GF(9), the ``mindist`` output of a row code over GF(2^31 - 1)
+and the Brouwer-Zimmermann ``mindist`` outputs of the reduced GF(3) and
+GF(5) products, from before packing went through byte tables and the
+last level of a weight block through one fused weighing.
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -94,6 +99,17 @@ CASES = {
     "minpoly_281281747415761_63_40": ["minpoly", "281281747415761", "63", "40"],
     "mindist_row_code_gf2": ["mindist", "row_code_gf2.json"],
     "mindist_product_gf2": ["mindist", "product_basis_gf2.json"],
+    "mindist_row_code_gf3": ["mindist", "row_code_gf3.json"],
+    "mindist_row_code_gf4": ["mindist", "row_code_gf4.json"],
+    "mindist_row_code_gf5": ["mindist", "row_code_gf5.json"],
+    "mindist_row_code_gf9": ["mindist", "row_code_gf9.json"],
+    "mindist_row_code_gf2147483647": ["mindist", "row_code_gf2147483647.json"],
+    "mindist_product_gf3": ["mindist", "product_basis_gf3.json"],
+    "mindist_product_gf5": ["mindist", "product_basis_gf5.json"],
+    "verify_row_code_gf3": ["verify", "row_code_gf3.json"],
+    "verify_row_code_gf4": ["verify", "row_code_gf4.json"],
+    "verify_row_code_gf5": ["verify", "row_code_gf5.json"],
+    "verify_row_code_gf9": ["verify", "row_code_gf9.json"],
 }
 
 

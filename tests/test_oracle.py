@@ -147,7 +147,11 @@ def test_packed_elimination_matches_rref(case):
         assert is_quasi_cyclic(view, ell) == closed
 
 
-PACKING_FIELDS = tuple(map(field_of_order, (2, 3, 4, 5, 8, 9, 25, 27, 257, 3 ** 6)))
+# q <= 256 packs through byte tables (GF(2^8), GF(3^5) and GF(7^2) at and
+# under that boundary; GF(11^2) and GF(251) with 6- and 10-bit slots), and
+# GF(257) and GF(3^6) format each digit on its own
+PACKING_FIELDS = tuple(map(field_of_order, (
+    2, 3, 4, 5, 8, 9, 25, 27, 2 ** 8, 3 ** 5, 7 ** 2, 11 ** 2, 251, 257, 3 ** 6)))
 
 
 @st.composite
@@ -176,6 +180,18 @@ def test_packing_matches_digit_by_digit_reference(case):
 def test_packing_of_every_code_matches_reference(field):
     rows = [list(range(field.q)), list(range(field.q))[::-1]]
     assert oracle._packed_rows(field, rows) == packref.packed_rows(field, rows)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 3), st.integers(1, 8),
+       st.data())
+def test_weigh_is_the_weight_of_the_sum(p, m, n, data):
+    bits = oracle._slot_bits(p)
+    add, support, weigh = oracle._slot_ops(p, m, n, bits)
+    digits = st.lists(st.integers(0, p - 1), min_size=m * n, max_size=m * n)
+    x, y = (sum(d << i * bits for i, d in enumerate(data.draw(digits)))
+            for _ in range(2))
+    assert weigh(x, y) == support(add(x, y)).bit_count()
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
