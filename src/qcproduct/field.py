@@ -36,6 +36,7 @@ only a term missing from it is matched with the signed-term pattern.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import re
@@ -308,21 +309,22 @@ def poly_text_to_coeffs(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+@functools.cache
+def _x_texts() -> tuple:  # "X^e" for e < 1024, made on the first render
+    return ("", "X") + tuple(f"X^{e}" for e in range(2, 1024))
+
+
 def coeffs_to_poly_text(coeffs) -> str:
     """Render an ascending coefficient sequence in sparse algebraic form,
-    highest power first (coefficients are printed as nonnegative codes)."""
-    terms = []
-    for exp in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[exp]
-        if c == 0:
-            continue
-        if exp == 0:
-            terms.append(str(c))
-        else:
-            head = "" if c == 1 else f"{c}*"
-            tail = "X" if exp == 1 else f"X^{exp}"
-            terms.append(head + tail)
-    return "+".join(terms) if terms else "0"
+    highest power first (coefficients are printed as nonnegative codes),
+    from its nonzero coefficients only."""
+    exps, texts = list(itertools.compress(range(len(coeffs)), coeffs))[::-1], _x_texts()
+    if exps and exps[0] >= len(texts):
+        texts = {e: f"X^{e}" if e > 1 else texts[e] for e in exps}
+    terms = [texts[e] if coeffs[e] == 1 else f"{coeffs[e]}*{texts[e]}" for e in exps]
+    if exps and not exps[-1]:  # the constant term is its code alone
+        terms[-1] = str(coeffs[0])
+    return "+".join(terms) or "0"
 
 
 # ---------------------------------------------------------------------------

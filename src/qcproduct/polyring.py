@@ -31,8 +31,9 @@ convert their operands to the kernel's native form once and build a
   multiplies the same way; Harvey, "Faster polynomial multiplication via
   multipoint Kronecker substitution", JSC 2009);
 * extension fields other than GF(4): code lists with schoolbook loops over
-  :class:`~qcproduct.field.Field` operations (an extension's own elements
-  beyond its tables multiply on the prime field's kernel, ``field._ring``).
+  q x q tables up to 256 elements, and beyond over :class:`Field` calls (an
+  extension's own elements beyond its tables multiply on the prime field's
+  kernel, ``field._ring``).
 
 Rows of entries have a format that only this module knows.  The bit-plane
 kernels pack a row into one int per plane, entry j in the j-th field of w
@@ -54,7 +55,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
-from operator import index, xor
+from operator import index, itemgetter, xor
 
 from .errors import (
     BothZero,
@@ -454,11 +455,6 @@ def _lead_pair(f: Field, a: tuple, n: int, w: int) -> int:
     return (a[0] | a[1]) >> (n - 1) * w
 
 
-def _lead4(lo: int, hi: int, top: int) -> int:
-    """The code of X^top, the highest term of (lo, hi), over GF(3) or GF(4)."""
-    return lo >> top | (hi >> top) << 1
-
-
 def _unpack_pair(f: Field, a: tuple, n: int, w: int) -> list:
     (x1, x2), mask, x = a, (1 << w) - 1, a[0] | a[1]
     return [(x1 >> s & mask, x2 >> s & mask) if x >> s & mask else 0
@@ -574,8 +570,8 @@ def _euclid_pair(loop: Callable, over: Callable, f: Field, a: tuple, b: tuple, n
     """euclid on rows of pairs over GF(3) or GF(4): the field's Euclid loop,
     then the gcd row divided by its leading coefficient's code (`over`)."""
     a, b = loop(a, b, (n - 1) * w)
-    if (x := a[0] | a[1]) >> (n - 1) * w:
-        a = over(_lead4(*a, x.bit_length() - 1), a)
+    if (x := a[0] | a[1]) >> (n - 1) * w:  # the code of a's leading term
+        a = over(a[0] >> (t := x.bit_length() - 1) | a[1] >> t << 1, a)
     return a, b
 
 
@@ -651,10 +647,10 @@ def _euclid4(x: tuple, y: tuple, s: int):
     (x0, x1), (y0, y1) = x, y
     while (support := y0 | y1) >> s:
         d = support.bit_length()
-        u0, u1 = _over4(_lead4(y0, y1, d - 1), (y0, y1))
+        u0, u1 = _over4(y0 >> d - 1 | y1 >> d - 1 << 1, (y0, y1))
         mults = (None, (u0, u1), (u1, u0 ^ u1), (u0 ^ u1, u0))
         while (k := (x0 | x1).bit_length() - d) >= 0:
-            z0, z1 = mults[_lead4(x0, x1, k + d - 1)]
+            z0, z1 = mults[x0 >> (t := k + d - 1) | x1 >> t << 1]  # the code at the top t
             x0 ^= z0 << k
             x1 ^= z1 << k
         x0, x1, y0, y1 = y0, y1, x0, x1
@@ -759,43 +755,72 @@ def _divmod_p(f: Field, a, b):
     return quot, _strip(rem)
 
 
+_EXT_TABLE_FIELDS = 8
+_ext_tables: dict = {}
+
+
+class _Calls(partial):
+    """A Field operation read as a table: t[a][b] calls it on (a, b)."""
+    def __getitem__(self, x):
+        return self(x) if self.args else _Calls(self.func, x)
+
+
+def _ext_ops(f: Field):
+    """(mul, add, inv): mul[a][b] = a*b, add[a][b] = a + b, inv(a) = 1/a over f.
+    Up to 256 elements, tables from f's exp and log tables, kept for the last
+    _EXT_TABLE_FIELDS fields by the id of the exp tuple that equal fields share
+    and the entry keeps alive, so no call hashes a Field; beyond, Field calls."""
+    if f.q > 256:
+        return _Calls(f.mul), _Calls(f.add), f.inv
+    if hit := _ext_tables.get(id(exp := f._exp)):
+        return hit[1]
+    log, n, p, get = f._log, f.q - 1, f.p, itemgetter(*f._log)
+    mul = [get(exp[la:la + 2 * n + 1]) for la in log]  # exp[log a + log b]
+    step = [c + 1 - p if c % p == p - 1 else c + 1 for c in range(f.q)]  # c + 1
+    inv = [exp[n - la] for la in log]  # exp[-n] = 0 for a = 0
+    add = [range(f.q)] + [itemgetter(*itemgetter(*mul[inv[a]])(step))(mul[a])  # a*(1 + b/a)
+                          for a in range(1, f.q)]
+    if len(_ext_tables) >= _EXT_TABLE_FIELDS:
+        _ext_tables.clear()
+    _ext_tables[id(exp)] = exp, (ops := (mul, add, inv.__getitem__))
+    return ops
+
+
 def _add_ext(f: Field, a, b) -> list:
-    return _with_tail(list(map(xor if f.p == 2 else f.add, a, b)), a, b)
+    add = _ext_ops(f)[1]
+    return _with_tail([add[x][y] for x, y in zip(a, b)], a, b)
 
 
 def _sub_ext(f: Field, a, b) -> list:
-    out = list(map(xor if f.p == 2 else f.sub, a, b))
-    out += a[len(b):] if len(a) > len(b) else map(f.neg, b[len(a):])
-    return _strip(out)
+    neg = _ext_ops(f)[0][f.p - 1]  # a + (-1)*b, -1 the code p - 1
+    return _add_ext(f, a, [neg[y] for y in b])
 
 
 def _mul_ext(f: Field, a, b) -> list:
     if not a or not b:
         return []
-    add, mul = f.add, f.mul
+    mul, add, _ = _ext_ops(f)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            row = mul[x]
+            for k, y in enumerate(b, i):
                 if y:
-                    out[i + j] = add(out[i + j], mul(x, y))
+                    out[k] = add[out[k]][row[y]]
     return out
 
 
 def _divmod_ext(f: Field, a, b):
-    dv = len(b) - 1
-    mul, sub = f.mul, f.sub
-    inv_lead = f.inv(b[-1])
+    mul, add, inv = _ext_ops(f)  # each quotient term qc, then -qc*b added
+    dv, over, neg = len(b) - 1, inv(b[-1]), mul[f.p - 1]
     rem = list(a)
     quot = [0] * (len(rem) - dv)
     for top in range(len(rem) - 1, dv - 1, -1):
-        c = rem[top]
-        if c == 0:
-            continue
-        qc = mul(c, inv_lead)
-        quot[top - dv] = qc
-        for j, bj in enumerate(b):
-            rem[top - dv + j] = sub(rem[top - dv + j], mul(qc, bj))
+        if c := rem[top]:
+            quot[top - dv] = qc = mul[c][over]
+            row = mul[neg[qc]]
+            for k, y in enumerate(b, top - dv):
+                rem[k] = add[rem[k]][row[y]]
     del rem[dv:]
     return quot, _strip(rem)
 

@@ -25,7 +25,7 @@ from .errors import (
     NonPrefixPattern,
     ShapeMismatch,
 )
-from .field import Field
+from .field import Field, _power
 from .polyring import (
     Poly,
     _kernel,
@@ -250,6 +250,15 @@ def _reduce_row(k, f: Field, x, rows: list, m: int, w: int):
     return x
 
 
+def _divides_xm1(d: Poly, m: int) -> bool:
+    """Whether d != 0 divides X^m - 1: X^m = 1 (mod d) by square-and-multiply
+    for a d of low degree, where dividing X^m - 1 takes m - deg d terms."""
+    if 2 * d.degree * m.bit_length() >= m - d.degree:
+        return (x_pow_minus_one(d.field, m) % d).is_zero
+    one = Poly.one(d.field) % d
+    return _power(lambda a, b: a * b % d, Poly(d.field, (0, 1)) % d, m, one) == one
+
+
 def is_rgb_pot(b: RgbPotBasis):
     """Check the structural conditions of the canonical form.
 
@@ -257,28 +266,17 @@ def is_rgb_pot(b: RgbPotBasis):
     reduction, diagonals dividing X^m - 1, zero tails next to full
     diagonals, and monic diagonals.
     """
-    xm1 = x_pow_minus_one(b.field, b.m)
-    violations = []
-    mat = b.matrix
-    if any(not mat[i][j].is_zero for i in range(b.ell) for j in range(i)):
-        violations.append("condition 1: nonzero entry below the diagonal")
-    for i in range(b.ell):
-        for j in range(i):
-            if mat[j][i].degree >= mat[i][i].degree:
-                violations.append(
-                    f"condition 2: deg g[{j}][{i}] >= deg g[{i}][{i}]")
-    for i in range(b.ell):
-        d = mat[i][i]
-        if d.is_zero or not (xm1 % d).is_zero:
-            violations.append(f"condition 3: g[{i}][{i}] does not divide X^{b.m}-1")
-    for i in range(b.ell):
-        if mat[i][i] == xm1 and any(not mat[i][j].is_zero
-                                    for j in range(i + 1, b.ell)):
-            violations.append(
-                f"condition 4: full diagonal at row {i} with a nonzero tail")
-    for i in range(b.ell):
-        if not mat[i][i].is_monic:
-            violations.append(f"normalization: g[{i}][{i}] is not monic")
+    ell, mat, xm1 = b.ell, b.matrix, x_pow_minus_one(b.field, b.m)
+    violations = ["condition 1: nonzero entry below the diagonal"] if any(
+        not mat[i][j].is_zero for i in range(ell) for j in range(i)) else []
+    violations += [f"condition 2: deg g[{j}][{i}] >= deg g[{i}][{i}]" for i in range(ell)
+                   for j in range(i) if mat[j][i].degree >= mat[i][i].degree]
+    violations += [f"condition 3: g[{i}][{i}] does not divide X^{b.m}-1"
+                   for i, d in enumerate(b.diagonal()) if d.is_zero or not _divides_xm1(d, b.m)]
+    violations += [f"condition 4: full diagonal at row {i} with a nonzero tail" for i in range(ell)
+                   if mat[i][i] == xm1 and any(not e.is_zero for e in mat[i][i + 1:])]
+    violations += [f"normalization: g[{i}][{i}] is not monic" for i in range(ell)
+                   if not mat[i][i].is_monic]
     return (not violations), violations
 
 

@@ -10,7 +10,8 @@ quotient; the code-list loop divides, then takes s0 - q*s1 and t0 - q*t1
 with the kernel's own operations.  None of them calls `euclid`.
 """
 
-from qcproduct.polyring import _kernel, _lead4, _over4
+from kernelref import _lead4
+from qcproduct.polyring import _kernel, _over4
 
 
 def egcd2(u: int, v: int):

@@ -13,10 +13,19 @@ forms, calling the long division once per remainder, each with its own
 monic step; `gcd` is Euclid's loop on the kernel's `divmod`, made monic by
 one more division.  `divmod_codes`, `fold_codes`, `divide_codes` and
 `euclid_codes` work on code lists with one `Field` call per coefficient,
-the reference for every field.
+the reference for every field.  `add_ext`, `sub_ext`, `mul_ext` and
+`divmod_ext` are the extension-field kernel's loops from before it read
+q x q tables: one `Field` call per coefficient or coefficient pair.
 """
 
-from qcproduct.polyring import _kernel, _lead4, _over4
+from operator import xor
+
+from qcproduct.polyring import _kernel, _over4
+
+
+def _lead4(lo: int, hi: int, top: int) -> int:
+    """The code of X^top, the highest term of (lo, hi), over GF(3) or GF(4)."""
+    return lo >> top | (hi >> top) << 1
 
 
 def rem2(x: int, y: int) -> int:
@@ -164,3 +173,49 @@ def euclid_codes(f, a: list, b: list):
         inv = f.inv(a[0][-1])
         a = [_strip([f.mul(inv, c) for c in x]) for x in a]
     return a, b
+
+
+def _with_tail(out: list, a, b) -> list:
+    out += a[len(b):] if len(a) > len(b) else b[len(a):]
+    return _strip(out)
+
+
+def add_ext(f, a, b) -> list:
+    return _with_tail(list(map(xor if f.p == 2 else f.add, a, b)), a, b)
+
+
+def sub_ext(f, a, b) -> list:
+    out = list(map(xor if f.p == 2 else f.sub, a, b))
+    out += a[len(b):] if len(a) > len(b) else map(f.neg, b[len(a):])
+    return _strip(out)
+
+
+def mul_ext(f, a, b) -> list:
+    if not a or not b:
+        return []
+    add, mul = f.add, f.mul
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = add(out[i + j], mul(x, y))
+    return out
+
+
+def divmod_ext(f, a, b):
+    dv = len(b) - 1
+    mul, sub = f.mul, f.sub
+    inv_lead = f.inv(b[-1])
+    rem = list(a)
+    quot = [0] * (len(rem) - dv)
+    for top in range(len(rem) - 1, dv - 1, -1):
+        c = rem[top]
+        if c == 0:
+            continue
+        qc = mul(c, inv_lead)
+        quot[top - dv] = qc
+        for j, bj in enumerate(b):
+            rem[top - dv + j] = sub(rem[top - dv + j], mul(qc, bj))
+    del rem[dv:]
+    return quot, _strip(rem)

@@ -48,7 +48,14 @@ before their folds modulo X^m - 1 learned to halve the operand, and the
 GF(5) and GF(9), the ``mindist`` output of a row code over GF(2^31 - 1)
 and the Brouwer-Zimmermann ``mindist`` outputs of the reduced GF(3) and
 GF(5) products, from before packing went through byte tables and the
-last level of a weight block through one fused weighing.
+last level of a weight block through one fused weighing, and the
+products over GF(8), GF(16) and GF(25) (ell_a 3, 2 and 3; co-index 35, 35
+and 28), the first over extension fields of characteristic 2 beyond GF(4)
+and of characteristic 5, from before the extension-field kernel read q x q
+tables, and the reduction of the one-row GF(2) code of length 2^19 with
+row X + 1, from before the check that each diagonal divides X^m - 1 raised
+X to the m-th power modulo the diagonal instead of dividing X^m - 1 (the
+division took about 13 s there, beyond CI's 10-s limit per case).
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -77,11 +84,15 @@ CASES = {
     "reduce_matrix_full_width_gf2": ["reduce", "matrix_full_width_gf2.json"],
     "reduce_matrix_full_width_gf3": ["reduce", "matrix_full_width_gf3.json"],
     "reduce_matrix_full_width_gf4": ["reduce", "matrix_full_width_gf4.json"],
+    "reduce_wide_row_code_gf2_m19": ["reduce", "wide_row_code_gf2_m19.json"],
     "product_gf2": ["product", "row_code_gf2.json", "column_code_gf2.json"],
     "product_gf3": ["product", "row_code_gf3.json", "column_code_gf3.json"],
     "product_gf4": ["product", "row_code_gf4.json", "column_code_gf4.json"],
     "product_gf5": ["product", "row_code_gf5.json", "column_code_gf5.json"],
     "product_gf9": ["product", "row_code_gf9.json", "column_code_gf9.json"],
+    "product_gf8": ["product", "row_code_gf8.json", "column_code_gf8.json"],
+    "product_gf16": ["product", "row_code_gf16.json", "column_code_gf16.json"],
+    "product_gf25": ["product", "row_code_gf25.json", "column_code_gf25.json"],
     "verify_row_code_gf2": ["verify", "row_code_gf2.json"],
     "verify_noncanonical_gf2": ["verify", "noncanonical_gf2.json"],
     "example_sec4": ["example-sec4"],

@@ -9,9 +9,12 @@ memory.  The GF(2) bitmask product and fold are compared with the same
 reference, as is every operation of the GF(3) kernel on bitmask pairs.
 The GF(4) kernel on bit planes is compared with the schoolbook extension
 kernel, and canonical reduction is checked to build a ``Poly`` only for
-its result over GF(2), GF(3), GF(4) and GF(9).  The folds of the GF(2),
-GF(3) and GF(4) kernels, which halve their operand, are compared with the
-code-list fold, and folding X^(2^20) is bounded in wall time.
+its result over GF(2), GF(3), GF(4) and GF(9).  The kernels of GF(2),
+GF(3), GF(4), GF(5), GF(9) and GF(16) are checked to make no ``Field``
+call, GF(9) and GF(16) once their q x q tables are built.  The folds of
+the GF(2), GF(3) and GF(4) kernels, which halve their operand, are
+compared with the code-list fold, and folding X^(2^20) is bounded in wall
+time.
 """
 
 from __future__ import annotations
@@ -280,6 +283,32 @@ def test_gf4_kernel_makes_no_field_calls(monkeypatch):
     assert q * v + r == prod + u and s * u + t * v == g
     assert neg == u and diff == u + v and quot == u and rem.is_zero
     assert monic == u.scale(f.inv(2)) and gcd == w.monic()
+    assert folded == prod % x_pow_minus_one(f, 31)
+    assert is_rgb_pot(basis)[0]
+
+
+@pytest.mark.parametrize("q", (9, 16))
+def test_table_kernel_makes_no_field_calls(q, monkeypatch):
+    # up to 256 elements the extension kernel reads q x q tables, built once
+    # per field: products, divisions, both gcds, fold_mod_xm1 and canonical
+    # reduction then make no Field call, with leading coefficients other than 1
+    f = field_new(*{9: (3, 2), 16: (2, 4)}[q])
+    u = Poly(f, [(3 * k * k + 1) % q for k in range(70)] + [2])
+    v = Poly(f, [(5 * k + 2) % q for k in range(61)] + [3])
+    w = Poly(f, [1, 3, 0, 2])
+    gen = GeneratingMatrix(f, 3, 31, [[u * w, v, w + v], [v * w, u, Poly.zero(f)]])
+    polyring._ext_ops(f)  # the tables
+    calls = _record_field_calls(monkeypatch)
+    prod = u * v
+    quot, rem = divmod(prod + u, v)
+    diff, monic = u - v, u.monic()
+    folded, gcd = fold_mod_xm1(prod, 31), poly_gcd(u * w, v * w)
+    g, s, t = poly_egcd(u, v)
+    basis = rgb_pot_reduce(gen)
+    assert calls == []
+    monkeypatch.undo()
+    assert quot * v + rem == prod + u and s * u + t * v == g and diff + v == u
+    assert monic == u.scale(f.inv(2)) and gcd == w.monic() * g
     assert folded == prod % x_pow_minus_one(f, 31)
     assert is_rgb_pot(basis)[0]
 

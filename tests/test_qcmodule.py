@@ -1,10 +1,15 @@
 """Tests for submodule bases, canonical reduction, membership, and the
-interleaving of `paper_maps`."""
+interleaving of `paper_maps`.  The check that a diagonal divides X^m - 1,
+which raises X to the m-th power modulo a diagonal of low degree, is
+compared with dividing X^m - 1 on divisors and non-divisors over GF(2),
+GF(3), GF(4) and GF(9)."""
 
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcproduct import (
     DegreeMismatch,
@@ -17,6 +22,7 @@ from qcproduct import (
     RgbPotBasis,
     ShapeMismatch,
     dimension,
+    factor_xm_minus_1,
     field_new,
     fold_mod_xm1,
     is_rgb_pot,
@@ -27,6 +33,7 @@ from qcproduct import (
     x_pow_minus_one,
 )
 from paper_maps import interleave
+from qcproduct.qcmodule import _divides_xm1
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -300,3 +307,44 @@ def test_interleaving_round_trip_random():
         u = interleave(comps, m)
         assert len(u) == ell * m
         assert [u[i::ell] for i in range(ell)] == comps
+
+
+DIVISOR_FIELDS = {2: F2, 3: F3, 4: field_new(2, 2), 9: field_new(3, 2)}
+
+
+@st.composite
+def diagonals(draw):
+    """(d, m): a nonzero constant times factors of X^n - 1 for some n | m, or
+    that plus a random polynomial, or a random polynomial; m up to 3,968, so
+    that a low-degree d takes square-and-multiply and a high one division."""
+    f = DIVISOR_FIELDS[draw(st.sampled_from(sorted(DIVISOR_FIELDS)))]
+    n = draw(st.sampled_from([n for n in (1, 2, 4, 5, 7, 8, 13, 15, 16, 21, 31) if n % f.p]))
+    m = n * draw(st.sampled_from((1, 2, 3, 9, 37, 128)))
+    codes = st.lists(st.integers(0, f.q - 1), max_size=8)
+    d = Poly(f, [draw(st.integers(1, f.q - 1))])
+    for _, g in draw(st.lists(st.sampled_from(factor_xm_minus_1(f.q, n)), max_size=3)):
+        d = d * g
+    kind = draw(st.sampled_from(("divisor", "perturbed", "random")))
+    if kind != "divisor":
+        d = (d if kind == "perturbed" else Poly.zero(f)) + Poly(f, draw(codes))
+    return d, m
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(diagonals())
+def test_divides_xm1_matches_division(case):
+    d, m = case
+    if not d.is_zero:
+        assert _divides_xm1(d, m) == (x_pow_minus_one(d.field, m) % d).is_zero
+
+
+def test_condition_3_on_a_long_code_takes_no_division_of_x_m_minus_1():
+    # X^2 + X + 1 divides X^m - 1 over GF(2) iff 3 | m: dividing X^m - 1
+    # took about 10 s at m = 2^19, square-and-multiply a few ms
+    m = 1 << 19
+    start = time.perf_counter()
+    for d, ok in (((1, 1, 1), False), ((1, 1), True)):
+        basis = RgbPotBasis(F2, 1, m, [[Poly(F2, d)]])
+        violations = [] if ok else [f"condition 3: g[0][0] does not divide X^{m}-1"]
+        assert is_rgb_pot(basis) == (ok, violations)
+    assert time.perf_counter() - start < 2.0
