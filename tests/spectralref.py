@@ -4,10 +4,12 @@ Let q = p^s and gcd(m, p) = 1.  Then F[X]/(X^m - 1) splits into one field
 per q-cyclotomic coset modulo m (Ling and Sole, "On the algebraic structure
 of quasi-cyclic codes I: finite fields", IEEE Trans. Inf. Theory 47(7),
 2001), so a module that contains every (X^m - 1)e_j is fixed by the row
-spaces of its generators evaluated at one root alpha^c per coset.  Hence B
-is the canonical basis of the module that the rows G generate iff
-`is_rgb_pot(B)` holds and RREF(G(alpha^c)) = RREF(B(alpha^c)) for every
-coset representative c.
+spaces of its generators evaluated at one root alpha^c per coset, and its
+dimension over GF(q) is the sum of |C| * rank G(alpha^c) over the cosets C.
+Hence B is the canonical basis of the module that the rows G generate iff
+`is_rgb_pot(B)` holds, RREF(G(alpha^c)) = RREF(B(alpha^c)) for every coset
+representative c, and that dimension is ell*m less the degrees of B's
+diagonal, the one a canonical basis spans.
 
 Everything runs on `Field` codes in GF(p^(s*r)), r the order of q modulo m:
 alpha is the first element of order m found by trial, GF(q) embeds through
@@ -42,30 +44,37 @@ def _context(f: Field, m: int):
     return big, alpha, images
 
 
-def coset_representatives(q: int, m: int) -> list:
-    reps, seen = [], set()
+def cosets(q: int, m: int) -> list:
+    """(representative, size) of each q-cyclotomic coset modulo m."""
+    out, seen = [], set()
     for c in range(m):
         if c not in seen:
-            reps.append(c)
-            x = c
+            x, size = c, 0
             while x not in seen:
                 seen.add(x)
-                x = x * q % m
-    return reps
+                x, size = x * q % m, size + 1
+            out.append((c, size))
+    return out
 
 
 def spectra(rows, f: Field, m: int) -> list:
-    """RREF of the rows of polynomials evaluated at alpha^c, one per coset."""
+    """(coset size, RREF of the rows evaluated at alpha^c) for each coset."""
     big, alpha, images = _context(f, m)
     out = []
-    for c in coset_representatives(f.q, m):
+    for c, size in cosets(f.q, m):
         z = big.pow_(alpha, c)
-        out.append(_rref(big, [[_horner(big, [images[x] for x in e.coeffs], z) for e in row]
-                               for row in rows]))
+        out.append((size, _rref(big, [[_horner(big, [images[x] for x in e.coeffs], z)
+                                       for e in row] for row in rows])))
     return out
 
 
 def is_canonical_basis_of(rows, basis) -> bool:
-    """Whether basis is the canonical basis of the module the rows generate."""
-    return (is_rgb_pot(basis)[0]
-            and spectra(rows, basis.field, basis.m) == spectra(basis.matrix, basis.field, basis.m))
+    """Whether basis is the canonical basis of the module the rows generate:
+    `is_rgb_pot` holds, the spectra agree, and the dimension ell*m - sum of
+    the diagonal degrees that the basis claims is the module's, the sum of
+    size * rank over the cosets (a basis in canonical shape whose rows are
+    not closed under the module spans more than it claims)."""
+    want = spectra(rows, basis.field, basis.m)
+    claimed = basis.ell * basis.m - sum(d.degree for d in basis.diagonal())
+    return (is_rgb_pot(basis)[0] and spectra(basis.matrix, basis.field, basis.m) == want
+            and claimed == sum(size * len(rref[0]) for size, rref in want))

@@ -8,7 +8,8 @@ full random matrices, scrambled upper-triangular matrices whose diagonals
 are built from divisors of X^m - 1, and the product's closed-form basis
 against its unreduced generators.  Each accepted basis must be rejected
 once one coefficient of an entry above a proper diagonal is changed: a
-basis in canonical shape that spans another module.
+basis in canonical shape that spans another module.  A basis in canonical
+shape whose rows span more than its diagonal claims is rejected too.
 """
 
 import pytest
@@ -25,6 +26,7 @@ from qcproduct import (
     factor_xm_minus_1,
     field_new,
     fold_mod_xm1,
+    is_rgb_pot,
     one_level_product_rgb,
     rgb_pot_reduce,
     unreduced_product_basis,
@@ -124,3 +126,13 @@ def test_closed_form_product_is_canonical_by_spectra(q, ell_a, m_a, m_b):
     params = bezout_pair(ell_a, m_a, m_b)
     closed = one_level_product_rgb(row_code, column_code, params).basis()
     _check(unreduced_product_basis(row_code.basis(), column_code, params).rows, closed)
+
+
+def test_a_canonical_shape_that_spans_more_than_it_claims_is_rejected():
+    # (X^2 + X + 1)*(X + 1, 1) = (0, X^2 + X + 1) mod X^3 - 1 lies in the
+    # module but not in the span of the row (0, X + 1) below it: the rows
+    # pass is_rgb_pot and span their own module, which has dimension 5, not 4
+    f = FIELDS[2]
+    basis = RgbPotBasis(f, 2, 3, [[Poly(f, [1, 1]), Poly(f, [1])], [Poly.zero(f), Poly(f, [1, 1])]])
+    assert is_rgb_pot(basis)[0]
+    assert not is_canonical_basis_of(basis.matrix, basis)
