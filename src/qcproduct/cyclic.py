@@ -32,7 +32,7 @@ from .errors import (
     TooLarge,
 )
 from .field import _MAX_CHARACTERISTIC, Field, _order, nth_root_of_unity
-from .polyring import Poly, _integer, _monic, _positive
+from .polyring import Poly, _divides_xm1, _integer, _monic, _positive
 
 __all__ = [
     "cyclotomic_coset",
@@ -234,7 +234,9 @@ class CyclicCode:
             raise NotADivisor(
                 "the zero polynomial is not a generator; the zero code of "
                 f"length {m} is generated by X^{m}-1")
-        g = _monic(g, m)[1]
+        g = _monic(g)[1]
+        if not _divides_xm1(g, m):
+            raise NotADivisor(f"{g!r} does not divide X^{m}-1")
         for name, value in zip(("field", "m", "g", "k"), (field, m, g, m - g.degree)):
             object.__setattr__(self, name, value)
 

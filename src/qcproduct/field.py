@@ -16,13 +16,16 @@ the builtin ``pow`` for inverses and powers, and characteristic 2 keeps XOR
 for add.  Larger extensions, such as those behind minimal polynomials, run
 on polyring's kernel for GF(p) (`_ring`): GF(p^m) is GF(p)[X]/(f), so a
 product is the kernel's product and remainder by the modulus, on a code's
-base-p digits.  The table builds and the Frobenius test run on it too.
+base-p digits.  The table builds and Ben-Or's irreducibility test run on
+it too: X^(p^j) is one p-th power of the last, and the modulus search
+rejects a reducible candidate at the degree of its smallest factor.
 
 Each piece of number theory is written once: `_prime_factors` is the only
 trial division (primality is ``_prime_factors(p) == (p,)``), `_order` the
 only element-order computation (primitive elements, roots of unity, and the
-order of X when GF(q) is embedded), and `_power` the only square-and-multiply
-(field codes, and polynomials through ``Poly.__pow__``).
+order of X when GF(q) is embedded), `_power` the only square-and-multiply
+(field codes, X^m modulo a divisor in ``polyring._divides_xm1``, and
+``Poly.__pow__``), and `_frobenius_irreducible` the only irreducibility test.
 
 The module also carries the two text formats for polynomials over GF(p)
 (sparse algebraic like ``X^8+X^4+X^3+X^2+1`` and dense ascending coefficient
@@ -148,22 +151,19 @@ def _ring(p: int, modulus):
 
 
 def _frobenius_irreducible(coeffs, p) -> bool:
-    """Distinct-degree irreducibility criterion: f of degree r is irreducible
-    over GF(p) iff X^(p^r) == X (mod f) and gcd(X^(p^(r/s)) - X, f) = 1 for
-    every prime s dividing r, computed on the native form of :func:`_ring`.
-    The test suite checks it against trial division."""
+    """Ben-Or's distinct-degree test: f of degree r is irreducible over GF(p)
+    iff gcd(X^(p^j) - X, f) = 1 for j = 1, ..., r // 2, so a reducible f is
+    rejected at the degree of its smallest factor; on the native form of
+    :func:`_ring`.  The tests check it against trial division and Rabin's test."""
     r = len(coeffs) - 1
-    if r == 1:
-        return True
     k, prime, mul, native, _ = _ring(p, coeffs)
     f, one, x = k.native(prime, coeffs), native(1), native(p)  # the code p is X
     h = x
-    checkpoints = {r // s for s in _prime_factors(r)}
-    for j in range(1, r + 1):
+    for _ in range(r // 2):
         h = _power(mul, h, p, one)
-        if j in checkpoints and k.poly(prime, k.gcd(prime, f, k.sub(prime, h, x), r + 1)).degree:
+        if k.poly(prime, k.gcd(prime, f, k.sub(prime, h, x), r + 1)).degree:
             return False
-    return h == x
+    return True
 
 
 @functools.lru_cache(maxsize=64)  # bounded: p may come from untrusted input
@@ -185,9 +185,7 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     binomials = (all((p - 1) % s == 0 for s in _prime_factors(m))
                  and (m % 4 or p % 4 == 1))
     for cand in _monic_candidates(p, m, 0 if binomials else p):
-        if cand[0] == 0:
-            continue
-        if _frobenius_irreducible(cand, p):
+        if cand[0] and _frobenius_irreducible(cand, p):
             return cand
     raise NotIrreducible(f"no irreducible of degree {m} over GF({p})")
 

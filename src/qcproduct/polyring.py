@@ -899,6 +899,19 @@ def _monic(g: Poly, m: int = 0):
     return k, g, cofactor
 
 
+def _divides_xm1(d: Poly, m: int) -> bool:
+    """Whether d != 0 divides X^m - 1, on the kernel's native form of d: for a
+    d of low degree against m, X^m = 1 (mod d) by square-and-multiply, up to
+    2 bitlen(m) steps of a product and a remainder of about deg d terms
+    each, where dividing X^m - 1 takes m - deg d quotient terms."""
+    f, k = d.field, _kernel(d.field)
+    kdivmod, n = k.divmod, k.native(f, d.coeffs)
+    if 4 * d.degree * m.bit_length() >= m - d.degree:
+        return not kdivmod(f, k.xm1(f, m), n)[1]
+    one, x = (kdivmod(f, k.native(f, c), n)[1] for c in ((1,), (0, 1)))
+    return _power(lambda a, b: kdivmod(f, k.mul(f, a, b), n)[1], x, m, one) == one
+
+
 def x_pow_minus_one(field: Field, m: int) -> Poly:
     """The polynomial X^m - 1 over the field; DegreeMismatch unless m is an
     integer >= 1."""

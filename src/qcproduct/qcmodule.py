@@ -25,13 +25,8 @@ from .errors import (
     NonPrefixPattern,
     ShapeMismatch,
 )
-from .field import Field, _power
-from .polyring import (
-    Poly,
-    _kernel,
-    _positive,
-    x_pow_minus_one,
-)
+from .field import Field
+from .polyring import Poly, _divides_xm1, _kernel, _positive, x_pow_minus_one
 
 __all__ = [
     "PolyVector",
@@ -248,15 +243,6 @@ def _reduce_row(k, f: Field, x, rows: list, m: int, w: int):
         if n > 1:
             x = k.fold_row(f, x, n - 1, m, w)
     return x
-
-
-def _divides_xm1(d: Poly, m: int) -> bool:
-    """Whether d != 0 divides X^m - 1: X^m = 1 (mod d) by square-and-multiply
-    for a d of low degree, where dividing X^m - 1 takes m - deg d terms."""
-    if 2 * d.degree * m.bit_length() >= m - d.degree:
-        return (x_pow_minus_one(d.field, m) % d).is_zero
-    one = Poly.one(d.field) % d
-    return _power(lambda a, b: a * b % d, Poly(d.field, (0, 1)) % d, m, one) == one
 
 
 def is_rgb_pot(b: RgbPotBasis):

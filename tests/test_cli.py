@@ -578,6 +578,20 @@ def test_wide_row_code_exits_3_within_a_second(command, capsys):
     assert json.loads(line)["error"]["type"] == "TooLarge"
 
 
+def test_wide_column_code_exits_3_within_a_second(capsys):
+    # m 2^20 - 1 and generator X + 1 over GF(2): the divisibility check is
+    # X^m mod (X + 1), not a division of X^m - 1 (about 40 s), and then the
+    # product length is refused
+    paths = [str(GOLDEN / name) for name in ("row_code_gf2.json", "wide_column_code_gf2.json")]
+    start = time.perf_counter()
+    assert main(["--format", "json", "product", *paths]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert json.loads(line)["error"]["type"] == "TooLarge"
+
+
 def test_mindist_workers_option_is_gone(tmp_path, capsys):
     # the search runs in one process; --workers is an unknown option
     path = write_json(tmp_path / "A.json", row_code_doc())

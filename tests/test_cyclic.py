@@ -3,6 +3,8 @@
 import math
 import os
 import random
+import re
+import signal
 import subprocess
 import sys
 import time
@@ -328,6 +330,39 @@ def test_cyclic_code_rejections():
         cyclic_code_new(7, poly_from_text(F2, "X^2+1"))  # not a divisor of X^7-1
     with pytest.raises(NotADivisor):
         cyclic_code_new(0, Poly.one(F2))
+
+
+def _within(seconds: int, call):
+    """call() under an alarm of the given seconds: TimeoutError if it overruns."""
+    def overran(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("p, m", [(2, 2 ** 20 - 1), (3, 2 ** 20)])
+def test_cyclic_code_at_the_length_bound_is_checked_within_seconds(p, m):
+    # X - 1 divides every X^m - 1; dividing X^m - 1 by it took about 51 s
+    # over GF(2) and 220 s over GF(3) on a 2-vCPU Xeon, quadratic in m,
+    # while X^m mod (X - 1) takes one step per bit of m
+    field = field_new(p)
+    c = _within(5, lambda: cyclic_code_new(m, Poly(field, (p - 1, 1))))
+    assert (c.m, c.k, c.g.coeffs) == (m, m - 1, (p - 1, 1))
+
+
+def test_a_non_divisor_at_the_length_bound_is_refused_within_seconds():
+    # X has order 7 modulo X^3 + X + 1, and 7 does not divide
+    # 2^20 - 1 = 3 * 5^2 * 11 * 31 * 41
+    m = 2 ** 20 - 1
+    message = re.escape(f"Poly[X^3+X+1 over GF(2)] does not divide X^{m}-1")
+    with pytest.raises(NotADivisor, match=f"^{message}$"):
+        _within(5, lambda: cyclic_code_new(m, poly_from_text(F2, "X^3+X+1")))
 
 
 def test_cyclic_code_refuses_a_generator_that_is_not_a_polynomial():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irredref
 import rootref
 from qcproduct import (
     DegreeMismatch,
@@ -205,6 +206,15 @@ def test_prime_field_modulus_is_normalised():
         Field(3, 1, (1, 2))  # not monic
 
 
+def test_explicit_modulus_drops_its_trailing_zeros():
+    # codes are read mod p, so a trailing p is a trailing zero as well
+    assert Field(3, 2, (1, 0, 1, 0)) == Field(3, 2, (1, 0, 1))
+    assert Field(3, 2, (1, 0, 1, 0, 3, 0)).modulus == (1, 0, 1)
+    assert Field(2, 1, (1, 1, 0)) == Field(2)
+    with pytest.raises(DegreeMismatch):
+        Field(3, 3, (1, 0, 1, 0))  # degree 2 after the strip
+
+
 # ---------------------------------------------------------------------------
 # text formats
 # ---------------------------------------------------------------------------
@@ -254,6 +264,32 @@ def test_text_negative_and_duplicate_terms():
 def test_text_printer_round_trip():
     for text in ("X^8+X^4+X^3+X^2+1", "X^2+2*X+1", "X", "1", "0", "X^5+X^2"):
         assert coeffs_to_poly_text(poly_text_to_coeffs(text)) == text
+
+
+def _plain_text(coeffs) -> str:
+    """Sparse text written term by term, highest power first."""
+    terms = []
+    for e in range(len(coeffs) - 1, -1, -1):
+        if c := coeffs[e]:
+            x = "X" if e == 1 else f"X^{e}"
+            terms.append(str(c) if e == 0 else x if c == 1 else f"{c}*{x}")
+    return "+".join(terms) or "0"
+
+
+def test_text_printer_matches_the_plain_renderer_beyond_its_memo():
+    # "X^e" is kept for e < 1024; sparse texts up to X^1048576 take the
+    # other branch, with coefficient 1 and other codes, the constant term
+    # and X among the terms
+    rng = random.Random(1024)
+    top = 1 << 20
+    for case in range(30):
+        deg = (1023, 1024, 1025, top)[case % 4] if case < 8 else rng.randrange(1024, top + 1)
+        coeffs = [0] * (deg + 1)
+        coeffs[deg] = rng.choice((1, 2, 6))
+        for e in rng.sample(range(deg), 12) + [0, 1, 2, 1023, 1024][:case % 6]:
+            if e < deg:
+                coeffs[e] = rng.choice((0, 1, 1, 2, 4, 250))
+        assert coeffs_to_poly_text(coeffs) == _plain_text(coeffs), case
 
 
 def test_text_parse_errors():
@@ -361,6 +397,50 @@ def test_frobenius_agrees_with_trial_division():
                 coeffs[0] = 1
             t = tuple(coeffs)
             assert _trial_division_irreducible(t, p) == _frobenius_irreducible(t, p)
+
+
+def test_ben_or_agrees_with_rabin_on_every_small_monic():
+    # every monic polynomial of degree 1-6 over GF(2) and GF(3) and of
+    # degree 1-4 over GF(5) and GF(7): 4,798 in all
+    for p, top in ((2, 6), (3, 6), (5, 4), (7, 4)):
+        for deg in range(1, top + 1):
+            for c in _monic_candidates(p, deg):
+                assert _frobenius_irreducible(c, p) == irredref.rabin_irreducible(c, p), (p, c)
+
+
+@st.composite
+def monics(draw):
+    """(coeffs, p): a random monic of degree 1-16, or a product of two, or
+    a default modulus, over GF(2), GF(3), GF(5), GF(7), GF(11) or
+    GF(2^31 - 1)."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 2 ** 31 - 1)))
+    deg = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(("random", "product", "modulus")))
+    if kind == "modulus":
+        return _default_modulus(p, deg), p
+    if kind == "product" and deg > 1:
+        a = draw(st.integers(1, deg - 1))
+        f, g = (Poly(Field(p), draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1])
+                for d in (a, deg - a))
+        return (f * g).coeffs, p
+    return tuple(draw(st.lists(st.integers(0, p - 1), min_size=deg, max_size=deg))) + (1,), p
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(monics())
+def test_ben_or_agrees_with_rabin(case):
+    coeffs, p = case
+    assert _frobenius_irreducible(coeffs, p) == irredref.rabin_irreducible(coeffs, p)
+
+
+def test_default_modulus_equals_the_walk_on_rabin_s_test():
+    # the reference walks every candidate, binomials included; the package
+    # skips them unless every prime factor of m divides p - 1 (and p = 1
+    # mod 4 when 4 | m): here for every m >= 2 over GF(2), every m >= 3 over
+    # GF(3), and 7, 11, 13 and 14 over GF(13), for example
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(1, 17):
+            assert _default_modulus(p, m) == irredref.default_modulus(p, m), (p, m)
 
 
 def test_large_default_moduli_are_irreducible():

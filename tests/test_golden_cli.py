@@ -55,7 +55,11 @@ and of characteristic 5, from before the extension-field kernel read q x q
 tables, and the reduction of the one-row GF(2) code of length 2^19 with
 row X + 1, from before the check that each diagonal divides X^m - 1 raised
 X to the m-th power modulo the diagonal instead of dividing X^m - 1 (the
-division took about 13 s there, beyond CI's 10-s limit per case).
+division took about 13 s there, beyond CI's 10-s limit per case), and the
+minimal polynomial of 74 for m 257 over GF(11), formed in GF(11^64), from
+before the default-modulus search ran Ben-Or's irreducibility test instead
+of Rabin's (that search took about 9 s, so CI's 10-s limit per case fails
+if it returns).
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -108,6 +112,7 @@ CASES = {
     "minpoly_16_17_1": ["minpoly", "16", "17", "1"],
     "minpoly_2_17_3": ["minpoly", "2", "17", "3"],
     "minpoly_281281747415761_63_40": ["minpoly", "281281747415761", "63", "40"],
+    "minpoly_11_257_74": ["minpoly", "11", "257", "74"],
     "mindist_row_code_gf2": ["mindist", "row_code_gf2.json"],
     "mindist_product_gf2": ["mindist", "product_basis_gf2.json"],
     "mindist_row_code_gf3": ["mindist", "row_code_gf3.json"],

@@ -1,8 +1,8 @@
 """Tests for submodule bases, canonical reduction, membership, and the
-interleaving of `paper_maps`.  The check that a diagonal divides X^m - 1,
-which raises X to the m-th power modulo a diagonal of low degree, is
-compared with dividing X^m - 1 on divisors and non-divisors over GF(2),
-GF(3), GF(4) and GF(9)."""
+interleaving of `paper_maps`.  The check that a diagonal divides X^m - 1
+(`polyring._divides_xm1`, which `CyclicCode` shares), which raises X to
+the m-th power modulo a diagonal of low degree, is compared with dividing
+X^m - 1 on divisors and non-divisors over GF(2), GF(3), GF(4) and GF(9)."""
 
 import random
 import time
@@ -33,7 +33,7 @@ from qcproduct import (
     x_pow_minus_one,
 )
 from paper_maps import interleave
-from qcproduct.qcmodule import _divides_xm1
+from qcproduct.polyring import _divides_xm1
 
 F2 = field_new(2)
 F3 = field_new(3)
