@@ -5,12 +5,15 @@ polynomial basis into one, exact minimum distance (a walk over one message
 per 1-dimensional subspace for tiny codes, Brouwer-Zimmermann for the rest,
 which gets the shifts of its information sets for free on a quasi-cyclic
 code once it has checked the closure) and the shift-closure test.
-A `LinearCodeView` checks its rows and packs them into ints once, by byte
-tables for q <= 256 (`expand_to_linear` packs each basis row once, rotates
-it and trusts the rows it built); one packed GF(p) elimination serves its rank
-check, `is_quasi_cyclic` and both searches, and Brouwer-Zimmermann weighs a
-word in one call.  The tests keep list-based references.  No canonical-form
-machinery (no division, no gcd) is used, so this can be ground truth for it.
+A `LinearCodeView` checks its rows and packs them into ints once,
+position-major (`_layout`; `expand_to_linear` packs each basis row once,
+rotates it and trusts the rows it built); one packed GF(p) elimination
+serves its rank check, `is_quasi_cyclic` and both searches.  Both weigh
+a word y added to x inline as its distance to -x (`_slot_ops`), and
+Brouwer-Zimmermann scans a weight block's last two levels in a table of
+pair sums bounded by `_EXPAND_LIMIT`.  The tests keep list-based
+references.  No canonical-form machinery (no division, no gcd) is used,
+so this can be ground truth for it.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ class LinearCodeView:
     integer length n is read from the rows; a matrix without rows must
     state it.  `ell`, when given, claims that the code is closed under the
     shift by ell positions; `min_distance` checks the claim before relying
-    on it.  The rows are packed once: `packed` holds (bits, words, pivot
-    slots) of their systematic matrix from `_systematic`, which the rank
+    on it.  The rows are packed once: `packed` holds (words, pivot slots)
+    of their systematic matrix from `_systematic`, which the rank
     check counts and `is_quasi_cyclic` and both searches reuse; it is not
     compared."""
 
@@ -93,19 +96,20 @@ class LinearCodeView:
 def _settle(view: LinearCodeView, field: Field, rows: tuple, n: int,
             ell: int | None, packed: tuple) -> None:
     """Fill in `view` from checked rows and their packing: eliminate, check rank."""
-    k, bits = len(rows), packed[0]
-    _, words, slots = _systematic(field.p, field.m, n, *packed)
+    k = len(rows)
+    _, words, slots = _systematic(field.p, field.m, n, packed)
     if len(words) != k * field.m:
         raise RankMismatch(f"generator matrix has rank "
                            f"{len(words) // field.m}, not {k}")
     for name, value in zip(("field", "n", "k", "matrix", "ell", "packed"), (
-            field, n, k, rows, ell, (bits, tuple(words), tuple(slots)))):
+            field, n, k, rows, ell, (tuple(words), tuple(slots)))):
         object.__setattr__(view, name, value)
 
 
 # At most this many bits in the k*m packed words of an expanded generator
 # matrix (k*n over GF(2)), which bounds an elimination's adds: a [1024, 1023]
 # code (GF(2), ell 1, row X + 1) is verified in about 0.9 s (2 vCPU Xeon).
+# A Brouwer-Zimmermann table of pair sums is built only within it too.
 _EXPAND_LIMIT = 1 << 20
 
 
@@ -125,7 +129,8 @@ def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
     k = dimension(b)  # raises on a zero diagonal entry before any row is built
     f, ell, m = b.field, b.ell, b.m
     n = ell * m
-    if (size := k * n * f.m ** 2 * _slot_bits(f.p)) > _EXPAND_LIMIT:
+    width = _layout(f.p, f.m)[1]
+    if (size := k * n * f.m * width) > _EXPAND_LIMIT:
         raise TooLarge(f"a [{n}, {k}] generator matrix has {k * n} entries, "
                        f"{size} bits packed, over the limit {_EXPAND_LIMIT}")
     firsts = []
@@ -135,8 +140,8 @@ def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
             codes = fold_mod_xm1(entry, m).coeffs
             row[j:ell * len(codes):ell] = codes
         firsts.append(tuple(row))
-    bits, base = _packed_rows(f, firsts)
-    rotate = _rotation(f.m, n, bits, ell)
+    base = _packed_rows(f, firsts)
+    rotate = _rotation(width, n, ell)
     rows, words = [], []
     for i, (row, entries) in enumerate(zip(firsts, b.matrix)):
         count = m - entries[i].degree
@@ -146,7 +151,7 @@ def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
     if len(rows) != k:
         raise RankMismatch(f"expanded {len(rows)} rows for stated dimension {k}")
     view = object.__new__(LinearCodeView)
-    _settle(view, f, tuple(rows), n, ell, (bits, words))
+    _settle(view, f, tuple(rows), n, ell, words)
     return view
 
 
@@ -154,94 +159,79 @@ def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
 # minimum distance on packed words: the exhaustive walk and Brouwer-Zimmermann
 # ---------------------------------------------------------------------------
 
-def _slot_bits(p: int) -> int:
-    """Bits per digit slot: 1 for p = 2, else room for 2p - 2 and a guard bit."""
-    return 1 if p == 2 else (2 * p - 2).bit_length() + 1
+def _layout(p: int, m: int) -> tuple[int, int]:
+    """(bits per digit slot, bits per position) of `_packed_rows`: a slot
+    has room for 2p - 2 and a guard bit (1 bit for p = 2), and a position
+    holds m slots and a guard bit above them (none for p = 2, m = 1)."""
+    bits = 1 if p == 2 else (2 * p - 2).bit_length() + 1
+    return bits, m * bits + (p > 2 or m > 1)
+
+
+def _numeral(field: Field, t: int, c: int) -> str:
+    """The binary numeral of the position `_packed_rows` packs for X^t * c."""
+    (bits, width), p, x = _layout(field.p, field.m), field.p, field.mul(field.p ** t, c)
+    return format(sum(x // p ** s % p << s * bits for s in range(field.m)), f"0{width}b")
 
 
 @functools.lru_cache(maxsize=16)  # bounded: fields come from documents
-def _digit_tables(field: Field, bits: int) -> list:
-    """tables[t][j][s]: the `bytes.translate` table taking each code of a
-    field with q <= 256 to bit bits-1-j, as b"0" or b"1", of digit m-1-s
-    of X^t times the code."""
-    p, m = field.p, field.m
-    return [[[bytes(b"01"[x // p ** s % p >> bits - 1 - j & 1] for x in prod)
-              .ljust(256, b"0") for s in reversed(range(m))] for j in range(bits)]
-            for prod in ([field.mul(p ** t, c) for c in range(field.q)]
-                         for t in range(m))]
+def _numerals(field: Field) -> list:
+    """numerals[t][c]: `_numeral(field, t, c)` as bytes, for q <= 256."""
+    return [[_numeral(field, t, c).encode() for c in range(field.q)]
+            for t in range(field.m)]
 
 
-def _packed_rows(field: Field, rows) -> tuple[int, list[int]]:
+def _packed_rows(field: Field, rows) -> list[int]:
     """Pack the code as a GF(p)-linear code of dimension k*m, p the
-    characteristic and m the extension degree; returns (bits, rows).
+    characteristic and m the extension degree, position-major.
 
-    Generator row r becomes the m rows X^t * r (t < m), so a message index
+    Generator row r becomes the m words X^t * r (t < m), so a message index
     read in base p names the same codeword as read in base q over the
-    original rows.  Each row is one integer: digit t of position i sits in
-    slot t*n + i of `_slot_bits` bits.  When the codes fit in a byte (q <=
-    256), bit j of every slot of its binary numeral is one `bytes.translate`
-    per digit plane (`_digit_tables`) and one strided copy; above that each
-    digit is formatted on its own.
+    original rows.  Position i of a word takes the bits i*width ..
+    i*width + width - 1 (`_layout`): its m digit slots, digit s from bit
+    s*bits up, and the guard bit on top, which is 0.  When the codes fit
+    in a byte (q <= 256), a word is one join of per-code numerals
+    (`_numerals`); above that each position is formatted on its own.
     """
-    p, m = field.p, field.m
-    bits = _slot_bits(p)
     if field.q > 256:
-        return bits, [int("".join([format(field.mul(p ** t, c) // p ** s % p, f"0{bits}b")
-                                   for s in reversed(range(m)) for c in reversed(row)]), 2)
-                      for row in rows for t in range(m)]
-    words = []
-    for row in rows:
-        rev = bytes(row[::-1])
-        for planes in _digit_tables(field, bits):
-            numeral = bytearray(len(rev) * m * bits)
-            for j, plane in enumerate(planes):
-                numeral[j::bits] = b"".join([rev.translate(t) for t in plane])
-            words.append(int(numeral, 2))
-    return bits, words
+        return [int("".join([_numeral(field, t, c) for c in reversed(row)]), 2)
+                for row in rows for t in range(field.m)]
+    return [int(b"".join(map(numerals.__getitem__, reversed(row))), 2)
+            for row in rows for numerals in _numerals(field)]
 
 
-def _slot_ops(p: int, m: int, n: int, bits: int):
-    """(add, support, weigh) on words packed by `_packed_rows`.
+def _slot_ops(p: int, m: int, n: int):
+    """(low, guard, add, neg, lightest) on n-position words packed by
+    `_packed_rows`.
 
-    `add` is XOR for p = 2 and slot-parallel addition mod p otherwise.
-    `support` sets the guard bit of every nonzero slot and ORs each
-    position's m slots onto those of digit 0, so bit i*bits + bits-1 is set
-    iff position i is nonzero: its popcount is the Hamming weight.  Over
-    GF(2) the support is the word itself.  `weigh(x, y)` is the Hamming
-    weight of x + y.
+    `add` is XOR for p = 2 and slot-parallel addition mod p otherwise,
+    `neg` the slot-parallel negation.  A position of a word is below
+    2^(width-1), so adding low = 2^(width-1) - 1 sets its guard bit iff it
+    is nonzero: support(x) = (x + low) & guard has one bit per nonzero
+    position (x itself for p = 2, m = 1, where low = 0), and its popcount
+    is the Hamming weight.  Digits are below p, so the XOR of two words is
+    0 exactly where their digits agree, and weight(x + y) = support(-x XOR
+    y).bit_count(): `lightest(c, ys)`, the least weight of c XOR y over the
+    words ys, weighs a scan inline.
     """
-    if p == 2 and m == 1:
-        return operator.xor, int, lambda x, y: (x ^ y).bit_count()
-    top = bits - 1
-    width = bits * n
-    ones = ((1 << (width * m)) - 1) // ((1 << bits) - 1)  # bit 0 of each slot
-    guard = ones << top
-    fix = ones * ((1 << top) - p)  # s + fix sets the guard bit iff s >= p
-    low = ones * ((1 << top) - 1)  # x + low sets the guard bit iff x != 0
-    mask = guard & ((1 << width) - 1)  # the guard bits of digit 0
-    shifts = [t * width for t in range(1, m)]
-
+    bits, width = _layout(p, m)
+    ones = ((1 << width * n) - 1) // ((1 << width) - 1)  # bit 0 of each position
+    low, guard = ones * ((1 << width - 1) - 1), ones << width - 1
     if p == 2:
-        add = operator.xor
+        add, neg = operator.xor, int
     else:
+        digits = ones * (((1 << m * bits) - 1) // ((1 << bits) - 1))  # bit 0 of each slot
+        top, all_p = bits - 1, digits * p
+        fix, carry = digits * ((1 << top) - p), digits << top  # s + fix carries iff s >= p
+
         def add(x, y):
             s = x + y
-            return s - (((s + fix) & guard) >> top) * p
+            return s - (((s + fix) & carry) >> top) * p
 
-    def support(x):
-        g = (x + low) & guard
-        for sh in shifts:
-            g |= g >> sh
-        return g & mask
-
-    def weigh(x, y):  # support(add(x, y)).bit_count() in one call
-        s = x ^ y if p == 2 else (t := x + y) - (((t + fix) & guard) >> top) * p
-        g = (s + low) & guard
-        for sh in shifts:
-            g |= g >> sh
-        return (g & mask).bit_count()
-
-    return add, support, weigh
+        def neg(x):  # slot value p - d, then p - 0 folded to 0
+            return add(all_p - x, 0)
+    return low, guard, add, neg, (
+        (lambda c, ys: min([((c ^ y) + low & guard).bit_count() for y in ys])) if low
+        else lambda c, ys: min(map(int.bit_count, map(operator.xor, itertools.repeat(c), ys))))
 
 
 class _Negatives(dict):
@@ -259,7 +249,7 @@ class _Negatives(dict):
         return self.setdefault(d, out)
 
 
-def _systematic(p: int, m: int, n: int, bits: int, rows, covered: int = 0):
+def _systematic(p: int, m: int, n: int, rows, covered: int = 0):
     """(guard-bit mask of the new positions, words, pivot slots): GF(p)
     Gauss-Jordan elimination of words packed by `_packed_rows`, the only
     row reduction in this module.
@@ -273,20 +263,19 @@ def _systematic(p: int, m: int, n: int, bits: int, rows, covered: int = 0):
     on the others; dependent rows are dropped.  A row holding d in the
     pivot slot gets -d * pivot added (`_Negatives`; (0, pivot) for p = 2).
     """
-    add, support, _ = _slot_ops(p, m, n, bits)
-    top, dmask = bits - 1, (1 << bits) - 1
-    everywhere = ((1 << n * bits) - 1) // dmask << top
+    bits, width = _layout(p, m)
+    low, everywhere, add, _, _ = _slot_ops(p, m, n)
+    dmask = (1 << bits) - 1
     free, done, slots, new = list(rows), [], [], 0
     for allowed in (everywhere ^ covered, everywhere):
         while free:
-            # a slot of the OR is nonzero iff it is in some free row
-            cand = support(functools.reduce(operator.or_, free, 0)) & allowed
+            # a position of the OR is nonzero iff it is in some free row
+            cand = functools.reduce(operator.or_, free, 0) + low & allowed
             if not cand:
                 break
-            low = (cand & -cand).bit_length() - 1
-            new |= (1 << low) & ~covered
-            for t in range(m):
-                shift = (t * n + low // bits) * bits
+            top = (cand & -cand).bit_length() - 1  # the lowest one's guard bit
+            new |= (1 << top) & ~covered
+            for shift in range(top + 1 - width, top + 1 - width + m * bits, bits):
                 piv = next(row for row in free if row >> shift & dmask)
                 free.remove(piv)
                 inv = pow(piv >> shift & dmask, -1, p)
@@ -299,12 +288,11 @@ def _systematic(p: int, m: int, n: int, bits: int, rows, covered: int = 0):
     return new, done, slots
 
 
-def _rotation(m: int, n: int, bits: int, ell: int):
-    """The map that moves position i of a packed word to i + ell mod n, in
-    every digit slot."""
-    width, e = n * bits, ell * bits
-    low = ((1 << width - e) - 1) * (((1 << width * m) - 1) // ((1 << width) - 1))
-    return lambda x: (x & low) << e | (x ^ (x & low)) >> (width - e)
+def _rotation(width: int, n: int, ell: int):
+    """The map that moves position i of a packed word to i + ell mod n."""
+    size, e = n * width, ell * width
+    low = (1 << size - e) - 1
+    return lambda x: (x & low) << e | x >> size - e
 
 
 def _steps(p: int, add, rows) -> list:
@@ -319,31 +307,19 @@ def _steps(p: int, add, rows) -> list:
     return list(map(prefix.__getitem__, ruler))
 
 
-def _range_min(p: int, m: int, n: int, bits: int, rows):
+def _range_min(p: int, m: int, n: int, rows):
     """(lightest weight, messages walked) over the messages of a code
     packed by `_packed_rows` whose first nonzero coefficient is 1: one per
     1-dimensional subspace, as scalar multiples weigh the same.  For each
     a the walk counts from rows[a*m] = g_a over the rows after g_a's:
-    q^(k-1-a) messages, (q^k - 1)/(q - 1) in all.  Over GF(2) it is one
-    XOR and one popcount per codeword."""
-    add, support, _ = _slot_ops(p, m, n, bits)
+    q^(k-1-a) messages, (q^k - 1)/(q - 1) in all, each one add and one
+    inline weighing (`_slot_ops`' `lightest` against 0)."""
+    _, _, add, _, lightest = _slot_ops(p, m, n)
     best, walked = 1 << 62, 0
     for a in range(0, len(rows), m):
-        cur, steps = rows[a], _steps(p, add, rows[a + m:])
+        steps = _steps(p, add, rows[a + m:])
         walked += len(steps) + 1
-        best = min(best, support(cur).bit_count())
-        if p == 2 and m == 1:
-            for x in steps:
-                cur ^= x
-                w = cur.bit_count()
-                if w < best:
-                    best = w
-            continue
-        for x in steps:
-            cur = add(cur, x)
-            w = support(cur).bit_count()
-            if w < best:
-                best = w
+        best = min(best, lightest(0, itertools.accumulate(steps, add, initial=rows[a])))
     return best, walked
 
 
@@ -368,19 +344,22 @@ def _brouwer_zimmermann(view: LinearCodeView, limit: int):
     least that term on its r positions, and those are disjoint: the search
     stops once the lightest word found is at most the sum of the terms,
     times one plus the shifts of each set, or when the first set has
-    covered every message.  Weight 1 takes the k rows g_a themselves, and
-    weight 2 builds the tables of their multiples.  TooLarge is raised
-    before a weight block that would take the count past `limit`.
+    covered every message.  Weight 1 takes the k rows g_a themselves;
+    weight 2 builds the tables of their multiples, the one-level tail of
+    `_weight_block`, and weight 3 the pair tail when its C(k, 2)(q - 1)^2
+    words hold at most `_EXPAND_LIMIT` bits.  TooLarge is raised before a
+    weight block that would take the count past `limit`, so before any
+    table it would build.
     """
     f, n, k, ell = view.field, view.n, view.k, view.ell
     q, p, m = f.q, f.p, f.m
-    bits, rows, slots = view.packed
-    add, support, weigh = _slot_ops(p, m, n, bits)
-    everywhere = ((1 << n * bits) - 1) // ((1 << bits) - 1) << bits - 1
+    rows, slots = view.packed
+    width = _layout(p, m)[1]
+    _, everywhere, add, neg, lightest = _slot_ops(p, m, n)
     closed = ell is not None and is_quasi_cyclic(view, ell)
-    rotate = _rotation(m, n, bits, ell) if closed else None
+    rotate = _rotation(width, n, ell) if closed else None
     # the first set is the view's packing, its positions those of its pivots
-    new = sum(1 << (s + bits - 1) for s in slots[::m])
+    new = sum(1 << (s + width - 1) for s in slots[::m])
     covered, sets, words = 0, [], rows  # sets: (r, 1 + shifts, words)
     while new:
         covered, x, copies = covered | new, new, 1
@@ -391,11 +370,12 @@ def _brouwer_zimmermann(view: LinearCodeView, limit: int):
         sets.append((new.bit_count(), copies, words))
         if covered == everywhere:
             break
-        new, words, _ = _systematic(p, m, n, bits, rows, covered)
+        new, words, _ = _systematic(p, m, n, rows, covered)
 
     reached = [0] * len(sets)
     best, enumerated = 1 << 62, 0
-    tables = [None] * len(sets)
+    tables = [None] * len(sets)  # (multiples, tail) of each set
+    pairs_fit = math.comb(k, 2) * (q - 1) ** 2 * n * width <= _EXPAND_LIMIT  # pair tail bits
     for w in range(1, k + 1):
         for j, (r, _, words) in enumerate(sets):
             if w < k - r:  # its term of the bound is still 0
@@ -406,10 +386,13 @@ def _brouwer_zimmermann(view: LinearCodeView, limit: int):
                     raise TooLarge(f"Brouwer-Zimmermann would enumerate more "
                                    f"than the limit of {limit} messages")
                 if v == 2:  # c * g_a for c = 1 .. q-1
-                    tables[j] = [list(itertools.accumulate(_steps(
+                    multiples = [list(itertools.accumulate(_steps(
                         p, add, words[a * m:a * m + m]), add)) for a in range(k)]
-                best = min(best, _weight_block(tables[j], v, add, weigh) if v > 1
-                           else min(map(int.bit_count, map(support, words[::m]))))
+                    tables[j] = multiples, _tail(multiples, add, 1)
+                elif v == 3 and pairs_fit:
+                    tables[j] = tables[j][0], _tail(tables[j][0], add, 2)
+                best = min(best, _weight_block(*tables[j], v, add, neg, lightest)
+                           if v > 1 else lightest(0, words[::m]))
                 enumerated += count
             reached[j] = w
             if w == k or best <= sum(c * max(0, v + 1 - (k - r))
@@ -417,21 +400,38 @@ def _brouwer_zimmermann(view: LinearCodeView, limit: int):
                 return best, enumerated
 
 
-def _weight_block(tables, w: int, add, weigh) -> int:
+def _tail(multiples, add, depth: int) -> tuple:
+    """(words, starts, depth): the sums of `depth` rows with nonzero
+    coefficients, c * g_a for depth 1 and c * g_a + c' * g_b (a < b) for
+    depth 2, multiples[a] listing the c * g_a, in the order of their first
+    row a; words[starts[a]:] are those whose first row is a or later."""
+    groups = multiples if depth == 1 else [
+        [add(x, y) for b in range(a + 1, len(multiples)) for x in xs for y in multiples[b]]
+        for a, xs in enumerate(multiples)]
+    return [x for g in groups for x in g], [0, *itertools.accumulate(map(len, groups))], depth
+
+
+def _weight_block(multiples, tail, w: int, add, neg, lightest) -> int:
     """Lightest sum over all messages of weight w >= 2 whose first nonzero
-    coefficient is 1, table a listing the nonzero multiples of row a.  The
-    last level is one `weigh` per word, or over GF(2) C-level XOR and popcount."""
-    k, c = len(tables), len(tables[0])
-    flat = [x for row in tables for x in row]
+    coefficient is 1, multiples[a] listing the nonzero multiples of row a.
 
-    def descend(cur, start, depth):
-        if depth == 1:
-            return min(map(weigh, itertools.repeat(cur), flat[start * c:]) if c > 1
-                       else map(int.bit_count, map(add, itertools.repeat(cur), flat[start:])))
-        return min(descend(add(cur, x), a + 1, depth - 1)
-                   for a in range(start, k - depth + 1) for x in tables[a])
+    The descent adds one row multiple per level for the first w - depth
+    rows (the first row's coefficient is 1), depth that of the `_tail`:
+    2 for the pair table, which Brouwer-Zimmermann builds for w >= 3 when
+    it fits in `_EXPAND_LIMIT` bits, else 1.  Each such prefix then scans
+    the tail words whose rows all come after its own, one slice, and
+    weighs each word y inline as weight(prefix + y) = support(-prefix XOR
+    y).bit_count() (`_slot_ops`' `lightest`)."""
+    words, starts, depth = tail
+    k = len(multiples)
 
-    return min(descend(tables[a][0], a + 1, w - 1) for a in range(k - w + 1))
+    def descend(cur, start, left):
+        if left == depth:
+            return lightest(neg(cur), words[starts[start]:])
+        return min(descend(add(cur, x), a + 1, left - 1)
+                   for a in range(start, k - left + 1) for x in multiples[a])
+
+    return min(descend(multiples[a][0], a + 1, w - 1) for a in range(k - w + 1))
 
 
 # Codes with at most this many messages q^k are walked.  The summed search
@@ -457,7 +457,7 @@ def _distance_search(view: LinearCodeView, limit: int = _MESSAGE_LIMIT):
         if (count := (total - 1) // (f.q - 1)) > limit:
             raise TooLarge(f"({f.q}^{k} - 1)/({f.q} - 1) = {count} messages "
                            f"exceeds the limit {limit}")
-        return (*_range_min(f.p, f.m, view.n, *view.packed[:2]), "exhaustive")
+        return (*_range_min(f.p, f.m, view.n, view.packed[0]), "exhaustive")
     return (*_brouwer_zimmermann(view, limit), "Brouwer-Zimmermann")
 
 
@@ -496,11 +496,12 @@ def is_quasi_cyclic(view: LinearCodeView, ell: int) -> bool:
     lie in the code too, as it is GF(q)-linear)."""
     ell = _check_ell(view.n, ell)
     f, n = view.field, view.n
-    bits, words, slots = view.packed
+    words, slots = view.packed
     if not words:  # the zero code
         return True
-    add = _slot_ops(f.p, f.m, n, bits)[0]
-    rotate, dmask = _rotation(f.m, n, bits, ell), (1 << bits) - 1
+    bits, width = _layout(f.p, f.m)
+    add = _slot_ops(f.p, f.m, n)[2]
+    rotate, dmask = _rotation(width, n, ell), (1 << bits) - 1
     pivots = [((0, g) if f.p == 2 else _Negatives(f.p, add, g), s)
               for g, s in zip(words, slots)]
     return not any(functools.reduce(

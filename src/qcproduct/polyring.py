@@ -800,10 +800,13 @@ def _mul_ext(f: Field, a, b) -> list:
     if not a or not b:
         return []
     mul, add, _ = _ext_ops(f)
-    out = [0] * (len(a) + len(b) - 1)
+    out, calls = [0] * (len(a) + len(b) - 1), f.q > 256
     for i, x in enumerate(a):
         if x:
             row = mul[x]
+            if calls:  # row is f.mul with x bound: two Field calls a term
+                out[i:i + len(b)] = map(f.add, out[i:i + len(b)], map(row, b))
+                continue
             for k, y in enumerate(b, i):
                 if y:
                     out[k] = add[out[k]][row[y]]
@@ -812,13 +815,16 @@ def _mul_ext(f: Field, a, b) -> list:
 
 def _divmod_ext(f: Field, a, b):
     mul, add, inv = _ext_ops(f)  # each quotient term qc, then -qc*b added
-    dv, over, neg = len(b) - 1, inv(b[-1]), mul[f.p - 1]
+    dv, over, neg, calls = len(b) - 1, inv(b[-1]), mul[f.p - 1], f.q > 256
     rem = list(a)
     quot = [0] * (len(rem) - dv)
     for top in range(len(rem) - 1, dv - 1, -1):
         if c := rem[top]:
             quot[top - dv] = qc = mul[c][over]
             row = mul[neg[qc]]
+            if calls:  # as in _mul_ext
+                rem[top - dv:top + 1] = map(f.add, rem[top - dv:top + 1], map(row, b))
+                continue
             for k, y in enumerate(b, top - dv):
                 rem[k] = add[rem[k]][row[y]]
     del rem[dv:]

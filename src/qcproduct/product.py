@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .field import Field
-from .polyring import (Poly, _integer, _kernel, _monic, _positive,
+from .polyring import (Poly, _divides_xm1, _integer, _kernel, _monic, _positive,
                        modular_substitute, x_pow_minus_one)
 from .qcmodule import GeneratingMatrix, RgbPotBasis, _trusted_matrix, level
 
@@ -145,7 +145,9 @@ class OneLevelCode:
                 f"need {ell - 1} multiplier polynomials for ell={ell}, got {len(fs)}")
         if g.is_zero:
             raise NotADivisor("the shared divisor g must be nonzero")
-        k, g, cofactor = _monic(g, m)
+        k, g, cofactor = _monic(g, m if fs else 0)  # ell = 1 needs no cofactor
+        if not (fs or _divides_xm1(g, m)):
+            raise NotADivisor(f"{g!r} does not divide X^{m}-1")
         canon = []
         for fj in fs:
             if fj.field != field:

@@ -3,10 +3,12 @@ tests' references for `_packed_rows`, `_systematic` and `_range_min` in
 `qcproduct.oracle`.
 
 `packed_rows` reads each code's base-p digits one code and one digit at a
-time; `systematic` forms the multiple of the pivot that clears a row by
-doubling, once for every row it clears; `range_min` walks every nonzero
-message, scalar multiples included.  All three share only the slot
-arithmetic (`_slot_ops`) with the package.
+time into the position-major layout; `systematic` forms the multiple of
+the pivot that clears a row by doubling, once for every row it clears;
+`range_min` walks every nonzero message, scalar multiples included;
+`weight` counts the nonzero positions of a word one digit at a time.
+They share only the layout (`_layout`) and the slot arithmetic
+(`_slot_ops`' add, and its support for the walk) with the package.
 """
 
 import functools
@@ -14,24 +16,35 @@ import itertools
 import operator
 
 from qcproduct.field import Field
-from qcproduct.oracle import _slot_ops
+from qcproduct.oracle import _layout, _slot_ops
 
 
 def packed_rows(field: Field, rows):
-    """(bits, words): row r becomes the words X^t * r (t < m), digit s of
-    position i in slot s*n + i."""
+    """The words X^t * r (t < m) of each row r: digit s of position i in
+    bits i*width + s*bits .. i*width + s*bits + bits - 1."""
     p, m = field.p, field.m
-    bits = 1 if p == 2 else (2 * p - 2).bit_length() + 1
-    slots = []  # each word's digits, the highest slot first
+    bits, width = _layout(p, m)
+    words = []
     for row in rows:
         for t in range(m):
-            codes = ([field.mul(p ** t, c) for c in reversed(row)] if t
-                     else row[::-1])
-            slots.append([c // p ** s % p for s in reversed(range(m))
-                          for c in codes])
-    numeral = {d: format(d, f"0{bits}b") for d in set().union(*slots)}
-    return bits, [int("".join([numeral[d] for d in word]), 2)
-                  for word in slots]
+            word = 0
+            for i, c in enumerate(row):
+                x = field.mul(p ** t, c)
+                for s in range(m):
+                    word |= x // p ** s % p << i * width + s * bits
+            words.append(word)
+    return words
+
+
+def _nonzero(p: int, m: int, x: int, i: int) -> bool:
+    """Whether position i of a packed word has a nonzero digit."""
+    bits, width = _layout(p, m)
+    return any(x >> i * width + s * bits & (1 << bits) - 1 for s in range(m))
+
+
+def weight(p: int, m: int, n: int, x: int) -> int:
+    """The number of nonzero positions of a packed word."""
+    return sum(_nonzero(p, m, x, i) for i in range(n))
 
 
 def _times(add, x: int, c: int) -> int:
@@ -51,22 +64,24 @@ def _clear(add, p: int, bits: int, row: int, piv: int, shift: int) -> int:
     return add(row, _times(add, piv, p - d)) if d else row
 
 
-def systematic(p: int, m: int, n: int, bits: int, rows, covered: int = 0):
+def systematic(p: int, m: int, n: int, rows, covered: int = 0):
     """(guard-bit mask of the new positions, words, pivot slots), pivoting
     on positions outside `covered` first, lowest position first."""
-    add, support, _ = _slot_ops(p, m, n, bits)
-    top, dmask = bits - 1, (1 << bits) - 1
-    everywhere = sum(1 << (i * bits + top) for i in range(n))
+    bits, width = _layout(p, m)
+    add = _slot_ops(p, m, n)[2]
+    dmask = (1 << bits) - 1
     free, done, slots, new = list(rows), [], [], 0
-    for allowed in (everywhere ^ covered, everywhere):
+    for outside in (True, False):
         while free:
-            cand = support(functools.reduce(operator.or_, free, 0)) & allowed
-            if not cand:
+            union = functools.reduce(operator.or_, free, 0)
+            nonzero = [i for i in range(n) if _nonzero(p, m, union, i) and not (
+                outside and covered >> i * width + width - 1 & 1)]
+            if not nonzero:
                 break
-            low = (cand & -cand).bit_length() - 1
-            new |= (1 << low) & ~covered
+            i = nonzero[0]
+            new |= (1 << i * width + width - 1) & ~covered
             for t in range(m):
-                shift = (t * n + low // bits) * bits
+                shift = i * width + t * bits
                 piv = next(row for row in free if row >> shift & dmask)
                 free.remove(piv)
                 piv = _times(add, piv, pow(piv >> shift & dmask, -1, p))
@@ -77,11 +92,11 @@ def systematic(p: int, m: int, n: int, bits: int, rows, covered: int = 0):
     return new, done, slots
 
 
-def range_min(p: int, m: int, n: int, bits: int, rows) -> int:
+def range_min(p: int, m: int, n: int, rows) -> int:
     """Minimum Hamming weight over every nonzero message of a packed code,
     message index idx read as base-p digits over the rows: the step from
     idx-1 to idx adds the prefix sum of rows 0..v_p(idx)."""
-    add, support, _ = _slot_ops(p, m, n, bits)
+    low, guard, add, _, _ = _slot_ops(p, m, n)
     prefix = list(itertools.accumulate(rows, add))
     cur, best = 0, 1 << 62
     for idx in range(1, p ** len(rows)):
@@ -90,5 +105,5 @@ def range_min(p: int, m: int, n: int, bits: int, rows) -> int:
             i //= p
             v += 1
         cur = add(cur, prefix[v])
-        best = min(best, support(cur).bit_count())
+        best = min(best, (cur + low & guard).bit_count())
     return best

@@ -59,7 +59,12 @@ division took about 13 s there, beyond CI's 10-s limit per case), and the
 minimal polynomial of 74 for m 257 over GF(11), formed in GF(11^64), from
 before the default-modulus search ran Ben-Or's irreducibility test instead
 of Rabin's (that search took about 9 s, so CI's 10-s limit per case fails
-if it returns).
+if it returns), and the Brouwer-Zimmermann ``mindist`` outputs of the
+reduced GF(16) and GF(25) products (their pair tables exceed the bound, so
+their weight blocks take the one-level tail) and of a benchmark GF(4)
+product (ell 3, m 35) whose search reaches a weight-4 block, from before
+the last two levels of a weight block were read from a table of pair sums
+and each word was weighed inline.
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -122,6 +127,9 @@ CASES = {
     "mindist_row_code_gf2147483647": ["mindist", "row_code_gf2147483647.json"],
     "mindist_product_gf3": ["mindist", "product_basis_gf3.json"],
     "mindist_product_gf5": ["mindist", "product_basis_gf5.json"],
+    "mindist_product_gf4": ["mindist", "product_basis_gf4.json"],
+    "mindist_product_gf16": ["mindist", "product_basis_gf16.json"],
+    "mindist_product_gf25": ["mindist", "product_basis_gf25.json"],
     "verify_row_code_gf3": ["verify", "row_code_gf3.json"],
     "verify_row_code_gf4": ["verify", "row_code_gf4.json"],
     "verify_row_code_gf5": ["verify", "row_code_gf5.json"],

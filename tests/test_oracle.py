@@ -1,6 +1,8 @@
 """Tests for the linear-algebra ground-truth checks: basis expansion,
 exhaustive minimum distance, shift closure, and membership."""
 
+import functools
+import itertools
 import math
 import random
 import time
@@ -136,9 +138,9 @@ def test_packed_elimination_matches_rref(case):
     view = LinearCodeView(field, basis, n)
     assert view.k == len(basis)
     # the systematic words g_a, read back as codes, are the RREF itself
-    bits, words, _ = view.packed
+    (bits, width), (words, _) = oracle._layout(field.p, field.m), view.packed
     digit = (1 << bits) - 1
-    assert [[sum((g >> (t * n + i) * bits & digit) * field.p ** t
+    assert [[sum((g >> i * width + t * bits & digit) * field.p ** t
                  for t in range(field.m)) for i in range(n)]
             for g in words[::field.m]] == _rref(field, basis)[0]
     for ell in (e for e in range(1, n + 1) if not n % e):
@@ -147,9 +149,9 @@ def test_packed_elimination_matches_rref(case):
         assert is_quasi_cyclic(view, ell) == closed
 
 
-# q <= 256 packs through byte tables (GF(2^8), GF(3^5) and GF(7^2) at and
-# under that boundary; GF(11^2) and GF(251) with 6- and 10-bit slots), and
-# GF(257) and GF(3^6) format each digit on its own
+# q <= 256 packs through tables of numerals (GF(2^8), GF(3^5) and GF(7^2) at
+# and under that boundary; GF(11^2) and GF(251) with 6- and 10-bit slots),
+# and GF(257) and GF(3^6) format each position on its own
 PACKING_FIELDS = tuple(map(field_of_order, (
     2, 3, 4, 5, 8, 9, 25, 27, 2 ** 8, 3 ** 5, 7 ** 2, 11 ** 2, 251, 257, 3 ** 6)))
 
@@ -185,13 +187,23 @@ def test_packing_of_every_code_matches_reference(field):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 3), st.integers(1, 8),
        st.data())
-def test_weigh_is_the_weight_of_the_sum(p, m, n, data):
-    bits = oracle._slot_bits(p)
-    add, support, weigh = oracle._slot_ops(p, m, n, bits)
-    digits = st.lists(st.integers(0, p - 1), min_size=m * n, max_size=m * n)
-    x, y = (sum(d << i * bits for i, d in enumerate(data.draw(digits)))
-            for _ in range(2))
-    assert weigh(x, y) == support(add(x, y)).bit_count()
+def test_weight_of_a_sum_is_the_distance_to_the_negation(p, m, n, data):
+    # weight(x + y) = support(-x XOR y).bit_count(), against digit-by-digit
+    # sums, with y = -x in some positions: a zero digit of x there must
+    # negate to 0
+    bits, width = oracle._layout(p, m)
+    low, guard, add, neg, lightest = oracle._slot_ops(p, m, n)
+    digits = st.lists(st.integers(0, p - 1), min_size=n * m, max_size=n * m)
+    x, y = data.draw(digits), data.draw(digits)
+    for i in data.draw(st.sets(st.integers(0, n - 1))):
+        y[i * m:i * m + m] = [-d % p for d in x[i * m:i * m + m]]
+    px, py = (sum(d << i // m * width + i % m * bits for i, d in enumerate(v))
+              for v in (x, y))
+    weight = sum(any((a + b) % p for a, b in zip(x[i * m:i * m + m], y[i * m:i * m + m]))
+                 for i in range(n))
+    assert lightest(neg(px), [py]) == weight
+    assert (add(px, py) + low & guard).bit_count() == weight == packref.weight(
+        p, m, n, add(px, py))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -200,12 +212,13 @@ def test_elimination_matches_doubling_reference(case, data):
     # the same pivots, words and slots, with and without covered positions
     field, n, rows = case
     p, m = field.p, field.m
-    bits, words = packref.packed_rows(field, rows)
+    words = packref.packed_rows(field, rows)
+    width = oracle._layout(p, m)[1]
     positions = data.draw(st.sets(st.integers(0, n - 1)))
-    covered = sum(1 << (i * bits + bits - 1) for i in positions)
+    covered = sum(1 << (i * width + width - 1) for i in positions)
     for cov in {0, covered}:
-        assert (oracle._systematic(p, m, n, bits, words, cov)
-                == packref.systematic(p, m, n, bits, words, cov))
+        assert (oracle._systematic(p, m, n, words, cov)
+                == packref.systematic(p, m, n, words, cov))
 
 
 def test_elimination_over_a_prime_near_2_31_is_bounded():
@@ -218,9 +231,8 @@ def test_elimination_over_a_prime_near_2_31_is_bounded():
     view = LinearCodeView(f, rows)
     assert is_quasi_cyclic(expand_to_linear(b), 1)
     assert time.perf_counter() - start < 2.0
-    bits, words = packref.packed_rows(f, rows)
-    _, words, slots = packref.systematic(f.p, 1, 5, bits, words)
-    assert view.packed == (bits, tuple(words), tuple(slots))
+    _, words, slots = packref.systematic(f.p, 1, 5, packref.packed_rows(f, rows))
+    assert view.packed == (tuple(words), tuple(slots))
 
 
 @st.composite
@@ -421,13 +433,20 @@ def test_min_distance_matches_brute_force():
 # ---------------------------------------------------------------------------
 
 @st.composite
-def linear_codes(draw):
-    """A full-rank code over GF(2), GF(3), GF(4) or GF(9) with q^k <= 2^16:
-    [I | A] with its rows mixed and its columns permuted, so the search
-    starts from a matrix that is not systematic on any leading block."""
-    field = draw(st.sampled_from((F2, F3, F4, F9)))
-    k = draw(st.integers(1, int(math.log(1 << 16, field.q) + 1e-9)))
-    n = draw(st.integers(k, k + 24))
+def linear_codes(draw, fields=(F2, F3, F4, F9), long=False):
+    """A full-rank code over one of the fields with q^k <= 2^16: [I | A]
+    with its rows mixed and its columns permuted, so the search starts
+    from a matrix that is not systematic on any leading block.  A long
+    code has k at or one below the largest such k (4 over GF(25)) and n
+    from 6k to 10k."""
+    field = draw(st.sampled_from(fields))
+    top = int(math.log(1 << 16, field.q) + 1e-9)
+    if long:
+        k = draw(st.integers(max(3, top - 1), max(4, top)))
+        n = draw(st.integers(6 * k, 10 * k))
+    else:
+        k = draw(st.integers(1, top))
+        n = draw(st.integers(k, k + 24))
     codes = st.integers(0, field.q - 1)
     rows = [[int(i == j) for j in range(k)]
             + draw(st.lists(codes, min_size=n - k, max_size=n - k))
@@ -444,8 +463,7 @@ def linear_codes(draw):
 def _walk(view):
     """d by the reference walk over every nonzero message."""
     f = view.field
-    return packref.range_min(f.p, f.m, view.n,
-                             *packref.packed_rows(f, view.matrix))
+    return packref.range_min(f.p, f.m, view.n, packref.packed_rows(f, view.matrix))
 
 
 WALK_FIELDS = tuple(map(field_of_order, (2, 3, 4, 5, 8, 9, 25)))
@@ -472,9 +490,9 @@ def test_walk_takes_one_message_per_subspace(case):
     # visits all q^k - 1 messages, scalar multiples included
     field, n, rows = case
     q, k = field.q, len(rows)
-    bits, words = packref.packed_rows(field, rows)
-    assert oracle._range_min(field.p, field.m, n, bits, words) == (
-        packref.range_min(field.p, field.m, n, bits, words),
+    words = packref.packed_rows(field, rows)
+    assert oracle._range_min(field.p, field.m, n, words) == (
+        packref.range_min(field.p, field.m, n, words),
         (q ** k - 1) // (q - 1))
 
 
@@ -486,6 +504,55 @@ def test_brouwer_zimmermann_matches_exhaustive(view):
     assert search == "Brouwer-Zimmermann"
     assert d == _walk(view)
     assert enumerated > 0
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(linear_codes(WALK_FIELDS, long=True))
+def test_pair_tail_search_matches_exhaustive(view):
+    # these long codes keep the lower bound below d into weight-3 blocks,
+    # and weight-4 ones over GF(2), GF(3) and GF(4); the search is the same
+    # with the pair tail and with its bound at 0, where every block takes
+    # the one-level tail
+    with mock.patch.object(oracle, "_WALK_MAX", 0):
+        paired = oracle._distance_search(view)
+        with mock.patch.object(oracle, "_EXPAND_LIMIT", 0):
+            assert oracle._distance_search(view) == paired
+    assert paired[::2] == (_walk(view), "Brouwer-Zimmermann")
+
+
+@st.composite
+def block_rows(draw):
+    """(field, n, rows): k >= 3 random rows of n <= 10 codes over one of
+    WALK_FIELDS, q^k <= 2^12 but k = 3 over GF(25)."""
+    field = draw(st.sampled_from(WALK_FIELDS))
+    k = draw(st.integers(3, max(3, int(math.log(1 << 12, field.q) + 1e-9))))
+    n = draw(st.integers(1, 10))
+    codes = st.integers(0, field.q - 1)
+    return field, n, draw(st.lists(st.lists(codes, min_size=n, max_size=n),
+                                   min_size=k, max_size=k))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(block_rows())
+def test_weight_blocks_find_the_lightest_message_of_each_weight(case):
+    # every message whose first nonzero coefficient is 1, by weight, from
+    # multiples packed one at a time; each block of weight w >= 2 through
+    # the one-level tail and, from w = 3, the pair tail
+    field, n, rows = case
+    q, k = field.q, len(rows)
+    low, guard, add, neg, lightest = oracle._slot_ops(field.p, field.m, n)
+    multiples = [[packref.packed_rows(field, [[field.mul(c, x) for x in row]])[0]
+                  for c in range(1, q)] for row in rows]
+    want = {}
+    for message in itertools.product(range(q), repeat=k):
+        used = [a for a in range(k) if message[a]]
+        if used and message[used[0]] == 1:
+            word = functools.reduce(add, (multiples[a][message[a] - 1] for a in used))
+            want[len(used)] = min(want.get(len(used), n), packref.weight(field.p, field.m, n, word))
+    for w in range(2, k + 1):
+        for depth in (1, 2)[:w - 1]:
+            tail = oracle._tail(multiples, add, depth)
+            assert oracle._weight_block(multiples, tail, w, add, neg, lightest) == want[w]
 
 
 def _binary_code(k, n=24, seed=0):
@@ -528,9 +595,9 @@ def test_limit_is_checked_before_either_search(monkeypatch):
         min_distance(view, limit=8)
 
 
-def test_limit_bounds_what_brouwer_zimmermann_enumerates():
-    # a [210, 30] binary product, so q^k = 2^30 is past the default limit
-    # of 2^22; d(A (x) B) = d_A * d_B, with d_A and d_B walked
+def _binary_product():
+    """(view, A, g_b): a [210, 30] binary product A (x) B, B cyclic with
+    generator g_b, whose search enumerates one set's weight blocks 1 to 5."""
     g_a = minimal_polynomial(2, 15, 0) * minimal_polynomial(2, 15, 1)
     f1 = Poly(F2, (0, 0, 1, 0, 1, 1, 1, 1, 1, 0, 1, 0, 1, 1))
     A = OneLevelCode(g_a, [f1], 2, 15)
@@ -539,6 +606,13 @@ def test_limit_bounds_what_brouwer_zimmermann_enumerates():
     v = expand_to_linear(
         one_level_product_rgb(A, B, bezout_pair(2, 15, 7)).basis())
     assert (v.n, v.k) == (210, 30)
+    return v, A, g_b
+
+
+def test_limit_bounds_what_brouwer_zimmermann_enumerates():
+    # q^k = 2^30 is past the default limit of 2^22; d(A (x) B) = d_A * d_B,
+    # with d_A and d_B walked
+    v, A, g_b = _binary_product()
     d_a = min_distance(expand_to_linear(A.basis()))
     d_b = min_distance(expand_to_linear(RgbPotBasis(F2, 1, 7, [[g_b]])))
     d, enumerated, search = oracle._distance_search(v)
@@ -549,6 +623,29 @@ def test_limit_bounds_what_brouwer_zimmermann_enumerates():
     with pytest.raises(TooLarge):
         min_distance(v, limit=enumerated - 1)
     assert min_distance(v, limit=enumerated) == d
+
+
+def test_pair_tail_is_built_within_the_limit_and_its_bound(monkeypatch):
+    # the one set's weight-3 block takes the pair tail only once the limit
+    # admits that block, and only while the C(30, 2) pairs of 210 bits fit
+    # in _EXPAND_LIMIT; the one-level tail finds the same d
+    v = _binary_product()[0]
+    depths, tail = [], oracle._tail
+    monkeypatch.setattr(oracle, "_tail", lambda *args: depths.append(args[2]) or tail(*args))
+    found = oracle._distance_search(v)
+    assert depths == [1, 2]
+    through3 = 30 + math.comb(30, 2) + math.comb(30, 3)
+    for limit, built in ((through3 - 1, [1]), (through3, [1, 2])):
+        depths.clear()
+        with pytest.raises(TooLarge):
+            oracle._distance_search(v, limit)
+        assert depths == built
+    pairs = math.comb(30, 2) * 210
+    for bound, built in ((pairs - 1, [1]), (pairs, [1, 2])):
+        depths.clear()
+        monkeypatch.setattr(oracle, "_EXPAND_LIMIT", bound)
+        assert oracle._distance_search(v) == found
+        assert depths == built
 
 
 def _bits_view(n, words, ell=None):

@@ -4,6 +4,7 @@ product basis."""
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,7 @@ from qcproduct import (
 )
 from paper_maps import components, interleave, matrix, serialize
 from rref import _rref
+from test_cyclic import _within
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -279,6 +281,26 @@ def test_one_level_code_rejections():
         OneLevelCode(Poly(F2, (1, 0, 1, 1)), [], 1, 5)    # not a divisor
     with pytest.raises(FieldMismatch):
         OneLevelCode(Poly(F2, (1, 1)), [Poly.one(F3)], 2, 3)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_one_level_code_of_index_1_at_the_length_bound_is_built_within_seconds(p):
+    # with ell = 1 there is no multiplier to reduce modulo (X^m - 1)/g, so
+    # X^m - 1 is no longer divided by g: that division is quadratic in m
+    # for a low-degree g (0.64 s at m = 2^17 + 1 over GF(2), 2 vCPUs)
+    m, field = 2 ** 20 - 1, field_new(p)
+    code = _within(5, lambda: OneLevelCode(Poly(field, (p - 1, 1)), [], 1, m))
+    assert (code.m, code.k, code.g.coeffs) == (m, m - 1, (p - 1, 1))
+
+
+def test_one_level_code_refuses_a_non_divisor_with_one_text():
+    # X^3 + X + 1 divides neither X^5 - 1 nor X^(2^20 - 1) - 1; ell = 1
+    # tests divisibility without the cofactor, under the same message
+    g = poly_from_text(F2, "X^3+X+1")
+    for ell, m in ((1, 5), (2, 5), (1, 2 ** 20 - 1)):
+        message = re.escape(f"Poly[X^3+X+1 over GF(2)] does not divide X^{m}-1")
+        with pytest.raises(NotADivisor, match=f"^{message}$"):
+            _within(5, lambda: OneLevelCode(g, [Poly.one(F2)] * (ell - 1), ell, m))
 
 
 @pytest.mark.parametrize("g, fs", [
