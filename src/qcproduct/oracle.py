@@ -7,13 +7,14 @@ which gets the shifts of its information sets for free on a quasi-cyclic
 code once it has checked the closure) and the shift-closure test.
 A `LinearCodeView` checks its rows and packs them into ints once,
 position-major (`_layout`; `expand_to_linear` packs each basis row once,
-rotates it and trusts the rows it built); one packed GF(p) elimination
-serves its rank check, `is_quasi_cyclic` and both searches.  Both weigh
-a word y added to x inline as its distance to -x (`_slot_ops`), and
-Brouwer-Zimmermann scans a weight block's last two levels in a table of
-pair sums bounded by `_EXPAND_LIMIT`.  The tests keep list-based
-references.  No canonical-form machinery (no division, no gcd) is used,
-so this can be ground truth for it.
+rotates it and trusts the rows it built).  One packed GF(p) row reduction
+(`_systematic`, insertion into a reduced basis) gives its rank check and
+every information set; `is_quasi_cyclic` runs its reduce step on each
+rotated row.  Both searches weigh y added to x inline as its distance to -x
+(`_slot_ops`), and Brouwer-Zimmermann scans a weight block's last two
+levels in a table of pair sums bounded by `_EXPAND_LIMIT`.  The tests
+keep list-based references.  No canonical-form machinery (no division,
+no gcd) is used, so this can be ground truth for it.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ class LinearCodeView:
     state it.  `ell`, when given, claims that the code is closed under the
     shift by ell positions; `min_distance` checks the claim before relying
     on it.  The rows are packed once: `packed` holds (words, pivot slots)
-    of their systematic matrix from `_systematic`, which the rank
-    check counts and `is_quasi_cyclic` and both searches reuse; it is not
-    compared."""
+    of their reduced row echelon form from `_systematic`, whose pivots
+    the rank check counts and which `is_quasi_cyclic` and both searches
+    reuse; it is not compared."""
 
     field: Field
     n: int
@@ -95,7 +96,7 @@ class LinearCodeView:
 
 def _settle(view: LinearCodeView, field: Field, rows: tuple, n: int,
             ell: int | None, packed: tuple) -> None:
-    """Fill in `view` from checked rows and their packing: eliminate, check rank."""
+    """Fill in `view` from checked rows and their packing: row-reduce, check rank."""
     k = len(rows)
     _, words, slots = _systematic(field.p, field.m, n, packed)
     if len(words) != k * field.m:
@@ -107,8 +108,8 @@ def _settle(view: LinearCodeView, field: Field, rows: tuple, n: int,
 
 
 # At most this many bits in the k*m packed words of an expanded generator
-# matrix (k*n over GF(2)), which bounds an elimination's adds: a [1024, 1023]
-# code (GF(2), ell 1, row X + 1) is verified in about 0.9 s (2 vCPU Xeon).
+# matrix (k*n over GF(2)), which bounds a row reduction's adds: a [1024, 1023]
+# code (GF(2), ell 1, row X + 1) is expanded in about 0.1 s (2 vCPU Xeon).
 # A Brouwer-Zimmermann table of pair sums is built only within it too.
 _EXPAND_LIMIT = 1 << 20
 
@@ -204,14 +205,14 @@ def _slot_ops(p: int, m: int, n: int):
     `_packed_rows`.
 
     `add` is XOR for p = 2 and slot-parallel addition mod p otherwise,
-    `neg` the slot-parallel negation.  A position of a word is below
-    2^(width-1), so adding low = 2^(width-1) - 1 sets its guard bit iff it
-    is nonzero: support(x) = (x + low) & guard has one bit per nonzero
-    position (x itself for p = 2, m = 1, where low = 0), and its popcount
-    is the Hamming weight.  Digits are below p, so the XOR of two words is
-    0 exactly where their digits agree, and weight(x + y) = support(-x XOR
-    y).bit_count(): `lightest(c, ys)`, the least weight of c XOR y over the
-    words ys, weighs a scan inline.
+    `neg` the slot-parallel negation (neg(x, y) = y - x for odd p).  A
+    position of a word is below 2^(width-1), so adding low = 2^(width-1) -
+    1 sets its guard bit iff it is nonzero: support(x) = (x + low) & guard
+    has one bit per nonzero position (x itself for p = 2, m = 1, where low
+    = 0), and its popcount is the Hamming weight.  Digits are below p, so
+    the XOR of two words is 0 exactly where their digits agree, and
+    weight(x + y) = support(-x XOR y).bit_count(): `lightest(c, ys)`, the
+    least weight of c XOR y over the words ys, weighs a scan inline.
     """
     bits, width = _layout(p, m)
     ones = ((1 << width * n) - 1) // ((1 << width) - 1)  # bit 0 of each position
@@ -227,65 +228,79 @@ def _slot_ops(p: int, m: int, n: int):
             s = x + y
             return s - (((s + fix) & carry) >> top) * p
 
-        def neg(x):  # slot value p - d, then p - 0 folded to 0
-            return add(all_p - x, 0)
+        def neg(x, y=0):  # y - x: slot value y_s + p - x_s, then p folded to 0
+            return add(all_p - x, y)
     return low, guard, add, neg, (
         (lambda c, ys: min([((c ^ y) + low & guard).bit_count() for y in ys])) if low
         else lambda c, ys: min(map(int.bit_count, map(operator.xor, itertools.repeat(c), ys))))
 
 
-class _Negatives(dict):
-    """neg[d] = -d * x = (p - d) * x for a packed word x: x for d = p - 1,
-    else formed by doubling when slot value d is first looked up, O(log p)
-    adds for each value that occurs, however large p is."""
+def _reducer(p: int, m: int, n: int):
+    """(minus, reduce) on n-position words packed by `_packed_rows`.
 
-    def __init__(self, p: int, add, x: int):
-        self.p, self.add, self.x, self[0], self[p - 1] = p, add, x, 0, x
+    minus(x, g, d) = x - d * g for a slot value d: one add for d = p - 1
+    and d = 1 (`_slot_ops`' neg), else (p - d) * g added by doubling,
+    O(log p) adds however large p is.  reduce(x, basis, pivots) is x less
+    d * g for each word g of a reduced basis, which maps g's pivot slot to
+    g, d the digit of x there; `pivots` masks those slots.  Each g is 0 on
+    the other pivot slots, so each d is read off x as it was, highest slot
+    first, and only the nonzero ones cost an add."""
+    bits, width = _layout(p, m)
+    _, _, add, neg, _ = _slot_ops(p, m, n)
 
-    def __missing__(self, d: int) -> int:
-        out, x, c = 0, self.x, self.p - d
+    def minus(x, g, d):
+        if d == p - 1:  # every d for p = 2
+            return add(x, g)
+        if d == 1:
+            return neg(g, x)
+        c = p - d
         while c:
-            out, x, c = self.add(out, x) if c & 1 else out, self.add(x, x), c >> 1
-        return self.setdefault(d, out)
+            x, g, c = add(x, g) if c & 1 else x, add(g, g), c >> 1
+        return x
+
+    def reduce(x, basis, pivots):
+        hits = x & pivots
+        while hits:
+            b = hits.bit_length() - 1
+            s = b - b % width % bits
+            x, hits = minus(x, basis[s], x >> s & (1 << bits) - 1), hits & (1 << s) - 1
+        return x
+    return minus, reduce
 
 
 def _systematic(p: int, m: int, n: int, rows, covered: int = 0):
-    """(guard-bit mask of the new positions, words, pivot slots): GF(p)
-    Gauss-Jordan elimination of words packed by `_packed_rows`, the only
-    row reduction in this module.
-
-    It pivots on every slot of one position at a time, lowest position
-    first: first on positions outside `covered` (a guard-bit mask like the
-    result's), then on covered ones.  The packed rows span a GF(q)-linear
-    space, even when they are dependent, so a position takes all m pivots
-    or none and the GF(q) rank is len(words) // m.  `words[a*m + t]` is
-    X^t * g_a, g_a the codeword that is 1 on the a-th pivot position and 0
-    on the others; dependent rows are dropped.  A row holding d in the
-    pivot slot gets -d * pivot added (`_Negatives`; (0, pivot) for p = 2).
+    """(guard-bit mask of the new positions, words, pivot slots): the
+    reduced row echelon form of words packed by `_packed_rows`, the only
+    row reduction in this module, by inserting them one at a time into a
+    reduced basis.  A word that `_reducer`'s reduce leaves nonzero pivots
+    on its first nonzero slot, positions outside `covered` (a guard-bit
+    mask like the result's) before covered ones, lowest first; it is
+    scaled to 1 there and that slot is cleared from the earlier words.
+    The echelon form for that column order is unique, whatever the order
+    of the rows, and the basis is sorted in it.  The packed rows span a
+    GF(q)-linear space, even when they are dependent, so a position takes
+    all m pivots or none and the GF(q) rank is len(words) // m.
+    `words[a*m + t]` is X^t * g_a, g_a the codeword that is 1 on the a-th
+    pivot position and 0 on the others; dependent rows are dropped.
     """
     bits, width = _layout(p, m)
-    low, everywhere, add, _, _ = _slot_ops(p, m, n)
-    dmask = (1 << bits) - 1
-    free, done, slots, new = list(rows), [], [], 0
-    for allowed in (everywhere ^ covered, everywhere):
-        while free:
-            # a position of the OR is nonzero iff it is in some free row
-            cand = functools.reduce(operator.or_, free, 0) + low & allowed
-            if not cand:
-                break
-            top = (cand & -cand).bit_length() - 1  # the lowest one's guard bit
-            new |= (1 << top) & ~covered
-            for shift in range(top + 1 - width, top + 1 - width + m * bits, bits):
-                piv = next(row for row in free if row >> shift & dmask)
-                free.remove(piv)
-                inv = pow(piv >> shift & dmask, -1, p)
-                piv = piv if inv == 1 else _Negatives(p, add, piv)[p - inv]
-                neg = (0, piv) if p == 2 else _Negatives(p, add, piv)
-                free = [add(row, neg[row >> shift & dmask]) for row in free]
-                done = [add(row, neg[row >> shift & dmask]) for row in done]
-                done.append(piv)
-                slots.append(shift)
-    return new, done, slots
+    (minus, reduce), dmask = _reducer(p, m, n), (1 << bits) - 1
+    outside = ~((covered >> width - 1) * ((1 << width) - 1))  # uncovered positions' bits
+    basis, pivots = {}, 0
+    for x in rows:
+        if x := reduce(x, basis, pivots):
+            low = x & outside or x
+            b = (low & -low).bit_length() - 1
+            s = b - b % width % bits
+            if (d := x >> s & dmask) > 1:  # x / d = 0 - (p - 1/d) * x
+                x = minus(0, x, p - pow(d, -1, p))
+            for t, g in basis.items():
+                if e := g >> s & dmask:
+                    basis[t] = minus(g, x, e)
+            basis[s], pivots = x, pivots | dmask << s
+    slots = sorted(basis, key=lambda s: (not outside >> s & 1, s))
+    new = sum(1 << s + width - 1 for s in slots[::m] if outside >> s & 1)
+    return new, [basis[s] for s in slots], slots
 
 
 def _rotation(width: int, n: int, ell: int):
@@ -473,7 +488,7 @@ def min_distance(view: LinearCodeView, workers: int = 1,
     Brouwer-Zimmermann (Grassl, "Searching for linear codes with large
     minimum distance", 2006) on greedily disjoint information sets.  When
     the view has an `ell` that passes `is_quasi_cyclic`, the same
-    elimination's closure test, each set also brings its disjoint
+    reduction's closure test, each set also brings its disjoint
     shifts by multiples of ell, which raise the lower bound without being
     enumerated; a set is enumerated only once its term of the bound is
     positive.  The search stops once that bound meets the lightest word
@@ -491,19 +506,14 @@ def min_distance(view: LinearCodeView, workers: int = 1,
 
 def is_quasi_cyclic(view: LinearCodeView, ell: int) -> bool:
     """True when the code is closed under the shift by ell positions: each
-    g_a of the view's packed systematic matrix, rotated by ell positions,
-    reduces to zero against that matrix (the rotations of X^t * g_a then
-    lie in the code too, as it is GF(q)-linear)."""
+    g_a of the view's packed echelon form, rotated by ell positions,
+    reduces to zero against it by `_reducer`'s reduce, the step that
+    builds it (the rotations of X^t * g_a then lie in the code too, as it
+    is GF(q)-linear)."""
     ell = _check_ell(view.n, ell)
     f, n = view.field, view.n
     words, slots = view.packed
-    if not words:  # the zero code
-        return True
     bits, width = _layout(f.p, f.m)
-    add = _slot_ops(f.p, f.m, n)[2]
-    rotate, dmask = _rotation(width, n, ell), (1 << bits) - 1
-    pivots = [((0, g) if f.p == 2 else _Negatives(f.p, add, g), s)
-              for g, s in zip(words, slots)]
-    return not any(functools.reduce(
-        lambda y, ps: add(y, ps[0][y >> ps[1] & dmask]), pivots, rotate(g))
-        for g in words[::f.m])
+    reduce, rotate = _reducer(f.p, f.m, n)[1], _rotation(width, n, ell)
+    basis, pivots = dict(zip(slots, words)), sum((1 << bits) - 1 << s for s in slots)
+    return not any(reduce(rotate(g), basis, pivots) for g in words[::f.m])

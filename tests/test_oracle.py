@@ -206,21 +206,6 @@ def test_weight_of_a_sum_is_the_distance_to_the_negation(p, m, n, data):
         p, m, n, add(px, py))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(code_matrices(), st.data())
-def test_elimination_matches_doubling_reference(case, data):
-    # the same pivots, words and slots, with and without covered positions
-    field, n, rows = case
-    p, m = field.p, field.m
-    words = packref.packed_rows(field, rows)
-    width = oracle._layout(p, m)[1]
-    positions = data.draw(st.sets(st.integers(0, n - 1)))
-    covered = sum(1 << (i * width + width - 1) for i in positions)
-    for cov in {0, covered}:
-        assert (oracle._systematic(p, m, n, words, cov)
-                == packref.systematic(p, m, n, words, cov))
-
-
 def test_elimination_over_a_prime_near_2_31_is_bounded():
     # a pivot's multiple -d * pivot is formed by doubling only for the slot
     # values d that occur, never for all p - 1 of them
@@ -236,12 +221,12 @@ def test_elimination_over_a_prime_near_2_31_is_bounded():
 
 
 @st.composite
-def triangular_bases(draw):
-    """An upper-triangular basis over GF(2), GF(3), GF(4), GF(5) or GF(9)
-    with ell <= 3 and m <= 6: each diagonal entry X^m - 1 or a random
-    polynomial of degree at most m, and entries above it of degree up to
-    2m, zero ones included."""
-    field = draw(st.sampled_from((F2, F3, F4, F5, F9)))
+def triangular_bases(draw, fields=(F2, F3, F4, F5, F9)):
+    """An upper-triangular basis over one of the fields, by default GF(2),
+    GF(3), GF(4), GF(5) or GF(9), with ell <= 3 and m <= 6: each diagonal
+    entry X^m - 1 or a random polynomial of degree at most m, and entries
+    above it of degree up to 2m, zero ones included."""
+    field = draw(st.sampled_from(fields))
     ell, m = draw(st.integers(1, 3)), draw(st.integers(1, 6))
     codes = st.integers(0, field.q - 1)
     matrix = []
@@ -255,6 +240,34 @@ def triangular_bases(draw):
             Poly(field, draw(st.lists(codes, max_size=2 * m + 1)))
             for _ in range(ell - i - 1)])
     return RgbPotBasis(field, ell, m, matrix)
+
+
+@st.composite
+def expanded_matrices(draw):
+    """(field, n, rows): the k rows X^t * (row i) of `expand_to_linear` on
+    a triangular basis over GF(4), GF(9) or GF(25), so k*m rotated packed
+    words with m = 2."""
+    view = expand_to_linear(draw(triangular_bases((F4, F9, field_of_order(25)))))
+    return view.field, view.n, [list(row) for row in view.matrix]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(code_matrices(), expanded_matrices()), st.data())
+def test_elimination_matches_doubling_reference(case, data):
+    # the same pivots, words and slots with no, some and every position
+    # covered, from the rows in their order and shuffled: the echelon form
+    # for one column order does not depend on the order of the rows
+    field, n, rows = case
+    p, m = field.p, field.m
+    words = packref.packed_rows(field, rows)
+    shuffled = data.draw(st.permutations(words))
+    width = oracle._layout(p, m)[1]
+    positions = data.draw(st.sets(st.integers(0, n - 1)))
+    for cov in {sum(1 << (i * width + width - 1) for i in s)
+                for s in ((), positions, range(n))}:
+        want = packref.systematic(p, m, n, words, cov)
+        assert oracle._systematic(p, m, n, words, cov) == want
+        assert oracle._systematic(p, m, n, shuffled, cov) == want
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -716,6 +729,63 @@ def _random_divisor(field, m, rng):
             g = g * minimal_polynomial(field.q, m, i)
         if 0 < g.degree < m:
             return g
+
+
+def _traced_views():
+    """The views of the pinned search trace: for each (field, ell_a, m_a,
+    m_b), a random one-level row code A, a cyclic column code B and their
+    product with q^k from 2^10 to 2^18, expanded; then the first GF(2)
+    product with a wrong ell = 1."""
+    rng = random.Random(3601)
+    views = []
+    for field, ell, m_a, m_b in (
+            (F2, 2, 7, 5), (F2, 2, 15, 7), (F2, 3, 5, 7), (F2, 2, 9, 5),
+            (F3, 2, 4, 13), (F3, 3, 8, 5), (F4, 2, 5, 7), (F4, 3, 7, 5),
+            (F4, 3, 3, 5), (F9, 2, 2, 5), (F9, 3, 2, 7)):
+        while True:
+            g_a, g_b = _random_divisor(field, m_a, rng), _random_divisor(field, m_b, rng)
+            if 1 << 10 < field.q ** ((m_a - g_a.degree) * (m_b - g_b.degree)) <= 1 << 18:
+                break
+        A = OneLevelCode(g_a, [Poly(field, [rng.randrange(field.q) for _ in range(m_a)])
+                               for _ in range(ell - 1)], ell, m_a)
+        B = cyclic_code_new(m_b, g_b)
+        prod = one_level_product_rgb(A, B, bezout_pair(ell, m_a, m_b))
+        views += map(expand_to_linear, (A.basis(), RgbPotBasis(field, 1, m_b, [[g_b]]),
+                                        prod.basis()))
+    return views + [LinearCodeView(F2, views[2].matrix, ell=1)]
+
+
+# (d, messages, search) of `_distance_search` on each of `_traced_views()`,
+# then (d, messages) with every code taking Brouwer-Zimmermann, written with
+# the Gauss-Jordan elimination that insertion into a reduced basis replaced
+BZ = "Brouwer-Zimmermann"
+SEARCH_TRACE = [
+    (8, 7, "exhaustive", 8, 6), (2, 15, "exhaustive", 2, 4), (16, 298, BZ, 16, 298),
+    (16, 15, "exhaustive", 16, 10), (3, 15, "exhaustive", 3, 8), (48, 968, BZ, 48, 968),
+    (6, 15, "exhaustive", 6, 8), (4, 7, "exhaustive", 4, 3), (24, 298, BZ, 24, 298),
+    (6, 7, "exhaustive", 6, 3), (2, 15, "exhaustive", 2, 4), (12, 12, BZ, 12, 12),
+    (2, 4, "exhaustive", 2, 2), (7, 40, "exhaustive", 7, 16), (14, 64, BZ, 14, 64),
+    (18, 4, "exhaustive", 18, 2), (2, 40, "exhaustive", 2, 4), (36, 80, BZ, 36, 80),
+    (8, 5, "exhaustive", 8, 2), (4, 21, "exhaustive", 4, 3), (32, 51, BZ, 32, 51),
+    (14, 21, "exhaustive", 14, 3), (3, 21, "exhaustive", 3, 6), (42, 873, BZ, 42, 873),
+    (3, 5, "exhaustive", 3, 2), (3, 21, "exhaustive", 3, 6), (9, 6, BZ, 9, 6),
+    (4, 1, "exhaustive", 4, 1), (2, 4, BZ, 2, 4), (8, 4, BZ, 8, 4),
+    (6, 1, "exhaustive", 6, 1), (4, 56, BZ, 4, 56), (24, 60, BZ, 24, 60),
+    (16, 468, BZ, 16, 468),
+]
+
+
+def test_search_trace_is_pinned():
+    # the information sets, their shifts and so every count of either
+    # search follow from the systematic matrices: they must not move
+    views = _traced_views()
+    assert not is_quasi_cyclic(views[-1], views[-1].ell)
+    trace = []
+    for view in views:
+        found = oracle._distance_search(view)
+        with mock.patch.object(oracle, "_WALK_MAX", 0):
+            trace.append((*found, *oracle._distance_search(view)[:2]))
+    assert trace == SEARCH_TRACE
 
 
 @pytest.mark.parametrize("field, shapes", [
