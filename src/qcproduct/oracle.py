@@ -7,14 +7,16 @@ which gets the shifts of its information sets for free on a quasi-cyclic
 code once it has checked the closure) and the shift-closure test.
 A `LinearCodeView` checks its rows and packs them into ints once,
 position-major (`_layout`; `expand_to_linear` packs each basis row once,
-rotates it and trusts the rows it built).  One packed GF(p) row reduction
+rotates it and trusts the rows it built; a row whose diagonal has degree m
+yields none and is never folded or packed).  One packed GF(p) row reduction
 (`_systematic`, insertion into a reduced basis) gives its rank check and
 every information set; `is_quasi_cyclic` runs its reduce step on each
 rotated row.  Both searches weigh y added to x inline as its distance to -x
-(`_slot_ops`), and Brouwer-Zimmermann scans a weight block's last two
-levels in a table of pair sums bounded by `_EXPAND_LIMIT`.  The tests
-keep list-based references.  No canonical-form machinery (no division,
-no gcd) is used, so this can be ground truth for it.
+(`_slot_ops`; it and `_reducer` are cached per (p, m, n)), and
+Brouwer-Zimmermann scans a weight block's last two levels in a table of
+pair sums bounded by `_EXPAND_LIMIT`.  The tests keep list-based
+references.  No canonical-form machinery (no division, no gcd) is used,
+so this can be ground truth for it.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def _settle(view: LinearCodeView, field: Field, rows: tuple, n: int,
             ell: int | None, packed: tuple) -> None:
     """Fill in `view` from checked rows and their packing: row-reduce, check rank."""
     k = len(rows)
-    _, words, slots = _systematic(field.p, field.m, n, packed)
+    _, words, slots = _systematic(field.p, field.m, n, packed) if packed else (0, [], [])
     if len(words) != k * field.m:
         raise RankMismatch(f"generator matrix has rank "
                            f"{len(words) // field.m}, not {k}")
@@ -116,8 +118,9 @@ _EXPAND_LIMIT = 1 << 20
 
 def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
     """Expand a canonical basis into a generator matrix over GF(q): the
-    rows are the serializations of X^t * (row i) for
-    0 <= t < m - deg(g_ii), coefficient e of entry j (folded mod X^m - 1)
+    rows are the serializations of X^t * (row i) for 0 <= t < m - deg(g_ii),
+    none for a diagonal of degree m such as X^m - 1 (that row is never
+    folded or packed), coefficient e of entry j (folded mod X^m - 1)
     landing on position ell*e + j, so X^t * (row i) is the t = 0 row
     rotated right by t*ell positions.  Only the t = 0 rows are packed; the
     packed words of every other row are those rotated by `_rotation`, so
@@ -134,18 +137,19 @@ def expand_to_linear(b: RgbPotBasis) -> LinearCodeView:
     if (size := k * n * f.m * width) > _EXPAND_LIMIT:
         raise TooLarge(f"a [{n}, {k}] generator matrix has {k * n} entries, "
                        f"{size} bits packed, over the limit {_EXPAND_LIMIT}")
-    firsts = []
-    for entries in b.matrix:
-        row = [0] * n
-        for j, entry in enumerate(entries):
-            codes = fold_mod_xm1(entry, m).coeffs
-            row[j:ell * len(codes):ell] = codes
-        firsts.append(tuple(row))
+    counts, firsts = [], []
+    for i, entries in enumerate(b.matrix):
+        if (count := m - entries[i].degree) > 0:  # a degree-m diagonal adds no row
+            row = [0] * n
+            for j, entry in enumerate(entries):
+                codes = fold_mod_xm1(entry, m).coeffs
+                row[j:ell * len(codes):ell] = codes
+            counts.append(count)
+            firsts.append(tuple(row))
     base = _packed_rows(f, firsts)
     rotate = _rotation(width, n, ell)
     rows, words = [], []
-    for i, (row, entries) in enumerate(zip(firsts, b.matrix)):
-        count = m - entries[i].degree
+    for i, (row, count) in enumerate(zip(firsts, counts)):
         rows += (row[n - ell * t:] + row[:n - ell * t] for t in range(count))
         for t in range(count):  # X^t * row i: the t - 1 row's words rotated
             words += map(rotate, words[-f.m:]) if t else base[i * f.m:i * f.m + f.m]
@@ -200,6 +204,9 @@ def _packed_rows(field: Field, rows) -> list[int]:
             for row in rows for numerals in _numerals(field)]
 
 
+# Stateless word toolkits, built once per shape (p, m, n): at most 32 entries of
+# a few masks of n*W bits each (`_layout`), n*W <= 2^20 for an expanded document.
+@functools.lru_cache(maxsize=32)
 def _slot_ops(p: int, m: int, n: int):
     """(low, guard, add, neg, lightest) on n-position words packed by
     `_packed_rows`.
@@ -235,6 +242,7 @@ def _slot_ops(p: int, m: int, n: int):
         else lambda c, ys: min(map(int.bit_count, map(operator.xor, itertools.repeat(c), ys))))
 
 
+@functools.lru_cache(maxsize=32)  # per shape, as `_slot_ops`
 def _reducer(p: int, m: int, n: int):
     """(minus, reduce) on n-position words packed by `_packed_rows`.
 
@@ -513,6 +521,8 @@ def is_quasi_cyclic(view: LinearCodeView, ell: int) -> bool:
     ell = _check_ell(view.n, ell)
     f, n = view.field, view.n
     words, slots = view.packed
+    if not words:  # the zero code is closed, at n = 0 too, where nothing rotates
+        return True
     bits, width = _layout(f.p, f.m)
     reduce, rotate = _reducer(f.p, f.m, n)[1], _rotation(width, n, ell)
     basis, pivots = dict(zip(slots, words)), sum((1 << bits) - 1 << s for s in slots)

@@ -43,9 +43,11 @@ from qcproduct import (
     x_pow_minus_one,
 )
 from qcproduct import oracle
+from qcproduct.cli import main as cli_main
 import packref
 from paper_maps import components, in_product, interleave, matrix, span_rref
 from rref import _rref
+from test_golden_cli import CASES, GOLDEN
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -352,6 +354,54 @@ def test_expand_zero_diagonal_raises_degree_mismatch():
     b = RgbPotBasis(F2, 2, 3, [[Poly(F2, (1, 1)), Poly(F2, (1,))],
                                [Poly.zero(F2), Poly.zero(F2)]])
     with pytest.raises(DegreeMismatch):
+        expand_to_linear(b)
+
+
+def test_expansion_does_no_work_for_degree_m_diagonals(monkeypatch):
+    # rows 1 and 2 of an ell = 3 one-level basis are (X^7 - 1)e_i: they
+    # yield no generator row, so neither is folded nor packed
+    b = OneLevelCode(poly_from_text(F2, "X^3+X+1"),
+                     [poly_from_text(F2, "X+1"), poly_from_text(F2, "X")], 3, 7).basis()
+    assert [row[i].degree for i, row in enumerate(b.matrix)] == [3, 7, 7]
+    packed, folded = [], []
+    pack, fold = oracle._packed_rows, oracle.fold_mod_xm1
+
+    def recording_pack(field, rows):
+        packed.extend(rows)
+        return pack(field, rows)
+
+    def recording_fold(p, m):
+        folded.append(p)
+        return fold(p, m)
+
+    monkeypatch.setattr(oracle, "_packed_rows", recording_pack)
+    monkeypatch.setattr(oracle, "fold_mod_xm1", recording_fold)
+    v = expand_to_linear(b)
+    assert (v.n, v.k) == (21, 4)
+    assert packed == [v.matrix[0]]
+    assert folded == list(b.matrix[0])
+
+
+def test_expansion_skips_a_degree_m_diagonal_that_is_not_xm_minus_1():
+    # X^3 + 1 is not X^3 - 1 over GF(3); its row yields no generator row
+    # either, and the view is the one written before such rows were skipped
+    P = functools.partial(Poly, F3)
+    b = RgbPotBasis(F3, 3, 3, [[P((2, 1)), P((1, 2)), P((0, 1))],
+                               [P(()), P((1, 0, 0, 1)), P((2, 1))],
+                               [P(()), P(()), P((2, 0, 1))]])
+    v = expand_to_linear(b)
+    assert v.matrix == ((2, 1, 0, 1, 2, 1, 0, 0, 0), (0, 0, 0, 2, 1, 0, 1, 2, 1),
+                        (0, 0, 2, 0, 0, 0, 0, 0, 1))
+    assert (v.n, v.k, v.ell) == (9, 3, 3)
+    assert v.packed == ((2235597586497, 2199023256576, 2235532607488), (0, 10, 15))
+
+
+def test_expansion_above_degree_m_still_checks_the_stated_dimension():
+    # deg 4 > m = 3 on the diagonal: dimension 6 - 1 - 4 = 1, but row 0
+    # expands to 2 rows
+    b = RgbPotBasis(F2, 2, 3, [[Poly(F2, (1, 1)), Poly(F2, (1,))],
+                               [Poly.zero(F2), Poly(F2, (1, 0, 0, 0, 1))]])
+    with pytest.raises(RankMismatch, match="expanded 2 rows for stated dimension 1"):
         expand_to_linear(b)
 
 
@@ -788,6 +838,25 @@ def test_search_trace_is_pinned():
     assert trace == SEARCH_TRACE
 
 
+def test_word_toolkit_caches_are_bounded_and_hold_no_state(capsys):
+    # 34 lengths, more than the caches keep: each [m, m - 1] even-weight
+    # code is expanded, closure-tested and searched
+    for m in range(2, 36):
+        v = expand_to_linear(OneLevelCode(Poly(F2, (1, 1)), [], 1, m).basis())
+        assert is_quasi_cyclic(v, 1) and min_distance(v) == 2
+    for cached in (oracle._slot_ops, oracle._reducer):
+        info = cached.cache_info()
+        assert info.currsize <= info.maxsize == 32
+    # the golden mindist and verify outputs, twice in one process, the
+    # second time in reverse order: a reused toolkit changes no byte
+    names = sorted(n for n, args in CASES.items() if args[0] in ("mindist", "verify"))
+    for name in names + names[::-1]:
+        argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in CASES[name]]
+        assert cli_main(["--format", "json", *argv]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert out == (GOLDEN / f"{name}.out.json").read_bytes(), name
+
+
 @pytest.mark.parametrize("field, shapes", [
     (F2, ((2, 3, 7), (2, 7, 5), (3, 5, 7), (2, 9, 5), (2, 5, 9))),
     (F3, ((2, 4, 5), (2, 5, 7), (3, 4, 5), (2, 8, 5))),
@@ -879,6 +948,10 @@ def test_zero_code_is_quasi_cyclic():
     v = LinearCodeView(F2, [], 6)
     assert (v.n, v.k) == (6, 0)
     assert is_quasi_cyclic(v, 2)
+    # length 0: nothing to rotate, and the empty code is closed under every shift
+    v = LinearCodeView(F2, [], 0)
+    assert (v.n, v.k) == (0, 0)
+    assert is_quasi_cyclic(v, 1) and is_quasi_cyclic(v, 5)
 
 
 # ---------------------------------------------------------------------------
