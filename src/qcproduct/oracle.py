@@ -9,10 +9,12 @@ A `LinearCodeView` checks its rows and packs them into ints once,
 position-major (`_layout`; `expand_to_linear` packs each basis row once,
 rotates it and trusts the rows it built; a row whose diagonal has degree m
 yields none and is never folded or packed).  One packed GF(p) row reduction
-(`_systematic`, insertion into a reduced basis) gives its rank check and
-every information set; `is_quasi_cyclic` runs its reduce step on each
-rotated row.  Both searches weigh y added to x inline as its distance to -x
-(`_slot_ops`; it and `_reducer` are cached per (p, m, n)), and
+(`_systematic`, insertion into a reduced basis; XOR alone for p = 2)
+gives its rank check and every information set; `is_quasi_cyclic` runs
+its reduce step on each rotated row.  Both searches weigh y added to x
+inline as its distance to -x (`_slot_ops`; it and `_reducer` are cached
+per (p, m, n), and the short rulers of a base-p count per (p, length) by
+`_ruler`), and
 Brouwer-Zimmermann scans a weight block's last two levels in a table of
 pair sums bounded by `_EXPAND_LIMIT`.  The tests keep list-based
 references.  No canonical-form machinery (no division, no gcd) is used,
@@ -212,14 +214,15 @@ def _slot_ops(p: int, m: int, n: int):
     `_packed_rows`.
 
     `add` is XOR for p = 2 and slot-parallel addition mod p otherwise,
-    `neg` the slot-parallel negation (neg(x, y) = y - x for odd p).  A
-    position of a word is below 2^(width-1), so adding low = 2^(width-1) -
-    1 sets its guard bit iff it is nonzero: support(x) = (x + low) & guard
-    has one bit per nonzero position (x itself for p = 2, m = 1, where low
-    = 0), and its popcount is the Hamming weight.  Digits are below p, so
-    the XOR of two words is 0 exactly where their digits agree, and
-    weight(x + y) = support(-x XOR y).bit_count(): `lightest(c, ys)`, the
-    least weight of c XOR y over the words ys, weighs a scan inline.
+    `neg` the slot-parallel negation (for odd p, neg(x, y) = y - x in one
+    slot-parallel sum and fix-up).  A position of a word is below
+    2^(width-1), so adding low = 2^(width-1) - 1 sets its guard bit iff it
+    is nonzero: support(x) = (x + low) & guard has one bit per nonzero
+    position (x itself for p = 2, m = 1, where low = 0), and its popcount
+    is the Hamming weight.  Digits are below p, so the XOR of two words is
+    0 exactly where their digits agree, and weight(x + y) = support(-x XOR
+    y).bit_count(): `lightest(c, ys)`, the least weight of c XOR y over
+    the words ys, weighs a scan inline.
     """
     bits, width = _layout(p, m)
     ones = ((1 << width * n) - 1) // ((1 << width) - 1)  # bit 0 of each position
@@ -235,8 +238,9 @@ def _slot_ops(p: int, m: int, n: int):
             s = x + y
             return s - (((s + fix) & carry) >> top) * p
 
-        def neg(x, y=0):  # y - x: slot value y_s + p - x_s, then p folded to 0
-            return add(all_p - x, y)
+        def neg(x, y=0):  # slot value y_s + p - x_s, then p folded to 0
+            s = all_p - x + y
+            return s - (((s + fix) & carry) >> top) * p
     return low, guard, add, neg, (
         (lambda c, ys: min([((c ^ y) + low & guard).bit_count() for y in ys])) if low
         else lambda c, ys: min(map(int.bit_count, map(operator.xor, itertools.repeat(c), ys))))
@@ -244,26 +248,33 @@ def _slot_ops(p: int, m: int, n: int):
 
 @functools.lru_cache(maxsize=32)  # per shape, as `_slot_ops`
 def _reducer(p: int, m: int, n: int):
-    """(minus, reduce) on n-position words packed by `_packed_rows`.
+    """(minus, reduce, doubled) on n-position words packed by `_packed_rows`.
 
-    minus(x, g, d) = x - d * g for a slot value d: one add for d = p - 1
-    and d = 1 (`_slot_ops`' neg), else (p - d) * g added by doubling,
-    O(log p) adds however large p is.  reduce(x, basis, pivots) is x less
-    d * g for each word g of a reduced basis, which maps g's pivot slot to
-    g, d the digit of x there; `pivots` masks those slots.  Each g is 0 on
-    the other pivot slots, so each d is read off x as it was, highest slot
-    first, and only the nonzero ones cost an add."""
+    minus(x, g, d, twos) = x - d * g for a slot value d: one add for d =
+    p - 1 and d = 1 (`_slot_ops`' neg), else (p - d) * g summed from the
+    words g, 2g, 4g, ... (doubled(g)): O(log p) adds however large p is.
+    twos, if given, returns them (made once, on its first call), else they
+    are made for the call.  reduce(x, basis, pivots) is x less d * g for
+    each word g of a reduced basis, which maps g's pivot slot to g, d the
+    digit of x there; `pivots` masks those slots.  Each g is 0 on the
+    other pivot slots, so each d is read off x as it was, highest slot
+    first, and only the nonzero ones cost an add: for p = 2 each is 1, and
+    reduce XORs in g with no digit read."""
     bits, width = _layout(p, m)
     _, _, add, neg, _ = _slot_ops(p, m, n)
 
-    def minus(x, g, d):
+    def doubled(g, c=p - 1):  # g, 2g, 4g, ...: the words the bits of c pick
+        return list(itertools.accumulate(range(c.bit_length() - 1), lambda y, _: add(y, y), initial=g))
+
+    def minus(x, g, d, twos=None):
         if d == p - 1:  # every d for p = 2
             return add(x, g)
         if d == 1:
             return neg(g, x)
         c = p - d
-        while c:
-            x, g, c = add(x, g) if c & 1 else x, add(g, g), c >> 1
+        for i, y in enumerate(twos() if twos else doubled(g, c)):
+            if c >> i & 1:
+                x = add(x, y)
         return x
 
     def reduce(x, basis, pivots):
@@ -273,7 +284,14 @@ def _reducer(p: int, m: int, n: int):
             s = b - b % width % bits
             x, hits = minus(x, basis[s], x >> s & (1 << bits) - 1), hits & (1 << s) - 1
         return x
-    return minus, reduce
+
+    def xor_reduce(x, basis, pivots):  # p = 2: each digit is a bit, each step an XOR
+        hits = x & pivots
+        while hits:
+            s = hits.bit_length() - 1
+            x, hits = x ^ basis[s], hits ^ 1 << s
+        return x
+    return minus, xor_reduce if p == 2 else reduce, doubled
 
 
 def _systematic(p: int, m: int, n: int, rows, covered: int = 0):
@@ -283,7 +301,9 @@ def _systematic(p: int, m: int, n: int, rows, covered: int = 0):
     reduced basis.  A word that `_reducer`'s reduce leaves nonzero pivots
     on its first nonzero slot, positions outside `covered` (a guard-bit
     mask like the result's) before covered ones, lowest first; it is
-    scaled to 1 there and that slot is cleared from the earlier words.
+    scaled to 1 there and that slot is cleared from the earlier words:
+    for p = 2 by XORing it into each word with that bit set, else by
+    `_reducer`'s minus, from doublings of it formed at most once.
     The echelon form for that column order is unique, whatever the order
     of the rows, and the basis is sorted in it.  The packed rows span a
     GF(q)-linear space, even when they are dependent, so a position takes
@@ -292,7 +312,7 @@ def _systematic(p: int, m: int, n: int, rows, covered: int = 0):
     pivot position and 0 on the others; dependent rows are dropped.
     """
     bits, width = _layout(p, m)
-    (minus, reduce), dmask = _reducer(p, m, n), (1 << bits) - 1
+    (minus, reduce, doubled), dmask = _reducer(p, m, n), (1 << bits) - 1
     outside = ~((covered >> width - 1) * ((1 << width) - 1))  # uncovered positions' bits
     basis, pivots = {}, 0
     for x in rows:
@@ -300,11 +320,19 @@ def _systematic(p: int, m: int, n: int, rows, covered: int = 0):
             low = x & outside or x
             b = (low & -low).bit_length() - 1
             s = b - b % width % bits
-            if (d := x >> s & dmask) > 1:  # x / d = 0 - (p - 1/d) * x
-                x = minus(0, x, p - pow(d, -1, p))
-            for t, g in basis.items():
-                if e := g >> s & dmask:
-                    basis[t] = minus(g, x, e)
+            if p == 2:  # x is 1 at bit s: XOR it into the words set there
+                for t, g in basis.items():
+                    if g >> s & 1:
+                        basis[t] = g ^ x
+            else:
+                if (d := x >> s & dmask) > 1:  # x / d = 0 - (p - 1/d) * x
+                    x = minus(0, x, p - pow(d, -1, p))
+                # p = 3 clears with digits 1 and 2 alone, and building this
+                # per pivot there slowed GF(3) and GF(9) searches by a fifth
+                twos = functools.cache(functools.partial(doubled, x)) if p > 3 else None
+                for t, g in basis.items():
+                    if e := g >> s & dmask:
+                        basis[t] = minus(g, x, e, twos)
             basis[s], pivots = x, pivots | dmask << s
     slots = sorted(basis, key=lambda s: (not outside >> s & 1, s))
     new = sum(1 << s + width - 1 for s in slots[::m] if outside >> s & 1)
@@ -318,15 +346,23 @@ def _rotation(width: int, n: int, ell: int):
     return lambda x: (x & low) << e | x >> size - e
 
 
+# Rulers of at most 2^10 steps, every walk's (`_WALK_MAX`), are kept: at most
+# 32 tuples of at most 1,024 small ints, about 8 KB each.  Longer ones, such
+# as the 65,520 steps of GF(65521)'s row multiples, are built on each call.
+@functools.lru_cache(maxsize=32)
+def _ruler(p: int, j: int) -> tuple:
+    """v_p(c) for c = 1 .. p^j - 1."""
+    return functools.reduce(lambda ruler, v: (*ruler, v) * (p - 1) + ruler, range(j), ())
+
+
 def _steps(p: int, add, rows) -> list:
     """The words a base-p count over the rows adds, for c = 1 ..
     p^len(rows) - 1 in order: going from c-1 to c raises digit v = v_p(c)
     by one and wraps the digits below it from p-1 to 0; each of those adds
-    its row once, so the step adds the prefix sum of rows 0..v."""
-    prefix = list(itertools.accumulate(rows, add))
-    ruler = []  # v_p(c)
-    for v in range(len(rows)):
-        ruler = (ruler + [v]) * (p - 1) + ruler
+    its row once, so the step adds the prefix sum of rows 0..v (the
+    ruler v_p(c) is `_ruler`'s, cached up to 2^10 steps)."""
+    prefix, j = list(itertools.accumulate(rows, add)), len(rows)
+    ruler = (_ruler if p ** j - 1 <= 1 << 10 else _ruler.__wrapped__)(p, j)
     return list(map(prefix.__getitem__, ruler))
 
 

@@ -222,6 +222,34 @@ def test_elimination_over_a_prime_near_2_31_is_bounded():
     assert view.packed == (tuple(words), tuple(slots))
 
 
+def test_clearing_forms_each_pivots_doublings_once(monkeypatch):
+    # over GF(2^31 - 1), row X + 3 clears with digits other than 1 and
+    # p - 1: each new pivot's doublings are formed once, not once for every
+    # word it clears (which took 698,470 slot adds); row X + 1 clears with
+    # digits 1 and p - 1 alone and forms none (7,569 adds; 12,819 when every
+    # pivot's doublings were formed whether used or not)
+    f, adds, slot_ops = field_new(2147483647), [0], oracle._slot_ops
+
+    def counting(p, m, n):
+        low, guard, add, neg, lightest = slot_ops(p, m, n)
+
+        def counted(x, y):
+            adds[0] += 1
+            return add(x, y)
+        return low, guard, counted, neg, lightest
+
+    monkeypatch.setattr(oracle, "_slot_ops", counting)
+    for c, ceiling in ((3, 300_000), (1, 10_000)):
+        adds[0] = 0
+        oracle._reducer.cache_clear()
+        try:
+            view = expand_to_linear(RgbPotBasis(f, 1, 176, [[Poly(f, (c, 1))]]))
+        finally:
+            oracle._reducer.cache_clear()
+        assert view.k == 175
+        assert 0 < adds[0] < ceiling
+
+
 @st.composite
 def triangular_bases(draw, fields=(F2, F3, F4, F5, F9)):
     """An upper-triangular basis over one of the fields, by default GF(2),
@@ -844,9 +872,18 @@ def test_word_toolkit_caches_are_bounded_and_hold_no_state(capsys):
     for m in range(2, 36):
         v = expand_to_linear(OneLevelCode(Poly(F2, (1, 1)), [], 1, m).basis())
         assert is_quasi_cyclic(v, 1) and min_distance(v) == 2
-    for cached in (oracle._slot_ops, oracle._reducer):
+    for cached in (oracle._slot_ops, oracle._reducer, oracle._ruler):
         info = cached.cache_info()
         assert info.currsize <= info.maxsize == 32
+    # a [9, 3, 7] code over GF(65521) reaches weight 2, whose row multiples
+    # count along a 65,520-step ruler: it is built, not kept
+    oracle._ruler.cache_clear()
+    rs = LinearCodeView(field_new(65521), [[1, 0, 0, 1, 1, 1, 1, 1, 1],
+                                           [0, 1, 0, 1, 2, 3, 4, 5, 6],
+                                           [0, 0, 1, 1, 4, 9, 16, 25, 36]])
+    d, enumerated, _ = oracle._distance_search(rs)
+    assert d == 7 and enumerated > 3
+    assert oracle._ruler.cache_info().currsize == 0
     # the golden mindist and verify outputs, twice in one process, the
     # second time in reverse order: a reused toolkit changes no byte
     names = sorted(n for n, args in CASES.items() if args[0] in ("mindist", "verify"))
