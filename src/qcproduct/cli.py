@@ -415,10 +415,7 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         return handler(args)
-    except (PolyParseError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        _emit_error(type(exc).__name__, exc)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (PolyParseError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         _emit_error(type(exc).__name__, exc)
         return EXIT_PARSE
     except QcError as exc:

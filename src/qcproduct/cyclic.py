@@ -31,8 +31,8 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
-from .field import _MAX_CHARACTERISTIC, Field, _order, nth_root_of_unity
-from .polyring import Poly, _divides_xm1, _integer, _monic, _positive
+from .field import _MAX_CHARACTERISTIC, Field, _integer, _order, _positive, nth_root_of_unity
+from .polyring import Poly, _divides_xm1, _monic
 
 __all__ = [
     "cyclotomic_coset",

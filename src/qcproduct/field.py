@@ -66,6 +66,25 @@ __all__ = [
 # small integer number theory
 # ---------------------------------------------------------------------------
 
+def _integer(name: str, value, error: type, kind: str = "an integer") -> int:
+    """value as an int; error unless it is an integer (a float, a string
+    or a bool is refused, never truncated or read as 0 or 1)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} = {value!r} is not {kind}")
+
+
+def _positive(name: str, value, error: type) -> int:
+    """value as an int; error unless it is an integer >= 1."""
+    v = _integer(name, value, error, "a positive integer")
+    if v < 1:
+        raise error(f"{name} = {value!r} is not a positive integer")
+    return v
+
+
 def _prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime divisors of n, ascending (trial division)."""
     out = []
@@ -383,13 +402,11 @@ class Field:
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_zech", "_half", "_ring")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
-        # a bool is refused, not read as 0 or 1, as polyring._integer does
-        if (isinstance(p, bool) or not isinstance(p, int)
-                or not 0 <= p < _MAX_CHARACTERISTIC or _prime_factors(p) != (p,)):
+        p = _integer("characteristic p", p, NotPrime)
+        if not 0 <= p < _MAX_CHARACTERISTIC or _prime_factors(p) != (p,):
             raise NotPrime(
                 f"characteristic must be a prime below {_MAX_CHARACTERISTIC}, got {p!r}")
-        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-            raise DegreeMismatch(f"extension degree must be a positive integer, got {m!r}")
+        m = _positive("extension degree m", m, DegreeMismatch)
         if modulus is None:
             coeffs = _default_modulus(p, m)
         else:
@@ -535,8 +552,7 @@ def nth_root_of_unity(field: Field, n: int) -> int:
     of n need checking).  The first candidate that is a primitive element
     always succeeds, so the loop terminates early and deterministically.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise NoSuchRoot(f"order must be a positive integer, got {n!r}")
+    n = _positive("order n", n, NoSuchRoot)
     if (field.q - 1) % n != 0:
         raise NoSuchRoot(f"{n} does not divide q - 1 = {field.q - 1}")
     cofactor = (field.q - 1) // n

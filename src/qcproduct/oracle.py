@@ -13,12 +13,12 @@ yields none and is never folded or packed).  One packed GF(p) row reduction
 gives its rank check and every information set; `is_quasi_cyclic` runs
 its reduce step on each rotated row.  Both searches weigh y added to x
 inline as its distance to -x (`_slot_ops`; it and `_reducer` are cached
-per (p, m, n), and the short rulers of a base-p count per (p, length) by
-`_ruler`), and
-Brouwer-Zimmermann scans a weight block's last two levels in a table of
-pair sums bounded by `_EXPAND_LIMIT`.  The tests keep list-based
-references.  No canonical-form machinery (no division, no gcd) is used,
-so this can be ground truth for it.
+per (p, m, n)); the walk and Brouwer-Zimmermann's row multiples take
+their GF(p) spans from `_span`, and Brouwer-Zimmermann scans a weight
+block's last two levels in a table of pair sums bounded by
+`_EXPAND_LIMIT`.  The tests keep list-based references.  No
+canonical-form machinery (no division, no gcd) is used, so this can be
+ground truth for it.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
-from .field import Field
-from .polyring import _integer, _positive, fold_mod_xm1
+from .field import Field, _integer, _positive
+from .polyring import fold_mod_xm1
 from .qcmodule import RgbPotBasis, dimension
 
 __all__ = [
@@ -346,39 +346,34 @@ def _rotation(width: int, n: int, ell: int):
     return lambda x: (x & low) << e | x >> size - e
 
 
-# Rulers of at most 2^10 steps, every walk's (`_WALK_MAX`), are kept: at most
-# 32 tuples of at most 1,024 small ints, about 8 KB each.  Longer ones, such
-# as the 65,520 steps of GF(65521)'s row multiples, are built on each call.
-@functools.lru_cache(maxsize=32)
-def _ruler(p: int, j: int) -> tuple:
-    """v_p(c) for c = 1 .. p^j - 1."""
-    return functools.reduce(lambda ruler, v: (*ruler, v) * (p - 1) + ruler, range(j), ())
-
-
-def _steps(p: int, add, rows) -> list:
-    """The words a base-p count over the rows adds, for c = 1 ..
-    p^len(rows) - 1 in order: going from c-1 to c raises digit v = v_p(c)
-    by one and wraps the digits below it from p-1 to 0; each of those adds
-    its row once, so the step adds the prefix sum of rows 0..v (the
-    ruler v_p(c) is `_ruler`'s, cached up to 2^10 steps)."""
-    prefix, j = list(itertools.accumulate(rows, add)), len(rows)
-    ruler = (_ruler if p ** j - 1 <= 1 << 10 else _ruler.__wrapped__)(p, j)
-    return list(map(prefix.__getitem__, ruler))
+def _span(p: int, add, rows, words=(0,)) -> list:
+    """`words`, 0 first, then their sums with every nonzero GF(p)
+    combination of the rows, one add per new word: for each row r its
+    multiples r, 2r, ..., (p-1)r come from one accumulate, then each of
+    them plus each nonzero word before r's from one starmap.  From (0,)
+    the second word is rows[0]."""
+    span = list(words)
+    for r in rows:
+        multiples = list(itertools.accumulate(itertools.repeat(r, p - 1), add))
+        span += [*multiples, *itertools.starmap(add, itertools.product(multiples, span[1:]))]
+    return span
 
 
 def _range_min(p: int, m: int, n: int, rows):
     """(lightest weight, messages walked) over the messages of a code
     packed by `_packed_rows` whose first nonzero coefficient is 1: one per
-    1-dimensional subspace, as scalar multiples weigh the same.  For each
-    a the walk counts from rows[a*m] = g_a over the rows after g_a's:
-    q^(k-1-a) messages, (q^k - 1)/(q - 1) in all, each one add and one
-    inline weighing (`_slot_ops`' `lightest` against 0)."""
-    _, _, add, _, lightest = _slot_ops(p, m, n)
-    best, walked = 1 << 62, 0
-    for a in range(0, len(rows), m):
-        steps = _steps(p, add, rows[a + m:])
-        walked += len(steps) + 1
-        best = min(best, lightest(0, itertools.accumulate(steps, add, initial=rows[a])))
+    1-dimensional subspace, as scalar multiples weigh the same.  For a
+    from the last row g_a = rows[a*m] down, the walk weighs g_a plus each
+    word of the `_span` of the rows after g_a's, q^(k-1-a) messages and
+    (q^k - 1)/(q - 1) in all, in one `lightest` call against -g_a
+    (weight(g_a + s) = support(-g_a XOR s), `_slot_ops`), then grows that
+    span by g_a's m rows, except after g_a = rows[0]."""
+    _, _, add, neg, lightest = _slot_ops(p, m, n)
+    best, walked, span = 1 << 62, 0, [0]
+    for i in range(len(rows) - m, -1, -m):  # i = a*m
+        best, walked = min(best, lightest(neg(rows[i]), span)), walked + len(span)
+        if i:
+            span = _span(p, add, rows[i:i + m], span)
     return best, walked
 
 
@@ -445,8 +440,7 @@ def _brouwer_zimmermann(view: LinearCodeView, limit: int):
                     raise TooLarge(f"Brouwer-Zimmermann would enumerate more "
                                    f"than the limit of {limit} messages")
                 if v == 2:  # c * g_a for c = 1 .. q-1
-                    multiples = [list(itertools.accumulate(_steps(
-                        p, add, words[a * m:a * m + m]), add)) for a in range(k)]
+                    multiples = [_span(p, add, words[a * m:a * m + m])[1:] for a in range(k)]
                     tables[j] = multiples, _tail(multiples, add, 1)
                 elif v == 3 and pairs_fit:
                     tables[j] = tables[j][0], _tail(tables[j][0], add, 2)

@@ -64,7 +64,7 @@ from .errors import (
     FieldMismatch,
     NotADivisor,
 )
-from .field import Field, _power, coeffs_to_poly_text
+from .field import Field, _integer, _positive, _power, coeffs_to_poly_text
 
 __all__ = [
     "Poly",
@@ -200,6 +200,7 @@ class Poly:
     def __call__(self, x: int) -> int:
         """The code of the value at the element code x, by Horner's rule."""
         f = self.field
+        x = _integer("evaluation point", x, FieldMismatch)
         if not 0 <= x < f.q:
             raise FieldMismatch(f"evaluation point {x} outside [0, {f.q})")
         acc = 0
@@ -229,25 +230,6 @@ def _trusted(field: Field, codes: list) -> Poly:
     _set_field(p, field)
     _set_coeffs(p, tuple(_strip(codes)))
     return p
-
-
-def _integer(name: str, value, error: type, kind: str = "an integer") -> int:
-    """value as an int; error unless it is an integer (a float, a string
-    or a bool is refused, never truncated or read as 0 or 1)."""
-    if not isinstance(value, bool):
-        try:
-            return index(value)
-        except TypeError:
-            pass
-    raise error(f"{name} = {value!r} is not {kind}")
-
-
-def _positive(name: str, value, error: type) -> int:
-    """value as an int; error unless it is an integer >= 1."""
-    v = _integer(name, value, error, "a positive integer")
-    if v < 1:
-        raise error(f"{name} = {value!r} is not a positive integer")
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,9 @@ from .errors import (
     ParamMismatch,
     ShapeMismatch,
 )
-from .field import Field
-from .polyring import (Poly, _divides_xm1, _integer, _kernel, _monic, _positive,
-                       modular_substitute, x_pow_minus_one)
+from .field import Field, _integer, _positive
+from .polyring import (Poly, _divides_xm1, _kernel, _monic, modular_substitute,
+                       x_pow_minus_one)
 from .qcmodule import GeneratingMatrix, RgbPotBasis, _trusted_matrix, level
 
 __all__ = [
@@ -96,29 +96,31 @@ def bezout_pair(ell_a: int, m_a: int, m_b: int) -> ProductParams:
     return ProductParams(ell_a, m_a, m_b, a, b)
 
 
+def _indices(i, j, rows: int, columns: int) -> tuple[int, int]:
+    """(i, j) as ints; IndexOutOfRange unless they are integers in
+    [0, rows) and [0, columns)."""
+    i = _integer("row index", i, IndexOutOfRange)
+    j = _integer("column index", j, IndexOutOfRange)
+    if not 0 <= i < rows:
+        raise IndexOutOfRange(f"row index {i} outside [0, {rows})")
+    if not 0 <= j < columns:
+        raise IndexOutOfRange(f"column index {j} outside [0, {columns})")
+    return i, j
+
+
 def map_f(i: int, j: int, p: ProductParams) -> int:
     """Serialization index of matrix entry (i, j): the bijection
     [m_b) x [ell_a*m_a) -> [ell_a*m_a*m_b) under which the product code is
     quasi-cyclic of index ell_a.  IndexOutOfRange unless i and j are
     integers in range."""
-    i = _integer("row index", i, IndexOutOfRange)
-    j = _integer("column index", j, IndexOutOfRange)
-    if not 0 <= i < p.m_b:
-        raise IndexOutOfRange(f"row index {i} outside [0, {p.m_b})")
-    if not 0 <= j < p.ell_a * p.m_a:
-        raise IndexOutOfRange(f"column index {j} outside [0, {p.ell_a * p.m_a})")
+    i, j = _indices(i, j, p.m_b, p.ell_a * p.m_a)
     return (i * p.a * p.ell_a * p.m_a * p.ell_a + j * p.b * p.m_b) % p.n
 
 
 def map_g(i: int, j: int, p: ProductParams) -> int:
     """Component-level serialization index on [m_b) x [m_a) -> [m_a*m_b);
     IndexOutOfRange unless i and j are integers in range."""
-    i = _integer("row index", i, IndexOutOfRange)
-    j = _integer("column index", j, IndexOutOfRange)
-    if not 0 <= i < p.m_b:
-        raise IndexOutOfRange(f"row index {i} outside [0, {p.m_b})")
-    if not 0 <= j < p.m_a:
-        raise IndexOutOfRange(f"column index {j} outside [0, {p.m_a})")
+    i, j = _indices(i, j, p.m_b, p.m_a)
     return (i * p.a * p.ell_a * p.m_a + j * p.b * p.m_b) % p.big_m
 
 

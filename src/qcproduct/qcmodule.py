@@ -25,8 +25,8 @@ from .errors import (
     NonPrefixPattern,
     ShapeMismatch,
 )
-from .field import Field
-from .polyring import Poly, _divides_xm1, _kernel, _positive, x_pow_minus_one
+from .field import Field, _positive
+from .polyring import Poly, _divides_xm1, _kernel, x_pow_minus_one
 
 __all__ = [
     "PolyVector",

@@ -1,10 +1,11 @@
-"""Packing, elimination and the exhaustive walk on plain loops: the
-tests' references for `_packed_rows`, `_systematic` and `_range_min` in
-`qcproduct.oracle`.
+"""Packing, elimination, spans and the exhaustive walk on plain loops:
+the tests' references for `_packed_rows`, `_systematic`, `_span` and
+`_range_min` in `qcproduct.oracle`.
 
 `packed_rows` reads each code's base-p digits one code and one digit at a
 time into the position-major layout; `systematic` forms the multiple of
 the pivot that clears a row by doubling, once for every row it clears;
+`combinations` sums every GF(p) combination of some rows digit by digit;
 `range_min` walks every nonzero message, scalar multiples included;
 `weight` counts the nonzero positions of a word one digit at a time.
 They share only the layout (`_layout`) and the slot arithmetic
@@ -90,6 +91,20 @@ def systematic(p: int, m: int, n: int, rows, covered: int = 0):
                 done.append(piv)
                 slots.append(shift)
     return new, done, slots
+
+
+def combinations(p: int, m: int, n: int, rows) -> list:
+    """Every GF(p) combination of the rows, message idx = 0 ..
+    p^len(rows) - 1 read as base-p digits, digit i the coefficient of row
+    i, each multiple formed by doubling."""
+    add = _slot_ops(p, m, n)[2]
+    out = []
+    for idx in range(p ** len(rows)):
+        word = 0
+        for i, row in enumerate(rows):
+            word = add(word, _times(add, row, idx // p ** i % p))
+        out.append(word)
+    return out
 
 
 def range_min(p: int, m: int, n: int, rows) -> int:

@@ -43,6 +43,7 @@ from qcproduct.field import (
     _prime_factors,
     _prime_field,
 )
+from test_product import Index
 
 
 def test_prime_field_tables():
@@ -73,6 +74,9 @@ def test_bool_characteristic_and_degree_are_refused():
         with pytest.raises(NotPrime):
             Field(p)
     assert field_new(2, 2).q == 4 and field_new(2, 2).m == 2
+    # an __index__ integer is read as the int it stands for
+    f = Field(Index(3), Index(2))
+    assert (f.p, f.m, f.q) == (3, 2, 9) and type(f.p) is type(f.m) is int
 
 
 def test_default_moduli_are_frozen():
@@ -500,6 +504,7 @@ def test_nth_root_refuses_a_bool_order():
     for n in (True, False):
         with pytest.raises(NoSuchRoot):
             nth_root_of_unity(field_new(5), n)
+    assert nth_root_of_unity(field_new(5), Index(2)) == 4
 
 
 def test_nth_root_trivial_order():

@@ -1,6 +1,7 @@
 """Tests for the linear-algebra ground-truth checks: basis expansion,
 exhaustive minimum distance, shift closure, and membership."""
 
+import collections
 import functools
 import itertools
 import math
@@ -573,6 +574,26 @@ def walked_rows(draw):
                                    min_size=k, max_size=k))
 
 
+@pytest.mark.parametrize("m", (1, 2, 3))
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_span_lists_every_combination_once(p, m):
+    # the packed words of random rows over GF(p^m), as many as keep p^j
+    # within 2^10; dependent rows would repeat words in both lists alike
+    field, n, rng = field_new(p, m), 4, random.Random(p * 10 + m)
+    j = int(math.log(1 << 10, p) + 1e-9)
+    rows = packref.packed_rows(field, [[rng.randrange(field.q) for _ in range(n)]
+                                       for _ in range(-(-j // m))])[:j]
+    add = oracle._slot_ops(p, m, n)[2]
+    want = collections.Counter(packref.combinations(p, m, n, rows))
+    span = oracle._span(p, add, rows)
+    assert collections.Counter(span) == want and len(span) == p ** j
+    assert span[:2] == [0, rows[0]]
+    # grown from the span of the first row, which stays its prefix
+    head = oracle._span(p, add, rows[:1])
+    grown = oracle._span(p, add, rows[1:], head)
+    assert grown[:len(head)] == head and collections.Counter(grown) == want
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(walked_rows())
 @example((F9, 3, [[4, 0, 7]]))  # k = 1: a single subspace
@@ -872,18 +893,16 @@ def test_word_toolkit_caches_are_bounded_and_hold_no_state(capsys):
     for m in range(2, 36):
         v = expand_to_linear(OneLevelCode(Poly(F2, (1, 1)), [], 1, m).basis())
         assert is_quasi_cyclic(v, 1) and min_distance(v) == 2
-    for cached in (oracle._slot_ops, oracle._reducer, oracle._ruler):
+    for cached in (oracle._slot_ops, oracle._reducer):
         info = cached.cache_info()
         assert info.currsize <= info.maxsize == 32
     # a [9, 3, 7] code over GF(65521) reaches weight 2, whose row multiples
-    # count along a 65,520-step ruler: it is built, not kept
-    oracle._ruler.cache_clear()
+    # are each 65,520 words
     rs = LinearCodeView(field_new(65521), [[1, 0, 0, 1, 1, 1, 1, 1, 1],
                                            [0, 1, 0, 1, 2, 3, 4, 5, 6],
                                            [0, 0, 1, 1, 4, 9, 16, 25, 36]])
     d, enumerated, _ = oracle._distance_search(rs)
     assert d == 7 and enumerated > 3
-    assert oracle._ruler.cache_info().currsize == 0
     # the golden mindist and verify outputs, twice in one process, the
     # second time in reverse order: a reused toolkit changes no byte
     names = sorted(n for n, args in CASES.items() if args[0] in ("mindist", "verify"))

@@ -17,6 +17,7 @@ from qcproduct import (
     poly_gcd,
     x_pow_minus_one,
 )
+from test_product import Index
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -177,6 +178,17 @@ def test_evaluation_point_outside_the_field_rejected():
                  (Poly(F3, (1, 1)), -1), (Poly.zero(F2), 2)):
         with pytest.raises(FieldMismatch):
             p(x)
+
+
+def test_evaluation_point_is_read_as_an_integer():
+    # 2.5 was carried through GF(7)'s arithmetic to the non-code 5.5, 1.0
+    # raised a bare TypeError over GF(2) and GF(4), and True was read as 1
+    F7 = field_new(7)
+    for p, x in ((Poly(F7, (3, 1)), 2.5), (Poly(F2, (1, 1)), 1.0),
+                 (Poly(F4, (1, 1)), 1.0), (Poly(F3, (1, 1)), True)):
+        with pytest.raises(FieldMismatch, match="not an integer"):
+            p(x)
+    assert Poly(F7, (3, 1))(Index(2)) == 5
 
 
 # ---------------------------------------------------------------------------
