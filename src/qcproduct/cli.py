@@ -30,6 +30,7 @@ import sys
 import time
 
 from .cyclic import (
+    _prime_power,
     cyclic_code_new,
     cyclotomic_coset,
     cyclotomic_cosets,
@@ -178,6 +179,7 @@ def _load_json(path: str):
 
 def _cmd_cosets(args) -> int:
     _check_length(args.m, "m")
+    _prime_power(args.q)  # NotPrime unless GF(q) exists, as for factor
     cosets = cyclotomic_cosets(args.q, args.m)
     doc = {"q": args.q, "m": args.m,
            "cosets": [list(c) for c in cosets]}

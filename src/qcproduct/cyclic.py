@@ -31,7 +31,8 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
-from .field import _MAX_CHARACTERISTIC, Field, _integer, _order, _positive, nth_root_of_unity
+from .field import (_MAX_CHARACTERISTIC, Field, _integer, _order, _positive, _prime_field,
+                    nth_root_of_unity)
 from .polyring import Poly, _divides_xm1, _monic
 
 __all__ = [
@@ -46,12 +47,13 @@ __all__ = [
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    """Split a field order into (p, s) with q = p^s and s largest.  Field
-    checks that p is a prime below its bound 2^top, which forces
-    s > log2(q)/top: only those s are tried, largest first, with one
-    rounded s-th root each and no trial division up to sqrt(q); each p^s
-    is first compared with q modulo the prime 2^61 - 1."""
-    if not isinstance(q, int) or q < 2:
+    """Split a field order into (p, s) with q = p^s and s largest; NotPrime
+    unless q is an integer and p a prime below Field's bound 2^top.  That
+    bound forces s > log2(q)/top: only those s are tried, largest first,
+    with one rounded s-th root each and no trial division up to sqrt(q);
+    each p^s is first compared with q modulo the prime 2^61 - 1."""
+    q = _integer("field order q", q, NotPrime, "a prime power >= 2")
+    if q < 2:
         raise NotPrime(f"field order must be a prime power >= 2, got {q!r}")
     bits, top = q.bit_length(), _MAX_CHARACTERISTIC.bit_length() - 1
     log_q, screen = math.log2(q), (1 << 61) - 1
@@ -59,6 +61,7 @@ def _prime_power(q: int) -> tuple[int, int]:
     for s in range(bits, (bits - 1) // top, -1):
         p = round(2 ** (log_q / s))
         if pow(p, s, screen) == residue and p ** s == q:
+            _prime_field(p)  # NotPrime unless p is a prime below the bound
             return p, s
     raise NotPrime(f"{q} is not a power of a prime below {_MAX_CHARACTERISTIC}")
 

@@ -7,18 +7,19 @@ coefficients, so for p = 2 the code is the familiar bitmask.  The code is the
 only representation of an element: :meth:`Field.add`, :meth:`Field.mul` and
 the other operations take and return codes.
 
-Extension fields with q <= 2^12 run on exp/log tables and, for odd
-characteristic, a Zech-logarithm table (Lidl and Niederreiter, *Finite
-Fields*, ch. 9; the ``galois`` package does lookup-table arithmetic for small
-fields the same way): multiplication, inversion and powers are lookups, and
-so is odd-characteristic addition.  Prime fields keep modular integers, with
+Extension fields with q <= 2^12 run on exp/log tables (Lidl and
+Niederreiter, *Finite Fields*, ch. 9; the ``galois`` package does
+lookup-table arithmetic for small fields the same way): multiplication,
+inversion and powers are lookups.  Prime fields keep modular integers, with
 the builtin ``pow`` for inverses and powers, and characteristic 2 keeps XOR
-for add.  Larger extensions, such as those behind minimal polynomials, run
-on polyring's kernel for GF(p) (`_ring`): GF(p^m) is GF(p)[X]/(f), so a
-product is the kernel's product and remainder by the modulus, on a code's
-base-p digits.  The table builds and Ben-Or's irreducibility test run on
-it too: X^(p^j) is one p-th power of the last, and the modulus search
-rejects a reducible candidate at the degree of its smallest factor.
+for add.  Every other extension-field operation, such as the products
+behind minimal polynomials and every odd-characteristic sum, runs on
+polyring's kernel for GF(p) (`_ring`): GF(p^m) is GF(p)[X]/(f), so a sum is
+the kernel's sum and a product the kernel's product and remainder by the
+modulus, on a code's base-p digits.  The table builds and Ben-Or's
+irreducibility test run on it too: X^(p^j) is one p-th power of the last,
+and the modulus search rejects a reducible candidate at the degree of its
+smallest factor.
 
 Each piece of number theory is written once: `_prime_factors` is the only
 trial division (primality is ``_prime_factors(p) == (p,)``), `_order` the
@@ -363,11 +364,10 @@ def _is_irreducible(coeffs: tuple, p: int) -> bool:
 
 @functools.lru_cache(maxsize=64)
 def _tables(p: int, m: int, modulus: tuple[int, ...]):
-    """(exp, log, zech) for GF(p^m), m > 1, n = q - 1, g the first primitive
+    """(exp, log) for GF(p^m), m > 1, n = q - 1, g the first primitive
     element in code order: exp[i] = g^(i mod n) for i < 2n, then 2n + 1
     zeros, and log[0] = 2n, so an index built from the logarithm of zero
-    reads a zero.  For odd p zech[k] = log(1 + g^k), doubled so a
-    difference of logarithms indexes it directly; None for p = 2."""
+    reads a zero."""
     q = p ** m
     n = q - 1
     _, _, mul, native, code = _ring(p, modulus)
@@ -382,10 +382,7 @@ def _tables(p: int, m: int, modulus: tuple[int, ...]):
     log = [2 * n] * q
     for i, a in enumerate(cycle):
         log[a] = i
-    zech = None
-    if p > 2:  # adding 1 changes the lowest digit only
-        zech = tuple(log[a + 1 - p if a % p == p - 1 else a + 1] for a in cycle) * 2
-    return tuple(cycle) * 2 + (0,) * (2 * n + 1), tuple(log), zech
+    return tuple(cycle) * 2 + (0,) * (2 * n + 1), tuple(log)
 
 
 class Field:
@@ -399,7 +396,7 @@ class Field:
     check the codes a caller gives them (FieldMismatch).
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_zech", "_half", "_ring")
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_ring")
 
     def __init__(self, p: int, m: int = 1, modulus=None):
         p = _integer("characteristic p", p, NotPrime)
@@ -411,7 +408,11 @@ class Field:
             coeffs = _default_modulus(p, m)
         else:
             # a sequence of integers; text is poly_from_text's to parse
-            coeffs = tuple(operator.index(c) % p for c in modulus)
+            try:
+                codes = iter(modulus)
+            except TypeError:
+                raise DegreeMismatch(f"modulus = {modulus!r} is not a sequence of codes") from None
+            coeffs = tuple(_integer("modulus code", c, DegreeMismatch) % p for c in codes)
             while coeffs and coeffs[-1] == 0:
                 coeffs = coeffs[:-1]
             if len(coeffs) - 1 != m:
@@ -430,15 +431,13 @@ class Field:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "modulus", coeffs)
         # prime fields need neither tables nor a kernel ring
-        exp = log = zech = ring = None
-        if 1 < m and q <= _TABLE_LIMIT:
-            exp, log, zech = _tables(p, m, coeffs)
-        elif m > 1:
+        exp = log = ring = None
+        if m > 1:
             ring = _ring(p, coeffs)
+            if q <= _TABLE_LIMIT:
+                exp, log = _tables(p, m, coeffs)
         object.__setattr__(self, "_exp", exp)
         object.__setattr__(self, "_log", log)
-        object.__setattr__(self, "_zech", zech)
-        object.__setattr__(self, "_half", (q - 1) // 2)  # log(-1) for odd q
         object.__setattr__(self, "_ring", ring)
 
     # -- identity ----------------------------------------------------------
@@ -466,51 +465,33 @@ class Field:
         return f"GF({self.p}^{self.m}; {coeffs_to_poly_text(self.modulus)})"
 
     # -- code-level arithmetic (the fast path) -----------------------------
-    # Prime fields and characteristic 2 take the first branches.  In an
-    # extension, a None _log or _zech marks a field beyond _TABLE_LIMIT (the
-    # generic path).
+    # Prime fields and characteristic 2 take the first branches.  Sums in
+    # any other extension take the kernel ring; products, powers and
+    # inverses read the tables, and a None _log marks a field beyond
+    # _TABLE_LIMIT (the kernel ring again).
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        zech = self._zech
-        if zech is None:
-            k, prime, _, native, code = self._ring
-            return code(k.add(prime, native(a), native(b)))
-        if not a or not b:
-            return a or b
-        log = self._log
-        la = log[a]
-        return self._exp[la + zech[log[b] - la]]
+        k, prime, _, native, code = self._ring
+        return code(k.add(prime, native(a), native(b)))
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
         if self.m == 1:
             return (a - b) % self.p
-        zech = self._zech
-        if zech is None:
-            k, prime, _, native, code = self._ring
-            return code(k.sub(prime, native(a), native(b)))
-        if not b:
-            return a
-        log = self._log
-        lb = log[b] + self._half  # log(-b)
-        if not a:
-            return self._exp[lb]
-        la = log[a]
-        return self._exp[la + zech[lb - la]]
+        k, prime, _, native, code = self._ring
+        return code(k.sub(prime, native(a), native(b)))
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
         if self.m == 1:
             return (-a) % self.p
-        if self._zech is None:
-            return self.sub(0, a)
-        return self._exp[self._log[a] + self._half]
+        return self.sub(0, a)
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:

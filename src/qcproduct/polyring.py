@@ -169,10 +169,12 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, code: int) -> "Poly":
-        mul = self.field.mul
-        return _trusted(self.field, [mul(code, c) for c in self.coeffs] if code else [])
+        f = self.field
+        code = _element(f, "scale code", code)
+        return _trusted(f, [f.mul(code, c) for c in self.coeffs] if code else [])
 
     def __pow__(self, e: int) -> "Poly":
+        e = _integer("exponent e", e, DegreeMismatch)
         if e < 0:
             raise DegreeMismatch("negative polynomial powers are not defined")
         return _power(Poly.__mul__, self, e, Poly.one(self.field))
@@ -200,9 +202,7 @@ class Poly:
     def __call__(self, x: int) -> int:
         """The code of the value at the element code x, by Horner's rule."""
         f = self.field
-        x = _integer("evaluation point", x, FieldMismatch)
-        if not 0 <= x < f.q:
-            raise FieldMismatch(f"evaluation point {x} outside [0, {f.q})")
+        x = _element(f, "evaluation point", x)
         acc = 0
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, x), c)
@@ -213,6 +213,15 @@ class Poly:
 
 
 _set_field, _set_coeffs = Poly.field.__set__, Poly.coeffs.__set__
+
+
+def _element(f: Field, name: str, x) -> int:
+    """x as an element code of f; FieldMismatch unless it is an integer in
+    [0, q)."""
+    x = _integer(name, x, FieldMismatch)
+    if not 0 <= x < f.q:
+        raise FieldMismatch(f"{name} {x} outside [0, {f.q})")
+    return x
 
 
 def _strip(codes: list) -> list:
@@ -390,11 +399,10 @@ def _fold(fold_row: Callable, f: Field, x, m: int):
 # Russians Over Larger Finite Fields", 2009).  Codes go in and out as bytes,
 # one per coefficient, through bytes.translate.
 
-# translation tables, byte v -> the ASCII digit of [v = 1 (mod 3)], the
-# ASCII digit of [v = 2 (mod 3)], and v mod 3
+# translation tables, byte v -> the ASCII digit of [v = 1 (mod 3)] and the
+# ASCII digit of [v = 2 (mod 3)]
 _ONE_DIGIT = (b"010" * 86)[:256]
 _TWO_DIGIT = (b"001" * 86)[:256]
-_MOD3 = (b"\0\1\2" * 86)[:256]
 
 
 def _pair(digits: bytes, one: bytes = _ONE_DIGIT, two: bytes = _TWO_DIGIT):
@@ -443,17 +451,6 @@ def _unpack_pair(f: Field, a: tuple, n: int, w: int) -> list:
             for s in range((n - 1) * w, -1, -w)]
 
 
-def _slots(ones: int, twos: int, n: int, s: int) -> int:
-    """The n codes of the nonzero pair (ones, twos) as one int, code k in
-    byte s*k."""
-    codes = _plane_codes(ones, twos)
-    if s > 1:
-        buf = bytearray(s * n)
-        buf[s - 1::s] = codes
-        codes = buf
-    return int.from_bytes(codes, "big")
-
-
 def _add3(f: Field, a, b):
     if not a:
         return b
@@ -478,10 +475,9 @@ _SHIFT_ADD_TERMS = 8
 def _mul3(f: Field, a, b):
     """The product of two GF(3) pairs: the denser factor shifted to each
     term of the sparser one and added up when that has few terms, and a
-    Kronecker product otherwise, as :func:`_kronecker_mul` multiplies code
-    lists.  There a slot of s > 1 bytes is read mod 3 as the sum of its
-    bytes, since 256 = 1 (mod 3): the bytes are reduced mod 3 and summed
-    into the slot's lowest byte."""
+    Kronecker product otherwise.  While every product coefficient is below
+    256, one byte per code does, read back mod 3 by `_pair`; wider slots
+    are :func:`_kronecker_mul`'s, on the plane codes."""
     if not a or not b:
         return 0
     (a1, a2), (b1, b2) = a, b
@@ -498,16 +494,11 @@ def _mul3(f: Field, a, b):
             o1, o2 = (o1 | z1) ^ c, (o2 | z2) ^ c
         return (o1, o2) if o1 | o2 else 0
     na, nb = x.bit_length(), y.bit_length()
-    n, s = na + nb - 1, _slot_bytes(4 * min(na, nb))
-    out = _slots(a1, a2, na, s) * _slots(b1, b2, nb, s)
-    if s == 1:
-        return _pair(out.to_bytes(n, "big"))
-    out = int.from_bytes(out.to_bytes(s * n, "little").translate(_MOD3), "little")
-    w = 8
-    while w < 8 * s:
-        out += out >> w
-        w *= 2
-    return _pair(out.to_bytes(s * n, "big")[s - 1::s])
+    ca, cb = _plane_codes(a1, a2), _plane_codes(b1, b2)
+    if _slot_bytes(4 * min(na, nb)) == 1:
+        out = int.from_bytes(ca, "big") * int.from_bytes(cb, "big")
+        return _pair(out.to_bytes(na + nb - 1, "big"))
+    return _to_pair(f, _kronecker_mul(f, ca[::-1], cb[::-1]))
 
 
 def _euclid3(x: tuple, y: tuple, s: int):
@@ -904,7 +895,7 @@ def x_pow_minus_one(field: Field, m: int) -> Poly:
     """The polynomial X^m - 1 over the field; DegreeMismatch unless m is an
     integer >= 1."""
     m = _positive("m", m, DegreeMismatch)
-    return _trusted(field, [field.neg(1)] + [0] * (m - 1) + [1])
+    return _trusted(field, [field.p - 1] + [0] * (m - 1) + [1])  # -1 = p - 1
 
 
 def poly_gcd(u: Poly, v: Poly) -> Poly:

@@ -25,10 +25,11 @@ from __future__ import annotations
 import functools
 
 from .cyclic import _MAX_EXTENSION_DEGREE, CyclicCode, cyclic_code_new
-from .errors import PolyParseError, TooLarge
+from .errors import PolyParseError, ShapeMismatch, TooLarge
 from .field import (
     _MAX_EXPONENT,
     Field,
+    _positive,
     _prime_field,
     coeffs_to_poly_text,
     field_new,
@@ -128,8 +129,8 @@ def _matrix_to_doc(field: Field, ell: int, m: int, rows) -> dict:
 def _matrix_from_doc(doc, cls, what: str):
     """Read a basis or generating-matrix document into cls; a basis must
     list exactly ell rows."""
-    ell = _require(doc, "ell", int, what)
-    m = _require(doc, "m", int, what)
+    ell = _positive("ell", _require(doc, "ell", int, what), ShapeMismatch)
+    m = _positive("m", _require(doc, "m", int, what), ShapeMismatch)
     _check_length(ell * m, f"{what} length ell*m")
     _check_length(ell * ell, f"{what} entry count ell*ell")
     field = field_from_doc(_require(doc, "field", dict, what))

@@ -1,6 +1,8 @@
 """The package surface: ``qcproduct.__all__`` is assembled from each module's
 own declaration, so every public name is written once, where it is defined."""
 
+from pathlib import Path
+
 import qcproduct
 from qcproduct import (
     cyclic,
@@ -52,3 +54,12 @@ def test_package_all_is_the_union_of_module_declarations():
         assert gone not in names
         assert not any(hasattr(mod, gone) for mod in (errors, *MODULES))
     assert not hasattr(qcmodule.RgbPotBasis, "to_generating_matrix")
+
+
+def test_readme_library_tour_runs():
+    # the README's one Python block, executed as a reader would paste it
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    tour = text.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(tour, "README.md", "exec"), scope)
+    assert scope["product"].k == 18

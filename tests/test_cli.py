@@ -378,6 +378,27 @@ def test_oversized_characteristic_exits_3(tmp_path, capsys):
     assert err["error"]["type"] == "NotPrime"
 
 
+@pytest.mark.parametrize("q", ["6", "1", "-3"])
+def test_cosets_over_no_field_exits_3(q, capsys):
+    # as factor and minpoly do: there is no GF(6), GF(1) or GF(-3)
+    assert main(["--format", "json", "cosets", q, "5"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"]["type"] == "NotPrime"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("key, value", [("ell", 0), ("ell", -1), ("m", 0)])
+@pytest.mark.parametrize("command", ["mindist", "verify", "reduce"])
+def test_nonpositive_document_shape_exits_3(command, key, value, tmp_path, capsys):
+    # read before the rows, so no row count or row length error comes first
+    doc = small_matrix_doc() if command == "reduce" else row_code_doc()
+    doc[key] = value
+    assert main([command, write_json(tmp_path / "A.json", doc)]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"]["type"] == "ShapeMismatch"
+    assert captured.out == ""
+
+
 def test_precondition_violation_exits_3(capsys):
     assert main(["cosets", "2", "4"]) == 3
     err = json.loads(capsys.readouterr().err)

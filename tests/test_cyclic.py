@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import minpolyref
 from qcproduct import (
     DegreeMismatch,
+    Field,
     IndexOutOfRange,
     NotADivisor,
     NotCoprime,
@@ -278,6 +279,17 @@ def test_field_of_order():
     assert _prime_power((2 ** 31 - 1) ** 2) == (2 ** 31 - 1, 2)
     assert _prime_power(3 ** 400) == (3, 400)
     assert _prime_power((2 ** 31 - 1) ** 400) == (2 ** 31 - 1, 400)
+
+
+def test_field_order_is_read_as_an_integer():
+    # an integer type is read through __index__, as Field reads p and m
+    from test_product import Index  # test_product imports this module
+
+    assert field_of_order(Index(9)) == Field(Index(3), Index(2)) == field_new(3, 2)
+    assert _prime_power(Index(7)) == (7, 1)
+    for q in (9.0, True, "9"):
+        with pytest.raises(NotPrime):
+            _prime_power(q)
     # beyond the characteristic bound of Field, prime or not
     for q in (2 ** 61 - 1, (2 ** 31 + 11) ** 2, 6 ** 100):
         with pytest.raises(NotPrime):

@@ -144,7 +144,8 @@ def test_division_by_zero():
     lambda f, c: Poly(f, (1, c)),
     lambda f, c: Poly(f, (1, 1))(c),
     lambda f, c: LinearCodeView(f, [[1, c]]),
-], ids=["Poly", "Poly.__call__", "LinearCodeView"])
+    lambda f, c: Poly(f, (0, 1)).scale(c),
+], ids=["Poly", "Poly.__call__", "LinearCodeView", "Poly.scale"])
 @pytest.mark.parametrize("q", (2, 3, 4, 9))
 def test_public_entries_check_the_codes_field_ops_trust(entry, q):
     # Field's operations run unchecked (over GF(4), mul(7, 1) raises
@@ -202,12 +203,24 @@ def test_prime_field_modulus_is_normalised():
     assert hash(Field(2, 1, (1, 1))) == hash(Field(2))
     assert Field(5, 1, (3, 1)) == Field(5)
     assert Field(5, 1, (3, 1)).modulus == (0, 1)
-    with pytest.raises(TypeError):  # text is for poly_from_text, not Field
+    with pytest.raises(DegreeMismatch):  # text is for poly_from_text, not Field
         Field(5, 1, "31")
     with pytest.raises(DegreeMismatch):
         Field(2, 1, (1, 1, 1))
     with pytest.raises(DegreeMismatch):
         Field(3, 1, (1, 2))  # not monic
+
+
+@pytest.mark.parametrize("modulus", [[1, 1.0, 1], "X^2+X+1", 5, [1, 1, True]])
+def test_explicit_modulus_codes_are_integers(modulus):
+    # a float, a bool, text or a non-sequence is refused, never truncated,
+    # read as 1 or left to a bare TypeError
+    with pytest.raises(DegreeMismatch):
+        Field(2, 2, modulus)
+
+
+def test_explicit_modulus_reads_integer_types():
+    assert Field(3, 2, [Index(2), Index(2), Index(1)]) == Field(3, 2, (2, 2, 1))
 
 
 def test_explicit_modulus_drops_its_trailing_zeros():
@@ -665,8 +678,6 @@ def test_generic_path_sampled_pairs(pm, data):
 def test_table_limit_boundary():
     assert field_new(2, 12)._log is not None
     assert field_new(2, 13)._log is None
-    assert field_new(3, 7)._zech is not None
-    assert field_new(3, 8)._zech is None
 
 
 # ---------------------------------------------------------------------------

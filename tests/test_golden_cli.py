@@ -64,7 +64,10 @@ reduced GF(16) and GF(25) products (their pair tables exceed the bound, so
 their weight blocks take the one-level tail) and of a benchmark GF(4)
 product (ell 3, m 35) whose search reaches a weight-4 block, from before
 the last two levels of a weight block were read from a table of pair sums
-and each word was weighed inline.
+and each word was weighed inline, and the factorization of X^728 - 1 over
+GF(3), whose conjugate products all run in GF(3^6), a table field of odd
+characteristic, from before sums there left the Zech-logarithm table for
+the prime field's polynomial kernel.
 Any change to arithmetic, reduction or the value classes must leave every
 byte of that output unchanged.
 """
@@ -114,6 +117,7 @@ CASES = {
     "factor_5_7": ["factor", "5", "7"],
     "factor_4_23": ["factor", "4", "23"],
     "factor_9_10": ["factor", "9", "10"],
+    "factor_3_728": ["factor", "3", "728"],
     "minpoly_16_17_1": ["minpoly", "16", "17", "1"],
     "minpoly_2_17_3": ["minpoly", "2", "17", "3"],
     "minpoly_281281747415761_63_40": ["minpoly", "281281747415761", "63", "40"],

@@ -74,6 +74,33 @@ def test_poly_is_immutable_and_hashable():
     assert p != Poly(F3, (1, 1))
 
 
+@pytest.mark.parametrize("field, code", [
+    (field_new(7), 2.5), (F2, 1.0), (F2, True), (F2, "1"), (F4, -1)])
+def test_scale_reads_its_code_as_call_reads_its_point(field, code):
+    # a float or a bool was multiplied in as it stood (codes beyond q are
+    # test_field's test_public_entries_check_the_codes_field_ops_trust)
+    x = Poly(field, (0, 1))
+    with pytest.raises(FieldMismatch):
+        x.scale(code)
+    with pytest.raises(FieldMismatch):
+        x(code)
+
+
+def test_scale_takes_integer_types():
+    assert Poly(F9, (1, 1)).scale(Index(4)) == Poly(F9, (4, 4))
+    assert Poly(F9, (1, 1)).scale(0).is_zero
+
+
+@pytest.mark.parametrize("e", [1.5, True, "2", -1])
+def test_pow_reads_its_exponent_as_an_integer(e):
+    with pytest.raises(DegreeMismatch):
+        Poly(F3, (0, 1)) ** e
+
+
+def test_pow_takes_integer_types():
+    assert Poly(F3, (1, 1)) ** Index(3) == Poly(F3, (1, 0, 0, 1))
+
+
 # ---------------------------------------------------------------------------
 # ring arithmetic
 # ---------------------------------------------------------------------------
