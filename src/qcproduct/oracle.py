@@ -77,8 +77,9 @@ class LinearCodeView:
     def __init__(self, field: Field, matrix, n: int | None = None,
                  ell: int | None = None):
         index = operator.index
-        try:
-            rows = tuple(tuple([index(c) for c in row]) for row in matrix)
+        try:  # an int passes on its type; _integer refuses a bool
+            rows = tuple(tuple([c if type(c) is int else _integer("code", c, TypeError)
+                                for c in row]) for row in matrix)
         except TypeError:
             raise ShapeMismatch(
                 "generator matrix must be rows of integer codes") from None

@@ -10,7 +10,8 @@ the product constructions apply with negative exponents and shifts.
 The arithmetic runs in one kernel per kind of field, a :class:`_Kernel`
 record that only :func:`_kernel` chooses.  ``Poly`` operators, the gcds,
 :func:`fold_mod_xm1` and canonical reduction (``qcmodule.rgb_pot_reduce``)
-convert their operands to the kernel's native form once and build a
+convert an operand to the kernel's native form only when it carries none
+(``Poly.native``, kept by the bit-plane kernels' results) and build a
 ``Poly`` only for their results:
 
 * GF(2): bitmask ints, bit k for X^k; sums, products and division are
@@ -52,10 +53,10 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 from functools import lru_cache, partial
 from itertools import chain
-from operator import index, itemgetter, xor
+from operator import itemgetter, xor
 
 from .errors import (
     BothZero,
@@ -84,22 +85,26 @@ class Poly:
     """A polynomial over a :class:`~qcproduct.field.Field`.
 
     Coefficients are stored as element codes, ascending in degree.
+    `native` is the kernel's native form of them when a bit-plane kernel
+    computed the polynomial, else None; it is not compared.
     """
 
     field: Field
     coeffs: tuple
+    native: object = _field(default=None, compare=False)
 
     def __init__(self, field: Field, coeffs=()):
-        try:
-            codes = [index(c) for c in coeffs]
+        try:  # an int passes on its type; _integer refuses a bool
+            codes = [c if type(c) is int else _integer("code", c, TypeError) for c in coeffs]
         except TypeError:
             raise FieldMismatch("coefficients must be integer codes") from None
         q = field.q
         if codes and not 0 <= min(codes) <= max(codes) < q:
             bad = next(c for c in codes if not 0 <= c < q)
             raise FieldMismatch(f"coefficient code {bad} outside [0, {q})")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(_strip(codes)))
+        _set_field(self, field)
+        _set_coeffs(self, tuple(_strip(codes)))
+        _set_native(self, None)
 
     # -- constructors ------------------------------------------------------
 
@@ -152,7 +157,7 @@ class Poly:
             return o
         f = self.field
         k = _kernel(f)
-        return k.poly(f, getattr(k, op)(f, k.native(f, self.coeffs), k.native(f, o.coeffs)))
+        return k.poly(f, getattr(k, op)(f, _native(k, self), _native(k, o)))
 
     def __add__(self, other):
         return self._apply(other, "add")
@@ -187,7 +192,7 @@ class Poly:
             raise DivisionByZero("polynomial division by zero")
         f = self.field
         k = _kernel(f)
-        quot, rem = k.divmod(f, k.native(f, self.coeffs), k.native(f, o.coeffs))
+        quot, rem = k.divmod(f, _native(k, self), _native(k, o))
         return k.poly(f, quot), k.poly(f, rem)
 
     def __floordiv__(self, other):
@@ -212,7 +217,8 @@ class Poly:
         return f"Poly[{coeffs_to_poly_text(self.coeffs)} over {self.field!r}]"
 
 
-_set_field, _set_coeffs = Poly.field.__set__, Poly.coeffs.__set__
+_set_field, _set_coeffs, _set_native = (Poly.field.__set__, Poly.coeffs.__set__,
+                                        Poly.native.__set__)
 
 
 def _element(f: Field, name: str, x) -> int:
@@ -231,13 +237,15 @@ def _strip(codes: list) -> list:
     return codes
 
 
-def _trusted(field: Field, codes: list) -> Poly:
+def _trusted(field: Field, codes: list, native=None) -> Poly:
     """A Poly from codes that ``Field`` operations made out of validated
     codes: trailing zeros are stripped in place, the other checks skipped.
-    A tuple whose last code is nonzero is kept as it is."""
+    A tuple whose last code is nonzero is kept as it is.  native, when
+    given, is the codes' native form in the field's kernel."""
     p = object.__new__(Poly)
     _set_field(p, field)
     _set_coeffs(p, tuple(_strip(codes)))
+    _set_native(p, native)
     return p
 
 
@@ -317,7 +325,7 @@ def _to_mask(f: Field, codes) -> int:
 
 
 def _from_mask(f: Field, x: int) -> Poly:
-    return _trusted(f, list(bin(x)[:1:-1].encode().translate(_FROM_DIGITS)))
+    return _trusted(f, list(bin(x)[:1:-1].encode().translate(_FROM_DIGITS)), x)
 
 
 def _xor(f: Field, a: int, b: int) -> int:
@@ -428,7 +436,7 @@ def _plane_codes(ones: int, twos: int) -> bytes:
 
 
 def _from_pair(f: Field, x) -> Poly:
-    return _trusted(f, list(_plane_codes(*x)[::-1]) if x else [])
+    return _trusted(f, list(_plane_codes(*x)[::-1]) if x else [], x)
 
 
 # A row of pairs, over GF(3) or GF(4), is the pair of its packed planes.
@@ -864,11 +872,16 @@ def _kernel(f: Field) -> _Kernel:
     return _GFP if f.m == 1 else _EXT
 
 
+def _native(k: _Kernel, p: Poly):
+    """p in its field's kernel k's native form: the one p carries, if any."""
+    return k.native(p.field, p.coeffs) if p.native is None else p.native
+
+
 def _monic(g: Poly, m: int = 0):
     """(kernel, g made monic, and for an int m >= 1 the native cofactor
     (X^m - 1)/g) for a nonzero g; NotADivisor unless g divides X^m - 1."""
     f, k = g.field, _kernel(g.field)
-    native = k.native(f, g.coeffs)
+    native = _native(k, g)
     if not g.is_monic:  # the quotient by the leading coefficient, a constant
         native = k.divmod(f, native, k.native(f, (g.leading,)))[0]
         g = k.poly(f, native)
@@ -884,7 +897,7 @@ def _divides_xm1(d: Poly, m: int) -> bool:
     2 bitlen(m) steps of a product and a remainder of about deg d terms
     each, where dividing X^m - 1 takes m - deg d quotient terms."""
     f, k = d.field, _kernel(d.field)
-    kdivmod, n = k.divmod, k.native(f, d.coeffs)
+    kdivmod, n = k.divmod, _native(k, d)
     if 4 * d.degree * m.bit_length() >= m - d.degree:
         return not kdivmod(f, k.xm1(f, m), n)[1]
     one, x = (kdivmod(f, k.native(f, c), n)[1] for c in ((1,), (0, 1)))
@@ -905,7 +918,7 @@ def poly_gcd(u: Poly, v: Poly) -> Poly:
     u._check(v)
     f, k = u.field, _kernel(u.field)
     w = max(len(u.coeffs), len(v.coeffs))
-    return k.poly(f, k.gcd(f, k.native(f, u.coeffs), k.native(f, v.coeffs), w))
+    return k.poly(f, k.gcd(f, _native(k, u), _native(k, v), w))
 
 
 def poly_egcd(u: Poly, v: Poly):
@@ -959,4 +972,4 @@ def fold_mod_xm1(p: Poly, m: int) -> Poly:
         return p
     f = p.field
     k = _kernel(f)
-    return k.poly(f, k.fold(f, k.native(f, p.coeffs), m))
+    return k.poly(f, k.fold(f, _native(k, p), m))

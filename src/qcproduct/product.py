@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .field import Field, _integer, _positive
-from .polyring import (Poly, _divides_xm1, _kernel, _monic, modular_substitute,
+from .polyring import (Poly, _divides_xm1, _kernel, _monic, _native, modular_substitute,
                        x_pow_minus_one)
 from .qcmodule import GeneratingMatrix, RgbPotBasis, _trusted_matrix, level
 
@@ -154,7 +154,7 @@ class OneLevelCode:
         for fj in fs:
             if fj.field != field:
                 raise FieldMismatch("multiplier over a different field")
-            folded = k.fold(field, k.native(field, fj.coeffs), m)
+            folded = k.fold(field, _native(k, fj), m)
             canon.append(k.poly(field, k.divmod(field, folded, cofactor)[1]))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ell", ell)
@@ -169,8 +169,8 @@ class OneLevelCode:
     def row(self) -> tuple[Poly, ...]:
         """The generating row (g, g*f_1, ..., g*f_(ell-1))."""
         f, k = self.field, _kernel(self.field)
-        g = k.native(f, self.g.coeffs)
-        return (self.g,) + tuple(k.poly(f, k.mul(f, g, k.native(f, fj.coeffs)))
+        g = _native(k, self.g)
+        return (self.g,) + tuple(k.poly(f, k.mul(f, g, _native(k, fj)))
                                  for fj in self.fs)
 
     def basis(self) -> RgbPotBasis:
@@ -190,10 +190,10 @@ class OneLevelCode:
         f, k, g = b.field, _kernel(b.field), b.matrix[0][0]
         if g.is_zero and b.ell > 1:
             raise DivisionByZero("polynomial division by zero")
-        native, fs = k.native(f, g.coeffs), []
+        native, fs = _native(k, g), []
         for j in range(1, b.ell):
             # g | X^m - 1 (checked below): folding keeps r and q mod (X^m - 1)/g
-            q, r = k.divmod(f, k.fold(f, k.native(f, b.matrix[0][j].coeffs), b.m), native)
+            q, r = k.divmod(f, k.fold(f, _native(k, b.matrix[0][j]), b.m), native)
             if r:
                 raise NotADivisor(f"entry (0, {j}) is not a multiple of the shared divisor")
             fs.append(k.poly(f, q))
@@ -224,11 +224,11 @@ def unreduced_product_basis(G_A: RgbPotBasis, B: CyclicCode,
     in the returned GeneratingMatrix."""
     _check_product_inputs(G_A.ell, G_A.m, G_A.field, B, p)
     f, k, N = G_A.field, _kernel(G_A.field), p.big_m
-    gB_sub = k.native(f, modular_substitute(B.g, p.a * p.ell_a * p.m_a, N).coeffs)
+    gB_sub = _native(k, modular_substitute(B.g, p.a * p.ell_a * p.m_a, N))
 
     def entry(j: int, e: Poly):
         sub = modular_substitute(e, p.b * p.m_b, N, -j * p.a * p.m_a)
-        return k.poly(f, k.fold(f, k.mul(f, gB_sub, k.native(f, sub.coeffs)), N))
+        return k.poly(f, k.fold(f, k.mul(f, gB_sub, _native(k, sub)), N))
     rows = tuple(tuple([e if e.is_zero else entry(j, e) for j, e in enumerate(row)])
                  for row in G_A.matrix)
     return _trusted_matrix(GeneratingMatrix, f, p.ell_a, N, rows)
@@ -242,8 +242,8 @@ def one_level_product_rgb(A: OneLevelCode, B: CyclicCode,
     multipliers f_j^A(X^(b*m_b)) * X^(-j*a*m_a), reduced canonically."""
     _check_product_inputs(A.ell, A.m, A.field, B, p)
     f, k, N = A.field, _kernel(A.field), p.big_m
-    gA_sub = k.native(f, modular_substitute(A.g, p.b * p.m_b, N).coeffs)
-    gB_sub = k.native(f, modular_substitute(B.g, p.a * p.ell_a * p.m_a, N).coeffs)
+    gA_sub = _native(k, modular_substitute(A.g, p.b * p.m_b, N))
+    gB_sub = _native(k, modular_substitute(B.g, p.a * p.ell_a * p.m_a, N))
     g = k.gcd(f, k.xm1(f, N), k.fold(f, k.mul(f, gA_sub, gB_sub), N), N + 1)
     multipliers = [modular_substitute(A.fs[j - 1], p.b * p.m_b, N, -j * p.a * p.m_a)
                    for j in range(1, p.ell_a)]

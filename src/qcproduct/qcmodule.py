@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .field import Field, _positive
-from .polyring import Poly, _divides_xm1, _kernel, x_pow_minus_one
+from .polyring import Poly, _divides_xm1, _kernel, _native, x_pow_minus_one
 
 __all__ = [
     "PolyVector",
@@ -195,8 +195,9 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
     its column, with a zero tail.  The result is unique per submodule.
 
     Each row is packed once in the field's kernel (``polyring._kernel``),
-    at w = 2m + 1 coefficients an entry, each nonzero entry converted once,
-    and unpacked once for the result, all its zeros one shared Poly.
+    at w = 2m + 1 coefficients an entry, each entry converted once unless
+    it carries its native form, and unpacked once for the result, all its
+    zeros one shared Poly.
     A fold starts from leading entries of degree at most m and others below
     m, and its rows are s*a + t*b with deg s, deg t <= m, so no entry passes
     degree 2m - 1; above a diagonal, quotient and entries are below m.  So
@@ -205,11 +206,10 @@ def rgb_pot_reduce(gen: GeneratingMatrix) -> RgbPotBasis:
     """
     f, ell, m = gen.field, gen.ell, gen.m
     k, w = _kernel(f), 2 * m + 1
-    native, pack, lead, euclid, fold_row = k.native, k.pack, k.lead, k.euclid, k.fold_row
-    zero, full = native(f, ()), k.xm1(f, m)
-    pending = [pack(f, [(native(f, c) if len(c) <= m else k.fold(f, native(f, c), m))
-                        if (c := p.coeffs) else zero for p in row], w)
-               for row in gen.rows]
+    pack, lead, euclid, fold_row = k.pack, k.lead, k.euclid, k.fold_row
+    zero, full = k.native(f, ()), k.xm1(f, m)
+    pending = [pack(f, [(k.fold(f, _native(k, p), m) if len(c) > m else _native(k, p))
+                        if (c := p.coeffs) else zero for p in row], w) for row in gen.rows]
     pending += (pack(f, [zero] * j + [full] + [zero] * (ell - 1 - j), w) for j in range(ell))
 
     pivots = []
@@ -297,9 +297,9 @@ def reduce_vector(b: RgbPotBasis, v: PolyVector) -> PolyVector:
     f, ell, m, k = b.field, b.ell, b.m, _kernel(b.field)
     if any(d.is_zero for d in b.diagonal()):  # the kernels' division never ends
         raise DivisionByZero("polynomial division by zero")
-    native, w = k.native, max(2 * m, *(len(d.coeffs) for d in b.diagonal())) + 1
-    rows = [k.pack(f, [native(f, ())] * i + [native(f, row[i].coeffs)] +
-                   [k.fold(f, native(f, p.coeffs), m) for p in row[i + 1:]], w)
+    w = max(2 * m, *(len(d.coeffs) for d in b.diagonal())) + 1
+    rows = [k.pack(f, [k.native(f, ())] * i + [_native(k, row[i])] +
+                   [k.fold(f, _native(k, p), m) for p in row[i + 1:]], w)
             for i, row in enumerate(b.matrix)]
-    x = _reduce_row(k, f, k.pack(f, [native(f, c.coeffs) for c in v.components], w), rows, m, w)
+    x = _reduce_row(k, f, k.pack(f, [_native(k, c) for c in v.components], w), rows, m, w)
     return PolyVector([k.poly(f, e) for e in k.unpack(f, x, ell, w)], m)

@@ -6,7 +6,8 @@ objects) to polynomial text, a nearby int, or any int, float, bool, None,
 string, list or object, edits inside a text value (a sign, "*", "^", a
 digit or whitespace inserted or deleted, or leading zeros put before a
 number), or drops one, and runs the command on it through
-`cli.main` under a 5-s alarm.  Every case must exit 0, 2 or 3, and a failing case must write
+`cli.main` under a 5-s alarm, and within 5 s of wall time.  Every case
+must exit 0, 2 or 3, and a failing case must write
 exactly one JSON error line to stderr.  Case i draws everything from
 `random.Random(i)`, so a failure names the case that reproduces it.
 
@@ -18,6 +19,7 @@ answer or exit 3, the bound on the expanded generator matrix.
 import json
 import random
 import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -168,14 +170,20 @@ def _alarm(signum, frame):
 
 
 def _run(argv) -> int:
-    """main(argv) under the alarm."""
+    """main(argv) under the alarm, failing too when it took longer than
+    ALARM_S of wall time: an alarm that fires inside a gc callback raises
+    only an unraisable exception there, and the command runs on."""
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(ALARM_S)
+    start = time.monotonic()
     try:
-        return main(argv)
+        code = main(argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    if (elapsed := time.monotonic() - start) > ALARM_S:
+        raise _Overran(f"{elapsed:.1f} s, over {ALARM_S} s")
+    return code
 
 
 @pytest.mark.parametrize("i", range(CASES))

@@ -76,8 +76,9 @@ def test_linear_view_validation():
         LinearCodeView(F2, [[1, 0, 1], [1, 0, 1]])
     with pytest.raises(FieldMismatch):
         LinearCodeView(F2, [[2, 0]])
-    with pytest.raises(ShapeMismatch):
-        LinearCodeView(F2, [1, 0, 1])
+    for rows in ([1, 0, 1], [[True, False, True]], [[1, 0, 1], [0, True, 1]]):
+        with pytest.raises(ShapeMismatch):  # a bool is no code
+            LinearCodeView(F2, rows)
     with pytest.raises(ShapeMismatch):
         LinearCodeView(F2, [[1, 0, 1], [0, 1]])
     with pytest.raises(ShapeMismatch):
